@@ -9,11 +9,10 @@
 //! the interleaved message schedule; its bytes/sec covers all four lanes,
 //! so the multilane speedup is its throughput over the scalar group's.
 //! `fasthash_throughput` is the hot-path key hash on the same sizes, and
-//! the comparison trio quantifies what each digest-first fast path saves:
+//! the comparison pair quantifies what the digest-first fast path saves:
 //! `compare_deep` decodes two identical histogram sets and runs the full
 //! χ² sweep, `compare_digest_first` resolves the same question from two
-//! content addresses, and `fasthash_compare` re-keys both sides with the
-//! fast hash first.
+//! content addresses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sp_core::{Comparator, TestOutput};
@@ -129,15 +128,6 @@ fn bench_compare(c: &mut Criterion) {
         b.iter(|| {
             let decoded = TestOutput::from_bytes(&encoded).expect("decodes");
             comparator.compare(&output, &decoded)
-        })
-    });
-    group.bench_function("fasthash_compare", |b| {
-        // The process-local shape: neither side content-addressed yet, so
-        // both encodings are keyed with the fast hash and short-circuited.
-        b.iter(|| {
-            comparator
-                .compare_by_fast_digest(output.fast_digest(), reference.fast_digest())
-                .expect("identical")
         })
     });
     group.finish();

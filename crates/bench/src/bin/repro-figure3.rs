@@ -5,7 +5,7 @@
 //! system, compiler and external dependencies, after the paper's ">300
 //! runs".
 //!
-//! The >300-run campaign executes on the sharded `CampaignEngine` (one
+//! The >300-run campaign executes on the sharded `CampaignScheduler` (one
 //! work-stealing lane per experiment, batched ledger commits) with run
 //! memoization on: after the first nightly pass every (experiment, image,
 //! test) cell is unchanged, so later passes replay conserved outputs
@@ -26,11 +26,24 @@
 
 use sp_bench::{desy_deployment, repro_run_config, scale_from_args};
 use sp_core::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOptions, CampaignSummary, SpSystem,
+    Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, CampaignSummary, SpSystem,
 };
 use sp_env::{catalog, Arch, VmImageId};
 use sp_report::render_matrix;
 use sp_report::summary::render_stats;
+
+/// Runs one campaign on the sharded, work-stealing scheduler.
+fn execute_sharded(system: &SpSystem, config: CampaignConfig, workers: usize) -> CampaignSummary {
+    let mut scheduler = CampaignScheduler::new(system, workers);
+    scheduler
+        .submit(config)
+        .expect("campaign over registered names");
+    scheduler
+        .execute()
+        .expect("sharded campaign")
+        .remove(0)
+        .summary
+}
 
 /// The deployment plus the external-dependency image axis: one SL5/32bit
 /// gcc4.4 image per ROOT version, plus the SL6-devtoolset ROOT 6 probe.
@@ -97,9 +110,7 @@ fn main() {
         "running {planned} validation runs (scale {scale}, {workers} workers, memoize {memoize}) ..."
     );
     let started = std::time::Instant::now();
-    let engine =
-        CampaignEngine::plan(&system, config, workers).expect("campaign over registered names");
-    let summary = engine.execute().expect("sharded campaign");
+    let summary = execute_sharded(&system, config, workers);
     let parallel_elapsed = started.elapsed();
     eprintln!("campaign finished in {parallel_elapsed:.1?}\n");
 
@@ -150,10 +161,7 @@ fn main() {
         "running {} external-dependency runs ...",
         ext_config.total_runs()
     );
-    let ext_summary = CampaignEngine::plan(&system, ext_config, workers)
-        .expect("external-axis plan")
-        .execute()
-        .expect("external-axis campaign");
+    let ext_summary = execute_sharded(&system, ext_config, workers);
     println!(
         "Figure 3 (external-dependency axis): the same processes against the\n\
          installed ROOT series on SL5/32bit gcc4.4, plus the ROOT 6 probe\n\

@@ -10,7 +10,7 @@
 
 use sp_hep::hist_io;
 use sp_hep::HistogramSet;
-use sp_store::{FastDigest, FastHasher, HashingWriter, ObjectId};
+use sp_store::{HashingWriter, ObjectId};
 
 /// The output of one validation test, in one of the paper's flavours.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,21 +95,6 @@ impl TestOutput {
         let mut writer = HashingWriter::digest_only();
         self.encode_with(&mut |bytes| writer.write(bytes));
         ObjectId(writer.finish())
-    }
-
-    /// The 128-bit [`sp_store::fasthash`] digest of the encoded output,
-    /// streamed with no buffer — several times cheaper than
-    /// [`digest`](Self::digest). **Process-local only**: equal fast
-    /// digests of outputs produced in the same process mean bit-identical
-    /// encodings for the digest-first fast paths, but the value is not a
-    /// content address, is never persisted, and carries no
-    /// collision-resistance guarantee against adversarial inputs — the
-    /// SHA-256 [`digest`](Self::digest) remains the identity anything
-    /// durable keys on.
-    pub fn fast_digest(&self) -> FastDigest {
-        let mut hasher = FastHasher::new();
-        self.encode_with(&mut |bytes| hasher.update(bytes));
-        hasher.finish()
     }
 
     /// Rough encoded size, used to pre-reserve buffers.
@@ -233,22 +218,6 @@ impl Comparator {
     /// entirely). Returns `None` when the digests differ and a full
     /// [`compare`](Self::compare) over the decoded outputs is required.
     pub fn compare_by_id(&self, new: ObjectId, reference: ObjectId) -> Option<CompareOutcome> {
-        (new == reference).then_some(CompareOutcome::Identical)
-    }
-
-    /// [`compare_by_id`](Self::compare_by_id) on fast digests, for call
-    /// sites that have not (and need not) content-address either side:
-    /// hashing both encodings with [`TestOutput::fast_digest`] costs a
-    /// fraction of two SHA-256 passes. Process-local only — fast digests
-    /// must never cross a process or session boundary (see
-    /// [`TestOutput::fast_digest`]), so this path is for transient
-    /// same-process comparisons; durable digest-first comparisons key on
-    /// [`ObjectId`]s via [`compare_by_id`](Self::compare_by_id).
-    pub fn compare_by_fast_digest(
-        &self,
-        new: FastDigest,
-        reference: FastDigest,
-    ) -> Option<CompareOutcome> {
         (new == reference).then_some(CompareOutcome::Identical)
     }
 
@@ -505,39 +474,6 @@ mod tests {
                 Some(CompareOutcome::Identical)
             );
             assert_eq!(comparator.compare_by_id(a.digest(), b.digest()), None);
-        }
-    }
-
-    #[test]
-    fn fast_digest_short_circuits_like_the_id_path() {
-        let mut hist = Histogram1D::new("h", 5, 0.0, 5.0);
-        hist.fill(2.5);
-        let outputs = [
-            TestOutput::YesNo(true),
-            TestOutput::ExitCode(-11),
-            TestOutput::Text("selected 42 events\n".into()),
-            TestOutput::Numbers(vec![("mean_q2".into(), 123.456)]),
-            TestOutput::Histograms([hist].into_iter().collect()),
-        ];
-        for out in &outputs {
-            // The streamed fast digest is the fast hash of the encoding.
-            assert_eq!(
-                out.fast_digest(),
-                sp_store::fasthash::hash128(&out.to_bytes())
-            );
-            let comparator = Comparator::default_for(out);
-            assert_eq!(
-                comparator.compare_by_fast_digest(out.fast_digest(), out.fast_digest()),
-                Some(CompareOutcome::Identical)
-            );
-        }
-        // Distinct outputs fall through to a full compare.
-        for pair in outputs.windows(2) {
-            assert_eq!(
-                Comparator::default_for(&pair[0])
-                    .compare_by_fast_digest(pair[0].fast_digest(), pair[1].fast_digest()),
-                None
-            );
         }
     }
 

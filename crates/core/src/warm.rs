@@ -218,15 +218,18 @@ pub(crate) fn encode_chain(chain: &MemoizedChain) -> Vec<u8> {
 pub(crate) fn decode_chain(bytes: &[u8]) -> Option<MemoizedChain> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
-    let stage_count = cursor.take_u32()?;
-    let mut stages = Vec::with_capacity(stage_count as usize);
+    // A stage: two length-prefixed strings, a category byte, a status
+    // byte and an output count — at least 14 bytes.
+    let stage_count = cursor.take_count(14)?;
+    let mut stages = Vec::with_capacity(stage_count);
     for _ in 0..stage_count {
         let stage = cursor.take_str()?;
         let test = TestId::new(cursor.take_str()?);
         let category = take_category(&mut cursor)?;
         let status = take_status(&mut cursor)?;
-        let output_count = cursor.take_u32()?;
-        let mut outputs = Vec::with_capacity(output_count as usize);
+        // An output: a length-prefixed name and a 32-byte object id.
+        let output_count = cursor.take_count(36)?;
+        let mut outputs = Vec::with_capacity(output_count);
         for _ in 0..output_count {
             let name = cursor.take_str()?;
             let oid = take_object_id(&mut cursor)?;
@@ -274,8 +277,9 @@ pub(crate) fn decode_reference_tests(
     let mut tests = BTreeMap::new();
     for _ in 0..test_count {
         let test = cursor.take_str()?;
-        let output_count = cursor.take_u32()?;
-        let mut outputs = Vec::with_capacity(output_count as usize);
+        // An output: a length-prefixed name and a 32-byte object id.
+        let output_count = cursor.take_count(36)?;
+        let mut outputs = Vec::with_capacity(output_count);
         for _ in 0..output_count {
             let name = cursor.take_str()?;
             let oid = take_object_id(&mut cursor)?;
@@ -341,8 +345,8 @@ pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
     let env_label = cursor.take_str()?;
-    let order_count = cursor.take_u32()?;
-    let mut order = Vec::with_capacity(order_count as usize);
+    let order_count = cursor.take_count(4)?;
+    let mut order = Vec::with_capacity(order_count);
     for _ in 0..order_count {
         order.push(PackageId::new(cursor.take_str()?));
     }
@@ -534,5 +538,38 @@ mod tests {
         let decoded = decode_build_report(&bytes).expect("round trip");
         assert_eq!(*decoded, report);
         assert!(decode_build_report(&bytes[..10]).is_none());
+    }
+
+    #[test]
+    fn oversized_counts_are_rejected_before_allocating() {
+        let mut huge = Vec::new();
+        put_value_header(&mut huge);
+        wire::put_u32(&mut huge, u32::MAX);
+        huge.extend_from_slice(&[0; 8]);
+        assert!(decode_chain(&huge).is_none());
+
+        // An inner output count too large for its stage's remaining bytes.
+        let mut stage = Vec::new();
+        put_value_header(&mut stage);
+        wire::put_u32(&mut stage, 1);
+        wire::put_str(&mut stage, "mcgen");
+        wire::put_str(&mut stage, "t");
+        put_category(&mut stage, TestCategory::AnalysisChain);
+        put_status(&mut stage, &TestStatus::Passed);
+        wire::put_u32(&mut stage, u32::MAX);
+        assert!(decode_chain(&stage).is_none());
+
+        let mut refs = Vec::new();
+        put_value_header(&mut refs);
+        wire::put_u32(&mut refs, 1);
+        wire::put_str(&mut refs, "test");
+        wire::put_u32(&mut refs, u32::MAX);
+        assert!(decode_reference_tests(&refs).is_none());
+
+        let mut report = Vec::new();
+        put_value_header(&mut report);
+        wire::put_str(&mut report, "SL6");
+        wire::put_u32(&mut report, u32::MAX);
+        assert!(decode_build_report(&report).is_none());
     }
 }

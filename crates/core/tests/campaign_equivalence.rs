@@ -1,7 +1,7 @@
 //! Parallel-vs-sequential campaign equivalence.
 //!
-//! The contract of `CampaignEngine`: for any grid, any repetition count and
-//! any worker count, the parallel engine must produce a `CampaignSummary`
+//! The contract of `CampaignScheduler`: for any grid, any repetition count
+//! and any worker count, the parallel engine must produce a `CampaignSummary`
 //! **identical** to the sequential `Campaign` oracle — same run records
 //! (ids, timestamps, counts), same cells, same ledger contents — and the
 //! virtual clock must advance exactly once per repetition barrier.
@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use sp_build::{DependencyGraph, Package, PackageId, PackageKind};
 use sp_core::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOptions, CampaignPlan, CampaignScheduler,
+    Campaign, CampaignConfig, CampaignOptions, CampaignPlan, CampaignScheduler, CampaignSummary,
     ExperimentDef, PreservationLevel, RunConfig, SpSystem, TestKind, TestSuite, ValidationTest,
 };
 use sp_env::{catalog, Arch, CodeTrait, Version, VmImageId};
@@ -149,6 +149,19 @@ fn config_for(
     }
 }
 
+/// Runs one campaign on the parallel scheduler and returns its summary.
+fn execute_parallel(system: &SpSystem, config: CampaignConfig, workers: usize) -> CampaignSummary {
+    let mut scheduler = CampaignScheduler::new(system, workers);
+    scheduler
+        .submit(config)
+        .expect("plan over registered names");
+    scheduler
+        .execute()
+        .expect("parallel campaign")
+        .remove(0)
+        .summary
+}
+
 proptest! {
     /// The headline property: identical `CampaignSummary` (runs, cells,
     /// image labels), identical run counts and identical reference state,
@@ -177,13 +190,11 @@ proptest! {
         .execute()
         .expect("sequential campaign");
 
-        let engine = CampaignEngine::plan(
+        let parallel = execute_parallel(
             &par_system,
             config_for(experiments, images, repetitions),
             workers,
-        )
-        .expect("plan over registered names");
-        let parallel = engine.execute().expect("parallel campaign");
+        );
 
         prop_assert_eq!(&parallel, &sequential, "summaries must be byte-identical");
         prop_assert_eq!(parallel.total_runs(), sequential.total_runs());
@@ -244,10 +255,7 @@ proptest! {
 
         let mut memo_config = config_for(experiments, images, repetitions);
         memo_config.options = CampaignOptions::memoized();
-        let memoized = CampaignEngine::plan(&memo_system, memo_config, workers)
-            .expect("plan over registered names")
-            .execute()
-            .expect("memoized campaign");
+        let memoized = execute_parallel(&memo_system, memo_config, workers);
 
         prop_assert_eq!(&memoized, &uncached, "summaries must be byte-identical");
         let plain_runs = plain_system.ledger().runs();
@@ -415,10 +423,7 @@ proptest! {
             memoize,
             image_parallel: false,
         };
-        let parallel = CampaignEngine::plan(&par_system, config, workers)
-            .expect("plan over registered names")
-            .execute()
-            .expect("parallel campaign");
+        let parallel = execute_parallel(&par_system, config, workers);
 
         prop_assert_eq!(&parallel, &sequential, "flag-off must stay byte-identical");
         let seq_runs = seq_system.ledger().runs();
@@ -487,10 +492,7 @@ proptest! {
 
         let mut config = config_for(experiments.clone(), images, repetitions);
         config.options = CampaignOptions::image_parallel();
-        let parallel = CampaignEngine::plan(&par_system, config, workers)
-            .expect("plan over registered names")
-            .execute()
-            .expect("image-parallel campaign");
+        let parallel = execute_parallel(&par_system, config, workers);
 
         prop_assert_eq!(
             &parallel,
@@ -524,10 +526,7 @@ fn memo_serves_repeated_cells_and_counts_hits() {
     let (plain_system, _) = fresh_system();
     let mut config = config_for(vec!["alpha".into()], vec![images[0]], repetitions);
     config.options = CampaignOptions::memoized();
-    let memoized = CampaignEngine::plan(&memo_system, config, 2)
-        .unwrap()
-        .execute()
-        .unwrap();
+    let memoized = execute_parallel(&memo_system, config, 2);
 
     let plain_config = config_for(vec!["alpha".into()], vec![images[0]], repetitions);
     let uncached = Campaign::new(&plain_system, plain_config)
@@ -568,8 +567,7 @@ fn barriers_advance_clock_once_per_repetition() {
             repetitions,
         );
         config.interval_secs = interval;
-        let engine = CampaignEngine::plan(&system, config, workers).unwrap();
-        let summary = engine.execute().unwrap();
+        let summary = execute_parallel(&system, config, workers);
         assert_eq!(
             system.clock().now(),
             start + repetitions as u64 * interval,

@@ -454,14 +454,16 @@ fn fenced_mid_flight_execution_rolls_back_and_re_lease_counts_once() {
     let (first, last) = coordinator.reserved_run_ids(ticket).unwrap();
 
     let (system, _) = fresh_system();
-    let worker = Worker::new(&system, &queue, "w0", 2).with_patience(50);
+    let worker = Worker::new(&system, &queue, "w0", 2)
+        .with_patience(50)
+        .with_lease_batch(1);
     let mut stats = WorkerStats::default();
 
     // Wall time leaps past the whole lease on every clock read: the first
     // renewal attempt finds the lease expired, records the fencing error,
-    // cancels the campaign, and `drain_one` rolls the absorption back.
+    // cancels the campaign, and `drain_batch` rolls the absorption back.
     clock.set_step(61);
-    let fenced = worker.drain_one(&mut stats);
+    let fenced = worker.drain_batch(&mut stats);
     assert!(
         fenced.is_err(),
         "mid-flight expiry must surface as an error"
@@ -483,9 +485,9 @@ fn fenced_mid_flight_execution_rolls_back_and_re_lease_counts_once() {
     // completes it under generation 2.
     clock.set_step(0);
     let drained = worker
-        .drain_one(&mut stats)
+        .drain_batch(&mut stats)
         .expect("second attempt drains cleanly");
-    assert_eq!(drained, Some(ticket.seq()));
+    assert_eq!(drained, vec![ticket.seq()]);
     assert_eq!(stats.campaigns_drained, 1);
     assert_eq!(stats.failures, 1, "only the fenced attempt failed");
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Fast non-cryptographic 128-bit hashing for process-local hot paths.
 //!
 //! The validation loop re-keys the same lookups — memo probes, digest-cache
-//! revisions, digest-first compares — thousands of times per campaign, and
+//! revisions — thousands of times per campaign, and
 //! none of those keys ever leave the process. Paying SHA-256 for them buys
 //! nothing: collision *resistance* matters only for durable content
 //! addresses, which stay on [`crate::sha256`]. This module is the other half

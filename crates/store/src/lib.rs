@@ -14,7 +14,7 @@
 //!   path ([`sha256::digest_batch`]) for hashing independent objects.
 //! * [`fasthash`] — the non-cryptographic half of the dual-digest posture:
 //!   a 128-bit xxHash-style hash keying process-local lookups ([`RunMemo`],
-//!   [`DigestCache`], digest-first compares). Never persisted; SHA-256
+//!   [`DigestCache`]). Never persisted; SHA-256
 //!   remains the only digest written to disk.
 //! * [`object`] — [`ObjectId`] content addresses.
 //! * [`content`] — [`ContentStore`], an integrity-checked object store.
@@ -95,9 +95,9 @@ pub use shared::{ExportSummary, ImportSummary, SharedStorage, StorageArea};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotLoadReport, SnapshotSection};
 pub use vault::{FrozenImage, FrozenVault};
 pub use vfs::{
-    batched_crash_sweep, standard_crash_sweep, write_durable_atomic, write_durable_atomic_batch,
-    CommittedHistory, CrashSweepOutcome, FaultConfig, FaultFs, FixedClock, ForcedFault, OsFs,
-    StoreFs,
+    batched_crash_sweep, create_durable_exclusive, standard_crash_sweep, write_durable_atomic,
+    write_durable_atomic_batch, CommittedHistory, CrashSweepOutcome, FaultConfig, FaultFs,
+    FixedClock, ForcedFault, OsFs, StoreFs,
 };
 pub use wq::{
     Lease, PoisonMark, QueueStats, QueueSubmission, SystemTimeSource, WorkQueue, WqError,

@@ -33,12 +33,11 @@
 //! `(campaign, run_id)` keeping the first committed occurrence.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::snapshot::wire;
-use crate::vfs::StoreFs;
-use crate::wq::{decode_record, encode_record, parse_seq, pid_alive};
+use crate::vfs::{create_durable_exclusive, StagingDir, StoreFs};
+use crate::wq::{decode_record, encode_record, parse_seq};
 
 /// Record magic for one logged cell outcome.
 pub const MAGIC_RUN_CELL: [u8; 4] = *b"SPRL";
@@ -177,6 +176,7 @@ pub struct RunLogReplay {
 pub struct RunLog {
     root: PathBuf,
     fs: Arc<dyn StoreFs>,
+    staging: StagingDir,
 }
 
 impl RunLog {
@@ -189,14 +189,13 @@ impl RunLog {
     /// Opens (creating if needed) a run log rooted at `dir` on an
     /// arbitrary [`StoreFs`] — the seam fault injection plugs into.
     pub fn open_with(dir: &Path, fs: Arc<dyn StoreFs>) -> std::io::Result<RunLog> {
-        let log = RunLog {
+        fs.create_dir_all(&dir.join("cells"))?;
+        let staging = StagingDir::open(fs.as_ref(), dir.join("tmp"))?;
+        Ok(RunLog {
             root: dir.to_path_buf(),
             fs,
-        };
-        log.fs.create_dir_all(&log.root.join("cells"))?;
-        log.fs.create_dir_all(&log.root.join("tmp"))?;
-        log.sweep_stale_staging();
-        Ok(log)
+            staging,
+        })
     }
 
     /// The log's root directory.
@@ -224,7 +223,12 @@ impl RunLog {
             let bytes = record.encode();
             loop {
                 let target = cells.join(format!("{CELL_PREFIX}{next:08}{CELL_SUFFIX}"));
-                match self.create_exclusive(&target, &bytes) {
+                match create_durable_exclusive(
+                    self.fs.as_ref(),
+                    &self.staging.next(),
+                    &target,
+                    &bytes,
+                ) {
                     Ok(()) => {
                         seqs.push(next);
                         next += 1;
@@ -296,41 +300,6 @@ impl RunLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Stage→fsync→link, exactly the queue's claim discipline: the hard
-    /// link either commits the whole record under `target` or fails with
-    /// `AlreadyExists`; readers can never observe a torn record under a
-    /// committed name.
-    fn create_exclusive(&self, target: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        static STAGED: AtomicU64 = AtomicU64::new(0);
-        let stage = self.root.join(format!(
-            "tmp/{}-{}",
-            std::process::id(),
-            STAGED.fetch_add(1, Ordering::Relaxed)
-        ));
-        self.fs.write(&stage, bytes)?;
-        self.fs.sync_file(&stage)?;
-        let linked = self.fs.hard_link(&stage, target);
-        self.fs.remove_file(&stage).ok();
-        linked
-    }
-
-    /// Removes `tmp/` staging leaks from dead writers; best-effort, same
-    /// policy as the queue's sweep.
-    fn sweep_stale_staging(&self) {
-        let tmp = self.root.join("tmp");
-        for name in self.fs.read_dir_names(&tmp).unwrap_or_default() {
-            let writer_alive = name
-                .split('-')
-                .next()
-                .and_then(|pid| pid.parse::<u32>().ok())
-                .map(pid_alive)
-                .unwrap_or(false);
-            if !writer_alive {
-                let _ = self.fs.remove_file(&tmp.join(&name));
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for RunLog {
@@ -342,6 +311,7 @@ impl std::fmt::Debug for RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);

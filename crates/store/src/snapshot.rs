@@ -363,6 +363,16 @@ pub mod wire {
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         }
 
+        /// Takes a `u32` element count, rejecting any count the remaining
+        /// input cannot hold when each element occupies at least
+        /// `min_elem_bytes` on the wire — so a corrupt count fails the
+        /// decode instead of sizing an allocation.
+        pub fn take_count(&mut self, min_elem_bytes: usize) -> Option<usize> {
+            let count = self.take_u32()? as usize;
+            let needed = count.checked_mul(min_elem_bytes)?;
+            (needed <= self.data.len() - self.pos).then_some(count)
+        }
+
         /// Takes `u32`-length-prefixed bytes.
         pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
             let len = self.take_u32()? as usize;
@@ -404,6 +414,19 @@ mod tests {
         b.push(b"key".to_vec(), b"value".to_vec());
         snapshot.sections = vec![a, b];
         snapshot
+    }
+
+    #[test]
+    fn take_count_rejects_counts_the_input_cannot_hold() {
+        let mut bytes = u32::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(wire::Cursor::new(&bytes).take_count(1), None);
+
+        let mut bytes = 2u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(wire::Cursor::new(&bytes).take_count(4), Some(2));
+        assert_eq!(wire::Cursor::new(&bytes).take_count(5), None);
+        assert_eq!(wire::Cursor::new(&bytes[..3]).take_count(1), None);
     }
 
     #[test]

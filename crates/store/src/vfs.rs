@@ -36,6 +36,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -188,6 +189,87 @@ pub fn write_durable_atomic_batch(
         }
     }
     Ok(())
+}
+
+/// Creates `target` exclusively with the **complete** record in one atomic
+/// step: stage the bytes, `fsync` the stage, hard-link it into place, then
+/// remove the stage. A concurrent reader can never observe a half-written
+/// record under `target`, and the link either commits the whole record or
+/// fails with `AlreadyExists` — another writer won the name. The parent
+/// directory is **not** synced: the caller syncs it once (per record or
+/// per batch) before acting on the entry.
+pub fn create_durable_exclusive(
+    fs: &dyn StoreFs,
+    stage: &Path,
+    target: &Path,
+    bytes: &[u8],
+) -> io::Result<()> {
+    fs.write(stage, bytes)?;
+    fs.sync_file(stage)?;
+    let linked = fs.hard_link(stage, target);
+    fs.remove_file(stage).ok();
+    linked
+}
+
+/// One store's staging directory for the stage-then-rename/link writes.
+/// Staging names are `<pid>-<counter>`, so a crashed or faulted writer's
+/// leftovers can be told apart from a live sibling's in-flight stage.
+#[derive(Debug, Clone)]
+pub(crate) struct StagingDir {
+    dir: PathBuf,
+}
+
+impl StagingDir {
+    /// Creates `dir` if needed and sweeps the staging files of dead
+    /// writers from it.
+    pub(crate) fn open(fs: &dyn StoreFs, dir: PathBuf) -> io::Result<StagingDir> {
+        fs.create_dir_all(&dir)?;
+        let staging = StagingDir { dir };
+        staging.sweep(fs);
+        Ok(staging)
+    }
+
+    /// A fresh staging path. The counter is process-global, not per
+    /// handle: in-process fleets open several handles onto one directory,
+    /// and per-handle counters would collide on the same staging name and
+    /// corrupt each other's half-staged records.
+    pub(crate) fn next(&self) -> PathBuf {
+        static STAGED: AtomicU64 = AtomicU64::new(0);
+        self.dir.join(format!(
+            "{}-{}",
+            std::process::id(),
+            STAGED.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
+    /// Removes staging files whose writing process is dead. A file whose
+    /// pid is still alive may be a sibling's in-flight stage and is left
+    /// alone; everything else — dead pids, unparseable names — is a leak
+    /// (e.g. ENOSPC mid-stage). Best-effort: failures are ignored.
+    fn sweep(&self, fs: &dyn StoreFs) {
+        for name in fs.read_dir_names(&self.dir).unwrap_or_default() {
+            let writer_alive = name
+                .split('-')
+                .next()
+                .and_then(|pid| pid.parse::<u32>().ok())
+                .is_some_and(pid_alive);
+            if !writer_alive {
+                let _ = fs.remove_file(&self.dir.join(&name));
+            }
+        }
+    }
+}
+
+/// Whether a process with this pid is currently alive. Uses `/proc` where
+/// it exists; without a liveness oracle every staging file is presumed
+/// live (leaking a file beats deleting a sibling's in-flight stage).
+fn pid_alive(pid: u32) -> bool {
+    let proc_root = Path::new("/proc");
+    if proc_root.is_dir() {
+        proc_root.join(pid.to_string()).is_dir()
+    } else {
+        true
+    }
 }
 
 /// A hard fault [`FaultFs`] can be told to inject at a targeted write.
@@ -973,7 +1055,7 @@ fn sweep_workload_batched(fs: Arc<FaultFs>, root: &Path) -> SweepProgress {
             Err(_) => return progress,
         }
     }
-    let Ok(leases) = queue.lease_batch("batch-sweeper", 2) else {
+    let Ok(leases) = queue.try_lease_batch("batch-sweeper", 2, |_| true) else {
         return progress;
     };
     let items: Vec<(&crate::wq::Lease, &[u8])> =
@@ -1001,7 +1083,6 @@ pub fn batched_crash_sweep(base: &Path) -> CrashSweepOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -1024,6 +1105,44 @@ mod tests {
         assert!(!fs.exists(&dir.join("record.stage")));
         assert_eq!(fs.read_dir_names(&dir).unwrap(), vec!["record.bin"]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn racing_exclusive_creates_have_exactly_one_winner() {
+        for _ in 0..16 {
+            let dir = temp_dir("race");
+            let staging = StagingDir::open(&OsFs, dir.join("tmp")).unwrap();
+            let target = dir.join("record");
+            let barrier = std::sync::Barrier::new(2);
+            let writers = [b"writer-a".as_slice(), b"writer-b".as_slice()];
+            let results: Vec<io::Result<()>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = writers
+                    .iter()
+                    .map(|bytes| {
+                        let (staging, target, barrier) = (&staging, &target, &barrier);
+                        scope.spawn(move || {
+                            let stage = staging.next();
+                            barrier.wait();
+                            create_durable_exclusive(&OsFs, &stage, target, bytes)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let winner = results.iter().position(|r| r.is_ok()).expect("a winner");
+            let loser = &results[1 - winner];
+            assert_eq!(
+                loser.as_ref().unwrap_err().kind(),
+                io::ErrorKind::AlreadyExists,
+                "the loser learns it lost the name"
+            );
+            assert_eq!(std::fs::read(&target).unwrap(), writers[winner]);
+            assert!(
+                OsFs.read_dir_names(&dir.join("tmp")).unwrap().is_empty(),
+                "neither writer leaves a staging file behind"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

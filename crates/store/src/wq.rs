@@ -51,7 +51,7 @@
 //! place, so creation is both exclusive and all-or-nothing); the
 //! link-if-absent semantics of the filesystem make each generation number
 //! a single-winner race, so two processes can never hold the same token. The holder renews the lease
-//! by [`heartbeat`](WorkQueue::heartbeat); a lease whose `expires_at` has
+//! by [`renew`](WorkQueue::renew); a lease whose `expires_at` has
 //! been reached (`now >= expires_at` — expiry is inclusive at the
 //! boundary) is dead, and the submission becomes claimable again under the
 //! *next* generation.
@@ -65,11 +65,9 @@
 //! [`WqError::StaleLease`], and even a file it managed to write is ignored
 //! at collection time because a higher generation exists.
 //!
-//! A holder mid-execution renews through [`renew`](WorkQueue::renew)
-//! (of which `heartbeat` is the between-leases alias): renewal is
-//! generation-checked through the same `verify_held` prelude as publish
-//! and release, so a renewal attempted after fencing returns the fencing
-//! error — it can never resurrect a reclaimed lease.
+//! Renewal is generation-checked through the same `verify_held` prelude
+//! as publish and release, so a renewal attempted after fencing returns
+//! the fencing error — it can never resurrect a reclaimed lease.
 //!
 //! ## Poison marks
 //!
@@ -98,12 +96,12 @@
 //! from the file *name*, so a corrupt lease file stays in place, burned.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::retention::TimeSource;
 use crate::sha256::Sha256;
-use crate::vfs::{OsFs, StoreFs};
+use crate::snapshot::wire;
+use crate::vfs::{create_durable_exclusive, OsFs, StagingDir, StoreFs};
 
 /// Record magic for submissions.
 const MAGIC_SUBMISSION: [u8; 4] = *b"SPWQ";
@@ -290,6 +288,7 @@ pub struct WorkQueue {
     time: Arc<dyn TimeSource + Send + Sync>,
     lease_secs: u64,
     fs: Arc<dyn StoreFs>,
+    staging: StagingDir,
 }
 
 impl WorkQueue {
@@ -327,39 +326,19 @@ impl WorkQueue {
             "workers",
             "poison",
             "quarantine",
-            "tmp",
         ] {
             fs.create_dir_all(&root.join(sub))?;
         }
+        let staging = StagingDir::open(fs.as_ref(), root.join("tmp"))?;
         let queue = WorkQueue {
             root,
             time,
             lease_secs: lease_secs.max(1),
             fs,
+            staging,
         };
-        queue.sweep_stale_staging();
         queue.sweep_corrupt();
         Ok(queue)
-    }
-
-    /// Sweeps `tmp/` staging files whose writing process is dead. Staging
-    /// names are `<pid>-<counter>`; a file whose pid is still alive may be
-    /// a sibling's in-flight stage and is left alone, everything else —
-    /// dead pids, unparseable names — is a leak from a crashed or faulted
-    /// writer (e.g. ENOSPC mid-stage) and is removed. Best-effort: sweep
-    /// failures never fail the open.
-    fn sweep_stale_staging(&self) {
-        for name in self.scan("tmp") {
-            let writer_alive = name
-                .split('-')
-                .next()
-                .and_then(|pid| pid.parse::<u32>().ok())
-                .map(pid_alive)
-                .unwrap_or(false);
-            if !writer_alive {
-                let _ = self.fs.remove_file(&self.root.join("tmp").join(&name));
-            }
-        }
     }
 
     /// Quarantines every record that fails decode (see the module-level
@@ -433,16 +412,12 @@ impl WorkQueue {
         self.lease_secs
     }
 
-    fn now(&self) -> u64 {
-        self.time.now_secs()
-    }
-
     /// The queue's notion of "now" (seconds on its shared time source).
     /// Exposed so lease holders can derive a renewal cadence from
     /// `expires_at - now_secs()` without guessing at the clock the queue
     /// itself will judge expiry by.
     pub fn now_secs(&self) -> u64 {
-        self.now()
+        self.time.now_secs()
     }
 
     // ---- paths -------------------------------------------------------
@@ -464,19 +439,6 @@ impl WorkQueue {
         self.root.join(format!("poison/sub-{seq:08}.spwp"))
     }
 
-    fn stage_path(&self) -> PathBuf {
-        // The counter is process-global, not per-queue-handle: in-process
-        // fleets (tests, benches) open several handles onto one
-        // directory, and per-handle counters would collide on the same
-        // staging name and corrupt each other's half-staged records.
-        static STAGED: AtomicU64 = AtomicU64::new(0);
-        self.root.join(format!(
-            "tmp/{}-{}",
-            std::process::id(),
-            STAGED.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
     /// Writes `bytes` to a staging file and atomically renames it over
     /// `target` (the readers-see-whole-records guarantee), with the full
     /// durability discipline: the staged bytes are `fsync`ed before the
@@ -485,47 +447,7 @@ impl WorkQueue {
     /// sync, a journal that commits the rename before the data blocks can
     /// surface an empty or torn "committed" record after a crash.
     fn write_atomic(&self, target: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        let stage = self.stage_path();
-        crate::vfs::write_durable_atomic(self.fs.as_ref(), &stage, target, bytes)
-    }
-
-    /// Creates `target` exclusively with the **complete** record in one
-    /// atomic step: the bytes are staged first (and `fsync`ed — link
-    /// semantics share the rename hazard above) and hard-linked into
-    /// place, so a concurrent reader can never observe a half-written
-    /// record (which it would have to treat as corrupt — and a "corrupt"
-    /// lease reads as reclaimable, which must not happen for a lease
-    /// that is merely mid-write). `AlreadyExists` means another process
-    /// won the race for this name. The parent directory is synced before
-    /// success is reported, completing the durability contract.
-    fn create_exclusive(&self, target: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        self.create_exclusive_opts(target, bytes, true)
-    }
-
-    /// [`create_exclusive`](Self::create_exclusive) with the parent-dir
-    /// sync optionally deferred. Batched claimers pass `sync_parent:
-    /// false` and issue **one** directory sync for the whole batch: the
-    /// hard link alone already arbitrates the exclusivity race (the link
-    /// either succeeds or `AlreadyExists`), the deferred sync only
-    /// postpones *durability* of the entry — callers must not act on the
-    /// record until their batch sync lands.
-    fn create_exclusive_opts(
-        &self,
-        target: &Path,
-        bytes: &[u8],
-        sync_parent: bool,
-    ) -> std::io::Result<()> {
-        let stage = self.stage_path();
-        self.fs.write(&stage, bytes)?;
-        self.fs.sync_file(&stage)?;
-        let linked = self.fs.hard_link(&stage, target);
-        if linked.is_ok() && sync_parent {
-            if let Some(parent) = target.parent() {
-                self.fs.sync_dir(parent)?;
-            }
-        }
-        self.fs.remove_file(&stage).ok();
-        linked
+        crate::vfs::write_durable_atomic(self.fs.as_ref(), &self.staging.next(), target, bytes)
     }
 
     // ---- submissions -------------------------------------------------
@@ -543,14 +465,19 @@ impl WorkQueue {
         let mut seq = self.max_submission_seq().map(|s| s + 1).unwrap_or(1);
         loop {
             let mut body = Vec::with_capacity(payload.len() + 64);
-            wire_put_u64(&mut body, seq);
-            wire_put_u64(&mut body, base_run_id);
-            wire_put_u64(&mut body, total_runs);
-            wire_put_u64(&mut body, origin);
-            wire_put_bytes(&mut body, payload);
+            wire::put_u64(&mut body, seq);
+            wire::put_u64(&mut body, base_run_id);
+            wire::put_u64(&mut body, total_runs);
+            wire::put_u64(&mut body, origin);
+            wire::put_bytes(&mut body, payload);
             let record = encode_record(&MAGIC_SUBMISSION, &body);
-            match self.create_exclusive(&self.submission_path(seq), &record) {
-                Ok(()) => return Ok(seq),
+            let target = self.submission_path(seq);
+            match create_durable_exclusive(self.fs.as_ref(), &self.staging.next(), &target, &record)
+            {
+                Ok(()) => {
+                    self.fs.sync_dir(&self.root.join("submissions"))?;
+                    return Ok(seq);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                     seq += 1;
                 }
@@ -601,15 +528,9 @@ impl WorkQueue {
     /// Sequence numbers of every submission file present, sorted. This is
     /// a directory listing only — no payloads are read or digest-checked —
     /// so pollers can walk the backlog cheaply and defer the (hashed)
-    /// payload read until after they hold a lease.
-    pub fn submission_seqs(&self) -> Vec<u64> {
-        self.submission_seqs_checked().unwrap_or_default()
-    }
-
-    /// [`submission_seqs`](Self::submission_seqs) with the I/O outcome
-    /// surfaced: a failed directory listing is `Err`, not an empty
-    /// backlog. Exit conditions must use this form — conflating "the
-    /// disk hiccupped" with "no work exists" makes a worker give up on a
+    /// payload read until after they hold a lease. A failed directory
+    /// listing is `Err`, not an empty backlog: conflating "the disk
+    /// hiccupped" with "no work exists" makes a worker give up on a
     /// backlog it merely failed to list.
     pub fn submission_seqs_checked(&self) -> std::io::Result<Vec<u64>> {
         let mut seqs: Vec<u64> = self
@@ -624,7 +545,8 @@ impl WorkQueue {
 
     /// All valid submissions, in sequence order.
     pub fn submissions(&self) -> Vec<QueueSubmission> {
-        self.submission_seqs()
+        self.submission_seqs_checked()
+            .unwrap_or_default()
             .into_iter()
             .filter_map(|seq| self.submission(seq))
             .collect()
@@ -648,7 +570,7 @@ impl WorkQueue {
     fn read_lease(&self, seq: u64, token: u64) -> Option<LeaseRecord> {
         let bytes = self.fs.read(&self.lease_path(seq, token)).ok()?;
         let body = decode_record(&MAGIC_LEASE, &bytes)?;
-        let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+        let mut cursor = wire::Cursor::new(&body);
         let record = LeaseRecord {
             seq: cursor.take_u64()?,
             token: cursor.take_u64()?,
@@ -662,11 +584,11 @@ impl WorkQueue {
 
     fn encode_lease(&self, record: &LeaseRecord) -> Vec<u8> {
         let mut body = Vec::with_capacity(record.holder.len() + 64);
-        wire_put_u64(&mut body, record.seq);
-        wire_put_u64(&mut body, record.token);
-        wire_put_str(&mut body, &record.holder);
-        wire_put_u64(&mut body, record.acquired_at);
-        wire_put_u64(&mut body, record.expires_at);
+        wire::put_u64(&mut body, record.seq);
+        wire::put_u64(&mut body, record.token);
+        wire::put_str(&mut body, &record.holder);
+        wire::put_u64(&mut body, record.acquired_at);
+        wire::put_u64(&mut body, record.expires_at);
         body.push(record.released as u8);
         encode_record(&MAGIC_LEASE, &body)
     }
@@ -685,29 +607,23 @@ impl WorkQueue {
     /// when nothing is claimable right now (the backlog may still be
     /// incomplete — other workers hold live leases).
     pub fn lease_next(&self, holder: &str) -> std::io::Result<Option<Lease>> {
-        for submission in self.submissions() {
-            if let Some(lease) = self.try_lease(submission.seq, holder)? {
-                return Ok(Some(lease));
-            }
-        }
-        Ok(None)
+        Ok(self.try_lease_batch(holder, 1, |_| true)?.pop())
     }
 
     /// Attempts to claim one specific submission. `None` if it is
     /// complete, currently held live, corrupt, or lost in a claim race.
     pub fn try_lease(&self, seq: u64, holder: &str) -> std::io::Result<Option<Lease>> {
-        self.try_lease_opts(seq, holder, true)
+        let claimed = self.claim(seq, holder)?.into_iter().collect();
+        Ok(self.sync_claims(claimed)?.pop())
     }
 
-    /// [`try_lease`](Self::try_lease) with the claim entry's directory
-    /// sync optionally deferred (see
-    /// [`try_lease_batch`](Self::try_lease_batch)).
-    fn try_lease_opts(
-        &self,
-        seq: u64,
-        holder: &str,
-        sync_parent: bool,
-    ) -> std::io::Result<Option<Lease>> {
+    /// Claims the next lease generation of `seq` for `holder` **without**
+    /// syncing `leases/`: the hard link alone arbitrates the exclusivity
+    /// race, the sync only makes the entry durable, so callers must not
+    /// act on a claim until [`sync_claims`](Self::sync_claims) returns it.
+    /// The record is created whole ([`create_durable_exclusive`]) because
+    /// a half-written lease would read as corrupt, hence reclaimable.
+    fn claim(&self, seq: u64, holder: &str) -> std::io::Result<Option<Lease>> {
         if self.report(seq).is_some() {
             return Ok(None);
         }
@@ -726,7 +642,7 @@ impl WorkQueue {
             return Ok(None);
         }
         let tokens = self.lease_tokens(seq);
-        let now = self.now();
+        let now = self.now_secs();
         if let Some(&current) = tokens.last() {
             match self.read_lease(seq, current) {
                 // Live lease held by someone: not claimable.
@@ -745,10 +661,11 @@ impl WorkQueue {
             expires_at: now + self.lease_secs,
             released: false,
         };
-        match self.create_exclusive_opts(
+        match create_durable_exclusive(
+            self.fs.as_ref(),
+            &self.staging.next(),
             &self.lease_path(seq, token),
             &self.encode_lease(&record),
-            sync_parent,
         ) {
             Ok(()) => {
                 // Close the publish/release race: between the
@@ -808,7 +725,7 @@ impl WorkQueue {
                 token: lease.token,
             });
         }
-        if self.now() >= record.expires_at {
+        if self.now_secs() >= record.expires_at {
             return Err(WqError::Expired {
                 seq: lease.seq,
                 token: lease.token,
@@ -826,19 +743,13 @@ impl WorkQueue {
     /// the executor's progress hook drives at every repetition barrier.
     pub fn renew(&self, lease: &mut Lease) -> Result<u64, WqError> {
         let mut record = self.verify_held(lease)?;
-        record.expires_at = self.now() + self.lease_secs;
+        record.expires_at = self.now_secs() + self.lease_secs;
         self.write_atomic(
             &self.lease_path(lease.seq, lease.token),
             &self.encode_lease(&record),
         )?;
         lease.expires_at = record.expires_at;
         Ok(record.expires_at)
-    }
-
-    /// Between-leases alias of [`renew`](Self::renew), kept for callers
-    /// that heartbeat from their polling loop rather than mid-execution.
-    pub fn heartbeat(&self, lease: &mut Lease) -> Result<(), WqError> {
-        self.renew(lease).map(|_| ())
     }
 
     /// Publishes the result bytes for a leased submission, recording the
@@ -848,9 +759,9 @@ impl WorkQueue {
     pub fn publish_report(&self, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
         self.verify_held(lease)?;
         let mut body = Vec::with_capacity(payload.len() + 32);
-        wire_put_u64(&mut body, lease.seq);
-        wire_put_u64(&mut body, lease.token);
-        wire_put_bytes(&mut body, payload);
+        wire::put_u64(&mut body, lease.seq);
+        wire::put_u64(&mut body, lease.token);
+        wire::put_bytes(&mut body, payload);
         let record = encode_record(&MAGIC_REPORT, &body);
         self.write_atomic(&self.report_path(lease.seq, lease.token), &record)?;
         Ok(())
@@ -884,10 +795,7 @@ impl WorkQueue {
     /// batch: the claims already won are synced and returned rather than
     /// handed back (releasing them would itself ride the faulty disk, and
     /// an orphaned release strands the work for a whole lease duration) —
-    /// the error surfaces only when nothing was claimed. The final
-    /// directory sync is the one step that must succeed before any claim
-    /// may be acted on; if it fails the claims are handed back
-    /// best-effort (expiry reclaims any the release itself fails on).
+    /// the error surfaces only when nothing was claimed.
     pub fn try_lease_batch(
         &self,
         holder: &str,
@@ -905,13 +813,21 @@ impl WorkQueue {
             if !want(seq) {
                 continue;
             }
-            match self.try_lease_opts(seq, holder, false) {
+            match self.claim(seq, holder) {
                 Ok(Some(lease)) => leases.push(lease),
                 Ok(None) => {}
                 Err(e) if leases.is_empty() => return Err(e),
                 Err(_) => break,
             }
         }
+        self.sync_claims(leases)
+    }
+
+    /// Commits claims with one `leases/` sync. That sync must succeed
+    /// before any claim may be acted on; if it fails the claims are
+    /// handed back best-effort (expiry reclaims any the release itself
+    /// fails on).
+    fn sync_claims(&self, leases: Vec<Lease>) -> std::io::Result<Vec<Lease>> {
         if !leases.is_empty() {
             if let Err(e) = self.fs.sync_dir(&self.root.join("leases")) {
                 for lease in &leases {
@@ -921,11 +837,6 @@ impl WorkQueue {
             }
         }
         Ok(leases)
-    }
-
-    /// [`try_lease_batch`](Self::try_lease_batch) without a filter.
-    pub fn lease_batch(&self, holder: &str, max: usize) -> std::io::Result<Vec<Lease>> {
-        self.try_lease_batch(holder, max, |_| true)
     }
 
     /// Publishes and releases several held leases as one batch: every
@@ -945,8 +856,8 @@ impl WorkQueue {
     /// report committed is tolerated — the report is what matters, an
     /// unreleased lease simply expires. On a batch-level I/O failure the
     /// verified-but-unacknowledged items all report [`WqError::Io`]:
-    /// callers retry those individually through
-    /// [`publish_report`](Self::publish_report).
+    /// callers retry each of those as a batch of one (re-publishing a
+    /// record that did reach the disk rewrites byte-identical bytes).
     pub fn publish_and_release_batch(&self, items: &[(&Lease, &[u8])]) -> Vec<Result<(), WqError>> {
         let mut out: Vec<Result<(), WqError>> = Vec::with_capacity(items.len());
         let mut reports: Vec<(PathBuf, PathBuf, Vec<u8>)> = Vec::new();
@@ -956,17 +867,17 @@ impl WorkQueue {
             match self.verify_held(lease) {
                 Ok(mut record) => {
                     let mut body = Vec::with_capacity(payload.len() + 32);
-                    wire_put_u64(&mut body, lease.seq);
-                    wire_put_u64(&mut body, lease.token);
-                    wire_put_bytes(&mut body, payload);
+                    wire::put_u64(&mut body, lease.seq);
+                    wire::put_u64(&mut body, lease.token);
+                    wire::put_bytes(&mut body, payload);
                     reports.push((
-                        self.stage_path(),
+                        self.staging.next(),
                         self.report_path(lease.seq, lease.token),
                         encode_record(&MAGIC_REPORT, &body),
                     ));
                     record.released = true;
                     releases.push((
-                        self.stage_path(),
+                        self.staging.next(),
                         self.lease_path(lease.seq, lease.token),
                         self.encode_lease(&record),
                     ));
@@ -980,9 +891,7 @@ impl WorkQueue {
             return out;
         }
         if let Err(e) = crate::vfs::write_durable_atomic_batch(self.fs.as_ref(), &reports) {
-            // Nothing in this batch is acknowledged: the caller retries
-            // each item individually (re-publishing a record that did
-            // reach the disk rewrites byte-identical bytes).
+            // Nothing in this batch is acknowledged: the caller retries.
             let kind = e.kind();
             let message = format!("batched report publish failed: {e}");
             for &index in &verified {
@@ -1059,12 +968,16 @@ impl WorkQueue {
     /// should release the lease instead so another worker can retry.
     pub fn mark_poisoned(&self, seq: u64, holder: &str, reason: &str) -> std::io::Result<bool> {
         let mut body = Vec::with_capacity(holder.len() + reason.len() + 24);
-        wire_put_u64(&mut body, seq);
-        wire_put_str(&mut body, holder);
-        wire_put_str(&mut body, reason);
+        wire::put_u64(&mut body, seq);
+        wire::put_str(&mut body, holder);
+        wire::put_str(&mut body, reason);
         let record = encode_record(&MAGIC_POISON, &body);
-        match self.create_exclusive(&self.poison_path(seq), &record) {
-            Ok(()) => Ok(true),
+        let target = self.poison_path(seq);
+        match create_durable_exclusive(self.fs.as_ref(), &self.staging.next(), &target, &record) {
+            Ok(()) => {
+                self.fs.sync_dir(&self.root.join("poison"))?;
+                Ok(true)
+            }
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
             Err(e) => Err(e),
         }
@@ -1103,8 +1016,8 @@ impl WorkQueue {
     /// digest without shared memory.
     pub fn publish_worker_stats(&self, holder: &str, payload: &[u8]) -> std::io::Result<()> {
         let mut body = Vec::with_capacity(payload.len() + holder.len() + 16);
-        wire_put_str(&mut body, holder);
-        wire_put_bytes(&mut body, payload);
+        wire::put_str(&mut body, holder);
+        wire::put_bytes(&mut body, payload);
         let record = encode_record(&MAGIC_WORKER, &body);
         self.write_atomic(&self.root.join(format!("workers/{holder}.stats")), &record)
     }
@@ -1117,7 +1030,7 @@ impl WorkQueue {
             .filter_map(|name| {
                 let bytes = self.fs.read(&self.root.join("workers").join(&name)).ok()?;
                 let body = decode_record(&MAGIC_WORKER, &bytes)?;
-                let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+                let mut cursor = wire::Cursor::new(&body);
                 let holder = cursor.take_str()?;
                 let payload = cursor.take_bytes()?;
                 cursor.finished().then_some((holder, payload))
@@ -1174,22 +1087,10 @@ impl WorkQueue {
     }
 }
 
-/// Whether a process with this pid is currently alive. Uses `/proc` where
-/// it exists; without a liveness oracle every staging file is presumed
-/// live (leaking a file beats deleting a sibling's in-flight stage).
-pub(crate) fn pid_alive(pid: u32) -> bool {
-    let proc_root = Path::new("/proc");
-    if proc_root.is_dir() {
-        proc_root.join(pid.to_string()).is_dir()
-    } else {
-        true
-    }
-}
-
 /// Decodes (digest-validating) one submission record's bytes.
 fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
     let body = decode_record(&MAGIC_REPORT, bytes)?;
-    let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+    let mut cursor = wire::Cursor::new(&body);
     let recorded_seq = cursor.take_u64()?;
     let recorded_token = cursor.take_u64()?;
     let payload = cursor.take_bytes()?;
@@ -1198,7 +1099,7 @@ fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
 
 fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
     let body = decode_record(&MAGIC_POISON, bytes)?;
-    let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+    let mut cursor = wire::Cursor::new(&body);
     let recorded_seq = cursor.take_u64()?;
     let holder = cursor.take_str()?;
     let reason = cursor.take_str()?;
@@ -1211,7 +1112,7 @@ fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
 
 fn decode_submission(seq: u64, bytes: &[u8]) -> Option<QueueSubmission> {
     let body = decode_record(&MAGIC_SUBMISSION, bytes)?;
-    let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+    let mut cursor = wire::Cursor::new(&body);
     let recorded_seq = cursor.take_u64()?;
     let base_run_id = cursor.take_u64()?;
     let total_runs = cursor.take_u64()?;
@@ -1273,21 +1174,10 @@ pub(crate) fn decode_record(magic: &[u8; 4], bytes: &[u8]) -> Option<Vec<u8>> {
     Some(framed[8..].to_vec())
 }
 
-fn wire_put_u64(out: &mut Vec<u8>, v: u64) {
-    crate::snapshot::wire::put_u64(out, v);
-}
-
-fn wire_put_str(out: &mut Vec<u8>, s: &str) {
-    crate::snapshot::wire::put_str(out, s);
-}
-
-fn wire_put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    crate::snapshot::wire::put_bytes(out, b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A settable clock for deterministic lease-expiry tests.
     pub(crate) struct TestClock(pub AtomicU64);
@@ -1381,7 +1271,7 @@ mod tests {
         let mut lease = q.lease_next("w1").unwrap().unwrap();
         let first_expiry = lease.expires_at;
         clock.0.fetch_add(20, Ordering::SeqCst);
-        q.heartbeat(&mut lease).unwrap();
+        q.renew(&mut lease).unwrap();
         assert!(lease.expires_at > first_expiry);
         // Renewed: still not claimable 25 s later.
         clock.0.fetch_add(25, Ordering::SeqCst);
@@ -1399,9 +1289,9 @@ mod tests {
         // Force-write a report file under the zombie's token, bypassing
         // the protocol (simulating a stale commit that raced through).
         let mut body = Vec::new();
-        wire_put_u64(&mut body, seq);
-        wire_put_u64(&mut body, zombie.token);
-        wire_put_bytes(&mut body, b"stale");
+        wire::put_u64(&mut body, seq);
+        wire::put_u64(&mut body, zombie.token);
+        wire::put_bytes(&mut body, b"stale");
         std::fs::write(
             q.report_path(seq, zombie.token),
             encode_record(&MAGIC_REPORT, &body),

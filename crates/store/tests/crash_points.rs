@@ -10,7 +10,7 @@
 //! failure shapes (torn stage, truncated record, half-written snapshot)
 //! the sweep's pass depends on.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -96,7 +96,7 @@ fn crash_between_stage_and_link_leaves_no_record() {
 
     // Re-run the same submit under a crash pinned between the staging
     // write+sync and the link: a submit is scan, stage write, stage
-    // sync, hard_link, dir sync, stage remove — so crashing at
+    // sync, hard_link, stage remove, dir sync — so crashing at
     // baseline+3 kills the link itself, with the stage already durable.
     drop(queue);
     std::fs::remove_dir_all(&dir).ok();
@@ -210,10 +210,11 @@ fn half_written_snapshot_is_a_clean_decode_error() {
     }
 }
 
-/// An `ENOSPC` mid-stage leaves a torn file in `tmp/`, never under the
-/// record's final name; the failed submit surfaces the error, the queue
-/// keeps working once space returns, and a reopen (with the writer dead)
-/// sweeps the leak.
+/// An `ENOSPC` mid-stage leaves a torn file in the store's staging
+/// directory, never under a record's final name; the failed write surfaces
+/// the error, the store keeps working once space returns, and a reopen
+/// (with the writer dead) sweeps the leak. Checked for the queue's `tmp/`
+/// and the run log's `runlog/tmp/`, which share one staging sweep.
 #[test]
 fn enospc_staging_leak_is_surfaced_and_swept() {
     let dir = temp_dir("enospc");
@@ -222,55 +223,73 @@ fn enospc_staging_leak_is_surfaced_and_swept() {
         ..FaultConfig::default()
     }));
     let store_fs: Arc<dyn StoreFs> = fs.clone();
-    let queue =
-        WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_000)), store_fs).expect("open");
+    let queue = WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_000)), store_fs.clone())
+        .expect("open");
+    let log_dir = dir.join(sp_store::run_log::RUN_LOG_DIR);
+    let log = RunLog::open_with(&log_dir, store_fs).expect("open run log");
 
+    assert_enospc_leak_is_swept(
+        &fs,
+        &dir.join("tmp"),
+        &dir.join("submissions"),
+        || queue.submit(b"does-not-fit", 1, 1, 0).map(drop),
+        || drop(WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_500))).expect("reopen")),
+    );
+    assert_enospc_leak_is_swept(
+        &fs,
+        &log_dir.join("tmp"),
+        &log_dir.join("cells"),
+        || log.append(&sweep_cell(0)).map(drop),
+        || drop(RunLog::open(&log_dir).expect("reopen run log")),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One store's half of [`enospc_staging_leak_is_surfaced_and_swept`]:
+/// `write` commits one record into `records` through staging in `tmp`,
+/// `reopen` opens the store afresh on the healthy disk.
+fn assert_enospc_leak_is_swept(
+    fs: &FaultFs,
+    tmp: &Path,
+    records: &Path,
+    write: impl Fn() -> std::io::Result<()>,
+    reopen: impl Fn(),
+) {
     fs.fail_next_write(ForcedFault::Enospc);
-    let err = queue.submit(b"does-not-fit", 1, 1, 0).unwrap_err();
+    let err = write().unwrap_err();
     assert_eq!(
         err.raw_os_error(),
         Some(28),
         "ENOSPC surfaces, untranslated"
     );
     assert!(
-        OsFs.read_dir_names(&dir.join("submissions"))
-            .unwrap()
-            .is_empty(),
-        "a failed staging never reaches submissions/"
+        OsFs.read_dir_names(records).unwrap().is_empty(),
+        "a failed staging never reaches {records:?}"
     );
-    let leaked = OsFs.read_dir_names(&dir.join("tmp")).unwrap();
-    assert_eq!(leaked.len(), 1, "the torn staging file leaks into tmp/");
+    let leaked = OsFs.read_dir_names(tmp).unwrap();
+    assert_eq!(leaked.len(), 1, "the torn staging file leaks into {tmp:?}");
 
-    // Space comes back: the same queue keeps accepting work.
-    let seq = queue
-        .submit(b"fits-now", 1, 1, 0)
-        .expect("submit after ENOSPC");
-    assert!(queue.submission(seq).is_some());
+    // Space comes back: the same store keeps accepting work.
+    write().expect("write after ENOSPC");
+    assert_eq!(OsFs.read_dir_names(records).unwrap().len(), 1);
 
     // This process is still alive, so its staging file is spared by the
     // sweep (a sibling worker in the same process may be mid-stage).
-    drop(queue);
-    let _alive = WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_500))).expect("reopen");
+    reopen();
     assert_eq!(
-        OsFs.read_dir_names(&dir.join("tmp")).unwrap().len(),
+        OsFs.read_dir_names(tmp).unwrap().len(),
         1,
         "live-pid staging files are never swept"
     );
 
     // Once the writing process is dead (modelled by a dead-pid name), the
     // next open reclaims the space.
-    std::fs::rename(
-        dir.join("tmp").join(&leaked[0]),
-        dir.join("tmp").join("0-7"),
-    )
-    .unwrap();
-    let _reopened =
-        WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(2_000))).expect("reopen");
+    std::fs::rename(tmp.join(&leaked[0]), tmp.join("0-7")).unwrap();
+    reopen();
     assert!(
-        OsFs.read_dir_names(&dir.join("tmp")).unwrap().is_empty(),
+        OsFs.read_dir_names(tmp).unwrap().is_empty(),
         "dead-pid staging leaks are swept at open"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Corrupt submissions are moved to `quarantine/` (inspectable, counted,

@@ -47,14 +47,14 @@ fn expiry_is_inclusive_exactly_at_the_boundary() {
     // heartbeat, and nobody else can claim.
     clock.0.store(50_029, Ordering::SeqCst);
     assert!(q.lease_next("w2").unwrap().is_none());
-    q.heartbeat(&mut lease).unwrap();
+    q.renew(&mut lease).unwrap();
     assert_eq!(lease.expires_at, 50_029 + 30);
 
     // *At* the boundary the lease is dead — the heartbeat that lands on
     // `expires_at` is one second too late, and the work is reclaimable.
     clock.0.store(lease.expires_at, Ordering::SeqCst);
     assert!(matches!(
-        q.heartbeat(&mut lease),
+        q.renew(&mut lease),
         Err(WqError::Expired { token: 1, .. })
     ));
     let reclaimed = q.lease_next("w2").unwrap().expect("boundary = expired");
@@ -76,7 +76,7 @@ fn double_release_is_a_protocol_error() {
     // Nor can a released lease heartbeat or publish.
     let mut stale = lease.clone();
     assert!(matches!(
-        q.heartbeat(&mut stale),
+        q.renew(&mut stale),
         Err(WqError::AlreadyReleased { .. })
     ));
     assert!(matches!(
@@ -352,7 +352,7 @@ fn lease_batch_claims_up_to_max_and_respects_the_filter() {
     );
 
     // Claimed work is invisible to a sibling; the remainder is not.
-    let sibling = q.lease_batch("w2", 5).expect("sibling claim");
+    let sibling = q.try_lease_batch("w2", 5, |_| true).expect("sibling claim");
     let sibling_seqs: Vec<u64> = sibling.iter().map(|l| l.seq).collect();
     assert_eq!(sibling_seqs, vec![seqs[1], seqs[4]]);
 
@@ -374,13 +374,15 @@ fn expired_batch_is_fenced_per_item_and_reclaims_whole() {
                 .unwrap()
         })
         .collect();
-    let stale = q.lease_batch("w-slow", 3).expect("first claim");
+    let stale = q
+        .try_lease_batch("w-slow", 3, |_| true)
+        .expect("first claim");
     assert_eq!(stale.len(), 3);
 
     // The whole batch expires; a healthy sibling reclaims every item at
     // the next generation.
     clock.0.fetch_add(30, Ordering::SeqCst);
-    let fresh = q.lease_batch("w-fresh", 3).expect("reclaim");
+    let fresh = q.try_lease_batch("w-fresh", 3, |_| true).expect("reclaim");
     assert_eq!(fresh.len(), 3);
     for (old, new) in stale.iter().zip(&fresh) {
         assert_eq!(old.seq, new.seq);
@@ -420,7 +422,7 @@ fn partially_fenced_batch_commits_only_the_live_items() {
     let (q, clock, dir) = queue(30, "batch-partial");
     let a = q.submit(b"work-a", 1, 1, 0).unwrap();
     let b = q.submit(b"work-b", 11, 1, 0).unwrap();
-    let batch = q.lease_batch("w1", 2).expect("claim both");
+    let batch = q.try_lease_batch("w1", 2, |_| true).expect("claim both");
     let mut keep = batch[0].clone();
 
     // Renew only the first lease past the expiry horizon, then let the
@@ -490,7 +492,7 @@ proptest! {
                 3 => {
                     if !handles.is_empty() {
                         let i = pick as usize % handles.len();
-                        let _ = q.heartbeat(&mut handles[i]);
+                        let _ = q.renew(&mut handles[i]);
                     }
                 }
                 _ => {
