@@ -134,7 +134,8 @@ impl ValidationRun {
     /// used for "validation of all versions against each other": two runs
     /// with equal digests produced bit-identical outcomes.
     pub fn digest(&self) -> ObjectId {
-        let mut text = String::with_capacity(self.results.len() * 48);
+        let outputs: usize = self.results.iter().map(|r| r.outputs.len()).sum();
+        let mut text = String::with_capacity(self.results.len() * 48 + outputs * 80);
         for r in &self.results {
             text.push_str(r.test.as_str());
             text.push('=');
@@ -143,7 +144,7 @@ impl ValidationRun {
                 text.push(':');
                 text.push_str(name);
                 text.push('@');
-                text.push_str(&id.to_hex());
+                sp_store::sha256::push_hex(&mut text, &id.0);
             }
             text.push('\n');
         }

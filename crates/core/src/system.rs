@@ -9,16 +9,18 @@
 //! followed by the validation tests, with every output kept in the common
 //! storage and compared against the last successful run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-use sp_build::{BuildEngine, BuildReport, BuildStatus, GraphError, ParallelBuilder};
-use sp_env::{check_runtime, EnvironmentSpec, ImageError, RuntimeOutcome, VmImage, VmImageId};
+use parking_lot::RwLock;
+use sp_build::{BuildEngine, BuildReport, BuildStatus, GraphError, PackageId, ParallelBuilder};
+use sp_env::{
+    check_runtime, CodeTrait, EnvironmentSpec, ImageError, RuntimeOutcome, VmImage, VmImageId,
+};
 use sp_exec::{
-    Client, ClientError, ClientKind, CronSchedule, JobId, JobIdGenerator, JobPool, JobResult,
-    JobSpec, JobStatus, StageStatus, VirtualClock, WorkStealingPool,
+    Client, ClientError, ClientKind, CronSchedule, JobId, JobIdGenerator, StageStatus,
+    VirtualClock, WorkStealingPool,
 };
 use sp_hep::{
     hist_io, reconstruct, Analysis, DetectorSim, Event, EventGenerator, GeneratorConfig,
@@ -134,7 +136,7 @@ pub struct SpSystem {
     run_ids: AtomicU64,
     images: RwLock<Vec<Arc<VmImage>>>,
     clients: RwLock<Vec<Client>>,
-    experiments: RwLock<BTreeMap<String, Arc<ExperimentDef>>>,
+    experiments: RwLock<BTreeMap<String, Arc<RegisteredExperiment>>>,
     ledger: RunLedger,
     /// Memoised chain-test productions, keyed by (test, seed, env, scale).
     chain_memo: RunMemo<MemoizedChain>,
@@ -228,13 +230,18 @@ impl SpSystem {
         self.experiments
             .read()
             .values()
-            .cloned()
+            .map(|registered| Arc::clone(&registered.def))
             .collect::<Vec<_>>()
             .into_iter()
     }
 
     /// Looks up an experiment by name.
     pub fn experiment(&self, name: &str) -> Option<Arc<ExperimentDef>> {
+        self.registered(name)
+            .map(|registered| Arc::clone(&registered.def))
+    }
+
+    fn registered(&self, name: &str) -> Option<Arc<RegisteredExperiment>> {
         self.experiments.read().get(name).cloned()
     }
 
@@ -274,11 +281,13 @@ impl SpSystem {
         Ok(())
     }
 
-    /// Registers an experiment: validates its graph and conserves the test
-    /// definitions (thin script layers) in the common storage. Re-registering
-    /// a name replaces the definition and invalidates every memoised cell of
-    /// that experiment — the memo keys capture environment and workload but
-    /// not the definition itself, so stale entries must not survive it.
+    /// Registers an experiment: validates its graph, resolves every
+    /// package's effective runtime traits, and conserves the test
+    /// definitions (thin script layers) in the common storage.
+    /// Re-registering a name replaces the definition together with its
+    /// trait table and invalidates every memoised cell of that experiment —
+    /// the memo keys capture environment and workload but not the
+    /// definition itself, so stale entries must not survive it.
     pub fn register_experiment(&self, def: ExperimentDef) -> Result<(), SystemError> {
         def.graph.validate().map_err(SystemError::Graph)?;
         if self.experiments.read().contains_key(&def.name) {
@@ -307,7 +316,7 @@ impl SpSystem {
         }
         self.experiments
             .write()
-            .insert(def.name.clone(), Arc::new(def));
+            .insert(def.name.clone(), Arc::new(RegisteredExperiment::new(def)));
         Ok(())
     }
 
@@ -372,10 +381,10 @@ impl SpSystem {
         run_id: RunId,
         timestamp: u64,
     ) -> Result<ValidationRun, SystemError> {
-        let experiment = self
-            .experiment(experiment_name)
+        let registered = self
+            .registered(experiment_name)
             .ok_or_else(|| SystemError::UnknownExperiment(experiment_name.to_string()))?;
-        let experiment = &*experiment;
+        let experiment = &*registered.def;
         let image = self
             .image(image_id)
             .ok_or(SystemError::UnknownImage(image_id))?;
@@ -385,66 +394,56 @@ impl SpSystem {
         // (experiment stack, environment), so memoized cells reuse the
         // report as long as every conserved artifact is still present.
         let build = self.build_stack(experiment, env, config)?;
-        let build = &*build;
+        let env_label = env.full_label();
+        let ctx = RunContext {
+            experiment: &registered,
+            env,
+            env_label: &env_label,
+            build: &build,
+            config,
+            run_id,
+        };
 
         // Execute the suite: compile results come from the build report;
-        // unit checks and standalone executables run in parallel through
-        // the job pool; chains run sequentially.
+        // unit checks and standalone executables run in parallel on the
+        // pool; chains run sequentially. Job ids are allocated in suite
+        // order, and each package's runtime behaviour is checked once.
         let mut results: Vec<TestResult> = Vec::new();
-        let mut parallel_tests: Vec<(JobSpec, &ValidationTest)> = Vec::new();
-
+        let mut parallel_tests: Vec<(JobId, &ValidationTest, &PackageId)> = Vec::new();
+        let mut runtime: HashMap<&PackageId, RuntimeOutcome> = HashMap::new();
         for test in experiment.suite.tests() {
             match &test.kind {
                 TestKind::Compile { package } => {
-                    results.push(self.compile_result(test, package, build, run_id));
+                    results.push(self.compile_result(test, package, &build, run_id));
                 }
-                TestKind::UnitCheck { .. } | TestKind::Standalone { .. } => {
-                    let job = JobSpec {
-                        id: self.job_ids.allocate(),
-                        name: test.id.as_str().to_string(),
-                        tag: config.description.clone(),
-                        image_label: env.label(),
-                        submitted_at: timestamp,
-                        inputs: Vec::new(),
-                    };
-                    parallel_tests.push((job, test));
+                TestKind::UnitCheck { package, .. } | TestKind::Standalone { package, .. } => {
+                    runtime
+                        .entry(package)
+                        .or_insert_with(|| check_runtime(registered.runtime_traits(package), env));
+                    parallel_tests.push((self.job_ids.allocate(), test, package));
                 }
                 TestKind::Chain { .. } => {
                     // Chains execute after the parallel batch (sequential
-                    // by §3.2); placeholder handled below.
+                    // by §3.2); handled below.
                 }
             }
         }
 
-        // Parallel batch via the job pool.
-        let rich: Mutex<BTreeMap<JobId, TestResult>> = Mutex::new(BTreeMap::new());
-        let by_id: BTreeMap<JobId, &ValidationTest> = parallel_tests
-            .iter()
-            .map(|(job, test)| (job.id, *test))
+        // The names of memo-served outputs under this run, registered with
+        // one metadata write once the suite is done.
+        let mut served: Vec<(String, ObjectId)> = Vec::new();
+        let tasks: Vec<_> = parallel_tests
+            .into_iter()
+            .map(|(job, test, package)| (job, test, &runtime[package]))
             .collect();
-        let pool = JobPool::new(config.threads);
-        let specs: Vec<JobSpec> = parallel_tests.iter().map(|(j, _)| j.clone()).collect();
-        pool.run_batch(specs, |spec| {
-            let test = by_id[&spec.id];
-            let result = self.run_parallel_test(experiment, test, env, build, spec, config, run_id);
-            let job_status = match &result.status {
-                TestStatus::Passed | TestStatus::PassedWithWarnings(_) => JobStatus::Succeeded,
-                TestStatus::Failed(FailureKind::Crash(m)) => JobStatus::Crashed(m.clone()),
-                TestStatus::Failed(_) => JobStatus::Failed(1),
-                TestStatus::Skipped(_) => JobStatus::Failed(0),
-            };
-            let job_result = JobResult {
-                id: spec.id,
-                status: job_status,
-                log: String::new(),
-                outputs: result.outputs.clone(),
-                started_at: spec.submitted_at,
-                finished_at: spec.submitted_at,
-            };
-            rich.lock().insert(spec.id, result);
-            job_result
-        });
-        results.extend(rich.into_inner().into_values());
+        let parallel = WorkStealingPool::new(config.threads)
+            .run(tasks, |_, (job, test, outcome)| {
+                self.run_parallel_test(&ctx, test, job, outcome)
+            });
+        for (result, name) in parallel {
+            results.push(result);
+            served.extend(name);
+        }
 
         // Sequential chains.
         for test in experiment.suite.tests() {
@@ -455,18 +454,17 @@ impl SpSystem {
             } = &test.kind
             {
                 results.extend(self.run_chain_test(
-                    experiment,
+                    &ctx,
                     test,
                     chain,
                     stage_packages,
                     *events,
-                    env,
-                    build,
-                    config,
-                    run_id,
+                    &mut served,
                 ));
             }
         }
+        self.storage
+            .register_named_many(StorageArea::Results, served);
 
         results.sort_by(|a, b| a.test.cmp(&b.test));
         let run = ValidationRun {
@@ -474,7 +472,7 @@ impl SpSystem {
             experiment: experiment_name.to_string(),
             image_label: env.label(),
             description: if config.description.is_empty() {
-                format!("{} @ {}", experiment_name, env.full_label())
+                format!("{} @ {}", experiment_name, ctx.env_label)
             } else {
                 config.description.clone()
             },
@@ -602,18 +600,25 @@ impl SpSystem {
         }
     }
 
-    /// Runs one unit-check or standalone test (called from the job pool).
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one unit-check or standalone test (called from the pool) with
+    /// its package's runtime outcome. A memo-served test also returns the
+    /// name its conserved output must be registered under for this run.
     fn run_parallel_test(
         &self,
-        experiment: &ExperimentDef,
+        ctx: &RunContext<'_>,
         test: &ValidationTest,
-        env: &EnvironmentSpec,
-        build: &BuildReport,
-        spec: &JobSpec,
-        config: &RunConfig,
-        run_id: RunId,
-    ) -> TestResult {
+        job: JobId,
+        runtime: &RuntimeOutcome,
+    ) -> (TestResult, Option<(String, ObjectId)>) {
+        let RunContext {
+            experiment,
+            env_label,
+            build,
+            config,
+            run_id,
+            ..
+        } = *ctx;
+        let experiment = &*experiment.def;
         let package = match &test.kind {
             TestKind::UnitCheck { package, .. } | TestKind::Standalone { package, .. } => package,
             _ => unreachable!("parallel tests are unit checks or standalone"),
@@ -624,7 +629,7 @@ impl SpSystem {
             test: test.id.clone(),
             category: test.category(),
             group: test.group.clone(),
-            job: spec.id,
+            job,
             status,
             outputs,
             compare,
@@ -637,24 +642,17 @@ impl SpSystem {
             .map(|r| r.status.has_artifact())
             .unwrap_or(false);
         if !built {
-            return make(
-                TestStatus::Skipped(format!("artifact for '{package}' missing")),
-                Vec::new(),
-                None,
-            );
+            let status = TestStatus::Skipped(format!("artifact for '{package}' missing"));
+            return (make(status, Vec::new(), None), None);
         }
 
         // Runtime behaviour of the package (with its dependencies).
-        let traits = experiment.effective_runtime_traits(package);
-        let deviation = match check_runtime(&traits, env) {
+        let deviation = match runtime {
             RuntimeOutcome::Crash { message, .. } => {
-                return make(
-                    TestStatus::Failed(FailureKind::Crash(message)),
-                    Vec::new(),
-                    None,
-                );
+                let status = TestStatus::Failed(FailureKind::Crash(message.clone()));
+                return (make(status, Vec::new(), None), None);
             }
-            RuntimeOutcome::Deviating { shift_sigma, .. } => shift_sigma,
+            RuntimeOutcome::Deviating { shift_sigma, .. } => *shift_sigma,
             RuntimeOutcome::Nominal => 0.0,
         };
 
@@ -664,23 +662,20 @@ impl SpSystem {
         // the (possibly evolved) reference is recomputed below either way.
         let memo_key = config
             .memoize
-            .then(|| cell_key(experiment, test, config, env));
+            .then(|| cell_key(&experiment.name, test, config, env_label));
         if let Some(key) = &memo_key {
             match self.output_memo.entry(key) {
                 Some((oid, _)) if self.storage.content().contains(oid) => {
                     self.output_memo.note_hit();
-                    self.storage.register_named(
-                        StorageArea::Results,
-                        &format!("{run_id}/{}/result", test.id),
-                        oid,
-                    );
                     let (status, compare) = self.compare_stored_output(
                         &experiment.name,
                         test.id.as_str(),
                         "result",
                         oid,
                     );
-                    return make(status, vec![("result".to_string(), oid)], compare);
+                    let name = (format!("{run_id}/{}/result", test.id), oid);
+                    let result = make(status, vec![("result".to_string(), oid)], compare);
+                    return (result, Some(name));
                 }
                 Some((_, generation)) => {
                     // The object was pruned from the content store: the
@@ -744,21 +739,23 @@ impl SpSystem {
         let outputs = vec![("result".to_string(), oid)];
         let (status, compare) =
             self.compare_to_reference(&experiment.name, test.id.as_str(), "result", oid, &output);
-        make(status, outputs, compare)
+        (make(status, outputs, compare), None)
     }
 
     /// Serves a chain test from the memo, re-registering its conserved
     /// outputs under the new run id and recomputing the validation-stage
     /// comparison against the *current* reference (references evolve
-    /// between runs, so the verdict is never memoised). Returns `None`
-    /// when any memoised object has been pruned from the content store —
-    /// the entry can no longer be replayed and must be invalidated.
+    /// between runs, so the verdict is never memoised). The outputs' names
+    /// under the new run id are appended to `served`. Returns `None` when
+    /// any memoised object has been pruned from the content store — the
+    /// entry can no longer be replayed and must be invalidated.
     fn replay_chain_test(
         &self,
         experiment: &ExperimentDef,
         test: &ValidationTest,
         memo: &MemoizedChain,
         run_id: RunId,
+        served: &mut Vec<(String, ObjectId)>,
     ) -> Option<Vec<TestResult>> {
         let content = self.storage.content();
         for stage in &memo.stages {
@@ -778,13 +775,9 @@ impl SpSystem {
             .stages
             .iter()
             .map(|stage| {
-                for (name, oid) in &stage.outputs {
-                    self.storage.register_named(
-                        StorageArea::Results,
-                        &format!("{run_id}/{}/{}/{name}", test.id, stage.stage),
-                        *oid,
-                    );
-                }
+                served.extend(stage.outputs.iter().map(|(name, oid)| {
+                    (format!("{run_id}/{}/{}/{name}", test.id, stage.stage), *oid)
+                }));
                 let (status, compare) = if stage.stage == "validation"
                     && !matches!(stage.status, TestStatus::Skipped(_))
                 {
@@ -828,30 +821,38 @@ impl SpSystem {
         self.compare_stored_output(&experiment.name, &analysis_test_id, "histograms", hist_id)
     }
 
-    /// Runs a full analysis chain, producing one result per stage.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs a full analysis chain, producing one result per stage. A
+    /// memo-served chain appends its outputs' names to `served`.
     fn run_chain_test(
         &self,
-        experiment: &ExperimentDef,
+        ctx: &RunContext<'_>,
         test: &ValidationTest,
         chain: &sp_exec::ChainDef,
-        stage_packages: &BTreeMap<String, sp_build::PackageId>,
+        stage_packages: &BTreeMap<String, PackageId>,
         events: usize,
-        env: &EnvironmentSpec,
-        build: &BuildReport,
-        config: &RunConfig,
-        run_id: RunId,
+        served: &mut Vec<(String, ObjectId)>,
     ) -> Vec<TestResult> {
+        let RunContext {
+            experiment: registered,
+            env,
+            env_label,
+            build,
+            config,
+            run_id,
+        } = *ctx;
+        let experiment = &*registered.def;
         // Digest-first memo: an unchanged (test, seed, env, scale) cell
         // produced bit-identical stage outputs, so replay them instead of
         // re-running the whole generation → simulation → analysis chain.
         let memo_key = config
             .memoize
-            .then(|| cell_key(experiment, test, config, env));
+            .then(|| cell_key(&experiment.name, test, config, env_label));
         if let Some(key) = &memo_key {
             match self.chain_memo.entry(key) {
                 Some((memo, generation)) => {
-                    if let Some(results) = self.replay_chain_test(experiment, test, &memo, run_id) {
+                    if let Some(results) =
+                        self.replay_chain_test(experiment, test, &memo, run_id, served)
+                    {
                         self.chain_memo.note_hit();
                         return results;
                     }
@@ -880,8 +881,7 @@ impl SpSystem {
         let mut total_deviation = 0.0;
         let mut crash: BTreeMap<&str, String> = BTreeMap::new();
         for (stage, package) in stage_packages {
-            let traits = experiment.effective_runtime_traits(package);
-            match check_runtime(&traits, env) {
+            match check_runtime(registered.runtime_traits(package), env) {
                 RuntimeOutcome::Crash { message, .. } => {
                     crash.insert(stage.as_str(), message);
                 }
@@ -1528,6 +1528,48 @@ impl SpSystem {
     }
 }
 
+/// An experiment as registered: the definition plus what every run of it
+/// would otherwise re-derive per test. Stored as one value, so
+/// re-registration replaces both at once.
+struct RegisteredExperiment {
+    def: Arc<ExperimentDef>,
+    /// [`ExperimentDef::effective_runtime_traits`] of every package in the
+    /// stack.
+    runtime_traits: HashMap<PackageId, Vec<CodeTrait>>,
+}
+
+impl RegisteredExperiment {
+    fn new(def: ExperimentDef) -> Self {
+        let runtime_traits = def
+            .graph
+            .packages()
+            .map(|pkg| (pkg.id.clone(), def.effective_runtime_traits(&pkg.id)))
+            .collect();
+        RegisteredExperiment {
+            def: Arc::new(def),
+            runtime_traits,
+        }
+    }
+
+    /// The effective runtime traits of `package` (none for a package
+    /// outside the stack, as for the definition).
+    fn runtime_traits(&self, package: &PackageId) -> &[CodeTrait] {
+        self.runtime_traits.get(package).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// What every test of one run reads, resolved once per run.
+#[derive(Clone, Copy)]
+struct RunContext<'a> {
+    experiment: &'a RegisteredExperiment,
+    env: &'a EnvironmentSpec,
+    /// `env.full_label()`, the environment part of every memo key.
+    env_label: &'a str,
+    build: &'a BuildReport,
+    config: &'a RunConfig,
+    run_id: RunId,
+}
+
 /// What [`SpSystem::verify_storage`] found wrong with the common storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageVerification {
@@ -1731,15 +1773,15 @@ fn unit_check_output(
 /// key carries the experiment name explicitly rather than trusting the
 /// convention.
 fn cell_key(
-    experiment: &ExperimentDef,
+    experiment: &str,
     test: &ValidationTest,
     config: &RunConfig,
-    env: &EnvironmentSpec,
+    env_label: &str,
 ) -> RunKey {
     RunKey::new(
-        format!("{}::{}", experiment.name, test.id),
+        format!("{experiment}::{}", test.id),
         config.seed,
-        env.full_label(),
+        env_label,
         config.scale,
     )
 }
@@ -1968,18 +2010,85 @@ mod tests {
 
         // Byte-identical to an uncached twin, run for run.
         let (plain_system, plain_image) = build();
-        for reference in [
-            plain_system
-                .run_validation("tiny", plain_image, &config())
-                .unwrap(),
-            plain_system
-                .run_validation("tiny", plain_image, &config())
-                .unwrap(),
-        ]
-        .iter()
-        .zip([&first, &second])
-        {
-            assert_eq!(reference.0.digest(), reference.1.digest());
+        let plain: Vec<ValidationRun> = (0..2)
+            .map(|_| {
+                plain_system
+                    .run_validation("tiny", plain_image, &config())
+                    .unwrap()
+            })
+            .collect();
+        for (reference, memoized) in plain.iter().zip([&first, &second]) {
+            assert_eq!(reference.digest(), memoized.digest());
+        }
+
+        // The memo-served run names exactly the objects a live run of the
+        // same cell names, under the same keys.
+        let names = |system: &SpSystem, run: &ValidationRun| {
+            system
+                .storage()
+                .list(StorageArea::Results, &format!("{}/", run.id))
+        };
+        let served = names(&memo_system, &second);
+        assert_eq!(served, names(&plain_system, &plain[1]));
+        for key in [
+            "tiny/unit/util-0/result",
+            "tiny/chain/nc/analysis/histograms",
+        ] {
+            let key = format!("{}/{key}", second.id);
+            assert!(served.iter().any(|(name, _)| *name == key), "{key}");
+        }
+    }
+
+    #[test]
+    fn reregistering_with_a_legacy_syscall_crashes_the_unit_check() {
+        // The same stack, with `util` now calling an interface every
+        // catalogue OS has dropped.
+        let broken = || {
+            let mut def = tiny_experiment();
+            def.graph = DependencyGraph::from_packages(def.graph.packages().cloned().map(|p| {
+                if p.id == PackageId::new("util") {
+                    p.with_trait(CodeTrait::LegacySyscall { breaks_at_abi: 0 })
+                } else {
+                    p
+                }
+            }))
+            .unwrap();
+            def
+        };
+        for memoize in [true, false] {
+            let system = SpSystem::new();
+            let image = system
+                .register_image(catalog::sl5_gcc41(Arch::I686, Version::two(5, 34)))
+                .unwrap();
+            system.register_experiment(tiny_experiment()).unwrap();
+            let run_config = RunConfig {
+                memoize,
+                ..config()
+            };
+            let status = |run: &ValidationRun| {
+                run.results
+                    .iter()
+                    .find(|r| r.test.as_str() == "tiny/unit/util-0")
+                    .map(|r| r.status.clone())
+                    .unwrap()
+            };
+            let before = system.run_validation("tiny", image, &run_config).unwrap();
+            assert_eq!(status(&before), TestStatus::Passed, "memoize {memoize}");
+
+            system.register_experiment(broken()).unwrap();
+            let after = system.run_validation("tiny", image, &run_config).unwrap();
+            assert!(
+                matches!(status(&after), TestStatus::Failed(FailureKind::Crash(_))),
+                "memoize {memoize}: {:?}",
+                status(&after)
+            );
+            // The library unaffected by the new trait still passes.
+            let legacy = after
+                .results
+                .iter()
+                .find(|r| r.test.as_str() == "tiny/unit/legacy-0")
+                .unwrap();
+            assert!(legacy.status.is_pass(), "memoize {memoize}");
         }
     }
 
@@ -2485,5 +2594,44 @@ mod tests {
             .storage()
             .lookup(StorageArea::Results, &format!("{}/SUMMARY", run.id))
             .is_some());
+    }
+
+    /// `ValidationRun::digest` and the SUMMARY bytes of a fixed sequence
+    /// of runs — live and memo-served, green and failing — are pinned to
+    /// values recorded before the hex encoder, the runtime-trait table and
+    /// the batched name registration were introduced. Any change to a
+    /// digest byte, a status or the summary format shows up here.
+    #[test]
+    fn golden_run_digests_and_summaries() {
+        let system = SpSystem::new();
+        let sl5_32 = system
+            .register_image(catalog::sl5_gcc41(Arch::I686, Version::two(5, 34)))
+            .unwrap();
+        let sl6_64 = system
+            .register_image(catalog::sl6_gcc44(Version::two(5, 34)))
+            .unwrap();
+        system.register_experiment(tiny_experiment()).unwrap();
+        let memo_config = RunConfig {
+            memoize: true,
+            ..config()
+        };
+        let expected = [
+            "run spr-000001 experiment tiny image SL5/32bit gcc4.1 time 1356998400\npassed 15 failed 0 skipped 0\ndigest c0201377d67bce534285817d508671fc354e09200f85898d3308b2428a925bcd\n",
+            "run spr-000002 experiment tiny image SL6/64bit gcc4.4 time 1356998400\npassed 13 failed 2 skipped 0\ndigest e86ee5a488fed4c1c32e531133c63400f2a03e9640741a80cf632bf5158f4b61\n",
+            "run spr-000003 experiment tiny image SL5/32bit gcc4.1 time 1356998400\npassed 15 failed 0 skipped 0\ndigest c0201377d67bce534285817d508671fc354e09200f85898d3308b2428a925bcd\n",
+            "run spr-000004 experiment tiny image SL6/64bit gcc4.4 time 1356998400\npassed 13 failed 2 skipped 0\ndigest e86ee5a488fed4c1c32e531133c63400f2a03e9640741a80cf632bf5158f4b61\n",
+        ];
+        for (image, expected) in [sl5_32, sl6_64, sl5_32, sl6_64].into_iter().zip(expected) {
+            let run = system.run_validation("tiny", image, &memo_config).unwrap();
+            let summary = system
+                .storage()
+                .get_named(StorageArea::Results, &format!("{}/SUMMARY", run.id))
+                .unwrap()
+                .unwrap();
+            let summary = std::str::from_utf8(&summary).unwrap();
+            assert_eq!(summary, expected);
+            assert!(summary.ends_with(&format!("digest {}\n", run.digest().to_hex())));
+        }
+        assert_eq!(system.chain_memo_stats().hits, 2, "runs 3 and 4 replayed");
     }
 }

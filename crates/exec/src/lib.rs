@@ -19,8 +19,6 @@
 //! * [`sched`] — fair-share lane dispatch over one shared pool:
 //!   round-robin interleaving across campaigns, campaign-scoped
 //!   cancellation tokens, scheduling counters.
-//! * [`queue`] — the job-batch façade over the pool, with deterministic
-//!   result collection by job id.
 //! * [`chain`] — DAG-structured analysis chains: "some of these tests …
 //!   are run in parallel, many are run sequentially and form discrete parts
 //!   in one of several full analysis chains" (§3.2).
@@ -45,7 +43,8 @@ pub mod cron;
 pub mod job;
 pub mod poll;
 pub mod pool;
-pub mod queue;
+#[cfg(test)]
+mod queue;
 pub mod sched;
 
 pub use chain::{ChainDef, ChainError, ChainReport, StageDef, StageStatus};
@@ -55,7 +54,6 @@ pub use cron::{CronError, CronSchedule};
 pub use job::{JobId, JobIdGenerator, JobResult, JobSpec, JobStatus};
 pub use poll::{Backoff, PollLoop, PollOutcome, PollStats, RetryPolicy};
 pub use pool::{PoolStats, WorkStealingPool};
-pub use queue::JobPool;
 pub use sched::{
     CampaignId, CancellationToken, Lane, LaneScheduler, LaneSchedulerStats, ProgressHook,
     ProgressPoint, TracingProgressHook,

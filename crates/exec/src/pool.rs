@@ -1,10 +1,12 @@
 //! The work-stealing execution pool.
 //!
-//! [`WorkStealingPool`] generalises the channel-fed [`crate::queue::JobPool`]
-//! into a reusable scheduler for *any* indexed task batch: tasks are seeded
-//! round-robin into per-worker deques, each worker drains its own queue
-//! first and then steals from its peers (oldest-first, so stolen work is the
-//! work least likely to be cache-hot on its owner), and results are returned
+//! Standalone validation tests "are run in parallel" (§3.2).
+//! [`WorkStealingPool`] is the scheduler for *any* indexed task batch — the
+//! unit checks and standalone executables of one validation run, the lanes
+//! of a campaign, a batch of digests: tasks are seeded round-robin into
+//! per-worker deques, each worker drains its own queue first and then
+//! steals from its peers (oldest-first, so stolen work is the work least
+//! likely to be cache-hot on its owner), and results are returned
 //! **ordered by task index** regardless of which worker ran what. That
 //! deterministic ordering is what lets the campaign engine in `sp-core`
 //! guarantee byte-identical summaries across worker counts.
@@ -274,10 +276,28 @@ mod tests {
     }
 
     #[test]
+    fn every_task_runs_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+        let results = WorkStealingPool::new(4).run((0..50).collect::<Vec<usize>>(), |_, t| {
+            runs[t].fetch_add(1, Ordering::SeqCst);
+            t
+        });
+        assert_eq!(results, (0..50).collect::<Vec<_>>());
+        assert!(runs.iter().all(|n| n.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
         let results = WorkStealingPool::new(4).run(Vec::<u32>::new(), |_, t| t);
         assert!(results.is_empty());
         assert_eq!(WorkStealingPool::new(0).workers(), 1, "clamped");
+    }
+
+    #[test]
+    fn zero_workers_clamp_to_one() {
+        let results = WorkStealingPool::new(0).run(vec![7u32], |index, t| (index, t));
+        assert_eq!(results, vec![(0, 7)]);
     }
 
     #[test]

@@ -1,47 +1,14 @@
-//! The parallel job pool.
+//! Job-batch tests.
 //!
-//! Standalone validation tests "are run in parallel" (§3.2). [`JobPool`] is
-//! the job-batch façade over the generic work-stealing scheduler in
-//! [`crate::pool`]: it takes a batch of job specifications and a pure job
-//! function, executes them on `threads` workers, and returns results sorted
-//! by job id so downstream bookkeeping is deterministic regardless of
-//! scheduling order.
-
-use crate::job::{JobResult, JobSpec};
-use crate::pool::WorkStealingPool;
-
-/// A fixed-width worker pool for running job batches.
-pub struct JobPool {
-    pool: WorkStealingPool,
-}
-
-impl JobPool {
-    /// Creates a pool with `threads` workers (minimum 1).
-    pub fn new(threads: usize) -> Self {
-        JobPool {
-            pool: WorkStealingPool::new(threads),
-        }
-    }
-
-    /// Runs every job in `specs` through `run`, in parallel, returning the
-    /// results sorted by job id.
-    ///
-    /// `run` must be pure per job spec (it may read shared state); results
-    /// are then independent of scheduling order.
-    pub fn run_batch<F>(&self, specs: Vec<JobSpec>, run: F) -> Vec<JobResult>
-    where
-        F: Fn(&JobSpec) -> JobResult + Sync,
-    {
-        let mut results = self.pool.run(specs, |_, spec| run(&spec));
-        results.sort_by_key(|r| r.id);
-        results
-    }
-}
+//! Standalone validation tests "are run in parallel" (§3.2): a queue of
+//! [`JobSpec`]s goes through [`WorkStealingPool::run`] and comes back as
+//! [`JobResult`]s in submission order, which for ascending job ids is job-id
+//! order, whatever the worker count.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::job::{JobId, JobStatus};
+    use crate::job::{JobId, JobResult, JobSpec, JobStatus};
+    use crate::pool::WorkStealingPool;
 
     fn spec(id: u64) -> JobSpec {
         JobSpec {
@@ -69,35 +36,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_runs_every_job_exactly_once() {
-        let pool = JobPool::new(4);
-        let specs: Vec<JobSpec> = (1..=50).map(spec).collect();
-        let results = pool.run_batch(specs, echo_result);
-        assert_eq!(results.len(), 50);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.id, JobId(i as u64 + 1), "sorted by id");
-        }
+    fn run_batch(workers: usize, specs: Vec<JobSpec>) -> Vec<JobResult> {
+        WorkStealingPool::new(workers).run(specs, |_, s| echo_result(&s))
     }
 
     #[test]
     fn results_deterministic_across_thread_counts() {
         let specs: Vec<JobSpec> = (1..=30).map(spec).collect();
-        let one = JobPool::new(1).run_batch(specs.clone(), echo_result);
-        let eight = JobPool::new(8).run_batch(specs, echo_result);
+        let one = run_batch(1, specs.clone());
+        let eight = run_batch(8, specs);
         assert_eq!(one, eight);
+        for (i, r) in eight.iter().enumerate() {
+            assert_eq!(r.id, JobId(i as u64 + 1), "in job-id order");
+        }
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let results = JobPool::new(4).run_batch(vec![], echo_result);
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let results = JobPool::new(0).run_batch(vec![spec(1)], echo_result);
-        assert_eq!(results.len(), 1);
+        assert!(run_batch(4, vec![]).is_empty());
     }
 
     #[test]
@@ -106,12 +62,12 @@ mod tests {
         let concurrent = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let specs: Vec<JobSpec> = (1..=16).map(spec).collect();
-        JobPool::new(8).run_batch(specs, |s| {
+        WorkStealingPool::new(8).run(specs, |_, s| {
             let now = concurrent.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(20));
             concurrent.fetch_sub(1, Ordering::SeqCst);
-            echo_result(s)
+            echo_result(&s)
         });
         assert!(
             peak.load(Ordering::SeqCst) > 1,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sp_exec::cron::CivilTime;
-use sp_exec::{ChainDef, CronSchedule, JobPool, JobResult, JobSpec, JobStatus, StageDef};
+use sp_exec::{ChainDef, CronSchedule, StageDef, WorkStealingPool};
 
 proptest! {
     /// `next_after` always returns a strictly later, minute-aligned time
@@ -66,34 +66,19 @@ proptest! {
         }
     }
 
-    /// The job pool runs every job exactly once and returns results sorted
-    /// by id, independent of thread count.
+    /// The pool runs every task exactly once and returns results in task
+    /// order, independent of worker count.
     #[test]
-    fn job_pool_complete_and_sorted(
+    fn pool_run_complete_and_ordered(
         n in 0usize..60,
-        threads in 1usize..8,
+        workers in 1usize..8,
     ) {
-        let specs: Vec<JobSpec> = (0..n as u64)
-            .map(|i| JobSpec {
-                id: sp_exec::JobId(i),
-                name: format!("job-{i}"),
-                tag: String::new(),
-                image_label: String::new(),
-                submitted_at: 0,
-                inputs: vec![],
-            })
-            .collect();
-        let results = JobPool::new(threads).run_batch(specs, |s| JobResult {
-            id: s.id,
-            status: JobStatus::Succeeded,
-            log: String::new(),
-            outputs: vec![],
-            started_at: 0,
-            finished_at: 0,
-        });
+        let tasks: Vec<u64> = (0..n as u64).collect();
+        let results = WorkStealingPool::new(workers).run(tasks, |index, task| (index, task));
         prop_assert_eq!(results.len(), n);
-        for (i, r) in results.iter().enumerate() {
-            prop_assert_eq!(r.id.0, i as u64);
+        for (i, (index, task)) in results.iter().enumerate() {
+            prop_assert_eq!(*index, i);
+            prop_assert_eq!(*task, i as u64);
         }
     }
 

@@ -39,6 +39,22 @@ impl MetaStore {
             .insert((namespace.into(), key.into()), value.into())
     }
 
+    /// Sets every `(key, value)` pair under `namespace` while holding the
+    /// write lock once, returning how many were set.
+    pub fn set_many(
+        &self,
+        namespace: &str,
+        pairs: impl IntoIterator<Item = (String, String)>,
+    ) -> usize {
+        let mut entries = self.entries.write();
+        let mut count = 0;
+        for (key, value) in pairs {
+            entries.insert((namespace.to_string(), key), value);
+            count += 1;
+        }
+        count
+    }
+
     /// Fetches `namespace/key`.
     pub fn get(&self, namespace: &str, key: &str) -> Option<String> {
         self.entries
@@ -113,6 +129,20 @@ mod tests {
         );
         assert_eq!(meta.remove("runs", "sp-000001").as_deref(), Some("failed"));
         assert!(meta.is_empty());
+    }
+
+    #[test]
+    fn set_many_sets_each_pair() {
+        let meta = MetaStore::new();
+        meta.set("results", "a", "old");
+        let set = meta.set_many(
+            "results",
+            [("a".to_string(), "1".to_string()), ("b".into(), "2".into())],
+        );
+        assert_eq!(set, 2);
+        assert_eq!(meta.get("results", "a").as_deref(), Some("1"));
+        assert_eq!(meta.get("results", "b").as_deref(), Some("2"));
+        assert_eq!(meta.len(), 2);
     }
 
     #[test]

@@ -28,18 +28,11 @@ impl ObjectId {
         self.to_hex()[..12].to_string()
     }
 
-    /// Parses a 64-character hex string.
+    /// Parses the 64-character lowercase hex rendering
+    /// [`to_hex`](Self::to_hex) writes; uppercase digits are rejected, so
+    /// `from_hex(s).map(|id| id.to_hex())` is `Some(s)` or `None`.
     pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 64 || !s.is_ascii() {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = (hi * 16 + lo) as u8;
-        }
-        Some(ObjectId(out))
+        sha256::from_hex(s).map(ObjectId)
     }
 }
 
@@ -76,6 +69,19 @@ mod tests {
         hex.pop();
         hex.push('g');
         assert_eq!(ObjectId::from_hex(&hex), None);
+    }
+
+    #[test]
+    fn from_hex_rejects_uppercase() {
+        let id = ObjectId::for_bytes(b"h1oo-4.0.tar");
+        let hex = id.to_hex();
+        assert!(hex.bytes().any(|b| b.is_ascii_lowercase()), "{hex}");
+        assert_eq!(ObjectId::from_hex(&hex.to_ascii_uppercase()), None);
+        // One uppercase digit is enough to make the name non-canonical.
+        let at = hex.find(|c: char| c.is_ascii_lowercase()).unwrap();
+        let mut mixed = hex.clone();
+        mixed.replace_range(at..=at, &hex[at..=at].to_ascii_uppercase());
+        assert_eq!(ObjectId::from_hex(&mixed), None);
     }
 
     #[test]

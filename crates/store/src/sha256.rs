@@ -462,14 +462,57 @@ impl<'a> HashingWriter<'a> {
     }
 }
 
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends a digest to `out` as 64 lowercase hex characters, without an
+/// intermediate allocation.
+pub fn push_hex(out: &mut String, digest: &[u8; 32]) {
+    let mut buf = [0u8; 64];
+    for (pair, b) in buf.chunks_exact_mut(2).zip(digest) {
+        pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+        pair[1] = HEX_DIGITS[usize::from(b & 0x0f)];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+}
+
 /// Formats a digest as lowercase hex.
 pub fn to_hex(digest: &[u8; 32]) -> String {
     let mut s = String::with_capacity(64);
-    for b in digest {
-        use std::fmt::Write as _;
-        let _ = write!(s, "{b:02x}");
-    }
+    push_hex(&mut s, digest);
     s
+}
+
+/// Nibble value of each byte that [`to_hex`] writes; `0xff` for every
+/// other byte, uppercase hex digits included.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xffu8; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Parses the 64-character lowercase rendering [`to_hex`] writes. Any
+/// other string, uppercase digits included, is `None`, so a decoded
+/// digest always re-encodes to the input.
+pub fn from_hex(s: &str) -> Option<[u8; 32]> {
+    let bytes = s.as_bytes();
+    if bytes.len() != 64 {
+        return None;
+    }
+    let mut out = [0u8; 32];
+    for (b, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        let hi = HEX_VALUES[usize::from(pair[0])];
+        let lo = HEX_VALUES[usize::from(pair[1])];
+        if (hi | lo) > 0x0f {
+            return None;
+        }
+        *b = (hi << 4) | lo;
+    }
+    Some(out)
 }
 
 #[cfg(test)]

@@ -130,6 +130,22 @@ impl SharedStorage {
         true
     }
 
+    /// [`register_named`](Self::register_named) for a batch of
+    /// `(key, id)` pairs under one metadata write lock. Pairs whose object
+    /// is absent are skipped; returns how many names were registered.
+    pub fn register_named_many(
+        &self,
+        area: StorageArea,
+        names: impl IntoIterator<Item = (String, ObjectId)>,
+    ) -> usize {
+        let present: Vec<(String, String)> = names
+            .into_iter()
+            .filter(|(_, id)| self.content.contains(*id))
+            .map(|(key, id)| (key, id.to_hex()))
+            .collect();
+        self.meta.set_many(area.namespace(), present)
+    }
+
     /// Stores an archive (tar-ball) under `area/key`. The content address
     /// falls out of packing ([`Archive::pack_with_id`]), so the bytes are
     /// hashed once, not once for the trailer and again for the address.
@@ -654,6 +670,53 @@ mod tests {
         );
         assert!(restored.lookup(StorageArea::Results, "run/b").is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn import_rejects_uppercase_object_names() {
+        let storage = SharedStorage::new();
+        let id = storage.put_named(StorageArea::Results, "run/a", &b"alpha"[..]);
+        let dir = std::env::temp_dir().join(format!("sp-import-upper-{}", std::process::id()));
+        storage.export_to_dir(&dir).unwrap();
+        // The bytes still hash to the id, but the file name is not the
+        // canonical lowercase rendering, so the object is not admitted.
+        let objects = dir.join("objects");
+        std::fs::rename(
+            objects.join(id.to_hex()),
+            objects.join(id.to_hex().to_ascii_uppercase()),
+        )
+        .unwrap();
+
+        let restored = SharedStorage::new();
+        let summary = restored.import_from_dir(&dir).unwrap();
+        assert_eq!(summary.objects_loaded, 0);
+        assert_eq!(summary.objects_rejected, 1);
+        assert_eq!(summary.names_rejected, 1, "the name would dangle");
+        assert!(!restored.content().contains(id));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn register_named_many_skips_absent_objects() {
+        let storage = SharedStorage::new();
+        let kept = storage.put_named(StorageArea::Results, "spr-000001/a/result", &b"a"[..]);
+        let absent = ObjectId::for_bytes(b"never stored");
+        let registered = storage.register_named_many(
+            StorageArea::Results,
+            [
+                ("spr-000002/a/result".to_string(), kept),
+                ("spr-000002/b/result".to_string(), absent),
+            ],
+        );
+        assert_eq!(registered, 1);
+        assert_eq!(
+            storage.lookup(StorageArea::Results, "spr-000002/a/result"),
+            Some(kept)
+        );
+        assert_eq!(
+            storage.lookup(StorageArea::Results, "spr-000002/b/result"),
+            None
+        );
     }
 
     #[test]

@@ -647,6 +647,10 @@ impl WorkQueue {
             match self.read_lease(seq, current) {
                 // Live lease held by someone: not claimable.
                 Some(record) if Self::live(&record, now) => return Ok(None),
+                // Released since the completeness check above: a holder
+                // publishes its report before releasing, so look again
+                // before issuing a generation the work no longer needs.
+                Some(record) if record.released && self.report(seq).is_some() => return Ok(None),
                 // Released, expired, or corrupt: the generation is dead —
                 // claim the next one.
                 _ => {}
@@ -668,8 +672,8 @@ impl WorkQueue {
             &self.encode_lease(&record),
         ) {
             Ok(()) => {
-                // Close the publish/release race: between the
-                // completeness check above and this claim, the previous
+                // Close the rest of the publish/release race: between
+                // the lease read above and this claim, the previous
                 // holder may have published its report *and* released —
                 // making its generation look reclaimable while the work
                 // is in fact done. Released-generation reports stay
@@ -1234,6 +1238,74 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.leases_issued, 1);
         assert_eq!(stats.reclaims, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `hook` once, right after the first read of a report file
+    /// that does not exist yet: the moment a claimer has just concluded
+    /// the submission is incomplete.
+    struct AfterMissingReport {
+        hook: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl StoreFs for AfterMissingReport {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            let result = OsFs.read(path);
+            if result.is_err() && path.parent().is_some_and(|p| p.ends_with("reports")) {
+                if let Some(hook) = self.hook.lock().take() {
+                    hook();
+                }
+            }
+            result
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            OsFs.write(path, bytes)
+        }
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.sync_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            OsFs.rename(from, to)
+        }
+        fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
+            OsFs.hard_link(src, dst)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.create_dir_all(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            OsFs.sync_dir(dir)
+        }
+        fn read_dir_names(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            OsFs.read_dir_names(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            OsFs.exists(path)
+        }
+    }
+
+    #[test]
+    fn publish_and_release_during_a_claim_issues_no_generation() {
+        let (q, clock, dir) = queue(60);
+        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        let lease = q.lease_next("w1").unwrap().expect("claimable");
+        // w1 publishes and releases just after w2 found no report.
+        let holder = WorkQueue::open_with_time(&dir, 60, clock.clone()).unwrap();
+        let fs = AfterMissingReport {
+            hook: parking_lot::Mutex::new(Some(Box::new(move || {
+                holder.publish_report(&lease, b"result").unwrap();
+                holder.release(&lease).unwrap();
+            }))),
+        };
+        let racer = WorkQueue::open_with(&dir, 60, clock, Arc::new(fs)).unwrap();
+        assert!(racer.lease_next("w2").unwrap().is_none(), "work is done");
+        assert!(racer.fs.exists(&racer.report_path(seq, 1)), "hook ran");
+        let stats = q.stats();
+        assert_eq!((stats.leases_issued, stats.reclaims), (1, 0));
+        assert_eq!(q.report(seq).unwrap(), b"result");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -121,6 +121,34 @@ proptest! {
         prop_assert_eq!(ObjectId::from_hex(&id.to_hex()), Some(id));
     }
 
+    /// The table-driven hex encoder writes exactly what per-byte
+    /// `{:02x}` formatting writes, and its output decodes back to the
+    /// digest; the uppercase form of the same digest never decodes.
+    #[test]
+    fn to_hex_equals_formatted_hex(bytes in prop::collection::vec(any::<u8>(), 32..33)) {
+        let digest: [u8; 32] = bytes.try_into().unwrap();
+        let formatted: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        let hex = sha256::to_hex(&digest);
+        prop_assert_eq!(&hex, &formatted);
+        let id = ObjectId(digest);
+        prop_assert_eq!(ObjectId::from_hex(&hex), Some(id));
+        let mut appended = String::from("@");
+        sha256::push_hex(&mut appended, &digest);
+        prop_assert_eq!(&appended[1..], hex.as_str());
+        let upper = hex.to_ascii_uppercase();
+        if upper != hex {
+            prop_assert_eq!(ObjectId::from_hex(&upper), None);
+        }
+    }
+
+    /// Every string that decodes re-encodes to itself.
+    #[test]
+    fn from_hex_accepts_only_canonical_text(text in "[0-9a-fA-Fg]{64}") {
+        if let Some(id) = ObjectId::from_hex(&text) {
+            prop_assert_eq!(id.to_hex(), text);
+        }
+    }
+
     /// put/get round-trips arbitrary payloads bit-for-bit.
     #[test]
     fn store_round_trip(data in prop::collection::vec(any::<u8>(), 0..1024)) {
