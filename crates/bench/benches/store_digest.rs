@@ -1,13 +1,11 @@
-//! Digest-path microbenches: raw SHA-256 throughput (scalar and
-//! four-lane), the fast non-cryptographic hash, one-pass `TestOutput`
-//! encode+digest, and digest-first vs deep comparison.
+//! Digest-path microbenches: raw SHA-256 throughput, the fast
+//! non-cryptographic hash, `TestOutput` encode+digest, and digest-first vs
+//! deep comparison.
 //!
 //! `sha256_throughput` measures the optimised hasher on the same payload
 //! sizes as the `content_store` benches, so regressions in the compression
-//! core are visible independently of store locking.
-//! `sha256_multilane` hashes four independent equal-size payloads through
-//! the interleaved message schedule; its bytes/sec covers all four lanes,
-//! so the multilane speedup is its throughput over the scalar group's.
+//! core are visible independently of store locking. It measures whichever
+//! kernel the CPU runs (SHA-NI where present, else the scalar one).
 //! `fasthash_throughput` is the hot-path key hash on the same sizes, and
 //! the comparison pair quantifies what the digest-first fast path saves:
 //! `compare_deep` decodes two identical histogram sets and runs the full
@@ -17,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sp_core::{Comparator, TestOutput};
 use sp_hep::Histogram1D;
-use sp_store::sha256::{digest4, Sha256};
+use sp_store::sha256::Sha256;
 use sp_store::{fasthash, ObjectId};
 
 fn payload(size: usize) -> Vec<u8> {
@@ -33,25 +31,6 @@ fn bench_sha256_throughput(c: &mut Criterion) {
             BenchmarkId::new("sha256_throughput", size),
             &data,
             |b, data| b.iter(|| Sha256::digest_of(data)),
-        );
-    }
-    group.finish();
-}
-
-fn bench_sha256_multilane(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_digest");
-    for size in [1usize << 10, 1 << 16, 1 << 20] {
-        let lanes: Vec<Vec<u8>> = (0..4)
-            .map(|l| (0..size).map(|i| ((i * 31 + l * 97) % 251) as u8).collect())
-            .collect();
-        // Four payloads per iteration: the throughput figure counts all
-        // four lanes' bytes, making it directly comparable to the scalar
-        // `sha256_throughput` rate.
-        group.throughput(Throughput::Bytes(4 * size as u64));
-        group.bench_with_input(
-            BenchmarkId::new("sha256_multilane", size),
-            &lanes,
-            |b, lanes| b.iter(|| digest4([&lanes[0], &lanes[1], &lanes[2], &lanes[3]])),
         );
     }
     group.finish();
@@ -136,7 +115,6 @@ fn bench_compare(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256_throughput,
-    bench_sha256_multilane,
     bench_fasthash_throughput,
     bench_encode_digest,
     bench_compare

@@ -10,7 +10,8 @@
 
 use sp_hep::hist_io;
 use sp_hep::HistogramSet;
-use sp_store::{HashingWriter, ObjectId};
+use sp_store::sha256::Sha256;
+use sp_store::ObjectId;
 
 /// The output of one validation test, in one of the paper's flavours.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,9 +30,8 @@ pub enum TestOutput {
 
 impl TestOutput {
     /// Core serialiser: emits the deterministic byte encoding piecewise, so
-    /// the same code path feeds a buffer ([`encode_into`](Self::encode_into)),
-    /// a buffer-plus-digest tee ([`encode_and_digest`](Self::encode_and_digest))
-    /// or a digest-only stream ([`digest`](Self::digest)).
+    /// the same code path feeds a buffer ([`encode_into`](Self::encode_into))
+    /// or the hasher ([`digest`](Self::digest)).
     fn encode_with(&self, emit: &mut dyn FnMut(&[u8])) {
         match self {
             TestOutput::YesNo(b) => {
@@ -92,9 +92,9 @@ impl TestOutput {
     /// included. Equal digests mean bit-identical encodings, so this is
     /// the value the digest-first comparison fast paths key on.
     pub fn digest(&self) -> ObjectId {
-        let mut writer = HashingWriter::digest_only();
-        self.encode_with(&mut |bytes| writer.write(bytes));
-        ObjectId(writer.finish())
+        let mut hasher = Sha256::new();
+        self.encode_with(&mut |bytes| hasher.update(bytes));
+        ObjectId(hasher.finalize())
     }
 
     /// Rough encoded size, used to pre-reserve buffers.

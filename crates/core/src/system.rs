@@ -998,17 +998,13 @@ impl SpSystem {
                         analysis.process(event);
                     }
                     let result = analysis.finish();
-                    // Serialise the histogram payload field-wise while
-                    // hashing it, so the store performs no second pass.
-                    let mut payload = Vec::new();
-                    let mut writer = sp_store::HashingWriter::tee(&mut payload);
-                    writer.write(b"H");
-                    hist_io::encode_set_with(&result.histograms, &mut |b| writer.write(b));
-                    let digest = ObjectId(writer.finish());
-                    let oid = self.storage.put_named_prehashed(
+                    let mut payload = b"H".to_vec();
+                    hist_io::encode_set_with(&result.histograms, &mut |b| {
+                        payload.extend_from_slice(b)
+                    });
+                    let oid = self.storage.put_named(
                         StorageArea::Results,
                         &format!("{run_id}/{}/{}/histograms", test.id, stage.name),
-                        digest,
                         payload,
                     );
                     outputs.push(("histograms".to_string(), oid));
@@ -1280,10 +1276,7 @@ impl SpSystem {
         }
         snapshot.sections.push(references);
 
-        // The per-entry guard digests are independent SHA-256 passes —
-        // batch them across a transient pool so a big warm state (weeks of
-        // memoized cells) exports at multi-core speed.
-        snapshot.encode_with(&digest_pool())
+        snapshot.encode()
     }
 
     /// Restores warm state exported by [`export_warm_state`]
@@ -1301,7 +1294,7 @@ impl SpSystem {
     /// The run-id cursor and the clock only ever move forward (a snapshot
     /// can never make a live system reuse ids or travel back in time).
     pub fn import_warm_state(&self, bytes: &[u8]) -> Result<WarmRestoreReport, SnapshotError> {
-        let (snapshot, load) = Snapshot::decode_with(bytes, &digest_pool())?;
+        let (snapshot, load) = Snapshot::decode(bytes)?;
         let mut report = WarmRestoreReport {
             snapshot: load,
             ..WarmRestoreReport::default()
@@ -1461,7 +1454,7 @@ impl SpSystem {
         dir: &std::path::Path,
         fs: &dyn sp_store::vfs::StoreFs,
     ) -> std::io::Result<SystemImportSummary> {
-        let storage = self.storage.import_from_dir_fs(dir, &digest_pool(), fs)?;
+        let storage = self.storage.import_from_dir_fs(dir, fs)?;
         let (warm, warm_state_error) = match fs.read(&dir.join(WARM_STATE_FILE)) {
             Ok(bytes) => match self.import_warm_state(&bytes) {
                 Ok(report) => (report, None),
@@ -1480,19 +1473,14 @@ impl SpSystem {
     }
 
     /// The "fsck" pass over the common storage: re-hashes every conserved
-    /// object and unpack-verifies every artifact tar-ball, fanning both
-    /// digest sweeps over the machine-sized worker pool the export/import
-    /// paths already use. Returns what failed — content addresses that no
-    /// longer re-hash, and artifact keys whose archives no longer decode —
-    /// so the host IT department's nightly integrity job has one call to
-    /// make.
+    /// object and unpack-verifies every artifact tar-ball. Returns what
+    /// failed — content addresses that no longer re-hash, and artifact
+    /// keys whose archives no longer decode — so the host IT department's
+    /// nightly integrity job has one call to make.
     pub fn verify_storage(&self) -> StorageVerification {
-        let pool = digest_pool();
         StorageVerification {
-            corrupt_objects: self.storage.content().verify_all_with(&pool),
-            bad_archives: self
-                .storage
-                .verify_archives_with(StorageArea::Artifacts, "", &pool),
+            corrupt_objects: self.storage.content().verify_all(),
+            bad_archives: self.storage.verify_archives(StorageArea::Artifacts, ""),
         }
     }
 
@@ -1588,17 +1576,6 @@ impl StorageVerification {
 
 /// File name of the warm-state snapshot inside an exported directory.
 pub const WARM_STATE_FILE: &str = "warm_state.spws";
-
-/// A transient pool sized to the machine for batch-hashing independent
-/// objects during export/import. Construction is free (the pool spawns
-/// scoped threads per batch, none up front), so call sites just make one.
-fn digest_pool() -> WorkStealingPool {
-    WorkStealingPool::new(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    )
-}
 
 /// Sorts exported memo entries by key for a deterministic snapshot
 /// encoding (the memos iterate a hash map).

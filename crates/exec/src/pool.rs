@@ -3,7 +3,7 @@
 //! Standalone validation tests "are run in parallel" (§3.2).
 //! [`WorkStealingPool`] is the scheduler for *any* indexed task batch — the
 //! unit checks and standalone executables of one validation run, the lanes
-//! of a campaign, a batch of digests: tasks are seeded round-robin into
+//! of a campaign: tasks are seeded round-robin into
 //! per-worker deques, each worker drains its own queue first and then
 //! steals from its peers (oldest-first, so stolen work is the work least
 //! likely to be cache-hot on its owner), and results are returned
@@ -21,7 +21,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam::deque::{Steal, Stealer, Worker};
-use sp_store::sha256;
 
 /// Counters describing how a batch was scheduled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,29 +73,6 @@ impl WorkStealingPool {
         F: Fn(usize, T) -> R + Sync,
     {
         self.run_with_stats(tasks, f).0
-    }
-
-    /// Hashes many independent byte slices over the pool's workers,
-    /// returning one SHA-256 digest per input in order. Inputs are split
-    /// into contiguous chunks (several per worker, so stealing evens out
-    /// size skew) and each chunk runs through the 4-lane
-    /// [`sha256::digest_batch`] — pool parallelism multiplied by lane
-    /// parallelism. Small batches skip thread spawn entirely.
-    pub fn digest_batch(&self, inputs: &[&[u8]]) -> Vec<[u8; 32]> {
-        if self.workers == 1 || inputs.len() < 8 {
-            return sha256::digest_batch(inputs);
-        }
-        // At least 4 inputs per chunk keeps every chunk on the multilane
-        // path; several chunks per worker lets stealing balance skew.
-        let chunk = (inputs.len().div_ceil(self.workers * 4)).max(4);
-        let ranges: Vec<std::ops::Range<usize>> = (0..inputs.len())
-            .step_by(chunk)
-            .map(|start| start..(start + chunk).min(inputs.len()))
-            .collect();
-        self.run(ranges, |_, range| sha256::digest_batch(&inputs[range]))
-            .into_iter()
-            .flatten()
-            .collect()
     }
 
     /// [`run`](Self::run), additionally reporting scheduling counters.
@@ -243,15 +219,6 @@ impl WorkStealingPool {
     }
 }
 
-/// Pool-parallel [`sha256::BatchDigester`]: storage import and snapshot
-/// export hand their independent-object hashing here without `sp_store`
-/// depending on an executor.
-impl sha256::BatchDigester for WorkStealingPool {
-    fn digest_all(&self, inputs: &[&[u8]]) -> Vec<[u8; 32]> {
-        self.digest_batch(inputs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,31 +298,6 @@ mod tests {
             t
         });
         assert!(peak.load(Ordering::SeqCst) > 1);
-    }
-
-    #[test]
-    fn pool_digests_match_scalar_hashing() {
-        // Sizes straddle the small-batch cutoff and the chunking maths;
-        // every digest must equal the one-shot scalar hash regardless of
-        // worker count or chunk boundaries.
-        let payloads: Vec<Vec<u8>> = (0..53)
-            .map(|i| (0..i * 37).map(|b| (b % 251) as u8).collect())
-            .collect();
-        for workers in [1, 4] {
-            let pool = WorkStealingPool::new(workers);
-            for n in [0usize, 1, 7, 8, 9, 53] {
-                let inputs: Vec<&[u8]> = payloads[..n].iter().map(|p| p.as_slice()).collect();
-                let digests = pool.digest_batch(&inputs);
-                assert_eq!(digests.len(), n);
-                for (i, d) in digests.iter().enumerate() {
-                    assert_eq!(
-                        *d,
-                        sha256::Sha256::digest_of(inputs[i]),
-                        "workers {workers}, batch {n}, input {i}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -70,9 +70,18 @@ impl Archive {
         Archive::default()
     }
 
-    /// Adds an entry. Paths must be relative and free of `..` components.
+    /// Adds an entry. Paths must be relative and free of `..` components,
+    /// and path and data must fit the `u16`/`u32` length fields of the
+    /// wire format, so that a packed archive always unpacks to its entries.
     pub fn add(&mut self, entry: ArchiveEntry) -> Result<()> {
         validate_path(&entry.path)?;
+        if u32::try_from(entry.data.len()).is_err() {
+            return Err(StoreError::BadArchive(format!(
+                "entry '{}' holds {} bytes, more than the format's u32 length field",
+                entry.path,
+                entry.data.len()
+            )));
+        }
         self.entries.push(entry);
         Ok(())
     }
@@ -154,46 +163,6 @@ impl Archive {
         Self::decode_verified_body(body)
     }
 
-    /// Decodes several `SPAR` archives at once, verifying all their
-    /// checksums through one [`BatchDigester`](sha256::BatchDigester)
-    /// pass — the independent whole-archive re-hashes run four to a lane
-    /// (or across an executor pool) instead of one after another, which
-    /// is where unpack verification spends its time on conserved
-    /// tar-balls. `result[i]` corresponds to `payloads[i]` and matches
-    /// what [`unpack`](Self::unpack) would return for it.
-    pub fn unpack_batch(
-        payloads: &[&[u8]],
-        digester: &dyn sha256::BatchDigester,
-    ) -> Vec<Result<Self>> {
-        let bad = |msg: &str| StoreError::BadArchive(msg.to_string());
-        // Split every payload that is long enough; short ones keep their
-        // error slot without contributing a hash input.
-        let split: Vec<Option<(&[u8], &[u8])>> = payloads
-            .iter()
-            .map(|data| {
-                (data.len() >= MAGIC.len() + 2 + 4 + 32).then(|| data.split_at(data.len() - 32))
-            })
-            .collect();
-        let bodies: Vec<&[u8]> = split
-            .iter()
-            .filter_map(|s| s.map(|(body, _)| body))
-            .collect();
-        let mut digests = digester.digest_all(&bodies).into_iter();
-        split
-            .into_iter()
-            .map(|entry| {
-                let Some((body, digest)) = entry else {
-                    return Err(bad("truncated header"));
-                };
-                let actual = digests.next().expect("one digest per hashed body");
-                if actual != *<&[u8; 32]>::try_from(digest).expect("32-byte slice") {
-                    return Err(bad("checksum mismatch"));
-                }
-                Self::decode_verified_body(body)
-            })
-            .collect()
-    }
-
     /// Decodes an archive body whose trailing checksum has already been
     /// verified (magic and version are still checked here).
     fn decode_verified_body(body: &[u8]) -> Result<Self> {
@@ -241,7 +210,7 @@ impl Archive {
 
 fn validate_path(path: &str) -> Result<()> {
     let reject = |p: &str| Err(StoreError::BadPath(p.to_string()));
-    if path.is_empty() || path.starts_with('/') {
+    if path.is_empty() || path.starts_with('/') || u16::try_from(path.len()).is_err() {
         return reject(path);
     }
     if path
@@ -311,27 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn unpack_batch_matches_unpack_per_payload() {
-        let good = sample().pack();
-        let mut flipped = good.to_vec();
-        flipped[good.len() / 2] ^= 0x01;
-        let empty = Archive::new().pack();
-        let short = &good[..10];
-        let payloads: Vec<&[u8]> = vec![&good, &flipped, &empty, short, &good];
-        let verdicts = Archive::unpack_batch(&payloads, &crate::sha256::MultilaneDigester);
-        assert_eq!(verdicts.len(), payloads.len());
-        for (verdict, payload) in verdicts.iter().zip(&payloads) {
-            assert_eq!(
-                verdict.is_ok(),
-                Archive::unpack(payload).is_ok(),
-                "batch verdict diverges from unpack"
-            );
-        }
-        assert_eq!(verdicts[0].as_ref().unwrap(), &sample());
-        assert!(verdicts[2].as_ref().unwrap().is_empty());
-    }
-
-    #[test]
     fn unpack_rejects_truncation() {
         let packed = sample().pack();
         for cut in [0usize, 5, 20, packed.len() - 1] {
@@ -348,6 +296,21 @@ mod tests {
                 "path '{bad}' accepted"
             );
         }
+    }
+
+    #[test]
+    fn path_lengths_are_bounded_by_the_u16_field() {
+        let longest = "p".repeat(usize::from(u16::MAX));
+        let mut a = Archive::new();
+        a.add(ArchiveEntry::file(longest.clone(), &b"x"[..]))
+            .unwrap();
+        let unpacked = Archive::unpack(&a.pack()).unwrap();
+        assert_eq!(unpacked.entry(&longest).unwrap().data.as_ref(), b"x");
+
+        let too_long = "p".repeat(usize::from(u16::MAX) + 1);
+        assert!(Archive::new()
+            .add(ArchiveEntry::file(too_long, &b"x"[..]))
+            .is_err());
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use crate::sha256::BatchDigester;
 use crate::{ObjectId, Result, StoreError};
 
 /// An in-memory content-addressed store.
@@ -59,9 +58,8 @@ impl ContentStore {
 
     /// Stores `data` under a caller-computed content address, skipping the
     /// hash pass [`put`](Self::put) would perform. The caller must have
-    /// obtained `id` by hashing exactly these bytes — e.g. through
-    /// [`crate::sha256::HashingWriter`] while serialising them — which is
-    /// verified in debug builds.
+    /// obtained `id` by hashing exactly these bytes, which is verified in
+    /// debug builds.
     pub fn put_prehashed(&self, id: ObjectId, data: impl Into<Bytes>) -> ObjectId {
         let data = data.into();
         debug_assert_eq!(
@@ -125,27 +123,13 @@ impl ContentStore {
     /// Verifies every stored object, returning the ids that fail to re-hash.
     ///
     /// This is the "fsck" the host IT department would run over the common
-    /// storage; it underpins the failure-injection tests. Uses the in-thread
-    /// 4-lane digester; callers holding an executor hand its pool-parallel
-    /// [`BatchDigester`] to [`verify_all_with`](Self::verify_all_with)
-    /// instead.
+    /// storage; it underpins the failure-injection tests.
     pub fn verify_all(&self) -> Vec<ObjectId> {
-        self.verify_all_with(&crate::sha256::MultilaneDigester)
-    }
-
-    /// [`verify_all`](Self::verify_all) with a caller-provided
-    /// [`BatchDigester`], so a full-store fsck can fan its re-hashes out
-    /// over an executor pool rather than one thread's interleaved lanes.
-    pub fn verify_all_with(&self, digester: &dyn BatchDigester) -> Vec<ObjectId> {
-        let objects = self.objects.read();
-        let entries: Vec<(&ObjectId, &Bytes)> = objects.iter().collect();
-        let inputs: Vec<&[u8]> = entries.iter().map(|(_, data)| data.as_ref()).collect();
-        digester
-            .digest_all(&inputs)
-            .into_iter()
-            .zip(&entries)
-            .filter(|(digest, (id, _))| ObjectId(*digest) != **id)
-            .map(|(_, (id, _))| **id)
+        self.objects
+            .read()
+            .iter()
+            .filter(|(id, data)| ObjectId::for_bytes(data) != **id)
+            .map(|(id, _)| *id)
             .collect()
     }
 

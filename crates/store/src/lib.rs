@@ -10,8 +10,8 @@
 //!
 //! * [`sha256`] — a self-contained SHA-256 implementation used for content
 //!   addressing (kept in-crate to avoid a cryptography dependency; verified
-//!   against the NIST test vectors), including a 4-lane interleaved batch
-//!   path ([`sha256::digest_batch`]) for hashing independent objects.
+//!   against the NIST test vectors), with a SHA-NI kernel picked at run
+//!   time where the CPU has one and the portable scalar kernel elsewhere.
 //! * [`fasthash`] — the non-cryptographic half of the dual-digest posture:
 //!   a 128-bit xxHash-style hash keying process-local lookups ([`RunMemo`],
 //!   [`DigestCache`]). Never persisted; SHA-256
@@ -90,7 +90,6 @@ pub use object::ObjectId;
 pub use retention::{RetentionPolicy, TimeSource};
 pub use run_log::{CellRecord, RunLog, RunLogReplay};
 pub use run_memo::{RunKey, RunMemo};
-pub use sha256::HashingWriter;
 pub use shared::{ExportSummary, ImportSummary, SharedStorage, StorageArea};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotLoadReport, SnapshotSection};
 pub use vault::{FrozenImage, FrozenVault};
@@ -123,8 +122,8 @@ pub enum StoreError {
     AlreadyFrozen(String),
     /// No frozen image with this label exists.
     NotFrozen(String),
-    /// An archive entry path was rejected (empty, absolute or containing
-    /// `..` components).
+    /// An archive entry path was rejected (empty, absolute, containing
+    /// `..` components, or longer than 65,535 bytes).
     BadPath(String),
 }
 

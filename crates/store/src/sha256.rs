@@ -7,32 +7,34 @@
 //! every object on the hot path passes through here, the implementation is
 //! tuned rather than a straight specification transcription:
 //!
-//! * whole 64-byte input blocks are compressed in place instead of being
-//!   staged through the pending-block buffer;
-//! * the 64 compression rounds are unrolled eight at a time with the working
-//!   variables renamed per round, so no register shuffle survives in the
-//!   loop body;
-//! * [`Sha256::digest_of`] is a one-shot fast path that pads on the stack
-//!   (the incremental [`finalize`](Sha256::finalize) also builds its padding
-//!   directly instead of feeding bytes one at a time);
-//! * [`HashingWriter`] lets callers digest *while* serialising, so content
-//!   addressing needs no second pass over a materialised buffer;
-//! * [`digest4`]/[`digest_batch`] hash **four independent messages per
-//!   pass** through a 4-way interleaved message schedule (portable
-//!   `[u32; 4]` lane arrays, no arch intrinsics — the same shim discipline
-//!   as `crates/compat`), which is how batch re-hashing sites (store
-//!   verification, snapshot entry guards, filesystem import) beat the
-//!   single-message dependency chain;
-//! * [`BatchDigester`] abstracts "hash many independent inputs", so
-//!   higher layers can substitute a pool-parallel implementation
-//!   (`sp_exec::WorkStealingPool`) without this crate depending on one.
+//! * whole 64-byte input blocks are compressed straight out of the caller's
+//!   slice, one run of blocks at a time, instead of being staged through
+//!   the pending-block buffer;
+//! * each run goes to one of two kernels, picked at run time by
+//!   `is_x86_feature_detected!`: the x86 SHA extensions (SHA-NI) where the
+//!   CPU has them, otherwise the portable scalar kernel, which is also the
+//!   tests' reference. The build targets the baseline CPU, so one binary
+//!   runs on every machine a conserved image may land on;
+//! * the SHA-NI kernel is `#[inline(never)]`, so it is compiled once, as a
+//!   function of its own, and never merged into a caller built with other
+//!   target features. Its `sha256*` instructions exist only in legacy-SSE
+//!   encoding. In a build that enabled AVX for the whole program (tuned
+//!   to the host CPU), variants that were inlined, or that spilled the
+//!   message schedule to the stack, interleaved them with VEX-encoded code
+//!   and hashed at 10-12 MB/s instead of ~1.6 GB/s;
+//! * the scalar kernel unrolls the 64 rounds eight at a time with the
+//!   working variables renamed per round, so no register shuffle survives
+//!   in the loop body;
+//! * [`Sha256::digest_of`] is a one-shot fast path that pads on the stack;
+//!   the incremental [`finalize`](Sha256::finalize) pads the same way.
 //!
-//! Correctness is pinned by the NIST short- and long-message vectors plus an
-//! incremental-equals-oneshot property test over random chunkings.
+//! Correctness is pinned by the NIST short- and long-message vectors, an
+//! incremental-equals-oneshot property test over random chunkings, and a
+//! unit test holding the SHA-NI kernel to the scalar one.
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes.
-const K: [u32; 64] = [
+static K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -78,37 +80,16 @@ impl Sha256 {
         }
     }
 
-    /// One-shot digest: hashes full blocks straight out of `data` and pads
-    /// on the stack, touching no intermediate buffer at all.
+    /// One-shot digest: hashes whole blocks straight out of `data` and pads
+    /// the tail on the stack, touching no intermediate buffer at all.
     pub fn digest_of(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            h.compress(
-                block
-                    .try_into()
-                    .expect("chunks_exact yields 64-byte blocks"),
-            );
-        }
-        let tail = chunks.remainder();
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        let mut block = [0u8; 64];
-        block[..tail.len()].copy_from_slice(tail);
-        block[tail.len()] = 0x80;
-        if tail.len() < 56 {
-            block[56..].copy_from_slice(&bit_len.to_be_bytes());
-            h.compress(&block);
-        } else {
-            // The 0x80 marker spilled past the length field: one extra block.
-            h.compress(&block);
-            let mut last = [0u8; 64];
-            last[56..].copy_from_slice(&bit_len.to_be_bytes());
-            h.compress(&last);
-        }
-        h.output()
+        let mut state = H0;
+        let (blocks, tail) = data.as_chunks::<64>();
+        compress_blocks(&mut state, blocks);
+        finish(state, tail, data.len() as u64)
     }
 
-    /// Absorbs `data` into the hash state. Full blocks are compressed
+    /// Absorbs `data` into the hash state. Whole blocks are compressed
     /// directly from `data`; only a sub-block tail is buffered.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -118,66 +99,175 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                compress_block(&mut self.state, &self.buf);
-                self.buf_len = 0;
-            } else {
+            if self.buf_len < 64 {
                 // Data fit entirely in the pending block; nothing to chunk.
                 return;
             }
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for block in &mut chunks {
-            self.compress(
-                block
-                    .try_into()
-                    .expect("chunks_exact yields 64-byte blocks"),
-            );
-        }
-        let tail = chunks.remainder();
+        let (blocks, tail) = rest.as_chunks::<64>();
+        compress_blocks(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
 
     /// Finishes the computation and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length —
-        // written directly into the pending block.
-        let len = self.buf_len;
-        self.buf[len] = 0x80;
-        if len < 56 {
-            self.buf[len + 1..56].fill(0);
-        } else {
-            self.buf[len + 1..].fill(0);
-            compress_block(&mut self.state, &self.buf);
-            self.buf[..56].fill(0);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        compress_block(&mut self.state, &self.buf);
-        self.output()
-    }
-
-    /// Serialises the current state as the big-endian digest.
-    fn output(&self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    #[inline]
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+    pub fn finalize(self) -> [u8; 32] {
+        finish(self.state, &self.buf[..self.buf_len], self.total_len)
     }
 }
 
-/// Compresses one 64-byte block into `state`. A free function (rather than a
-/// method) so callers holding `&mut self` can compress the pending block
-/// buffer in place — `compress_block(&mut self.state, &self.buf)` borrows the
-/// two fields disjointly, where a method call would force a 64-byte stack
-/// copy of the buffer first.
+/// Pads the last `tail` (< 64 bytes) of a `total_len`-byte message on the
+/// stack, compresses it and returns the big-endian digest. Padding is
+/// 0x80, zeros, then the 64-bit big-endian bit length: one block, or two
+/// when the length field no longer fits behind the tail.
+fn finish(mut state: [u32; 8], tail: &[u8], total_len: u64) -> [u8; 32] {
+    let mut pad = [[0u8; 64]; 2];
+    let blocks = if tail.len() < 56 { 1 } else { 2 };
+    let flat = pad.as_flattened_mut();
+    flat[..tail.len()].copy_from_slice(tail);
+    flat[tail.len()] = 0x80;
+    flat[blocks * 64 - 8..blocks * 64].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress_blocks(&mut state, &pad[..blocks]);
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Compresses a run of whole blocks into `state` with the SHA-NI kernel
+/// where the CPU has it, else with the scalar [`compress_block`].
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if blocks.is_empty() {
+        return;
+    }
+    if sha_ni() {
+        // SAFETY: the CPU supports every feature the kernel enables.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            compress_blocks_sha_ni(state, blocks)
+        };
+        return;
+    }
+    for block in blocks {
+        compress_block(state, block);
+    }
+}
+
+/// Whether this CPU runs [`compress_blocks_sha_ni`]. The standard
+/// library caches the detection, so each call is one relaxed load.
+fn sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The SHA-NI kernel: the state and the sliding window of message words
+/// stay in registers for the whole run of blocks, and each `sha256rnds2`
+/// performs two rounds.
+///
+/// # Safety
+///
+/// The CPU must support SHA, SSSE3 and SSE4.1 (see [`sha_ni`]).
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "sha,ssse3,sse4.1")]
+unsafe fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    use std::arch::x86_64::*;
+
+    // Byte shuffle turning each big-endian message word into a lane.
+    let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let k = K.as_ptr().cast::<__m128i>();
+    // `sha256rnds2` keeps the state as ABEF/CDGH rather than ABCD/EFGH
+    // (names list lanes from high to low).
+    let dcba = _mm_loadu_si128(state.as_ptr().cast());
+    let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+    let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for block in blocks {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let words = block.as_ptr().cast::<__m128i>();
+        // Four message words per register; `w0..w3` hold the last four
+        // groups of the schedule.
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(words), be_words);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), be_words);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), be_words);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), be_words);
+
+        /// Four rounds over message group `$w`, the `$g`-th of the block.
+        macro_rules! rounds4 {
+            ($w:ident, $g:literal) => {
+                let wk = _mm_add_epi32($w, _mm_loadu_si128(k.add($g)));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            };
+        }
+        /// Replaces the spent group `$a` with the group four ahead of it.
+        macro_rules! schedule {
+            ($a:ident, $b:ident, $c:ident, $d:ident) => {
+                let partial =
+                    _mm_add_epi32(_mm_sha256msg1_epu32($a, $b), _mm_alignr_epi8($d, $c, 4));
+                $a = _mm_sha256msg2_epu32(partial, $d);
+            };
+        }
+
+        rounds4!(w0, 0);
+        schedule!(w0, w1, w2, w3);
+        rounds4!(w1, 1);
+        schedule!(w1, w2, w3, w0);
+        rounds4!(w2, 2);
+        schedule!(w2, w3, w0, w1);
+        rounds4!(w3, 3);
+        schedule!(w3, w0, w1, w2);
+        rounds4!(w0, 4);
+        schedule!(w0, w1, w2, w3);
+        rounds4!(w1, 5);
+        schedule!(w1, w2, w3, w0);
+        rounds4!(w2, 6);
+        schedule!(w2, w3, w0, w1);
+        rounds4!(w3, 7);
+        schedule!(w3, w0, w1, w2);
+        rounds4!(w0, 8);
+        schedule!(w0, w1, w2, w3);
+        rounds4!(w1, 9);
+        schedule!(w1, w2, w3, w0);
+        rounds4!(w2, 10);
+        schedule!(w2, w3, w0, w1);
+        rounds4!(w3, 11);
+        schedule!(w3, w0, w1, w2);
+        rounds4!(w0, 12);
+        rounds4!(w1, 13);
+        rounds4!(w2, 14);
+        rounds4!(w3, 15);
+
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    let feba = _mm_shuffle_epi32(abef, 0x1b);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+    _mm_storeu_si128(
+        state.as_mut_ptr().add(4).cast(),
+        _mm_alignr_epi8(dchg, feba, 8),
+    );
+}
+
+/// The scalar kernel: compresses one 64-byte block into `state`. It runs
+/// where SHA-NI is missing and is the reference the tests hold the SHA-NI
+/// kernel to.
 fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -246,220 +336,9 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-// ---------------------------------------------------------------------------
-// Multi-lane SHA-256: four independent messages per pass.
-// ---------------------------------------------------------------------------
-//
-// SHA-256 over a single message is a serial dependency chain — each round
-// needs the previous round's working variables, so a lone hash cannot use
-// the machine's SIMD width. Hashing four *independent* messages in lockstep
-// sidesteps the chain: every round operates on a `[u32; 4]` lane array
-// (lane `l` = message `l`) and the compiler is free to lower each lane op to
-// one 128-bit vector instruction. No arch intrinsics, no `unsafe` — the same
-// portability discipline as the `crates/compat` shims.
-
-/// One word across the four interleaved messages.
-type Lanes = [u32; 4];
-
-#[inline(always)]
-fn ladd(a: Lanes, b: Lanes) -> Lanes {
-    std::array::from_fn(|l| a[l].wrapping_add(b[l]))
-}
-
-#[inline(always)]
-fn lrotr(a: Lanes, n: u32) -> Lanes {
-    std::array::from_fn(|l| a[l].rotate_right(n))
-}
-
-#[inline(always)]
-fn lshr(a: Lanes, n: u32) -> Lanes {
-    std::array::from_fn(|l| a[l] >> n)
-}
-
-#[inline(always)]
-fn lxor3(a: Lanes, b: Lanes, c: Lanes) -> Lanes {
-    std::array::from_fn(|l| a[l] ^ b[l] ^ c[l])
-}
-
-/// `ch(e, f, g)` per lane.
-#[inline(always)]
-fn lch(e: Lanes, f: Lanes, g: Lanes) -> Lanes {
-    std::array::from_fn(|l| (e[l] & f[l]) ^ (!e[l] & g[l]))
-}
-
-/// `maj(a, b, c)` per lane.
-#[inline(always)]
-fn lmaj(a: Lanes, b: Lanes, c: Lanes) -> Lanes {
-    std::array::from_fn(|l| (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]))
-}
-
-/// Compresses one 64-byte block from each of four messages in lockstep.
-fn compress4(state: &mut [Lanes; 8], blocks: [&[u8; 64]; 4]) {
-    // Interleaved message schedule: w[i] holds word i of all four blocks.
-    let mut w = [[0u32; 4]; 64];
-    for (i, wi) in w.iter_mut().take(16).enumerate() {
-        *wi = std::array::from_fn(|l| {
-            u32::from_be_bytes(blocks[l][i * 4..i * 4 + 4].try_into().expect("4-byte word"))
-        });
-    }
-    for i in 16..64 {
-        let s0 = lxor3(
-            lrotr(w[i - 15], 7),
-            lrotr(w[i - 15], 18),
-            lshr(w[i - 15], 3),
-        );
-        let s1 = lxor3(lrotr(w[i - 2], 17), lrotr(w[i - 2], 19), lshr(w[i - 2], 10));
-        w[i] = ladd(ladd(w[i - 16], s0), ladd(w[i - 7], s1));
-    }
-
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-
-    macro_rules! round {
-        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
-            let s1 = lxor3(lrotr($e, 6), lrotr($e, 11), lrotr($e, 25));
-            let t1 = ladd(ladd($h, s1), ladd(lch($e, $f, $g), ladd([K[$i]; 4], w[$i])));
-            let s0 = lxor3(lrotr($a, 2), lrotr($a, 13), lrotr($a, 22));
-            $d = ladd($d, t1);
-            $h = ladd(t1, ladd(s0, lmaj($a, $b, $c)));
-        };
-    }
-
-    macro_rules! round8 {
-        ($base:literal) => {
-            round!(a, b, c, d, e, f, g, h, $base);
-            round!(h, a, b, c, d, e, f, g, $base + 1);
-            round!(g, h, a, b, c, d, e, f, $base + 2);
-            round!(f, g, h, a, b, c, d, e, $base + 3);
-            round!(e, f, g, h, a, b, c, d, $base + 4);
-            round!(d, e, f, g, h, a, b, c, $base + 5);
-            round!(c, d, e, f, g, h, a, b, $base + 6);
-            round!(b, c, d, e, f, g, h, a, $base + 7);
-        };
-    }
-
-    round8!(0);
-    round8!(8);
-    round8!(16);
-    round8!(24);
-    round8!(32);
-    round8!(40);
-    round8!(48);
-    round8!(56);
-
-    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-        *s = ladd(*s, v);
-    }
-}
-
-/// Hashes four independent messages through the interleaved 4-lane
-/// compressor. Produces exactly the digests [`Sha256::digest_of`] would —
-/// the lanes run in lockstep while all four messages still have full
-/// 64-byte blocks, then each lane's state is handed to the scalar path to
-/// absorb its remaining tail and padding.
-pub fn digest4(msgs: [&[u8]; 4]) -> [[u8; 32]; 4] {
-    let mut state: [Lanes; 8] = std::array::from_fn(|i| [H0[i]; 4]);
-    let lockstep = msgs
-        .iter()
-        .map(|m| m.len() / 64)
-        .min()
-        .expect("four messages");
-    for b in 0..lockstep {
-        let blocks: [&[u8; 64]; 4] = std::array::from_fn(|l| {
-            msgs[l][b * 64..(b + 1) * 64]
-                .try_into()
-                .expect("64-byte block")
-        });
-        compress4(&mut state, blocks);
-    }
-    std::array::from_fn(|l| {
-        let mut h = Sha256 {
-            state: std::array::from_fn(|i| state[i][l]),
-            buf: [0; 64],
-            buf_len: 0,
-            total_len: (lockstep * 64) as u64,
-        };
-        h.update(&msgs[l][lockstep * 64..]);
-        h.finalize()
-    })
-}
-
-/// Hashes every input independently, four at a time through [`digest4`],
-/// with a scalar pass over the remainder. Digest `i` addresses input `i`.
-pub fn digest_batch(inputs: &[&[u8]]) -> Vec<[u8; 32]> {
-    let mut out = Vec::with_capacity(inputs.len());
-    let mut quads = inputs.chunks_exact(4);
-    for quad in &mut quads {
-        out.extend_from_slice(&digest4([quad[0], quad[1], quad[2], quad[3]]));
-    }
-    for tail in quads.remainder() {
-        out.push(Sha256::digest_of(tail));
-    }
-    out
-}
-
-/// Hashes many independent inputs, returning one digest per input in order.
-///
-/// The default implementation is the in-thread [`MultilaneDigester`];
-/// `sp_exec::WorkStealingPool` provides a pool-parallel one, letting import
-/// and snapshot paths fan batch hashing out over workers without `sp_store`
-/// depending on an executor.
-pub trait BatchDigester: Sync {
-    /// Digests every input; `result[i]` addresses `inputs[i]`.
-    fn digest_all(&self, inputs: &[&[u8]]) -> Vec<[u8; 32]>;
-}
-
-/// In-thread [`BatchDigester`] backed by the 4-lane [`digest_batch`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MultilaneDigester;
-
-impl BatchDigester for MultilaneDigester {
-    fn digest_all(&self, inputs: &[&[u8]]) -> Vec<[u8; 32]> {
-        digest_batch(inputs)
-    }
-}
-
 /// One-shot convenience digest (the [`Sha256::digest_of`] fast path).
 pub fn digest(data: &[u8]) -> [u8; 32] {
     Sha256::digest_of(data)
-}
-
-/// Streams bytes into a SHA-256 digest while optionally appending them to a
-/// caller-provided buffer, so serialisation and content addressing happen in
-/// one pass instead of "materialise a `Vec`, then hash it".
-pub struct HashingWriter<'a> {
-    hasher: Sha256,
-    sink: Option<&'a mut Vec<u8>>,
-}
-
-impl<'a> HashingWriter<'a> {
-    /// A writer that only digests — nothing is materialised.
-    pub fn digest_only() -> Self {
-        HashingWriter {
-            hasher: Sha256::new(),
-            sink: None,
-        }
-    }
-
-    /// A writer that appends every byte to `sink` *and* digests it.
-    pub fn tee(sink: &'a mut Vec<u8>) -> Self {
-        HashingWriter {
-            hasher: Sha256::new(),
-            sink: Some(sink),
-        }
-    }
-
-    /// Absorbs (and, for a tee, appends) `bytes`.
-    pub fn write(&mut self, bytes: &[u8]) {
-        self.hasher.update(bytes);
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.extend_from_slice(bytes);
-        }
-    }
-
-    /// Finishes the digest.
-    pub fn finish(self) -> [u8; 32] {
-        self.hasher.finalize()
-    }
 }
 
 /// Lowercase hex digits, indexed by nibble.
@@ -607,80 +486,85 @@ mod tests {
         assert_eq!(h.finalize(), digest(data));
     }
 
+    /// Runs `data` through `kernel` with one-shot padding.
+    fn digest_via(kernel: fn(&mut [u32; 8], &[[u8; 64]]), data: &[u8]) -> [u8; 32] {
+        let mut state = H0;
+        let (blocks, tail) = data.as_chunks::<64>();
+        kernel(&mut state, blocks);
+        let mut pad = [[0u8; 64]; 2];
+        let n = if tail.len() < 56 { 1 } else { 2 };
+        let flat = pad.as_flattened_mut();
+        flat[..tail.len()].copy_from_slice(tail);
+        flat[tail.len()] = 0x80;
+        flat[n * 64 - 8..n * 64].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        kernel(&mut state, &pad[..n]);
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    fn scalar(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        for block in blocks {
+            compress_block(state, block);
+        }
+    }
+
+    fn report_kernel() {
+        if !sha_ni() {
+            eprintln!("no SHA-NI on this CPU: only the scalar kernel was exercised");
+        }
+    }
+
     #[test]
-    fn digest4_matches_scalar_across_length_regimes() {
-        // Lane lengths straddling every lockstep/tail boundary: empty lanes,
-        // sub-block lanes, exact multiples, and unequal lengths that force an
-        // early lockstep exit with long scalar tails.
-        let data: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
-        let cases: [[usize; 4]; 6] = [
-            [0, 0, 0, 0],
-            [1, 63, 64, 65],
-            [64, 64, 64, 64],
-            [128, 128, 128, 128],
-            [0, 4096, 200, 64],
-            [5000, 1, 4999, 321],
+    fn kernel_matches_scalar_reference_at_every_length_and_split() {
+        report_kernel();
+        let data: Vec<u8> = (0u32..1100).map(|i| (i * 167 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let reference = digest_via(scalar, msg);
+            assert_eq!(digest_via(compress_blocks, msg), reference, "len {len}");
+            assert_eq!(Sha256::digest_of(msg), reference, "digest_of at len {len}");
+            for split in [0, 1, 55, 56, 63, 64, 65, len / 2] {
+                let split = split.min(len);
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                h.update(&msg[split..]);
+                assert_eq!(h.finalize(), reference, "len {len} split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn nist_vectors_through_both_kernels() {
+        report_kernel();
+        let million = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
         ];
-        for lens in cases {
-            let msgs: [&[u8]; 4] = std::array::from_fn(|l| &data[..lens[l]]);
-            let got = digest4(msgs);
-            for l in 0..4 {
-                assert_eq!(got[l], Sha256::digest_of(msgs[l]), "lens {lens:?} lane {l}");
-            }
+        for (msg, want) in vectors {
+            assert_eq!(to_hex(&digest_via(scalar, msg)), want, "scalar kernel");
+            assert_eq!(
+                to_hex(&digest_via(compress_blocks, msg)),
+                want,
+                "dispatched kernel"
+            );
         }
-    }
-
-    #[test]
-    fn digest4_lanes_are_independent() {
-        // Flipping one byte in one lane must change only that lane's digest.
-        let base: Vec<u8> = (0..200u8).collect();
-        let mut tweaked = base.clone();
-        tweaked[100] ^= 0xff;
-        let before = digest4([&base, &base, &base, &base]);
-        let after = digest4([&base, &tweaked, &base, &base]);
-        assert_eq!(before[0], after[0]);
-        assert_ne!(before[1], after[1]);
-        assert_eq!(before[2], after[2]);
-        assert_eq!(before[3], after[3]);
-    }
-
-    #[test]
-    fn digest_batch_matches_scalar_for_every_remainder() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(700).collect();
-        let inputs: Vec<&[u8]> = (0..11).map(|i| &data[..i * 63]).collect();
-        for n in 0..=inputs.len() {
-            let got = digest_batch(&inputs[..n]);
-            assert_eq!(got.len(), n);
-            for (i, d) in got.iter().enumerate() {
-                assert_eq!(*d, Sha256::digest_of(inputs[i]), "batch {n} input {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn multilane_digester_is_the_batch_path() {
-        let inputs: [&[u8]; 3] = [b"a", b"bb", b"ccc"];
-        assert_eq!(MultilaneDigester.digest_all(&inputs), digest_batch(&inputs));
-    }
-
-    #[test]
-    fn hashing_writer_tee_and_digest_only_agree() {
-        let pieces: [&[u8]; 4] = [b"run ", b"outputs ", b"", b"digest-first"];
-        let flat: Vec<u8> = pieces.concat();
-
-        let mut buf = Vec::new();
-        let mut tee = HashingWriter::tee(&mut buf);
-        for p in pieces {
-            tee.write(p);
-        }
-        let teed = tee.finish();
-        assert_eq!(buf, flat, "tee materialises exactly what it hashes");
-
-        let mut sink = HashingWriter::digest_only();
-        for p in pieces {
-            sink.write(p);
-        }
-        assert_eq!(sink.finish(), teed);
-        assert_eq!(teed, digest(&flat));
     }
 }

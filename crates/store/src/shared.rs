@@ -103,9 +103,8 @@ impl SharedStorage {
         id
     }
 
-    /// Stores bytes whose content address the caller already computed while
-    /// serialising them (via [`crate::sha256::HashingWriter`]), skipping the
-    /// hash pass [`put_named`](Self::put_named) would repeat.
+    /// Stores bytes whose content address the caller already computed,
+    /// skipping the hash pass [`put_named`](Self::put_named) would repeat.
     pub fn put_named_prehashed(
         &self,
         area: StorageArea,
@@ -209,35 +208,19 @@ impl SharedStorage {
 
     /// Unpack-verifies every archive registered under `area` whose key
     /// starts with `prefix`, returning the keys that fail (dangling name,
-    /// corrupt object, or bytes that no longer decode as an archive). The
-    /// whole-archive checksum re-hashes — where this verification spends
-    /// its time on conserved tar-balls — run through `digester` in one
-    /// batch ([`Archive::unpack_batch`]), so callers holding an executor
-    /// can fan them out over its pool; pass
-    /// [`MultilaneDigester`](crate::sha256::MultilaneDigester) otherwise.
-    pub fn verify_archives_with(
-        &self,
-        area: StorageArea,
-        prefix: &str,
-        digester: &dyn crate::sha256::BatchDigester,
-    ) -> Vec<String> {
-        let mut failed = Vec::new();
-        let mut readable: Vec<(String, Bytes)> = Vec::new();
-        for (key, id) in self.list(area, prefix) {
-            match self.content.get(id) {
-                Ok(bytes) => readable.push((key, bytes)),
-                Err(_) => failed.push(key),
-            }
-        }
-        let payloads: Vec<&[u8]> = readable.iter().map(|(_, bytes)| bytes.as_ref()).collect();
-        for (verdict, (key, _)) in Archive::unpack_batch(&payloads, digester)
+    /// corrupt object, or bytes that no longer decode as an archive).
+    pub fn verify_archives(&self, area: StorageArea, prefix: &str) -> Vec<String> {
+        let mut failed: Vec<String> = self
+            .list(area, prefix)
             .into_iter()
-            .zip(&readable)
-        {
-            if verdict.is_err() {
-                failed.push(key.clone());
-            }
-        }
+            .filter(|(_, id)| {
+                self.content
+                    .get(*id)
+                    .and_then(|bytes| Archive::unpack(&bytes))
+                    .is_err()
+            })
+            .map(|(key, _)| key)
+            .collect();
         failed.sort();
         failed
     }
@@ -314,48 +297,30 @@ impl SharedStorage {
     /// then the `<area>.index` listings restore the name → address
     /// mappings whose objects survived.
     pub fn import_from_dir(&self, dir: &std::path::Path) -> std::io::Result<ImportSummary> {
-        self.import_from_dir_with(dir, &crate::sha256::MultilaneDigester)
+        self.import_from_dir_fs(dir, &crate::vfs::OsFs)
     }
 
-    /// [`import_from_dir`](Self::import_from_dir) with a caller-supplied
-    /// [`BatchDigester`](crate::sha256::BatchDigester) for the admission
-    /// re-hashes — the objects are independent, so a pool-backed digester
-    /// (e.g. `sp_exec::WorkStealingPool`) verifies them in parallel.
-    pub fn import_from_dir_with(
-        &self,
-        dir: &std::path::Path,
-        digester: &dyn crate::sha256::BatchDigester,
-    ) -> std::io::Result<ImportSummary> {
-        self.import_from_dir_fs(dir, digester, &crate::vfs::OsFs)
-    }
-
-    /// [`import_from_dir_with`](Self::import_from_dir_with) over an
-    /// injectable filesystem, so restore paths run under the same fault
-    /// layer as the write paths in chaos tests.
+    /// [`import_from_dir`](Self::import_from_dir) over an injectable
+    /// filesystem, so restore paths run under the same fault layer as the
+    /// write paths in chaos tests.
     pub fn import_from_dir_fs(
         &self,
         dir: &std::path::Path,
-        digester: &dyn crate::sha256::BatchDigester,
         fs: &dyn crate::vfs::StoreFs,
     ) -> std::io::Result<ImportSummary> {
         let objects_dir = dir.join("objects");
         let mut summary = ImportSummary::default();
         if fs.exists(&objects_dir) {
-            // Read everything first, then re-hash the whole batch: each
-            // object is admitted only if its bytes still address to its
-            // file name (silent bit-rot is rejected, not imported).
-            let mut candidates: Vec<(ObjectId, Vec<u8>)> = Vec::new();
+            // One object at a time: read, re-hash, admit only if the bytes
+            // still address to the file name (silent bit-rot is rejected,
+            // not imported).
             for name in fs.read_dir_names(&objects_dir)? {
                 let Some(id) = ObjectId::from_hex(&name) else {
                     summary.objects_rejected += 1;
                     continue;
                 };
-                candidates.push((id, fs.read(&objects_dir.join(&name))?));
-            }
-            let inputs: Vec<&[u8]> = candidates.iter().map(|(_, b)| b.as_slice()).collect();
-            let digests = digester.digest_all(&inputs);
-            for ((id, bytes), digest) in candidates.into_iter().zip(digests) {
-                if ObjectId(digest) != id {
+                let bytes = fs.read(&objects_dir.join(&name))?;
+                if ObjectId::for_bytes(&bytes) != id {
                     summary.objects_rejected += 1;
                     continue;
                 }
@@ -484,21 +449,13 @@ mod tests {
         // Other areas are out of scope for the artifact sweep.
         storage.put_named(StorageArea::Tests, "t/script", &b"#!/bin/sh"[..]);
 
-        let failed = storage.verify_archives_with(
-            StorageArea::Artifacts,
-            "",
-            &crate::sha256::MultilaneDigester,
-        );
+        let failed = storage.verify_archives(StorageArea::Artifacts, "");
         assert_eq!(
             failed,
             vec!["pkg/doomed".to_string(), "pkg/not-an-archive".to_string()]
         );
         assert!(storage
-            .verify_archives_with(
-                StorageArea::Artifacts,
-                "pkg/good",
-                &crate::sha256::MultilaneDigester
-            )
+            .verify_archives(StorageArea::Artifacts, "pkg/good")
             .is_empty());
     }
 

@@ -31,7 +31,7 @@
 //!   absent from the content store.
 
 use crate::run_memo::RunKey;
-use crate::sha256::{BatchDigester, MultilaneDigester, Sha256};
+use crate::sha256::Sha256;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPWS";
@@ -135,24 +135,6 @@ impl Snapshot {
 
     /// Serialises the snapshot (versioned header, per-entry digests).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(&MultilaneDigester)
-    }
-
-    /// [`encode`](Self::encode) with a caller-supplied [`BatchDigester`]
-    /// computing the per-entry guard digests. The entries are independent,
-    /// so snapshot export can hand the batch to a pool-backed digester
-    /// (e.g. `sp_exec::WorkStealingPool`); digests land in entry order
-    /// either way, so the emitted bytes are identical to [`encode`]'s.
-    pub fn encode_with(&self, digester: &dyn BatchDigester) -> Vec<u8> {
-        let guarded: Vec<Vec<u8>> = self
-            .sections
-            .iter()
-            .flat_map(|s| s.entries.iter())
-            .map(|(key, value)| [key.as_slice(), value.as_slice()].concat())
-            .collect();
-        let inputs: Vec<&[u8]> = guarded.iter().map(|g| g.as_slice()).collect();
-        let mut digests = digester.digest_all(&inputs).into_iter();
-
         let mut out = Vec::with_capacity(64 + self.entry_count() * 96);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         wire::put_u32(&mut out, SNAPSHOT_VERSION);
@@ -163,7 +145,7 @@ impl Snapshot {
             for (key, value) in &section.entries {
                 wire::put_bytes(&mut out, key);
                 wire::put_bytes(&mut out, value);
-                out.extend_from_slice(&digests.next().expect("one digest per entry"));
+                out.extend_from_slice(&entry_digest(key, value));
             }
         }
         out
@@ -191,18 +173,6 @@ impl Snapshot {
     /// bad magic, unknown version, truncation — aborts with an error and
     /// loads nothing.
     pub fn decode(bytes: &[u8]) -> Result<(Snapshot, SnapshotLoadReport), SnapshotError> {
-        Self::decode_with(bytes, &MultilaneDigester)
-    }
-
-    /// [`decode`](Self::decode) with a caller-supplied [`BatchDigester`]
-    /// re-computing the per-entry guard digests. The structure is parsed
-    /// first (structural corruption aborts exactly as in [`decode`]), then
-    /// every entry's digest is verified in one batch; mismatching entries
-    /// are dropped, never trusted.
-    pub fn decode_with(
-        bytes: &[u8],
-        digester: &dyn BatchDigester,
-    ) -> Result<(Snapshot, SnapshotLoadReport), SnapshotError> {
         let mut cursor = wire::Cursor::new(bytes);
         let magic = cursor.take(4).ok_or(SnapshotError::Truncated)?;
         if magic != SNAPSHOT_MAGIC {
@@ -212,44 +182,18 @@ impl Snapshot {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        // A parsed-but-unverified entry: key, value, claimed digest.
-        type RawEntry = (Vec<u8>, Vec<u8>, [u8; 32]);
         let section_count = cursor.take_u32().ok_or(SnapshotError::Truncated)?;
-        let mut raw: Vec<(String, Vec<RawEntry>)> = Vec::new();
+        let mut snapshot = Snapshot::new();
+        let mut report = SnapshotLoadReport::default();
         for _ in 0..section_count {
             let name = cursor.take_str16().ok_or(SnapshotError::Truncated)?;
             let entry_count = cursor.take_u32().ok_or(SnapshotError::Truncated)?;
-            let mut entries = Vec::new();
+            let mut section = SnapshotSection::new(name);
             for _ in 0..entry_count {
                 let key = cursor.take_bytes().ok_or(SnapshotError::Truncated)?;
                 let value = cursor.take_bytes().ok_or(SnapshotError::Truncated)?;
-                let digest = cursor.take(32).ok_or(SnapshotError::Truncated)?;
-                entries.push((key, value, digest.try_into().expect("32-byte digest")));
-            }
-            raw.push((name, entries));
-        }
-        // Every byte must be accounted for: trailing bytes mean a count
-        // or length field was corrupted downwards, silently shedding
-        // entries with nothing counted as dropped — structural
-        // corruption, so nothing is loaded.
-        if !cursor.finished() {
-            return Err(SnapshotError::Truncated);
-        }
-
-        let guarded: Vec<Vec<u8>> = raw
-            .iter()
-            .flat_map(|(_, entries)| entries.iter())
-            .map(|(key, value, _)| [key.as_slice(), value.as_slice()].concat())
-            .collect();
-        let inputs: Vec<&[u8]> = guarded.iter().map(|g| g.as_slice()).collect();
-        let mut computed = digester.digest_all(&inputs).into_iter();
-
-        let mut snapshot = Snapshot::new();
-        let mut report = SnapshotLoadReport::default();
-        for (name, entries) in raw {
-            let mut section = SnapshotSection::new(name);
-            for (key, value, claimed) in entries {
-                if computed.next().expect("one digest per entry") == claimed {
+                let claimed = cursor.take(32).ok_or(SnapshotError::Truncated)?;
+                if entry_digest(&key, &value) == claimed {
                     section.push(key, value);
                     report.entries_loaded += 1;
                 } else {
@@ -258,13 +202,18 @@ impl Snapshot {
             }
             snapshot.sections.push(section);
         }
+        // Every byte must be accounted for: trailing bytes mean a count
+        // or length field was corrupted downwards, silently shedding
+        // entries with nothing counted as dropped — structural
+        // corruption, so nothing is loaded.
+        if !cursor.finished() {
+            return Err(SnapshotError::Truncated);
+        }
         Ok((snapshot, report))
     }
 }
 
-/// The digest guarding one entry: SHA-256 over key then value bytes. The
-/// batched encode/decode paths compute exactly this, four entries per pass.
-#[cfg_attr(not(test), allow(dead_code))]
+/// The digest guarding one entry: SHA-256 over key then value bytes.
 fn entry_digest(key: &[u8], value: &[u8]) -> [u8; 32] {
     let mut hasher = Sha256::new();
     hasher.update(key);
@@ -443,11 +392,9 @@ mod tests {
 
     #[test]
     fn batched_guard_digests_are_the_entry_digest() {
-        // The wire format is defined by `entry_digest`; the batched
-        // encoder must emit byte-identical snapshots.
-        let snapshot = sample();
-        let bytes = snapshot.encode_with(&MultilaneDigester);
-        assert_eq!(bytes, snapshot.encode());
+        // The wire format is defined by `entry_digest`: the encoded guard
+        // of the first entry is exactly that digest.
+        let bytes = sample().encode();
         let offset =
             4 + 4 + 4 + 2 + "digest-cache".len() + 4 + 4 + "rev-1".len() + 4 + "id-1".len();
         assert_eq!(

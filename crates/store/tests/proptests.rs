@@ -25,8 +25,7 @@ fn entry_strategy() -> impl Strategy<Value = ArchiveEntry> {
 
 proptest! {
     /// Incremental hashing over any random chunking equals the one-shot
-    /// fast path (`Sha256::digest_of`), and the streaming `HashingWriter`
-    /// fed the same chunks agrees while materialising exactly the input.
+    /// fast path (`Sha256::digest_of`).
     #[test]
     fn sha256_incremental_equals_oneshot(
         data in prop::collection::vec(any::<u8>(), 0..2048),
@@ -44,17 +43,12 @@ proptest! {
         prop_assert_eq!(oneshot, sha256::digest(&data));
 
         let mut hasher = sha256::Sha256::new();
-        let mut buf = Vec::new();
-        let mut writer = sha256::HashingWriter::tee(&mut buf);
         let mut prev = 0usize;
         for &s in &splits {
             hasher.update(&data[prev..s]);
-            writer.write(&data[prev..s]);
             prev = s;
         }
         prop_assert_eq!(hasher.finalize(), oneshot);
-        prop_assert_eq!(writer.finish(), oneshot);
-        prop_assert_eq!(buf, data);
     }
 
     /// Streaming the fast hash over any random chunking equals the
@@ -83,32 +77,19 @@ proptest! {
         prop_assert_eq!(hasher.finish(), oneshot);
     }
 
-    /// The interleaved four-lane batch path produces exactly the scalar
-    /// SHA-256 digests for every batch size and length mix (full-lane
-    /// quads plus a scalar remainder).
-    #[test]
-    fn digest_batch_equals_scalar(
-        inputs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 0..9),
-    ) {
-        let views: Vec<&[u8]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let batch = sha256::digest_batch(&views);
-        prop_assert_eq!(batch.len(), inputs.len());
-        for (digest, input) in batch.iter().zip(&inputs) {
-            prop_assert_eq!(*digest, sha256::Sha256::digest_of(input));
-        }
-    }
-
-    /// `put_prehashed` with an id computed while serialising behaves
-    /// exactly like `put`: same address, deduplicated storage.
+    /// `put_prehashed` with an id computed by streaming the bytes through
+    /// `Sha256::update` behaves exactly like `put`: same address,
+    /// deduplicated storage.
     #[test]
     fn prehashed_put_equals_hashed_put(data in prop::collection::vec(any::<u8>(), 0..512)) {
         let store = ContentStore::new();
         let plain = store.put(data.clone());
-        let mut buf = Vec::new();
-        let mut writer = sha256::HashingWriter::tee(&mut buf);
-        writer.write(&data);
-        let id = ObjectId(writer.finish());
-        let prehashed = store.put_prehashed(id, buf);
+        let mut hasher = sha256::Sha256::new();
+        for piece in data.chunks(13) {
+            hasher.update(piece);
+        }
+        let id = ObjectId(hasher.finalize());
+        let prehashed = store.put_prehashed(id, data.clone());
         prop_assert_eq!(plain, prehashed);
         prop_assert_eq!(store.len(), 1);
         prop_assert_eq!(store.get(prehashed).unwrap().as_ref(), &data[..]);

@@ -5,7 +5,7 @@
 //! Cryptographic Algorithm Validation Program `SHA256ShortMsg.rsp` /
 //! `SHA256LongMsg.rsp` response files.
 
-use sp_store::sha256::{digest, to_hex, HashingWriter, Sha256};
+use sp_store::sha256::{digest, to_hex, Sha256};
 
 fn hex_digest(data: &[u8]) -> String {
     to_hex(&digest(data))
@@ -110,9 +110,9 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
 }
 
 /// Multi-block boundary sweep: every length from 0 to 200 bytes agrees
-/// between the one-shot fast path, the incremental hasher and the
-/// streaming `HashingWriter`, covering both padding regimes of all three
-/// final-block layouts.
+/// between the one-shot fast path, the incremental hasher fed in one call
+/// and the incremental hasher fed piecewise, covering both padding regimes
+/// of every final-block layout.
 #[test]
 fn oneshot_incremental_and_writer_agree_on_every_boundary() {
     let data: Vec<u8> = (0u32..200).map(|i| (i * 131 % 251) as u8).collect();
@@ -121,11 +121,11 @@ fn oneshot_incremental_and_writer_agree_on_every_boundary() {
         let mut h = Sha256::new();
         h.update(&data[..len]);
         assert_eq!(h.finalize(), oneshot, "incremental at len {len}");
-        let mut buf = Vec::new();
-        let mut writer = HashingWriter::tee(&mut buf);
-        writer.write(&data[..len]);
-        assert_eq!(writer.finish(), oneshot, "writer at len {len}");
-        assert_eq!(buf, &data[..len]);
+        let mut pieces = Sha256::new();
+        for piece in data[..len].chunks(7) {
+            pieces.update(piece);
+        }
+        assert_eq!(pieces.finalize(), oneshot, "piecewise at len {len}");
     }
 }
 
