@@ -1,13 +1,13 @@
 //! Common-storage throughput: content-addressed put/get and archive
 //! pack/unpack at artifact-typical sizes.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sp_store::{Archive, ArchiveEntry, ContentStore};
 
-fn payload(size: usize) -> Bytes {
-    let data: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
-    Bytes::from(data)
+fn payload(size: usize) -> Arc<[u8]> {
+    (0..size).map(|i| (i * 31 % 251) as u8).collect()
 }
 
 fn bench_content_store(c: &mut Criterion) {

@@ -12,6 +12,7 @@ use sp_hep::hist_io;
 use sp_hep::HistogramSet;
 use sp_store::sha256::Sha256;
 use sp_store::ObjectId;
+use sp_wire::Cursor;
 
 /// The output of one validation test, in one of the paper's flavours.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,37 +112,33 @@ impl TestOutput {
     }
 
     /// Deserialises an output written by [`to_bytes`](Self::to_bytes).
+    /// Only canonical encodings decode, so a decoded output re-encodes to
+    /// exactly the bytes it came from.
     pub fn from_bytes(data: &[u8]) -> Option<TestOutput> {
         let (&tag, rest) = data.split_first()?;
-        match tag {
-            b'Y' => Some(TestOutput::YesNo(*rest.first()? != 0)),
-            b'E' => Some(TestOutput::ExitCode(i32::from_le_bytes(
-                rest.try_into().ok()?,
-            ))),
+        let mut cur = Cursor::new(rest);
+        let output = match tag {
+            b'Y' => match cur.take_u8()? {
+                0 => TestOutput::YesNo(false),
+                1 => TestOutput::YesNo(true),
+                _ => return None,
+            },
+            b'E' => TestOutput::ExitCode(cur.take_i32()?),
             // Validate UTF-8 in place; only the final String copies.
-            b'T' => Some(TestOutput::Text(std::str::from_utf8(rest).ok()?.to_owned())),
+            b'T' => return Some(TestOutput::Text(std::str::from_utf8(rest).ok()?.to_owned())),
             b'N' => {
                 let mut ns = Vec::new();
-                let mut cur = rest;
-                while !cur.is_empty() {
-                    if cur.len() < 2 {
-                        return None;
-                    }
-                    let len = u16::from_le_bytes([cur[0], cur[1]]) as usize;
-                    cur = &cur[2..];
-                    if cur.len() < len + 8 {
-                        return None;
-                    }
-                    let name = std::str::from_utf8(&cur[..len]).ok()?.to_owned();
-                    let value = f64::from_le_bytes(cur[len..len + 8].try_into().ok()?);
-                    ns.push((name, value));
-                    cur = &cur[len + 8..];
+                while !cur.finished() {
+                    let len = cur.take_u16()?;
+                    let name = std::str::from_utf8(cur.take(len as usize)?).ok()?;
+                    ns.push((name.to_owned(), cur.take_f64()?));
                 }
-                Some(TestOutput::Numbers(ns))
+                TestOutput::Numbers(ns)
             }
-            b'H' => hist_io::decode_set(rest).ok().map(TestOutput::Histograms),
-            _ => None,
-        }
+            b'H' => return hist_io::decode_set(rest).ok().map(TestOutput::Histograms),
+            _ => return None,
+        };
+        cur.finished().then_some(output)
     }
 }
 

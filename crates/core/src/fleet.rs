@@ -53,8 +53,8 @@ use sp_exec::{
     Backoff, CancellationToken, PollLoop, PollOutcome, PollStats, ProgressHook, ProgressPoint,
     RetryPolicy,
 };
-use sp_store::snapshot::wire::{self, Cursor};
 use sp_store::{Lease, QueueStats, WorkQueue, WqError};
+use sp_wire::{self as wire, Cursor};
 
 use crate::campaign::{
     CampaignConfig, CampaignOptions, CampaignPlan, CampaignReport, CampaignScheduler,
@@ -1193,7 +1193,7 @@ pub fn encode_campaign_config(config: &CampaignConfig) -> Vec<u8> {
     }
     wire::put_u64(&mut out, config.repetitions as u64);
     wire::put_u64(&mut out, config.run.seed);
-    wire::put_u64(&mut out, config.run.scale.to_bits());
+    wire::put_f64(&mut out, config.run.scale);
     wire::put_u64(&mut out, config.run.threads as u64);
     wire::put_str(&mut out, &config.run.description);
     out.push(config.run.memoize as u8);
@@ -1221,15 +1221,15 @@ pub fn decode_campaign_config(bytes: &[u8]) -> Option<CampaignConfig> {
     let repetitions = cursor.take_u64()? as usize;
     let run = RunConfig {
         seed: cursor.take_u64()?,
-        scale: f64::from_bits(cursor.take_u64()?),
+        scale: cursor.take_f64()?,
         threads: cursor.take_u64()? as usize,
         description: cursor.take_str()?,
-        memoize: cursor.take(1)?[0] != 0,
+        memoize: take_flag(&mut cursor)?,
     };
     let interval_secs = cursor.take_u64()?;
     let options = CampaignOptions {
-        memoize: cursor.take(1)?[0] != 0,
-        image_parallel: cursor.take(1)?[0] != 0,
+        memoize: take_flag(&mut cursor)?,
+        image_parallel: take_flag(&mut cursor)?,
     };
     cursor.finished().then_some(CampaignConfig {
         experiments,
@@ -1239,6 +1239,16 @@ pub fn decode_campaign_config(bytes: &[u8]) -> Option<CampaignConfig> {
         interval_secs,
         options,
     })
+}
+
+/// Takes a flag byte written as `bool as u8`, rejecting any other value
+/// so that a decoded flag re-encodes to the byte it came from.
+fn take_flag(cursor: &mut Cursor<'_>) -> Option<bool> {
+    match cursor.take_u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
 }
 
 // ---- campaign-report codec -------------------------------------------
@@ -1253,7 +1263,7 @@ fn put_cell_status(out: &mut Vec<u8>, status: CellStatus) {
 }
 
 fn take_cell_status(cursor: &mut Cursor<'_>) -> Option<CellStatus> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => CellStatus::Pass,
         1 => CellStatus::Warnings,
         2 => CellStatus::Fail,
@@ -1301,7 +1311,7 @@ pub fn encode_campaign_report(report: &CampaignReport) -> Vec<u8> {
 pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<CampaignReport> {
     let mut cursor = Cursor::new(bytes);
     let completed_repetitions = cursor.take_u64()? as usize;
-    let cancelled = cursor.take(1)?[0] != 0;
+    let cancelled = take_flag(&mut cursor)?;
     // A run record: id, two length-prefixed strings, four u64 counters
     // and a flag byte — at least 49 bytes.
     let run_count = cursor.take_count(49)?;
@@ -1315,17 +1325,20 @@ pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<Ca
             passed: cursor.take_u64()? as usize,
             failed: cursor.take_u64()? as usize,
             skipped: cursor.take_u64()? as usize,
-            successful: cursor.take(1)?[0] != 0,
+            successful: take_flag(&mut cursor)?,
         });
     }
-    let cell_count = cursor.take_u32()?;
+    // A cell: three length-prefixed strings and a status byte. Cells are
+    // written in key order, and any other order is rejected.
+    let cell_count = cursor.take_count(13)?;
     let mut cells = BTreeMap::new();
     for _ in 0..cell_count {
-        let experiment = cursor.take_str()?;
-        let group = cursor.take_str()?;
-        let image = cursor.take_str()?;
+        let key = (cursor.take_str()?, cursor.take_str()?, cursor.take_str()?);
         let status = take_cell_status(&mut cursor)?;
-        cells.insert((experiment, group, image), status);
+        if cells.last_key_value().is_some_and(|(last, _)| *last >= key) {
+            return None;
+        }
+        cells.insert(key, status);
     }
     let label_count = cursor.take_count(4)?;
     let mut image_labels = Vec::with_capacity(label_count);

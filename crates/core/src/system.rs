@@ -1206,7 +1206,7 @@ impl SpSystem {
         test: &ValidationTest,
         stage: &str,
         name: &str,
-        bytes: impl Into<bytes::Bytes>,
+        bytes: impl Into<std::sync::Arc<[u8]>>,
     ) -> ObjectId {
         self.storage.put_named(
             StorageArea::Results,

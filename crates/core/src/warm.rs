@@ -28,8 +28,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sp_build::{BuildReport, BuildStatus, PackageId};
-use sp_store::snapshot::wire::{self, Cursor};
 use sp_store::ObjectId;
+use sp_wire::{self as wire, Cursor};
 
 use crate::run::TestStatus;
 use crate::system::{MemoizedChain, MemoizedStage};
@@ -127,7 +127,7 @@ fn put_status(out: &mut Vec<u8>, status: &TestStatus) {
 }
 
 fn take_status(cursor: &mut Cursor<'_>) -> Option<TestStatus> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => TestStatus::Passed,
         1 => TestStatus::PassedWithWarnings(cursor.take_u64()? as usize),
         2 => TestStatus::Failed(take_failure(cursor)?),
@@ -163,7 +163,7 @@ fn put_failure(out: &mut Vec<u8>, kind: &FailureKind) {
 }
 
 fn take_failure(cursor: &mut Cursor<'_>) -> Option<FailureKind> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => FailureKind::CompileError,
         1 => FailureKind::DependencyFailed(cursor.take_str()?),
         2 => FailureKind::Crash(cursor.take_str()?),
@@ -185,7 +185,7 @@ fn put_category(out: &mut Vec<u8>, category: TestCategory) {
 }
 
 fn take_category(cursor: &mut Cursor<'_>) -> Option<TestCategory> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => TestCategory::Compilation,
         1 => TestCategory::UnitCheck,
         2 => TestCategory::StandaloneExecutable,
@@ -308,7 +308,7 @@ fn put_build_status(out: &mut Vec<u8>, status: &BuildStatus) {
 }
 
 fn take_build_status(cursor: &mut Cursor<'_>) -> Option<BuildStatus> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => BuildStatus::Built,
         1 => BuildStatus::BuiltWithWarnings(cursor.take_u64()? as usize),
         2 => BuildStatus::Failed,
@@ -356,7 +356,7 @@ pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
         let package = PackageId::new(cursor.take_str()?);
         let status = take_build_status(&mut cursor)?;
         let log = cursor.take_str()?;
-        let artifact = match cursor.take(1)?[0] {
+        let artifact = match cursor.take_u8()? {
             0 => None,
             1 => Some(take_object_id(&mut cursor)?),
             _ => return None,

@@ -217,7 +217,7 @@ impl TimelineCursor {
     }
 
     /// Events not yet yielded.
-    pub fn remaining(&self) -> usize {
+    pub fn pending(&self) -> usize {
         self.entries.len() - self.next
     }
 }
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn cursor_fires_each_event_exactly_once() {
         let mut cursor = TimelineCursor::new(hera_timeline());
-        let total = cursor.remaining();
+        let total = cursor.pending();
         assert_eq!(cursor.next_event_secs(), Some(year_to_unix(2007)));
 
         // Nothing is due before the first event year.
@@ -307,7 +307,7 @@ mod tests {
 
         let rest = cursor.due(u64::MAX);
         assert_eq!(through_2011.len() + rest.len(), total);
-        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(cursor.pending(), 0);
         assert_eq!(cursor.next_event_secs(), None);
     }
 

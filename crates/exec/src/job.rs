@@ -1,4 +1,4 @@
-//! Jobs and their bookkeeping.
+//! Job ids.
 //!
 //! "Each test-job started in the sp-system is typically assigned a unique
 //! ID, and all scripts and input files used in the test as well as all
@@ -9,8 +9,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use sp_store::ObjectId;
 
 /// A unique job identifier (`sp-000042`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,66 +42,6 @@ impl JobIdGenerator {
     /// How many ids have been allocated so far.
     pub fn allocated(&self) -> u64 {
         self.next.load(Ordering::SeqCst) - 1
-    }
-}
-
-/// A job specification: everything needed to run and to re-run it later.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobSpec {
-    /// Unique id.
-    pub id: JobId,
-    /// Human-readable name (`compile/h1rec`, `chain/nc-dis/mcgen`).
-    pub name: String,
-    /// Description tag: "indicating which software versions were used".
-    pub tag: String,
-    /// Label of the image/configuration the job runs on.
-    pub image_label: String,
-    /// Unix timestamp of submission.
-    pub submitted_at: u64,
-    /// Content addresses of the input objects (scripts, steering files).
-    pub inputs: Vec<(String, ObjectId)>,
-}
-
-/// Terminal status of a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Exit code 0.
-    Succeeded,
-    /// Non-zero exit code.
-    Failed(i32),
-    /// Killed by signal / crashed.
-    Crashed(String),
-}
-
-impl JobStatus {
-    /// Whether the job completed successfully.
-    pub fn is_success(&self) -> bool {
-        matches!(self, JobStatus::Succeeded)
-    }
-}
-
-/// The result of a completed job. Outputs are kept, by content address, in
-/// the common storage ("all output files are kept").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobResult {
-    /// The job's id.
-    pub id: JobId,
-    /// Terminal status.
-    pub status: JobStatus,
-    /// Captured log text.
-    pub log: String,
-    /// Named output objects.
-    pub outputs: Vec<(String, ObjectId)>,
-    /// Unix timestamp the job started.
-    pub started_at: u64,
-    /// Unix timestamp the job finished.
-    pub finished_at: u64,
-}
-
-impl JobResult {
-    /// Wall-clock duration in seconds.
-    pub fn duration(&self) -> u64 {
-        self.finished_at.saturating_sub(self.started_at)
     }
 }
 
@@ -143,21 +81,5 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 800, "no duplicate ids");
-    }
-
-    #[test]
-    fn status_and_duration() {
-        assert!(JobStatus::Succeeded.is_success());
-        assert!(!JobStatus::Failed(1).is_success());
-        assert!(!JobStatus::Crashed("SIGSEGV".into()).is_success());
-        let result = JobResult {
-            id: JobId(1),
-            status: JobStatus::Succeeded,
-            log: String::new(),
-            outputs: vec![],
-            started_at: 100,
-            finished_at: 160,
-        };
-        assert_eq!(result.duration(), 60);
     }
 }

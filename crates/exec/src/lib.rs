@@ -9,7 +9,7 @@
 //!
 //! * [`clock`] — the virtual clock providing the Unix timestamps of §3.3.
 //! * [`cron`] — cron expressions and next-fire computation.
-//! * [`job`] — job specifications, unique job ids, job results.
+//! * [`job`] — unique, monotonically increasing job ids.
 //! * [`client`] — client machines and the two joining requirements.
 //! * [`poll`] — pull-model polling primitives: jittered exponential
 //!   backoff and the idle-bounded poll loop fleet workers drain a shared
@@ -43,15 +43,13 @@ pub mod cron;
 pub mod job;
 pub mod poll;
 pub mod pool;
-#[cfg(test)]
-mod queue;
 pub mod sched;
 
 pub use chain::{ChainDef, ChainError, ChainReport, StageDef, StageStatus};
 pub use client::{Client, ClientError, ClientKind};
 pub use clock::VirtualClock;
 pub use cron::{CronError, CronSchedule};
-pub use job::{JobId, JobIdGenerator, JobResult, JobSpec, JobStatus};
+pub use job::{JobId, JobIdGenerator};
 pub use poll::{Backoff, PollLoop, PollOutcome, PollStats, RetryPolicy};
 pub use pool::{PoolStats, WorkStealingPool};
 pub use sched::{

@@ -18,9 +18,9 @@
 //! load profile work stealing handles well and a fixed pre-partition does
 //! not.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam::deque::{Steal, Stealer, Worker};
+use std::sync::{mpsc, Mutex, PoisonError, TryLockError};
 
 /// Counters describing how a batch was scheduled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,11 +92,14 @@ impl WorkStealingPool {
         // Seed the per-worker queues round-robin so every worker starts
         // with a fair share; FIFO local ends keep index order as the
         // tendency, which helps the collected results arrive nearly sorted.
-        let queues: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<(usize, T)>> = queues.iter().map(|q| q.stealer()).collect();
+        // Owner and thieves both pop the oldest task. A plain mutex per
+        // queue suffices: tasks run outside it, so it is held only for one
+        // `VecDeque` pop.
+        let mut seeded: Vec<VecDeque<(usize, T)>> = (0..workers).map(|_| VecDeque::new()).collect();
         for (index, task) in tasks.into_iter().enumerate() {
-            queues[index % workers].push((index, task));
+            seeded[index % workers].push_back((index, task));
         }
+        let queues: Vec<Mutex<VecDeque<(usize, T)>>> = seeded.into_iter().map(Mutex::new).collect();
 
         let local_count = AtomicUsize::new(0);
         let stolen_count = AtomicUsize::new(0);
@@ -105,20 +108,19 @@ impl WorkStealingPool {
         // parked here, every worker bails out, and it is re-raised on the
         // caller thread after the scope joins.
         let abort = std::sync::atomic::AtomicBool::new(false);
-        let panic_slot: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-            std::sync::Mutex::new(None);
-        let (result_tx, result_rx) = crossbeam::channel::unbounded::<(usize, R)>();
+        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
 
-        crossbeam::thread::scope(|scope| {
-            for (me, queue) in queues.into_iter().enumerate() {
-                let stealers = &stealers;
+        std::thread::scope(|scope| {
+            for me in 0..workers {
+                let queues = &queues;
                 let local_count = &local_count;
                 let stolen_count = &stolen_count;
                 let abort = &abort;
                 let panic_slot = &panic_slot;
                 let result_tx = result_tx.clone();
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let execute = |index: usize, task: T| -> bool {
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -144,7 +146,11 @@ impl WorkStealingPool {
                             break;
                         }
                         // 1. Own queue first.
-                        if let Some((index, task)) = queue.pop() {
+                        let own = queues[me]
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .pop_front();
+                        if let Some((index, task)) = own {
                             local_count.fetch_add(1, Ordering::Relaxed);
                             if !execute(index, task) {
                                 break;
@@ -155,15 +161,19 @@ impl WorkStealingPool {
                         //    so two idle workers don't hammer one victim.
                         let mut stole = None;
                         let mut contended = false;
-                        for offset in 1..stealers.len() {
-                            let victim = (me + offset) % stealers.len();
-                            match stealers[victim].steal() {
-                                Steal::Success(task) => {
-                                    stole = Some(task);
-                                    break;
+                        for offset in 1..workers {
+                            let victim = (me + offset) % workers;
+                            match queues[victim].try_lock() {
+                                Ok(mut queue) => stole = queue.pop_front(),
+                                // Locked by someone else: it may still hold
+                                // tasks, so another sweep is warranted.
+                                Err(TryLockError::WouldBlock) => contended = true,
+                                Err(TryLockError::Poisoned(queue)) => {
+                                    stole = queue.into_inner().pop_front()
                                 }
-                                Steal::Retry => contended = true,
-                                Steal::Empty => {}
+                            }
+                            if stole.is_some() {
+                                break;
                             }
                         }
                         if let Some((index, task)) = stole {
@@ -187,8 +197,7 @@ impl WorkStealingPool {
                     }
                 });
             }
-        })
-        .expect("pool scope");
+        });
         drop(result_tx);
 
         if let Some(payload) = panic_slot.into_inner().expect("panic slot") {

@@ -16,10 +16,20 @@
 //!            | q2 f64 | x f64 | y f64 | w2 f64      (truth kinematics)
 //!            | n u16 | particle*
 //! particle : pdg i32 | e f64 | px f64 | py f64 | pz f64 | charge i8 | status u8
-//! digest   : 32 bytes SHA-256 of everything before it
+//! checksum : 32 bytes, envelope_checksum of everything before it
 //! ```
+//!
+//! µDST layout: the same magic/version/count header (magic `b"SPU1"`),
+//! then `id u64 | process u8 | q2 f64 | x f64 | y f64 | e_prime f64` per
+//! record, then the same 32-byte checksum.
+//!
+//! The checksum is a non-cryptographic bit-rot check ([`envelope_checksum`]),
+//! not a signature: anyone can forge one. So the body parser behind it is
+//! total on its own — every count is bounded by the bytes that follow it,
+//! and any malformed body is a [`DstError`], never a panic or an
+//! allocation sized by an untrusted count.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use sp_wire::{self as wire, Cursor};
 
 use crate::kinematics::{DisKinematics, FourVector};
 use crate::mcgen::{Event, Particle, Process};
@@ -27,6 +37,12 @@ use crate::mcgen::{Event, Particle, Process};
 const DST_MAGIC: &[u8; 4] = b"SPD1";
 const MICRO_MAGIC: &[u8; 4] = b"SPU1";
 const FORMAT_VERSION: u16 = 1;
+/// Bytes of one DST event without its particles.
+const EVENT_BYTES: usize = 8 + 1 + 8 * 5 + 2;
+/// Bytes of one DST particle.
+const PARTICLE_BYTES: usize = 4 + 8 * 4 + 1 + 1;
+/// Bytes of one µDST record.
+const MICRO_BYTES: usize = 8 + 1 + 8 * 4;
 
 /// Errors decoding a DST/µDST stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,72 +74,66 @@ impl std::fmt::Display for DstError {
 impl std::error::Error for DstError {}
 
 /// Serialises events to the DST format.
-pub fn write_dst(events: &[Event]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + events.len() * 256);
-    buf.put_slice(DST_MAGIC);
-    buf.put_u16_le(FORMAT_VERSION);
-    buf.put_u32_le(events.len() as u32);
+pub fn write_dst(events: &[Event]) -> Vec<u8> {
+    let particles: usize = events.iter().map(|e| e.particles.len()).sum();
+    let mut buf =
+        Vec::with_capacity(10 + events.len() * EVENT_BYTES + particles * PARTICLE_BYTES + 32);
+    buf.extend_from_slice(DST_MAGIC);
+    wire::put_u16(&mut buf, FORMAT_VERSION);
+    wire::put_u32(&mut buf, events.len() as u32);
     for event in events {
-        buf.put_u64_le(event.id);
-        buf.put_u8(event.process.code());
-        buf.put_f64_le(event.weight);
-        buf.put_f64_le(event.truth.q2);
-        buf.put_f64_le(event.truth.x);
-        buf.put_f64_le(event.truth.y);
-        buf.put_f64_le(event.truth.w2);
-        buf.put_u16_le(event.particles.len() as u16);
+        wire::put_u64(&mut buf, event.id);
+        wire::put_u8(&mut buf, event.process.code());
+        wire::put_f64(&mut buf, event.weight);
+        wire::put_f64(&mut buf, event.truth.q2);
+        wire::put_f64(&mut buf, event.truth.x);
+        wire::put_f64(&mut buf, event.truth.y);
+        wire::put_f64(&mut buf, event.truth.w2);
+        wire::put_u16(&mut buf, event.particles.len() as u16);
         for p in &event.particles {
-            buf.put_i32_le(p.pdg_id);
-            buf.put_f64_le(p.p4.e);
-            buf.put_f64_le(p.p4.px);
-            buf.put_f64_le(p.p4.py);
-            buf.put_f64_le(p.p4.pz);
-            buf.put_i8(p.charge);
-            buf.put_u8(p.status);
+            wire::put_i32(&mut buf, p.pdg_id);
+            wire::put_f64(&mut buf, p.p4.e);
+            wire::put_f64(&mut buf, p.p4.px);
+            wire::put_f64(&mut buf, p.p4.py);
+            wire::put_f64(&mut buf, p.p4.pz);
+            wire::put_i8(&mut buf, p.charge);
+            wire::put_u8(&mut buf, p.status);
         }
     }
-    let digest = sp_store_digest(&buf);
-    buf.put_slice(&digest);
-    buf.freeze()
+    let checksum = envelope_checksum(&buf);
+    buf.extend_from_slice(&checksum);
+    buf
 }
 
 /// Deserialises a DST stream.
 pub fn read_dst(data: &[u8]) -> Result<Vec<Event>, DstError> {
-    let body = verify_envelope(data, DST_MAGIC)?;
-    let mut cur = &body[6..]; // past magic+version
-    if cur.remaining() < 4 {
-        return Err(DstError::Truncated);
-    }
-    let count = cur.get_u32_le() as usize;
+    let mut cur = open_envelope(data, DST_MAGIC)?;
+    let count = cur.take_count(EVENT_BYTES).ok_or(DstError::Truncated)?;
     let mut events = Vec::with_capacity(count);
     for _ in 0..count {
-        if cur.remaining() < 8 + 1 + 8 * 5 + 2 {
-            return Err(DstError::Truncated);
-        }
-        let id = cur.get_u64_le();
-        let process = Process::from_code(cur.get_u8()).ok_or(DstError::BadProcess(0))?;
-        let weight = cur.get_f64_le();
+        let id = cur.take_u64().ok_or(DstError::Truncated)?;
+        let process = take_process(&mut cur)?;
+        let weight = take_f64(&mut cur)?;
         let truth = DisKinematics {
-            q2: cur.get_f64_le(),
-            x: cur.get_f64_le(),
-            y: cur.get_f64_le(),
-            w2: cur.get_f64_le(),
+            q2: take_f64(&mut cur)?,
+            x: take_f64(&mut cur)?,
+            y: take_f64(&mut cur)?,
+            w2: take_f64(&mut cur)?,
         };
-        let n = cur.get_u16_le() as usize;
+        let n = cur
+            .take_count16(PARTICLE_BYTES)
+            .ok_or(DstError::Truncated)?;
         let mut particles = Vec::with_capacity(n);
         for _ in 0..n {
-            if cur.remaining() < 4 + 8 * 4 + 1 + 1 {
-                return Err(DstError::Truncated);
-            }
-            let pdg_id = cur.get_i32_le();
+            let pdg_id = cur.take_i32().ok_or(DstError::Truncated)?;
             let p4 = FourVector::new(
-                cur.get_f64_le(),
-                cur.get_f64_le(),
-                cur.get_f64_le(),
-                cur.get_f64_le(),
+                take_f64(&mut cur)?,
+                take_f64(&mut cur)?,
+                take_f64(&mut cur)?,
+                take_f64(&mut cur)?,
             );
-            let charge = cur.get_i8();
-            let status = cur.get_u8();
+            let charge = cur.take_i8().ok_or(DstError::Truncated)?;
+            let status = cur.take_u8().ok_or(DstError::Truncated)?;
             particles.push(Particle {
                 pdg_id,
                 p4,
@@ -139,7 +149,7 @@ pub fn read_dst(data: &[u8]) -> Result<Vec<Event>, DstError> {
             weight,
         });
     }
-    if cur.has_remaining() {
+    if !cur.finished() {
         return Err(DstError::Truncated);
     }
     Ok(events)
@@ -163,83 +173,89 @@ pub struct MicroEvent {
 }
 
 /// Serialises µDST records.
-pub fn write_micro_dst(events: &[MicroEvent]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + events.len() * 48);
-    buf.put_slice(MICRO_MAGIC);
-    buf.put_u16_le(FORMAT_VERSION);
-    buf.put_u32_le(events.len() as u32);
+pub fn write_micro_dst(events: &[MicroEvent]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(10 + events.len() * MICRO_BYTES + 32);
+    buf.extend_from_slice(MICRO_MAGIC);
+    wire::put_u16(&mut buf, FORMAT_VERSION);
+    wire::put_u32(&mut buf, events.len() as u32);
     for ev in events {
-        buf.put_u64_le(ev.id);
-        buf.put_u8(ev.process.code());
-        buf.put_f64_le(ev.q2);
-        buf.put_f64_le(ev.x);
-        buf.put_f64_le(ev.y);
-        buf.put_f64_le(ev.e_prime);
+        wire::put_u64(&mut buf, ev.id);
+        wire::put_u8(&mut buf, ev.process.code());
+        wire::put_f64(&mut buf, ev.q2);
+        wire::put_f64(&mut buf, ev.x);
+        wire::put_f64(&mut buf, ev.y);
+        wire::put_f64(&mut buf, ev.e_prime);
     }
-    let digest = sp_store_digest(&buf);
-    buf.put_slice(&digest);
-    buf.freeze()
+    let checksum = envelope_checksum(&buf);
+    buf.extend_from_slice(&checksum);
+    buf
 }
 
 /// Deserialises a µDST stream.
 pub fn read_micro_dst(data: &[u8]) -> Result<Vec<MicroEvent>, DstError> {
-    let body = verify_envelope(data, MICRO_MAGIC)?;
-    let mut cur = &body[6..];
-    if cur.remaining() < 4 {
-        return Err(DstError::Truncated);
-    }
-    let count = cur.get_u32_le() as usize;
+    let mut cur = open_envelope(data, MICRO_MAGIC)?;
+    let count = cur.take_count(MICRO_BYTES).ok_or(DstError::Truncated)?;
     let mut events = Vec::with_capacity(count);
     for _ in 0..count {
-        if cur.remaining() < 8 + 1 + 8 * 4 {
-            return Err(DstError::Truncated);
-        }
-        let id = cur.get_u64_le();
-        let code = cur.get_u8();
-        let process = Process::from_code(code).ok_or(DstError::BadProcess(code))?;
         events.push(MicroEvent {
-            id,
-            process,
-            q2: cur.get_f64_le(),
-            x: cur.get_f64_le(),
-            y: cur.get_f64_le(),
-            e_prime: cur.get_f64_le(),
+            id: cur.take_u64().ok_or(DstError::Truncated)?,
+            process: take_process(&mut cur)?,
+            q2: take_f64(&mut cur)?,
+            x: take_f64(&mut cur)?,
+            y: take_f64(&mut cur)?,
+            e_prime: take_f64(&mut cur)?,
         });
     }
-    if cur.has_remaining() {
+    if !cur.finished() {
         return Err(DstError::Truncated);
     }
     Ok(events)
 }
 
-/// Checks magic, version and trailing checksum; returns the body slice
-/// (including magic+version, excluding the digest).
-fn verify_envelope<'a>(data: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u8], DstError> {
-    if data.len() < 4 + 2 + 4 + 32 {
-        return Err(DstError::Truncated);
-    }
-    let (body, digest) = data.split_at(data.len() - 32);
-    if sp_store_digest(body) != digest {
-        return Err(DstError::ChecksumMismatch);
-    }
-    if &body[..4] != magic {
-        return Err(DstError::BadMagic);
-    }
-    let version = u16::from_le_bytes([body[4], body[5]]);
-    if version != FORMAT_VERSION {
-        return Err(DstError::BadVersion(version));
-    }
-    Ok(body)
+fn take_f64(cur: &mut Cursor<'_>) -> Result<f64, DstError> {
+    cur.take_f64().ok_or(DstError::Truncated)
 }
 
-/// Local SHA-256 via a tiny FNV-free re-implementation? No — the format
-/// simply reuses the same digest as the storage layer would compute, but to
-/// keep `sp-hep` free of the storage dependency the digest here is an
-/// independent 32-byte FNV-1a lattice: 4 parallel 64-bit FNV streams with
-/// different offsets. Collision resistance is irrelevant for bit-rot
-/// detection; determinism and avalanche on single-bit flips are what the
-/// tests require.
-fn sp_store_digest(data: &[u8]) -> [u8; 32] {
+/// Takes a process code, reporting an unknown one as the code read.
+fn take_process(cur: &mut Cursor<'_>) -> Result<Process, DstError> {
+    let code = cur.take_u8().ok_or(DstError::Truncated)?;
+    Process::from_code(code).ok_or(DstError::BadProcess(code))
+}
+
+/// Checks the trailing checksum, magic and version, and returns a cursor
+/// over the body that follows the version field (the checksum excluded).
+fn open_envelope<'a>(data: &'a [u8], magic: &[u8; 4]) -> Result<Cursor<'a>, DstError> {
+    let Some((body, checksum)) = data.split_last_chunk::<32>() else {
+        return Err(DstError::Truncated);
+    };
+    if body.len() < 4 + 2 + 4 {
+        return Err(DstError::Truncated);
+    }
+    if envelope_checksum(body) != *checksum {
+        return Err(DstError::ChecksumMismatch);
+    }
+    let mut cur = Cursor::new(body);
+    if cur.take(4) != Some(&magic[..]) {
+        return Err(DstError::BadMagic);
+    }
+    match cur.take_u16() {
+        Some(FORMAT_VERSION) => Ok(cur),
+        Some(version) => Err(DstError::BadVersion(version)),
+        None => Err(DstError::Truncated),
+    }
+}
+
+/// The 32-byte envelope checksum of the DST and µDST formats: four
+/// interleaved 64-bit FNV-1a lanes with distinct offsets, then a mixing
+/// pass so every output byte depends on every input byte.
+///
+/// It is a non-cryptographic bit-rot check, not a signature — anyone can
+/// compute one for bytes of their choosing. It catches accidental
+/// corruption; the body parser must still be total on a body that carries
+/// a valid checksum. It is part of the format, so its output never
+/// changes (DSTs are content-addressed outputs). Public so that tests can
+/// seal forged bodies.
+pub fn envelope_checksum(data: &[u8]) -> [u8; 32] {
     const OFFSETS: [u64; 4] = [
         0xcbf29ce484222325,
         0x9e3779b97f4a7c15,
@@ -296,7 +312,7 @@ mod tests {
 
     #[test]
     fn dst_detects_bit_rot() {
-        let bytes = write_dst(&sample_events(5)).to_vec();
+        let bytes = write_dst(&sample_events(5));
         for idx in [0usize, 10, bytes.len() / 2, bytes.len() - 1] {
             let mut corrupted = bytes.clone();
             corrupted[idx] ^= 0x10;
@@ -362,12 +378,65 @@ mod tests {
 
     #[test]
     fn digest_avalanche() {
-        let a = sp_store_digest(b"the same payload");
+        let a = envelope_checksum(b"the same payload");
         let mut flipped = b"the same payload".to_vec();
         flipped[0] ^= 1;
-        let b = sp_store_digest(&flipped);
+        let b = envelope_checksum(&flipped);
         let differing_bytes = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
         assert!(differing_bytes > 8, "weak avalanche: {differing_bytes}");
+    }
+
+    /// Seals `body` with a valid envelope checksum, as a forger would.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let checksum = envelope_checksum(&body);
+        body.extend_from_slice(&checksum);
+        body
+    }
+
+    /// A 46-byte stream: magic, version 1, an event count of `u32::MAX`,
+    /// four zero bytes and a valid checksum.
+    fn forged_max_count(magic: &[u8; 4]) -> Vec<u8> {
+        let mut body = magic.to_vec();
+        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        body.extend_from_slice(&[0; 4]);
+        let forged = seal(body);
+        assert_eq!(forged.len(), 46);
+        forged
+    }
+
+    #[test]
+    fn forged_dst_count_is_truncated_not_allocated() {
+        let forged = forged_max_count(DST_MAGIC);
+        assert_eq!(read_dst(&forged), Err(DstError::Truncated));
+    }
+
+    #[test]
+    fn forged_micro_dst_count_is_truncated_not_allocated() {
+        let forged = forged_max_count(MICRO_MAGIC);
+        assert_eq!(read_micro_dst(&forged), Err(DstError::Truncated));
+    }
+
+    #[test]
+    fn unknown_process_code_is_reported_as_read() {
+        let mut body = write_dst(&sample_events(2));
+        body.truncate(body.len() - 32);
+        // The first event's process code follows its 8-byte id.
+        body[10 + 8] = 0xa7;
+        assert_eq!(read_dst(&seal(body)), Err(DstError::BadProcess(0xa7)));
+
+        let record = MicroEvent {
+            id: 1,
+            process: Process::ChargedCurrent,
+            q2: 10.0,
+            x: 0.1,
+            y: 0.5,
+            e_prime: 27.5,
+        };
+        let mut body = write_micro_dst(&[record]);
+        body.truncate(body.len() - 32);
+        body[10 + 8] = 9;
+        assert_eq!(read_micro_dst(&seal(body)), Err(DstError::BadProcess(9)));
     }
 
     #[test]

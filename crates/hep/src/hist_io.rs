@@ -10,13 +10,19 @@
 //!         | counts f64* | sumw2 f64* | underflow f64 | overflow f64
 //!         | entries u64 | sum_w f64 | sum_wx f64 | sum_wx2 f64
 //! ```
+//!
+//! Histograms are written in strictly ascending name order (the set's own
+//! order), and the decoder rejects any other order, so a decoded set
+//! always re-encodes to the bytes it came from.
 
-use bytes::{Buf, Bytes};
+use sp_wire::Cursor;
 
 use crate::hist::{Histogram1D, HistogramSet};
 
 const MAGIC: &[u8; 4] = b"SPH1";
 const VERSION: u16 = 1;
+/// Bytes of one encoded histogram with an empty name and one bin.
+const MIN_HIST_BYTES: usize = 2 + 4 + 16 + 16 + 16 + 8 + 24;
 
 /// Errors decoding a histogram stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +33,8 @@ pub enum HistIoError {
     BadVersion(u16),
     /// Stream shorter than promised.
     Truncated,
-    /// Histogram name is not UTF-8.
+    /// Histogram name is not UTF-8, or breaks the set's strictly
+    /// ascending name order.
     BadName,
 }
 
@@ -45,10 +52,10 @@ impl std::fmt::Display for HistIoError {
 impl std::error::Error for HistIoError {}
 
 /// Serialises a histogram set.
-pub fn encode_set(set: &HistogramSet) -> Bytes {
+pub fn encode_set(set: &HistogramSet) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + set.len() * 512);
     encode_set_with(set, &mut |bytes| buf.extend_from_slice(bytes));
-    Bytes::from(buf)
+    buf
 }
 
 /// Streams the set encoding through `emit` field by field, so callers can
@@ -65,25 +72,28 @@ pub fn encode_set_with(set: &HistogramSet, emit: &mut dyn FnMut(&[u8])) {
 
 /// Deserialises a histogram set.
 pub fn decode_set(data: &[u8]) -> Result<HistogramSet, HistIoError> {
-    let mut cur = data;
-    if cur.remaining() < 10 {
-        return Err(HistIoError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    cur.copy_to_slice(&mut magic);
-    if magic != *MAGIC {
+    let mut cur = Cursor::new(data);
+    if cur.take(4).ok_or(HistIoError::Truncated)? != MAGIC {
         return Err(HistIoError::BadMagic);
     }
-    let version = cur.get_u16_le();
+    let version = cur.take_u16().ok_or(HistIoError::Truncated)?;
     if version != VERSION {
         return Err(HistIoError::BadVersion(version));
     }
-    let count = cur.get_u32_le() as usize;
+    let count = cur
+        .take_count(MIN_HIST_BYTES)
+        .ok_or(HistIoError::Truncated)?;
     let mut set = HistogramSet::new();
+    let mut last_name: Option<String> = None;
     for _ in 0..count {
-        set.insert(decode_hist(&mut cur)?);
+        let hist = decode_hist(&mut cur)?;
+        if last_name.as_deref().is_some_and(|last| last >= hist.name()) {
+            return Err(HistIoError::BadName);
+        }
+        last_name = Some(hist.name().to_string());
+        set.insert(hist);
     }
-    if cur.has_remaining() {
+    if !cur.finished() {
         return Err(HistIoError::Truncated);
     }
     Ok(set)
@@ -110,45 +120,44 @@ fn encode_hist_with(hist: &Histogram1D, emit: &mut dyn FnMut(&[u8])) {
     emit(&sum_wx2.to_le_bytes());
 }
 
-fn decode_hist(cur: &mut &[u8]) -> Result<Histogram1D, HistIoError> {
-    if cur.remaining() < 2 {
-        return Err(HistIoError::Truncated);
-    }
-    let name_len = cur.get_u16_le() as usize;
-    if cur.remaining() < name_len {
-        return Err(HistIoError::Truncated);
-    }
-    let name_bytes = cur.copy_to_bytes(name_len);
-    let name = std::str::from_utf8(&name_bytes)
+fn decode_hist(cur: &mut Cursor<'_>) -> Result<Histogram1D, HistIoError> {
+    let name_len = cur.take_u16().ok_or(HistIoError::Truncated)?;
+    let name = cur.take(name_len as usize).ok_or(HistIoError::Truncated)?;
+    let name = std::str::from_utf8(name)
         .map_err(|_| HistIoError::BadName)?
         .to_string();
-    if cur.remaining() < 4 + 16 {
-        return Err(HistIoError::Truncated);
+    decode_binned(cur, name).ok_or(HistIoError::Truncated)
+}
+
+/// Decodes the fields after a histogram's name: `None` if the input runs
+/// short or the binning is invalid.
+fn decode_binned(cur: &mut Cursor<'_>, name: String) -> Option<Histogram1D> {
+    let nbins = cur.take_u32()? as usize;
+    let lo = cur.take_f64()?;
+    let hi = cur.take_f64()?;
+    if nbins == 0 || lo >= hi {
+        return None;
     }
-    let nbins = cur.get_u32_le() as usize;
-    let lo = cur.get_f64_le();
-    let hi = cur.get_f64_le();
-    let needed = nbins * 16 + 16 + 8 + 24;
-    if cur.remaining() < needed || nbins == 0 || lo >= hi {
-        return Err(HistIoError::Truncated);
-    }
-    let mut counts = Vec::with_capacity(nbins);
-    for _ in 0..nbins {
-        counts.push(cur.get_f64_le());
-    }
-    let mut sumw2 = Vec::with_capacity(nbins);
-    for _ in 0..nbins {
-        sumw2.push(cur.get_f64_le());
-    }
-    let underflow = cur.get_f64_le();
-    let overflow = cur.get_f64_le();
-    let entries = cur.get_u64_le();
-    let sum_w = cur.get_f64_le();
-    let sum_wx = cur.get_f64_le();
-    let sum_wx2 = cur.get_f64_le();
-    Ok(Histogram1D::from_parts(
+    let len = nbins.checked_mul(8)?;
+    let counts = f64s(cur.take(len)?);
+    let sumw2 = f64s(cur.take(len)?);
+    let underflow = cur.take_f64()?;
+    let overflow = cur.take_f64()?;
+    let entries = cur.take_u64()?;
+    let sum_w = cur.take_f64()?;
+    let sum_wx = cur.take_f64()?;
+    let sum_wx2 = cur.take_f64()?;
+    Some(Histogram1D::from_parts(
         name, nbins, lo, hi, counts, sumw2, underflow, overflow, entries, sum_w, sum_wx, sum_wx2,
     ))
+}
+
+/// Decodes a run of little-endian `f64`s already bounds-checked by the
+/// cursor, so the vector is sized by bytes actually present.
+fn f64s(raw: &[u8]) -> Vec<f64> {
+    raw.chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -201,8 +210,25 @@ mod tests {
     }
 
     #[test]
+    fn names_out_of_order_are_rejected() {
+        // Swap the two histograms' positions: same bytes, wrong order.
+        let set = sample_set();
+        let q2 = encode_set(&[set.get("q2").unwrap().clone()].into_iter().collect());
+        let y = encode_set(&[set.get("y").unwrap().clone()].into_iter().collect());
+        let mut swapped = encode_set(&set)[..10].to_vec();
+        swapped.extend_from_slice(&y[10..]);
+        swapped.extend_from_slice(&q2[10..]);
+        assert_eq!(decode_set(&swapped), Err(HistIoError::BadName));
+
+        let mut duplicated = encode_set(&set)[..10].to_vec();
+        duplicated.extend_from_slice(&q2[10..]);
+        duplicated.extend_from_slice(&q2[10..]);
+        assert_eq!(decode_set(&duplicated), Err(HistIoError::BadName));
+    }
+
+    #[test]
     fn bad_magic_detected() {
-        let mut bytes = encode_set(&sample_set()).to_vec();
+        let mut bytes = encode_set(&sample_set());
         bytes[0] = b'X';
         assert_eq!(decode_set(&bytes).unwrap_err(), HistIoError::BadMagic);
     }

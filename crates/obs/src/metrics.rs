@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 use sp_store::sha256::Sha256;
-use sp_store::snapshot::wire;
+use sp_wire as wire;
 
 /// Snapshot-file / blob magic for an encoded [`MetricsSnapshot`].
 pub const METRICS_MAGIC: [u8; 4] = *b"SPMS";
@@ -336,22 +336,25 @@ impl MetricsSnapshot {
         if cursor.take_u32()? != METRICS_VERSION {
             return None;
         }
+        // Each map is written in name order; any other order is rejected
+        // so that a decoded snapshot re-encodes to its input bytes. An
+        // entry is at least a length-prefixed name and one u64.
         let mut snapshot = MetricsSnapshot::default();
-        for _ in 0..cursor.take_u32()? {
-            let name = cursor.take_str()?;
+        for _ in 0..cursor.take_count(4 + 8)? {
+            let name = take_next_name(&mut cursor, &snapshot.counters)?;
             let value = cursor.take_u64()?;
             snapshot.counters.insert(name, value);
         }
-        for _ in 0..cursor.take_u32()? {
-            let name = cursor.take_str()?;
+        for _ in 0..cursor.take_count(4 + 8)? {
+            let name = take_next_name(&mut cursor, &snapshot.gauges)?;
             let value = cursor.take_u64()? as i64;
             snapshot.gauges.insert(name, value);
         }
-        for _ in 0..cursor.take_u32()? {
-            let name = cursor.take_str()?;
+        for _ in 0..cursor.take_count(4 + 8 + 8 + 4)? {
+            let name = take_next_name(&mut cursor, &snapshot.histograms)?;
             let count = cursor.take_u64()?;
             let sum_us = cursor.take_u64()?;
-            let buckets = (0..cursor.take_u32()?)
+            let buckets = (0..cursor.take_count(8)?)
                 .map(|_| cursor.take_u64())
                 .collect::<Option<Vec<u64>>>()?;
             snapshot.histograms.insert(
@@ -385,6 +388,14 @@ impl MetricsSnapshot {
         }
         out
     }
+}
+
+/// Takes a name that must sort after every name already in `map`.
+fn take_next_name<V>(cursor: &mut wire::Cursor<'_>, map: &BTreeMap<String, V>) -> Option<String> {
+    let name = cursor.take_str()?;
+    map.last_key_value()
+        .is_none_or(|(last, _)| *last < name)
+        .then_some(name)
 }
 
 #[cfg(test)]

@@ -24,8 +24,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sp_store::run_log::{CellRecord, RunLog};
-use sp_store::snapshot::{wire, Snapshot, SnapshotSection};
+use sp_store::snapshot::{Snapshot, SnapshotSection};
 use sp_store::vfs::StoreFs;
+use sp_wire as wire;
 
 /// File name of the warm index snapshot inside the run-log directory.
 pub const WARM_INDEX_FILE: &str = "index.spws";

@@ -18,9 +18,12 @@
 //! Entries are sorted by path at pack time so that packing is deterministic:
 //! the same logical contents always yield the same bytes, hence the same
 //! [`ObjectId`](crate::ObjectId) — which is what makes artifact
-//! deduplication across validation runs work.
+//! deduplication across validation runs work. Unpacking rejects entries
+//! out of path order, so an unpacked archive re-packs to its input bytes.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
+
+use sp_wire::{self as wire, Cursor};
 
 use crate::{sha256, ObjectId, Result, StoreError};
 
@@ -34,13 +37,13 @@ pub struct ArchiveEntry {
     pub path: String,
     /// Unix permission bits (e.g. `0o755` for executables).
     pub mode: u32,
-    /// File contents.
-    pub data: Bytes,
+    /// File contents (shared: a clone is a reference-count bump).
+    pub data: Arc<[u8]>,
 }
 
 impl ArchiveEntry {
     /// Creates an entry with the default non-executable mode.
-    pub fn file(path: impl Into<String>, data: impl Into<Bytes>) -> Self {
+    pub fn file(path: impl Into<String>, data: impl Into<Arc<[u8]>>) -> Self {
         ArchiveEntry {
             path: path.into(),
             mode: 0o644,
@@ -49,7 +52,7 @@ impl ArchiveEntry {
     }
 
     /// Creates an executable entry.
-    pub fn executable(path: impl Into<String>, data: impl Into<Bytes>) -> Self {
+    pub fn executable(path: impl Into<String>, data: impl Into<Arc<[u8]>>) -> Self {
         ArchiveEntry {
             path: path.into(),
             mode: 0o755,
@@ -113,7 +116,7 @@ impl Archive {
 
     /// Serialises to the `SPAR` wire format. Entries are emitted in path
     /// order for determinism.
-    pub fn pack(&self) -> Bytes {
+    pub fn pack(&self) -> Vec<u8> {
         self.pack_with_id().0
     }
 
@@ -127,85 +130,90 @@ impl Archive {
     /// once and the running state forked for the trailer, so storing an
     /// archive costs one hash pass instead of two. The emitted bytes are
     /// identical to [`pack`](Self::pack)'s.
-    pub fn pack_with_id(&self) -> (Bytes, ObjectId) {
+    pub fn pack_with_id(&self) -> (Vec<u8>, ObjectId) {
         let mut sorted: Vec<&ArchiveEntry> = self.entries.iter().collect();
         sorted.sort_by(|a, b| a.path.cmp(&b.path));
 
-        let mut buf = BytesMut::with_capacity(64 + self.payload_bytes());
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(sorted.len() as u32);
+        let mut buf = Vec::with_capacity(64 + self.payload_bytes());
+        buf.extend_from_slice(MAGIC);
+        wire::put_u16(&mut buf, VERSION);
+        wire::put_u32(&mut buf, sorted.len() as u32);
         for entry in sorted {
-            buf.put_u16_le(entry.path.len() as u16);
-            buf.put_slice(entry.path.as_bytes());
-            buf.put_u32_le(entry.mode);
-            buf.put_u32_le(entry.data.len() as u32);
-            buf.put_slice(&entry.data);
+            wire::put_u16(&mut buf, entry.path.len() as u16);
+            buf.extend_from_slice(entry.path.as_bytes());
+            wire::put_u32(&mut buf, entry.mode);
+            wire::put_bytes(&mut buf, &entry.data);
         }
         let mut hasher = sha256::Sha256::new();
         hasher.update(&buf);
         let digest = hasher.clone().finalize();
-        buf.put_slice(&digest);
+        buf.extend_from_slice(&digest);
         hasher.update(&digest);
-        (buf.freeze(), ObjectId(hasher.finalize()))
+        (buf, ObjectId(hasher.finalize()))
     }
 
-    /// Decodes a `SPAR` archive, verifying magic, version and checksum.
+    /// Decodes a `SPAR` archive, verifying checksum, magic and version.
+    /// Every entry must pass [`add`](Self::add)'s checks and follow the
+    /// previous one in path order.
     pub fn unpack(data: &[u8]) -> Result<Self> {
         let bad = |msg: &str| StoreError::BadArchive(msg.to_string());
-        if data.len() < MAGIC.len() + 2 + 4 + 32 {
+        let Some((body, digest)) = data
+            .split_last_chunk::<32>()
+            .filter(|(body, _)| body.len() >= MAGIC.len() + 2 + 4)
+        else {
             return Err(bad("truncated header"));
-        }
-        let (body, digest) = data.split_at(data.len() - 32);
-        if sha256::digest(body) != *<&[u8; 32]>::try_from(digest).expect("32-byte slice") {
+        };
+        if sha256::digest(body) != *digest {
             return Err(bad("checksum mismatch"));
         }
-        Self::decode_verified_body(body)
-    }
-
-    /// Decodes an archive body whose trailing checksum has already been
-    /// verified (magic and version are still checked here).
-    fn decode_verified_body(body: &[u8]) -> Result<Self> {
-        let bad = |msg: &str| StoreError::BadArchive(msg.to_string());
-        let mut cur = body;
-        let mut magic = [0u8; 4];
-        cur.copy_to_slice(&mut magic);
-        if magic != *MAGIC {
+        let mut cur = Cursor::new(body);
+        if cur.take(4).ok_or_else(|| bad("truncated header"))? != MAGIC {
             return Err(bad("bad magic"));
         }
-        let version = cur.get_u16_le();
-        if version != VERSION {
-            return Err(StoreError::BadArchive(format!(
-                "unsupported version {version}"
-            )));
+        match cur.take_u16() {
+            Some(VERSION) => {}
+            Some(version) => {
+                return Err(StoreError::BadArchive(format!(
+                    "unsupported version {version}"
+                )))
+            }
+            None => return Err(bad("truncated header")),
         }
-        let count = cur.get_u32_le() as usize;
+        // An entry is at least its three length/mode fields.
+        let count = cur
+            .take_count(2 + 4 + 4)
+            .ok_or_else(|| bad("more entries than the archive can hold"))?;
         let mut archive = Archive::new();
         for _ in 0..count {
-            if cur.remaining() < 2 {
-                return Err(bad("truncated entry header"));
+            let (path, mode, data) = take_entry(&mut cur).ok_or_else(|| bad("truncated entry"))?;
+            let path = std::str::from_utf8(path).map_err(|_| bad("non-utf8 path"))?;
+            if archive
+                .entries
+                .last()
+                .is_some_and(|last| last.path.as_str() > path)
+            {
+                return Err(bad("entries out of path order"));
             }
-            let path_len = cur.get_u16_le() as usize;
-            if cur.remaining() < path_len + 8 {
-                return Err(bad("truncated entry"));
-            }
-            let path_bytes = cur.copy_to_bytes(path_len);
-            let path = std::str::from_utf8(&path_bytes)
-                .map_err(|_| bad("non-utf8 path"))?
-                .to_string();
-            let mode = cur.get_u32_le();
-            let data_len = cur.get_u32_le() as usize;
-            if cur.remaining() < data_len {
-                return Err(bad("truncated entry data"));
-            }
-            let data = cur.copy_to_bytes(data_len);
-            archive.add(ArchiveEntry { path, mode, data })?;
+            archive.add(ArchiveEntry {
+                path: path.to_string(),
+                mode,
+                data: data.into(),
+            })?;
         }
-        if cur.has_remaining() {
+        if !cur.finished() {
             return Err(bad("trailing bytes after last entry"));
         }
         Ok(archive)
     }
+}
+
+/// Takes one entry's raw path, mode and data.
+fn take_entry<'a>(cur: &mut Cursor<'a>) -> Option<(&'a [u8], u32, &'a [u8])> {
+    let path_len = cur.take_u16()? as usize;
+    let path = cur.take(path_len)?;
+    let mode = cur.take_u32()?;
+    let data_len = cur.take_u32()? as usize;
+    Some((path, mode, cur.take(data_len)?))
 }
 
 fn validate_path(path: &str) -> Result<()> {
@@ -268,7 +276,7 @@ mod tests {
 
     #[test]
     fn unpack_rejects_bit_flips() {
-        let packed = sample().pack().to_vec();
+        let packed = sample().pack();
         for idx in [0usize, 6, packed.len() / 2, packed.len() - 1] {
             let mut corrupted = packed.clone();
             corrupted[idx] ^= 0x01;

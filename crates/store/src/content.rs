@@ -1,8 +1,8 @@
 //! Integrity-checked, content-addressed object store.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::{ObjectId, Result, StoreError};
@@ -14,7 +14,7 @@ use crate::{ObjectId, Result, StoreError};
 /// `get` re-hashes the stored bytes so that silent corruption is detected at
 /// read time rather than propagating into a validation verdict.
 pub struct ContentStore {
-    objects: RwLock<HashMap<ObjectId, Bytes>>,
+    objects: RwLock<HashMap<ObjectId, Arc<[u8]>>>,
     /// Running counters, kept separately so read contention stays low.
     stats: RwLock<StoreStats>,
 }
@@ -49,7 +49,7 @@ impl ContentStore {
 
     /// Stores `data`, returning its content address. Idempotent: storing the
     /// same bytes twice returns the same id and keeps a single copy.
-    pub fn put(&self, data: impl Into<Bytes>) -> ObjectId {
+    pub fn put(&self, data: impl Into<Arc<[u8]>>) -> ObjectId {
         let data = data.into();
         let id = ObjectId::for_bytes(&data);
         self.insert(id, data);
@@ -60,7 +60,7 @@ impl ContentStore {
     /// hash pass [`put`](Self::put) would perform. The caller must have
     /// obtained `id` by hashing exactly these bytes, which is verified in
     /// debug builds.
-    pub fn put_prehashed(&self, id: ObjectId, data: impl Into<Bytes>) -> ObjectId {
+    pub fn put_prehashed(&self, id: ObjectId, data: impl Into<Arc<[u8]>>) -> ObjectId {
         let data = data.into();
         debug_assert_eq!(
             ObjectId::for_bytes(&data),
@@ -71,7 +71,7 @@ impl ContentStore {
         id
     }
 
-    fn insert(&self, id: ObjectId, data: Bytes) {
+    fn insert(&self, id: ObjectId, data: Arc<[u8]>) {
         let mut objects = self.objects.write();
         let mut stats = self.stats.write();
         if let std::collections::hash_map::Entry::Vacant(entry) = objects.entry(id) {
@@ -84,7 +84,7 @@ impl ContentStore {
     }
 
     /// Fetches an object, verifying its integrity.
-    pub fn get(&self, id: ObjectId) -> Result<Bytes> {
+    pub fn get(&self, id: ObjectId) -> Result<Arc<[u8]>> {
         let data = {
             let objects = self.objects.read();
             objects.get(&id).cloned().ok_or(StoreError::NotFound(id))?
@@ -144,7 +144,7 @@ impl ContentStore {
                     Some(b) => *b ^= 0xff,
                     None => raw.push(0xff),
                 }
-                *data = Bytes::from(raw);
+                *data = raw.into();
                 true
             }
             None => false,

@@ -35,9 +35,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::snapshot::wire;
 use crate::vfs::{create_durable_exclusive, StagingDir, StoreFs};
 use crate::wq::{decode_record, encode_record, parse_seq};
+use sp_wire as wire;
 
 /// Record magic for one logged cell outcome.
 pub const MAGIC_RUN_CELL: [u8; 4] = *b"SPRL";

@@ -17,8 +17,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use crate::{Archive, ContentStore, DigestCache, MetaStore, ObjectId, Result};
 
 /// Logical areas of the common storage, mirroring the directory layout of
@@ -97,7 +95,7 @@ impl SharedStorage {
     }
 
     /// Stores raw bytes under `area/key` and returns the content address.
-    pub fn put_named(&self, area: StorageArea, key: &str, data: impl Into<Bytes>) -> ObjectId {
+    pub fn put_named(&self, area: StorageArea, key: &str, data: impl Into<Arc<[u8]>>) -> ObjectId {
         let id = self.content.put(data);
         self.meta.set(area.namespace(), key, id.to_hex());
         id
@@ -110,7 +108,7 @@ impl SharedStorage {
         area: StorageArea,
         key: &str,
         id: ObjectId,
-        data: impl Into<Bytes>,
+        data: impl Into<Arc<[u8]>>,
     ) -> ObjectId {
         let id = self.content.put_prehashed(id, data);
         self.meta.set(area.namespace(), key, id.to_hex());
@@ -168,7 +166,7 @@ impl SharedStorage {
         area: StorageArea,
         key: &str,
         revision: &str,
-        produce: impl FnOnce() -> Bytes,
+        produce: impl FnOnce() -> Vec<u8>,
     ) -> ObjectId {
         if let Some(id) = self.digests.peek(revision) {
             if self.content.contains(id) {
@@ -196,7 +194,7 @@ impl SharedStorage {
     }
 
     /// Fetches the bytes registered under `area/key`.
-    pub fn get_named(&self, area: StorageArea, key: &str) -> Option<Result<Bytes>> {
+    pub fn get_named(&self, area: StorageArea, key: &str) -> Option<Result<Arc<[u8]>>> {
         self.lookup(area, key).map(|id| self.content.get(id))
     }
 
@@ -481,7 +479,7 @@ mod tests {
         let produced = AtomicUsize::new(0);
         let make = || {
             produced.fetch_add(1, Ordering::SeqCst);
-            Bytes::from(b"tarball-bytes".to_vec())
+            b"tarball-bytes".to_vec()
         };
         let first =
             storage.put_named_cached(StorageArea::Artifacts, "p/1.0/SL6", "p@1.0@SL6", make);
@@ -497,7 +495,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // A different revision misses and produces again.
         storage.put_named_cached(StorageArea::Artifacts, "p/1.1/SL6", "p@1.1@SL6", || {
-            Bytes::from(b"other".to_vec())
+            b"other".to_vec()
         });
         assert_eq!(produced.load(Ordering::SeqCst), 1);
         assert_eq!(storage.digest_cache().stats().entries, 2);
@@ -506,13 +504,10 @@ mod tests {
     #[test]
     fn cached_put_recovers_from_eviction() {
         let storage = SharedStorage::new();
-        let id = storage.put_named_cached(StorageArea::Artifacts, "k", "rev", || {
-            Bytes::from(b"data".to_vec())
-        });
+        let id = storage.put_named_cached(StorageArea::Artifacts, "k", "rev", || b"data".to_vec());
         assert!(storage.content().remove(id), "simulate retention pruning");
-        let again = storage.put_named_cached(StorageArea::Artifacts, "k", "rev", || {
-            Bytes::from(b"data".to_vec())
-        });
+        let again =
+            storage.put_named_cached(StorageArea::Artifacts, "k", "rev", || b"data".to_vec());
         assert_eq!(id, again);
         assert!(storage.content().contains(again), "object restored");
         assert_eq!(storage.digest_cache().stats().misses, 2);

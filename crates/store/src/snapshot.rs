@@ -30,6 +30,8 @@
 //!   in `sp-core` additionally drop entries whose conserved objects are
 //!   absent from the content store.
 
+use sp_wire as wire;
+
 use crate::run_memo::RunKey;
 use crate::sha256::Sha256;
 
@@ -182,12 +184,16 @@ impl Snapshot {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let section_count = cursor.take_u32().ok_or(SnapshotError::Truncated)?;
+        // A section is at least its name length and entry count; an entry
+        // at least its two lengths and its digest.
+        let section_count = cursor.take_count(2 + 4).ok_or(SnapshotError::Truncated)?;
         let mut snapshot = Snapshot::new();
         let mut report = SnapshotLoadReport::default();
         for _ in 0..section_count {
             let name = cursor.take_str16().ok_or(SnapshotError::Truncated)?;
-            let entry_count = cursor.take_u32().ok_or(SnapshotError::Truncated)?;
+            let entry_count = cursor
+                .take_count(4 + 4 + 32)
+                .ok_or(SnapshotError::Truncated)?;
             let mut section = SnapshotSection::new(name);
             for _ in 0..entry_count {
                 let key = cursor.take_bytes().ok_or(SnapshotError::Truncated)?;
@@ -227,7 +233,7 @@ pub fn encode_run_key(key: &RunKey) -> Vec<u8> {
     wire::put_str(&mut out, &key.test);
     wire::put_u64(&mut out, key.seed);
     wire::put_str(&mut out, &key.env_revision);
-    wire::put_u64(&mut out, key.scale().to_bits());
+    wire::put_f64(&mut out, key.scale());
     out
 }
 
@@ -238,116 +244,10 @@ pub fn decode_run_key(bytes: &[u8]) -> Option<RunKey> {
     let test = cursor.take_str()?;
     let seed = cursor.take_u64()?;
     let env_revision = cursor.take_str()?;
-    let scale = f64::from_bits(cursor.take_u64()?);
+    let scale = cursor.take_f64()?;
     cursor
         .finished()
         .then(|| RunKey::new(test, seed, env_revision, scale))
-}
-
-/// Length-prefixed little-endian wire helpers shared by the snapshot
-/// container and the value serialisers in `sp-core`.
-pub mod wire {
-    /// Appends a `u32` little-endian.
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` little-endian.
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends `u32`-length-prefixed raw bytes.
-    pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-        put_u32(out, bytes.len() as u32);
-        out.extend_from_slice(bytes);
-    }
-
-    /// Appends a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(out: &mut Vec<u8>, s: &str) {
-        put_bytes(out, s.as_bytes());
-    }
-
-    /// Appends a `u16`-length-prefixed UTF-8 string (section names).
-    pub fn put_str16(out: &mut Vec<u8>, s: &str) {
-        let len = s.len().min(u16::MAX as usize) as u16;
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&s.as_bytes()[..len as usize]);
-    }
-
-    /// A bounds-checked reader over serialised bytes: every `take_*`
-    /// returns `None` instead of reading past the end, so corrupted
-    /// length fields surface as decode failures rather than panics.
-    pub struct Cursor<'a> {
-        data: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        /// Opens a cursor at the start of `data`.
-        pub fn new(data: &'a [u8]) -> Self {
-            Cursor { data, pos: 0 }
-        }
-
-        /// Takes `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.pos.checked_add(n)?;
-            if end > self.data.len() {
-                return None;
-            }
-            let slice = &self.data[self.pos..end];
-            self.pos = end;
-            Some(slice)
-        }
-
-        /// Takes a little-endian `u32`.
-        pub fn take_u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        }
-
-        /// Takes a little-endian `u64`.
-        pub fn take_u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        }
-
-        /// Takes a `u32` element count, rejecting any count the remaining
-        /// input cannot hold when each element occupies at least
-        /// `min_elem_bytes` on the wire — so a corrupt count fails the
-        /// decode instead of sizing an allocation.
-        pub fn take_count(&mut self, min_elem_bytes: usize) -> Option<usize> {
-            let count = self.take_u32()? as usize;
-            let needed = count.checked_mul(min_elem_bytes)?;
-            (needed <= self.data.len() - self.pos).then_some(count)
-        }
-
-        /// Takes `u32`-length-prefixed bytes.
-        pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
-            let len = self.take_u32()? as usize;
-            self.take(len).map(|b| b.to_vec())
-        }
-
-        /// Takes a `u32`-length-prefixed UTF-8 string.
-        pub fn take_str(&mut self) -> Option<String> {
-            let len = self.take_u32()? as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).ok()
-        }
-
-        /// Takes a `u16`-length-prefixed UTF-8 string.
-        pub fn take_str16(&mut self) -> Option<String> {
-            let len = self.take(2)?;
-            let len = u16::from_le_bytes(len.try_into().unwrap()) as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).ok()
-        }
-
-        /// Whether every byte has been consumed.
-        pub fn finished(&self) -> bool {
-            self.pos == self.data.len()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -363,19 +263,6 @@ mod tests {
         b.push(b"key".to_vec(), b"value".to_vec());
         snapshot.sections = vec![a, b];
         snapshot
-    }
-
-    #[test]
-    fn take_count_rejects_counts_the_input_cannot_hold() {
-        let mut bytes = u32::MAX.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0; 8]);
-        assert_eq!(wire::Cursor::new(&bytes).take_count(1), None);
-
-        let mut bytes = 2u32.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&[0; 8]);
-        assert_eq!(wire::Cursor::new(&bytes).take_count(4), Some(2));
-        assert_eq!(wire::Cursor::new(&bytes).take_count(5), None);
-        assert_eq!(wire::Cursor::new(&bytes[..3]).take_count(1), None);
     }
 
     #[test]

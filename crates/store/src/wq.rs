@@ -100,8 +100,8 @@ use std::sync::Arc;
 
 use crate::retention::TimeSource;
 use crate::sha256::Sha256;
-use crate::snapshot::wire;
 use crate::vfs::{create_durable_exclusive, OsFs, StagingDir, StoreFs};
+use sp_wire as wire;
 
 /// Record magic for submissions.
 const MAGIC_SUBMISSION: [u8; 4] = *b"SPWQ";
@@ -577,7 +577,7 @@ impl WorkQueue {
             holder: cursor.take_str()?,
             acquired_at: cursor.take_u64()?,
             expires_at: cursor.take_u64()?,
-            released: cursor.take(1)?[0] != 0,
+            released: cursor.take_u8()? != 0,
         };
         (cursor.finished() && record.seq == seq && record.token == token).then_some(record)
     }
