@@ -1,13 +1,11 @@
-//! Digest-path microbenches: raw SHA-256 throughput, the fast
-//! non-cryptographic hash, `TestOutput` encode+digest, and digest-first vs
-//! deep comparison.
+//! Digest-path microbenches: raw SHA-256 throughput, `TestOutput`
+//! encode+digest, and digest-first vs deep comparison.
 //!
 //! `sha256_throughput` measures the optimised hasher on the same payload
 //! sizes as the `content_store` benches, so regressions in the compression
 //! core are visible independently of store locking. It measures whichever
 //! kernel the CPU runs (SHA-NI where present, else the scalar one).
-//! `fasthash_throughput` is the hot-path key hash on the same sizes, and
-//! the comparison pair quantifies what the digest-first fast path saves:
+//! The comparison pair quantifies what the digest-first fast path saves:
 //! `compare_deep` decodes two identical histogram sets and runs the full
 //! χ² sweep, `compare_digest_first` resolves the same question from two
 //! content addresses.
@@ -16,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use sp_core::{Comparator, TestOutput};
 use sp_hep::Histogram1D;
 use sp_store::sha256::Sha256;
-use sp_store::{fasthash, ObjectId};
+use sp_store::ObjectId;
 
 fn payload(size: usize) -> Vec<u8> {
     (0..size).map(|i| (i * 31 % 251) as u8).collect()
@@ -31,20 +29,6 @@ fn bench_sha256_throughput(c: &mut Criterion) {
             BenchmarkId::new("sha256_throughput", size),
             &data,
             |b, data| b.iter(|| Sha256::digest_of(data)),
-        );
-    }
-    group.finish();
-}
-
-fn bench_fasthash_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_digest");
-    for size in [1usize << 10, 1 << 16, 1 << 20] {
-        let data = payload(size);
-        group.throughput(Throughput::Bytes(size as u64));
-        group.bench_with_input(
-            BenchmarkId::new("fasthash_throughput", size),
-            &data,
-            |b, data| b.iter(|| fasthash::hash128(data)),
         );
     }
     group.finish();
@@ -115,7 +99,6 @@ fn bench_compare(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256_throughput,
-    bench_fasthash_throughput,
     bench_encode_digest,
     bench_compare
 );

@@ -520,20 +520,13 @@ impl SpSystem {
             )
         });
         if let Some(key) = &memo_key {
-            match self.build_memo.entry(key) {
-                Some((report, _)) if self.build_artifacts_present(&report) => {
-                    self.build_memo.note_hit();
-                    return Ok(report);
-                }
-                Some((_, generation)) => {
-                    // A conserved tar-ball was pruned: rebuild (which
-                    // re-conserves it) and refresh the entry. Generation-
-                    // guarded, so a fresh entry a concurrent campaign
-                    // inserted in the meantime survives this eviction.
-                    self.build_memo.invalidate_generation(key, generation);
-                    self.build_memo.note_miss();
-                }
-                None => self.build_memo.note_miss(),
+            // A pruned conserved tar-ball fails validation: rebuild (which
+            // re-conserves it) and refresh the entry.
+            let served = self.build_memo.serve(key, |report| {
+                self.build_artifacts_present(&report).then_some(report)
+            });
+            if let Some(report) = served {
+                return Ok(report);
             }
         }
         let builder = ParallelBuilder::new(BuildEngine::new(self.storage.clone()), config.threads);
@@ -663,30 +656,18 @@ impl SpSystem {
         let memo_key = config
             .memoize
             .then(|| cell_key(&experiment.name, test, config, env_label));
-        if let Some(key) = &memo_key {
-            match self.output_memo.entry(key) {
-                Some((oid, _)) if self.storage.content().contains(oid) => {
-                    self.output_memo.note_hit();
-                    let (status, compare) = self.compare_stored_output(
-                        &experiment.name,
-                        test.id.as_str(),
-                        "result",
-                        oid,
-                    );
-                    let name = (format!("{run_id}/{}/result", test.id), oid);
-                    let result = make(status, vec![("result".to_string(), oid)], compare);
-                    return (result, Some(name));
-                }
-                Some((_, generation)) => {
-                    // The object was pruned from the content store: the
-                    // entry can no longer be served, fall through to a run.
-                    // Generation-guarded, so the eviction cannot drop a
-                    // fresh entry a concurrent campaign re-inserted.
-                    self.output_memo.invalidate_generation(key, generation);
-                    self.output_memo.note_miss();
-                }
-                None => self.output_memo.note_miss(),
-            }
+        // A pruned object fails validation and falls through to a run.
+        let served = memo_key.as_ref().and_then(|key| {
+            self.output_memo.serve(key, |oid| {
+                self.storage.content().contains(oid).then_some(oid)
+            })
+        });
+        if let Some(oid) = served {
+            let (status, compare) =
+                self.compare_stored_output(&experiment.name, test.id.as_str(), "result", oid);
+            let name = (format!("{run_id}/{}/result", test.id), oid);
+            let result = make(status, vec![("result".to_string(), oid)], compare);
+            return (result, Some(name));
         }
 
         let output = match &test.kind {
@@ -847,24 +828,14 @@ impl SpSystem {
         let memo_key = config
             .memoize
             .then(|| cell_key(&experiment.name, test, config, env_label));
-        if let Some(key) = &memo_key {
-            match self.chain_memo.entry(key) {
-                Some((memo, generation)) => {
-                    if let Some(results) =
-                        self.replay_chain_test(experiment, test, &memo, run_id, served)
-                    {
-                        self.chain_memo.note_hit();
-                        return results;
-                    }
-                    // Some conserved object was pruned: drop the entry and
-                    // re-execute. Generation-guarded, so this campaign's
-                    // eviction cannot drop an entry another in-flight
-                    // campaign just refreshed.
-                    self.chain_memo.invalidate_generation(key, generation);
-                    self.chain_memo.note_miss();
-                }
-                None => self.chain_memo.note_miss(),
-            }
+        // A pruned conserved object fails the replay: re-execute.
+        let replayed = memo_key.as_ref().and_then(|key| {
+            self.chain_memo.serve(key, |memo| {
+                self.replay_chain_test(experiment, test, &memo, run_id, served)
+            })
+        });
+        if let Some(results) = replayed {
+            return results;
         }
 
         let events = scaled_events(events, config.scale);
@@ -1242,27 +1213,25 @@ impl SpSystem {
         snapshot.sections.push(system);
 
         let mut digests = SnapshotSection::new(warm::SECTION_DIGEST_CACHE);
-        let mut digest_entries = self.storage.digest_cache().export_entries();
-        digest_entries.sort_by(|a, b| a.0.cmp(&b.0));
-        for (revision, id) in digest_entries {
+        for (revision, id) in self.storage.digest_cache().export_entries() {
             digests.push(revision.into_bytes(), warm::encode_object_id(id));
         }
         snapshot.sections.push(digests);
 
         let mut outputs = SnapshotSection::new(warm::SECTION_OUTPUT_MEMO);
-        for (key, id) in sorted_entries(self.output_memo.export_entries()) {
+        for (key, id) in self.output_memo.export_entries() {
             outputs.push(encode_run_key(&key), warm::encode_object_id(id));
         }
         snapshot.sections.push(outputs);
 
         let mut chains = SnapshotSection::new(warm::SECTION_CHAIN_MEMO);
-        for (key, chain) in sorted_entries(self.chain_memo.export_entries()) {
+        for (key, chain) in self.chain_memo.export_entries() {
             chains.push(encode_run_key(&key), warm::encode_chain(&chain));
         }
         snapshot.sections.push(chains);
 
         let mut builds = SnapshotSection::new(warm::SECTION_BUILD_MEMO);
-        for (key, report) in sorted_entries(self.build_memo.export_entries()) {
+        for (key, report) in self.build_memo.export_entries() {
             builds.push(encode_run_key(&key), warm::encode_build_report(&report));
         }
         snapshot.sections.push(builds);
@@ -1326,7 +1295,7 @@ impl SpSystem {
                 let id = warm::decode_object_id(value);
                 match (revision, id) {
                     (Some(revision), Some(id)) if content.contains(id) => {
-                        self.storage.digest_cache().insert(&revision, id);
+                        self.storage.digest_cache().insert(revision, id);
                         report.digest_cache_entries += 1;
                     }
                     _ => report.entries_rejected += 1,
@@ -1576,26 +1545,6 @@ impl StorageVerification {
 
 /// File name of the warm-state snapshot inside an exported directory.
 pub const WARM_STATE_FILE: &str = "warm_state.spws";
-
-/// Sorts exported memo entries by key for a deterministic snapshot
-/// encoding (the memos iterate a hash map).
-fn sorted_entries<V>(mut entries: Vec<(RunKey, V)>) -> Vec<(RunKey, V)> {
-    entries.sort_by(|a, b| {
-        (
-            &a.0.test,
-            a.0.seed,
-            &a.0.env_revision,
-            a.0.scale().to_bits(),
-        )
-            .cmp(&(
-                &b.0.test,
-                b.0.seed,
-                &b.0.env_revision,
-                b.0.scale().to_bits(),
-            ))
-    });
-    entries
-}
 
 /// What a warm-state restore accepted, per layer of trust.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -13,10 +13,12 @@
 //! ## Value versioning
 //!
 //! Every section *value* starts with the two-byte header
-//! `[VALUE_TAG, VALUE_VERSION]`. Version 2 re-keyed the in-memory memos on
-//! fast hashes; the on-disk values still carry full keys and SHA-256
-//! addresses, but the header lets a build drop (never misread) entries
-//! written by a different codec generation. The tag byte `0xF7` cannot
+//! `[VALUE_TAG, VALUE_VERSION]`, which lets a build drop (never misread)
+//! entries written by a different codec generation. Version 2 arrived
+//! when the in-memory memos were briefly keyed on a custom fast hash; the
+//! memos are back on std `HashMap` and the values never stopped carrying
+//! full keys and SHA-256 addresses, so v2 stays and re-versioning would
+//! only drop valid warm state. The tag byte `0xF7` cannot
 //! begin any realistic v1 value — v1 values started with a raw digest
 //! byte, a stage/test count (≥ 247 stages would be required) or a string
 //! length — and the decoders additionally fail on the length mismatch the
@@ -129,7 +131,7 @@ fn put_status(out: &mut Vec<u8>, status: &TestStatus) {
 fn take_status(cursor: &mut Cursor<'_>) -> Option<TestStatus> {
     Some(match cursor.take_u8()? {
         0 => TestStatus::Passed,
-        1 => TestStatus::PassedWithWarnings(cursor.take_u64()? as usize),
+        1 => TestStatus::PassedWithWarnings(usize::try_from(cursor.take_u64()?).ok()?),
         2 => TestStatus::Failed(take_failure(cursor)?),
         3 => TestStatus::Skipped(cursor.take_str()?),
         _ => return None,
@@ -167,7 +169,8 @@ fn take_failure(cursor: &mut Cursor<'_>) -> Option<FailureKind> {
         0 => FailureKind::CompileError,
         1 => FailureKind::DependencyFailed(cursor.take_str()?),
         2 => FailureKind::Crash(cursor.take_str()?),
-        3 => FailureKind::BadExit(cursor.take_u64()? as i64 as i32),
+        // Written sign-extended, so only an `i32` in `i64` form is canonical.
+        3 => FailureKind::BadExit(i32::try_from(cursor.take_u64()? as i64).ok()?),
         4 => FailureKind::ComparisonFailed(cursor.take_str()?),
         5 => FailureKind::ChainStageFailed(cursor.take_str()?),
         _ => return None,
@@ -267,7 +270,8 @@ pub(crate) fn encode_reference_tests(
 }
 
 /// Parses one experiment's reference map serialised by
-/// [`encode_reference_tests`]. `None` on any structural mismatch.
+/// [`encode_reference_tests`]. `None` on any structural mismatch,
+/// including test names out of order.
 pub(crate) fn decode_reference_tests(
     bytes: &[u8],
 ) -> Option<BTreeMap<String, crate::ledger::TestOutputs>> {
@@ -277,6 +281,13 @@ pub(crate) fn decode_reference_tests(
     let mut tests = BTreeMap::new();
     for _ in 0..test_count {
         let test = cursor.take_str()?;
+        // The encoder walks a map: names must be strictly ascending.
+        if tests
+            .last_key_value()
+            .is_some_and(|(last, _)| *last >= test)
+        {
+            return None;
+        }
         // An output: a length-prefixed name and a 32-byte object id.
         let output_count = cursor.take_count(36)?;
         let mut outputs = Vec::with_capacity(output_count);
@@ -310,7 +321,7 @@ fn put_build_status(out: &mut Vec<u8>, status: &BuildStatus) {
 fn take_build_status(cursor: &mut Cursor<'_>) -> Option<BuildStatus> {
     Some(match cursor.take_u8()? {
         0 => BuildStatus::Built,
-        1 => BuildStatus::BuiltWithWarnings(cursor.take_u64()? as usize),
+        1 => BuildStatus::BuiltWithWarnings(usize::try_from(cursor.take_u64()?).ok()?),
         2 => BuildStatus::Failed,
         3 => BuildStatus::SkippedDepFailed(PackageId::new(cursor.take_str()?)),
         _ => return None,
@@ -354,6 +365,13 @@ pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
     let mut records = BTreeMap::new();
     for _ in 0..record_count {
         let package = PackageId::new(cursor.take_str()?);
+        // The encoder walks a map: packages must be strictly ascending.
+        if records
+            .last_key_value()
+            .is_some_and(|(last, _)| *last >= package)
+        {
+            return None;
+        }
         let status = take_build_status(&mut cursor)?;
         let log = cursor.take_str()?;
         let artifact = match cursor.take_u8()? {
@@ -571,5 +589,113 @@ mod tests {
         wire::put_str(&mut report, "SL6");
         wire::put_u32(&mut report, u32::MAX);
         assert!(decode_build_report(&report).is_none());
+    }
+
+    /// The valid value, every truncation, every single-bit flip,
+    /// `u32::MAX` stamped at every offset, one trailing byte, and random
+    /// tails behind the valid header.
+    fn value_variants(value: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..=value.len()).map(|at| value[..at].to_vec()).collect();
+        for bit in 0..value.len() * 8 {
+            let mut flipped = value.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            out.push(flipped);
+        }
+        for at in 0..value.len() {
+            let mut stamped = value.to_vec();
+            let end = (at + 4).min(value.len());
+            stamped[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
+            out.push(stamped);
+        }
+        out.push([value, &[0]].concat());
+        let mut state = 0x2013_1029_u64;
+        for len in 0..64 {
+            let mut tail = vec![VALUE_TAG, VALUE_VERSION];
+            tail.extend((0..len).map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            }));
+            out.push(tail);
+        }
+        out
+    }
+
+    /// Every variant of `valid` must be rejected or re-encode to exactly
+    /// its input.
+    fn assert_total<T>(
+        valid: &[u8],
+        decode: fn(&[u8]) -> Option<T>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) {
+        assert!(decode(valid).is_some(), "the valid value decodes");
+        for variant in value_variants(valid) {
+            if let Some(value) = decode(&variant) {
+                assert_eq!(encode(&value), variant, "non-canonical value accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_value_decoders_are_total() {
+        assert_total(&encode_u64_value(u64::MAX - 7), decode_u64_value, |v| {
+            encode_u64_value(*v)
+        });
+        let id = ObjectId::for_bytes(b"artifact");
+        assert_total(&encode_object_id(id), decode_object_id, |id| {
+            encode_object_id(*id)
+        });
+
+        let stage = |name: &str, status: TestStatus, outputs: usize| MemoizedStage {
+            stage: name.into(),
+            test: TestId::new(format!("h1/chain/nc/{name}")),
+            category: TestCategory::AnalysisChain,
+            status,
+            outputs: (0..outputs)
+                .map(|i| (format!("out{i}"), ObjectId::for_bytes(name.as_bytes())))
+                .collect(),
+        };
+        let chain = MemoizedChain {
+            stages: vec![
+                stage("gen", TestStatus::PassedWithWarnings(2), 1),
+                stage("ana", TestStatus::Failed(FailureKind::BadExit(-3)), 0),
+            ],
+        };
+        assert_total(&encode_chain(&chain), decode_chain, encode_chain);
+
+        let mut tests: BTreeMap<String, crate::ledger::TestOutputs> = BTreeMap::new();
+        tests.insert("h1/a".into(), vec![("r".into(), id)]);
+        tests.insert("h1/b".into(), vec![]);
+        assert_total(
+            &encode_reference_tests(&tests),
+            decode_reference_tests,
+            encode_reference_tests,
+        );
+
+        let record = |name: &str, status, artifact| sp_build::BuildRecord {
+            package: PackageId::new(name),
+            status,
+            log: "ok".into(),
+            artifact,
+        };
+        let report = BuildReport {
+            env_label: "SL6".into(),
+            order: vec![PackageId::new("a"), PackageId::new("b")],
+            records: [
+                record("a", BuildStatus::BuiltWithWarnings(1), Some(id)),
+                record(
+                    "b",
+                    BuildStatus::SkippedDepFailed(PackageId::new("a")),
+                    None,
+                ),
+            ]
+            .into_iter()
+            .map(|r| (r.package.clone(), r))
+            .collect(),
+        };
+        assert_total(&encode_build_report(&report), decode_build_report, |r| {
+            encode_build_report(r)
+        });
     }
 }

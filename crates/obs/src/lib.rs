@@ -46,8 +46,8 @@ pub fn global() -> &'static MetricsRegistry {
 /// call these at natural sampling points (poll rounds, drain ends).
 pub mod instrument {
     use super::metrics::MetricsRegistry;
-    use sp_store::digest_cache::DigestCacheStats;
     use sp_store::wq::QueueStats;
+    use sp_store::DigestCacheStats;
 
     /// Mirrors a [`QueueStats`] reading into `store.wq.*` gauges.
     pub fn sample_queue_stats(registry: &MetricsRegistry, stats: &QueueStats) {
@@ -109,7 +109,7 @@ mod tests {
             quarantined: 2,
         };
         instrument::sample_queue_stats(&registry, &queue_stats);
-        let cache_stats = sp_store::digest_cache::DigestCacheStats {
+        let cache_stats = sp_store::DigestCacheStats {
             hits: 9,
             misses: 3,
             entries: 6,

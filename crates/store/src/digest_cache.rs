@@ -8,149 +8,40 @@
 //! so an unchanged artifact costs one map lookup instead of an archive pack
 //! plus a SHA-256 pass.
 //!
-//! A cache entry is only trusted while the object it points to is still
+//! A cache entry is only served while the object it points to is still
 //! present in the content store — retention pruning may evict objects, in
 //! which case the producer runs again and the entry is refreshed (see
 //! [`crate::SharedStorage::put_named_cached`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
-
-use crate::fasthash::{hash128, FastKeyState};
-use crate::ObjectId;
-
-/// Counters for cache effectiveness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DigestCacheStats {
-    /// Lookups answered from the cache (no re-hash performed).
-    pub hits: u64,
-    /// Lookups that fell through to hashing (first sight of the revision,
-    /// or its object was evicted in the meantime).
-    pub misses: u64,
-    /// Revisions currently cached.
-    pub entries: usize,
-}
-
-impl DigestCacheStats {
-    /// Fraction of lookups served from cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+use crate::{Memo, ObjectId};
 
 /// A concurrent `revision → content address` memo.
-///
-/// Keyed internally on the 128-bit [`crate::fasthash`] digest of the
-/// revision string (identity [`FastKeyState`], so the map never re-hashes
-/// the key); each entry retains the full revision and reads verify it, so
-/// a colliding digest can only miss or displace — never serve an address
-/// under the wrong revision. Process-local only: the warm-state snapshot
-/// exports `(revision, ObjectId)` pairs, not fast keys.
-#[derive(Debug, Default)]
-pub struct DigestCache {
-    entries: RwLock<HashMap<u128, (String, ObjectId), FastKeyState>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl DigestCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        DigestCache::default()
-    }
-
-    /// Looks up the content address cached for `revision` (no counters).
-    pub fn peek(&self, revision: &str) -> Option<ObjectId> {
-        self.entries
-            .read()
-            .get(&hash128(revision.as_bytes()).0)
-            .filter(|(cached, _)| cached == revision)
-            .map(|(_, id)| *id)
-    }
-
-    /// Records that `revision` hashes to `id`.
-    pub fn insert(&self, revision: &str, id: ObjectId) {
-        self.entries
-            .write()
-            .insert(hash128(revision.as_bytes()).0, (revision.to_string(), id));
-    }
-
-    /// Drops one revision (e.g. after its object was pruned). Returns
-    /// whether it was cached.
-    pub fn invalidate(&self, revision: &str) -> bool {
-        let fast = hash128(revision.as_bytes()).0;
-        let mut entries = self.entries.write();
-        match entries.get(&fast) {
-            Some((cached, _)) if cached == revision => {
-                entries.remove(&fast);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Records a lookup answered from cache.
-    pub fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a lookup that fell through to hashing.
-    pub fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the effectiveness counters.
-    pub fn stats(&self) -> DigestCacheStats {
-        DigestCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.read().len(),
-        }
-    }
-
-    /// Snapshot of every `(revision, object id)` pair, in unspecified
-    /// order — the warm-state snapshot serialiser iterates this.
-    /// Restoring goes through plain [`insert`](Self::insert), one
-    /// validated entry at a time.
-    pub fn export_entries(&self) -> Vec<(String, ObjectId)> {
-        self.entries
-            .read()
-            .values()
-            .map(|(revision, id)| (revision.clone(), *id))
-            .collect()
-    }
-}
+pub type DigestCache = Memo<String, ObjectId>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DigestCacheStats;
 
     #[test]
     fn insert_peek_invalidate() {
         let cache = DigestCache::new();
         let id = ObjectId::for_bytes(b"tarball");
         assert_eq!(cache.peek("pkg@1.0@SL6"), None);
-        cache.insert("pkg@1.0@SL6", id);
+        cache.insert("pkg@1.0@SL6".into(), id);
         assert_eq!(cache.peek("pkg@1.0@SL6"), Some(id));
-        assert!(cache.invalidate("pkg@1.0@SL6"));
-        assert!(!cache.invalidate("pkg@1.0@SL6"));
+        assert_eq!(cache.serve("pkg@1.0@SL6", |_| None::<ObjectId>), None);
         assert_eq!(cache.peek("pkg@1.0@SL6"), None);
+        assert_eq!(cache.serve("pkg@1.0@SL6", Some), None);
     }
 
     #[test]
     fn stats_track_hits_and_misses() {
         let cache = DigestCache::new();
-        cache.note_miss();
-        cache.insert("r", ObjectId::for_bytes(b"x"));
-        cache.note_hit();
-        cache.note_hit();
+        assert_eq!(cache.serve("r", Some), None);
+        cache.insert("r".into(), ObjectId::for_bytes(b"x"));
+        assert!(cache.serve("r", Some).is_some());
+        assert!(cache.serve("r", Some).is_some());
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 1);
@@ -169,12 +60,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..200 {
                     let revision = format!("rev-{}", (t + i) % 50);
-                    match cache.peek(&revision) {
-                        Some(_) => cache.note_hit(),
-                        None => {
-                            cache.note_miss();
-                            cache.insert(&revision, ObjectId::for_bytes(revision.as_bytes()));
-                        }
+                    if cache.serve(&revision, Some).is_none() {
+                        let id = ObjectId::for_bytes(revision.as_bytes());
+                        cache.insert(revision, id);
                     }
                 }
             }));

@@ -9,20 +9,19 @@
 //! This crate provides that substrate:
 //!
 //! * [`sha256`] — a self-contained SHA-256 implementation used for content
-//!   addressing (kept in-crate to avoid a cryptography dependency; verified
+//!   addressing, the only digest written to disk (kept in-crate to avoid a cryptography dependency; verified
 //!   against the NIST test vectors), with a SHA-NI kernel picked at run
 //!   time where the CPU has one and the portable scalar kernel elsewhere.
-//! * [`fasthash`] — the non-cryptographic half of the dual-digest posture:
-//!   a 128-bit xxHash-style hash keying process-local lookups ([`RunMemo`],
-//!   [`DigestCache`]). Never persisted; SHA-256
-//!   remains the only digest written to disk.
 //! * [`object`] — [`ObjectId`] content addresses.
 //! * [`content`] — [`ContentStore`], an integrity-checked object store.
-//! * [`digest_cache`] — revision-keyed digest memoisation, so unchanged
-//!   artifacts are not re-packed and re-hashed on every nightly firing.
-//! * [`run_memo`] — cell-level run memoisation ([`RunMemo`] keyed by
-//!   test, seed, environment revision and scale), so unchanged validation
-//!   cells replay their conserved outputs instead of re-executing chains.
+//! * [`run_memo`] — [`Memo`], the one memo map (a std `HashMap` with
+//!   hit/miss counters and a single validated lookup, [`Memo::serve`]),
+//!   and [`RunMemo`], its cell-level use keyed by test, seed, environment
+//!   revision and scale, so unchanged validation cells replay their
+//!   conserved outputs instead of re-executing chains.
+//! * [`digest_cache`] — [`DigestCache`], the same map keyed by package
+//!   revision, so unchanged artifacts are not re-packed and re-hashed on
+//!   every nightly firing.
 //! * [`archive`] — the `SPAR` archive format standing in for the tar-balls
 //!   in which compiled package binaries are conserved.
 //! * [`meta`] — namespaced key/value bookkeeping metadata.
@@ -66,7 +65,6 @@
 pub mod archive;
 pub mod content;
 pub mod digest_cache;
-pub mod fasthash;
 pub mod fnv;
 pub mod meta;
 pub mod object;
@@ -82,14 +80,13 @@ pub mod wq;
 
 pub use archive::{Archive, ArchiveEntry};
 pub use content::ContentStore;
-pub use digest_cache::{DigestCache, DigestCacheStats};
-pub use fasthash::{FastDigest, FastHasher};
+pub use digest_cache::DigestCache;
 pub use fnv::fnv64;
 pub use meta::MetaStore;
 pub use object::ObjectId;
 pub use retention::{RetentionPolicy, TimeSource};
 pub use run_log::{CellRecord, RunLog, RunLogReplay};
-pub use run_memo::{RunKey, RunMemo};
+pub use run_memo::{DigestCacheStats, Memo, RunKey, RunMemo};
 pub use shared::{ExportSummary, ImportSummary, SharedStorage, StorageArea};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotLoadReport, SnapshotSection};
 pub use vault::{FrozenImage, FrozenVault};

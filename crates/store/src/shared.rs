@@ -168,21 +168,19 @@ impl SharedStorage {
         revision: &str,
         produce: impl FnOnce() -> Vec<u8>,
     ) -> ObjectId {
-        if let Some(id) = self.digests.peek(revision) {
-            if self.content.contains(id) {
-                self.digests.note_hit();
-                // Keep the name → address mapping fresh for this key even
-                // when the bytes were produced under an earlier key.
-                self.meta.set(area.namespace(), key, id.to_hex());
-                return id;
-            }
-            // The object was evicted (retention pruning): drop the stale
-            // entry and fall through to a full store.
-            self.digests.invalidate(revision);
+        let served = self.digests.serve(revision, |id| {
+            // An object pruned by retention fails validation: the entry is
+            // evicted and the bytes are stored again below.
+            self.content.contains(id).then_some(id)
+        });
+        if let Some(id) = served {
+            // Keep the name → address mapping fresh for this key even
+            // when the bytes were produced under an earlier key.
+            self.meta.set(area.namespace(), key, id.to_hex());
+            return id;
         }
-        self.digests.note_miss();
         let id = self.put_named(area, key, produce());
-        self.digests.insert(revision, id);
+        self.digests.insert(revision.to_string(), id);
         id
     }
 

@@ -32,8 +32,8 @@
 
 use sp_wire as wire;
 
-use crate::run_memo::RunKey;
 use crate::sha256::Sha256;
+use crate::RunKey;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPWS";

@@ -464,13 +464,7 @@ impl WorkQueue {
     ) -> std::io::Result<u64> {
         let mut seq = self.max_submission_seq().map(|s| s + 1).unwrap_or(1);
         loop {
-            let mut body = Vec::with_capacity(payload.len() + 64);
-            wire::put_u64(&mut body, seq);
-            wire::put_u64(&mut body, base_run_id);
-            wire::put_u64(&mut body, total_runs);
-            wire::put_u64(&mut body, origin);
-            wire::put_bytes(&mut body, payload);
-            let record = encode_record(&MAGIC_SUBMISSION, &body);
+            let record = encode_submission(seq, base_run_id, total_runs, origin, payload);
             let target = self.submission_path(seq);
             match create_durable_exclusive(self.fs.as_ref(), &self.staging.next(), &target, &record)
             {
@@ -569,28 +563,7 @@ impl WorkQueue {
 
     fn read_lease(&self, seq: u64, token: u64) -> Option<LeaseRecord> {
         let bytes = self.fs.read(&self.lease_path(seq, token)).ok()?;
-        let body = decode_record(&MAGIC_LEASE, &bytes)?;
-        let mut cursor = wire::Cursor::new(&body);
-        let record = LeaseRecord {
-            seq: cursor.take_u64()?,
-            token: cursor.take_u64()?,
-            holder: cursor.take_str()?,
-            acquired_at: cursor.take_u64()?,
-            expires_at: cursor.take_u64()?,
-            released: cursor.take_u8()? != 0,
-        };
-        (cursor.finished() && record.seq == seq && record.token == token).then_some(record)
-    }
-
-    fn encode_lease(&self, record: &LeaseRecord) -> Vec<u8> {
-        let mut body = Vec::with_capacity(record.holder.len() + 64);
-        wire::put_u64(&mut body, record.seq);
-        wire::put_u64(&mut body, record.token);
-        wire::put_str(&mut body, &record.holder);
-        wire::put_u64(&mut body, record.acquired_at);
-        wire::put_u64(&mut body, record.expires_at);
-        body.push(record.released as u8);
-        encode_record(&MAGIC_LEASE, &body)
+        decode_lease(seq, token, &bytes)
     }
 
     /// Whether a lease record is live (held, unreleased, unexpired) at
@@ -669,7 +642,7 @@ impl WorkQueue {
             self.fs.as_ref(),
             &self.staging.next(),
             &self.lease_path(seq, token),
-            &self.encode_lease(&record),
+            &encode_lease(&record),
         ) {
             Ok(()) => {
                 // Close the rest of the publish/release race: between
@@ -683,7 +656,7 @@ impl WorkQueue {
                 if self.report(seq).is_some() {
                     let mut record = record;
                     record.released = true;
-                    self.write_atomic(&self.lease_path(seq, token), &self.encode_lease(&record))?;
+                    self.write_atomic(&self.lease_path(seq, token), &encode_lease(&record))?;
                     return Ok(None);
                 }
                 Ok(Some(Lease {
@@ -750,7 +723,7 @@ impl WorkQueue {
         record.expires_at = self.now_secs() + self.lease_secs;
         self.write_atomic(
             &self.lease_path(lease.seq, lease.token),
-            &self.encode_lease(&record),
+            &encode_lease(&record),
         )?;
         lease.expires_at = record.expires_at;
         Ok(record.expires_at)
@@ -762,11 +735,7 @@ impl WorkQueue {
     /// live generation — a stalled worker cannot commit stale results.
     pub fn publish_report(&self, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
         self.verify_held(lease)?;
-        let mut body = Vec::with_capacity(payload.len() + 32);
-        wire::put_u64(&mut body, lease.seq);
-        wire::put_u64(&mut body, lease.token);
-        wire::put_bytes(&mut body, payload);
-        let record = encode_record(&MAGIC_REPORT, &body);
+        let record = encode_report(lease.seq, lease.token, payload);
         self.write_atomic(&self.report_path(lease.seq, lease.token), &record)?;
         Ok(())
     }
@@ -779,7 +748,7 @@ impl WorkQueue {
         record.released = true;
         self.write_atomic(
             &self.lease_path(lease.seq, lease.token),
-            &self.encode_lease(&record),
+            &encode_lease(&record),
         )?;
         Ok(())
     }
@@ -870,20 +839,16 @@ impl WorkQueue {
         for (index, (lease, payload)) in items.iter().enumerate() {
             match self.verify_held(lease) {
                 Ok(mut record) => {
-                    let mut body = Vec::with_capacity(payload.len() + 32);
-                    wire::put_u64(&mut body, lease.seq);
-                    wire::put_u64(&mut body, lease.token);
-                    wire::put_bytes(&mut body, payload);
                     reports.push((
                         self.staging.next(),
                         self.report_path(lease.seq, lease.token),
-                        encode_record(&MAGIC_REPORT, &body),
+                        encode_report(lease.seq, lease.token, payload),
                     ));
                     record.released = true;
                     releases.push((
                         self.staging.next(),
                         self.lease_path(lease.seq, lease.token),
-                        self.encode_lease(&record),
+                        encode_lease(&record),
                     ));
                     verified.push(index);
                     out.push(Ok(()));
@@ -971,11 +936,7 @@ impl WorkQueue {
     /// machine-independent (an undecodable payload); transient failures
     /// should release the lease instead so another worker can retry.
     pub fn mark_poisoned(&self, seq: u64, holder: &str, reason: &str) -> std::io::Result<bool> {
-        let mut body = Vec::with_capacity(holder.len() + reason.len() + 24);
-        wire::put_u64(&mut body, seq);
-        wire::put_str(&mut body, holder);
-        wire::put_str(&mut body, reason);
-        let record = encode_record(&MAGIC_POISON, &body);
+        let record = encode_poison(seq, holder, reason);
         let target = self.poison_path(seq);
         match create_durable_exclusive(self.fs.as_ref(), &self.staging.next(), &target, &record) {
             Ok(()) => {
@@ -1091,7 +1052,63 @@ impl WorkQueue {
     }
 }
 
-/// Decodes (digest-validating) one submission record's bytes.
+fn encode_submission(
+    seq: u64,
+    base_run_id: u64,
+    total_runs: u64,
+    origin: u64,
+    payload: &[u8],
+) -> Vec<u8> {
+    let mut body = Vec::with_capacity(payload.len() + 36);
+    wire::put_u64(&mut body, seq);
+    wire::put_u64(&mut body, base_run_id);
+    wire::put_u64(&mut body, total_runs);
+    wire::put_u64(&mut body, origin);
+    wire::put_bytes(&mut body, payload);
+    encode_record(&MAGIC_SUBMISSION, &body)
+}
+
+fn encode_lease(record: &LeaseRecord) -> Vec<u8> {
+    let mut body = Vec::with_capacity(record.holder.len() + 37);
+    wire::put_u64(&mut body, record.seq);
+    wire::put_u64(&mut body, record.token);
+    wire::put_str(&mut body, &record.holder);
+    wire::put_u64(&mut body, record.acquired_at);
+    wire::put_u64(&mut body, record.expires_at);
+    wire::put_u8(&mut body, record.released as u8);
+    encode_record(&MAGIC_LEASE, &body)
+}
+
+/// Decodes (digest-validating) one lease record. The `released` flag must
+/// be 0 or 1, so that a decoded record re-encodes to the bytes it came
+/// from.
+fn decode_lease(seq: u64, token: u64, bytes: &[u8]) -> Option<LeaseRecord> {
+    let body = decode_record(&MAGIC_LEASE, bytes)?;
+    let mut cursor = wire::Cursor::new(&body);
+    let record = LeaseRecord {
+        seq: cursor.take_u64()?,
+        token: cursor.take_u64()?,
+        holder: cursor.take_str()?,
+        acquired_at: cursor.take_u64()?,
+        expires_at: cursor.take_u64()?,
+        released: match cursor.take_u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        },
+    };
+    (cursor.finished() && record.seq == seq && record.token == token).then_some(record)
+}
+
+fn encode_report(seq: u64, token: u64, payload: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(payload.len() + 20);
+    wire::put_u64(&mut body, seq);
+    wire::put_u64(&mut body, token);
+    wire::put_bytes(&mut body, payload);
+    encode_record(&MAGIC_REPORT, &body)
+}
+
+/// Decodes (digest-validating) one report record's bytes.
 fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
     let body = decode_record(&MAGIC_REPORT, bytes)?;
     let mut cursor = wire::Cursor::new(&body);
@@ -1099,6 +1116,14 @@ fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
     let recorded_token = cursor.take_u64()?;
     let payload = cursor.take_bytes()?;
     (cursor.finished() && recorded_seq == seq && recorded_token == token).then_some(payload)
+}
+
+fn encode_poison(seq: u64, holder: &str, reason: &str) -> Vec<u8> {
+    let mut body = Vec::with_capacity(holder.len() + reason.len() + 16);
+    wire::put_u64(&mut body, seq);
+    wire::put_str(&mut body, holder);
+    wire::put_str(&mut body, reason);
+    encode_record(&MAGIC_POISON, &body)
 }
 
 fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
@@ -1461,5 +1486,106 @@ mod tests {
             );
         }
         assert!(decode_record(&MAGIC_SUBMISSION, b"").is_none());
+    }
+
+    #[test]
+    fn lease_with_released_byte_other_than_0_or_1_is_dropped() {
+        let (q, _clock, dir) = queue(30);
+        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        let lease = q.lease_next("w1").unwrap().unwrap();
+        let path = q.lease_path(seq, lease.token);
+        let mut body = decode_record(&MAGIC_LEASE, &std::fs::read(&path).unwrap()).unwrap();
+        *body.last_mut().unwrap() = 2;
+        std::fs::write(&path, encode_record(&MAGIC_LEASE, &body)).unwrap();
+        assert_eq!(q.read_lease(seq, lease.token), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The valid body, every truncation, every single-bit flip, `u32::MAX`
+    /// stamped at every offset, one trailing byte, and random bodies.
+    fn body_variants(body: &[u8]) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = (0..=body.len()).map(|at| body[..at].to_vec()).collect();
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            out.push(flipped);
+        }
+        for at in 0..body.len() {
+            let mut stamped = body.to_vec();
+            let end = (at + 4).min(body.len());
+            stamped[at..end].copy_from_slice(&u32::MAX.to_le_bytes()[..end - at]);
+            out.push(stamped);
+        }
+        out.push([body, &[0]].concat());
+        let mut state = 0x2013_1029_u64;
+        for len in 0..64 {
+            out.push(
+                (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        (state >> 56) as u8
+                    })
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    /// Re-seals every variant of `valid`'s body so the body parser is
+    /// reached: each must be rejected or re-encode to exactly its input.
+    fn assert_total<T>(
+        magic: &[u8; 4],
+        valid: &[u8],
+        decode: impl Fn(&[u8]) -> Option<T>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) {
+        let body = decode_record(magic, valid).expect("a valid record");
+        let mut accepted = 0;
+        for variant in body_variants(&body) {
+            let record = encode_record(magic, &variant);
+            if let Some(value) = decode(&record) {
+                assert_eq!(encode(&value), record, "non-canonical body {variant:?}");
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 0, "the valid body decodes");
+    }
+
+    #[test]
+    fn record_body_decoders_are_total() {
+        let lease = LeaseRecord {
+            seq: 3,
+            token: 2,
+            holder: "w1".into(),
+            acquired_at: 1_000,
+            expires_at: 1_030,
+            released: true,
+        };
+        assert_total(
+            &MAGIC_LEASE,
+            &encode_lease(&lease),
+            |bytes| decode_lease(3, 2, bytes),
+            encode_lease,
+        );
+        assert_total(
+            &MAGIC_SUBMISSION,
+            &encode_submission(3, 100, 5, 7_000, b"plan"),
+            |bytes| decode_submission(3, bytes),
+            |s| encode_submission(s.seq, s.base_run_id, s.total_runs, s.origin, &s.payload),
+        );
+        assert_total(
+            &MAGIC_REPORT,
+            &encode_report(3, 2, b"report"),
+            |bytes| decode_report_bytes(3, 2, bytes),
+            |payload| encode_report(3, 2, payload),
+        );
+        assert_total(
+            &MAGIC_POISON,
+            &encode_poison(3, "w1", "undecodable plan"),
+            |bytes| decode_poison_bytes(3, bytes),
+            |mark| encode_poison(mark.seq, &mark.holder, &mark.reason),
+        );
     }
 }

@@ -51,32 +51,6 @@ proptest! {
         prop_assert_eq!(hasher.finalize(), oneshot);
     }
 
-    /// Streaming the fast hash over any random chunking equals the
-    /// one-shot `hash128`, including splits that straddle the 32-byte
-    /// stripe buffer in every possible phase.
-    #[test]
-    fn fasthash_incremental_equals_oneshot(
-        data in prop::collection::vec(any::<u8>(), 0..2048),
-        split_fracs in prop::collection::vec(0.0f64..1.0, 0..6),
-    ) {
-        let mut splits: Vec<usize> = split_fracs
-            .iter()
-            .map(|f| (f * data.len() as f64) as usize)
-            .collect();
-        splits.sort_unstable();
-        splits.dedup();
-        splits.push(data.len());
-
-        let oneshot = sp_store::fasthash::hash128(&data);
-        let mut hasher = sp_store::FastHasher::new();
-        let mut prev = 0usize;
-        for &s in &splits {
-            hasher.update(&data[prev..s]);
-            prev = s;
-        }
-        prop_assert_eq!(hasher.finish(), oneshot);
-    }
-
     /// `put_prehashed` with an id computed by streaming the bytes through
     /// `Sha256::update` behaves exactly like `put`: same address,
     /// deduplicated storage.
