@@ -476,10 +476,6 @@ pub struct Worker<'a> {
     /// always has its history on disk.
     run_log: Option<sp_store::RunLog>,
     poisoned: std::cell::RefCell<std::collections::BTreeSet<u64>>,
-    /// Submissions this worker has seen a trusted report for. A trusted
-    /// report is permanent, so caching saves re-reading reports (and the
-    /// submission payloads behind them) on every idle poll.
-    completed: std::cell::RefCell<std::collections::BTreeSet<u64>>,
     /// Submissions whose record failed its digest. Queue records are
     /// write-once (created exclusively), so corruption is permanent too.
     invalid: std::cell::RefCell<std::collections::BTreeSet<u64>>,
@@ -516,7 +512,6 @@ impl<'a> Worker<'a> {
             slowdown: None,
             run_log: None,
             poisoned: std::cell::RefCell::new(std::collections::BTreeSet::new()),
-            completed: std::cell::RefCell::new(std::collections::BTreeSet::new()),
             invalid: std::cell::RefCell::new(std::collections::BTreeSet::new()),
             retry: std::cell::RefCell::new(retry),
         }
@@ -552,9 +547,9 @@ impl<'a> Worker<'a> {
     /// Whether every submission on the queue has reached a terminal state
     /// — completed (trusted report), permanently invalid (corrupt
     /// record), or durably poisoned — the worker's exit condition,
-    /// evaluated against the per-worker caches so each payload is read
-    /// and digest-checked at most once per worker rather than on every
-    /// idle poll.
+    /// evaluated against the queue handle's settled set and the
+    /// per-worker caches so each payload is read and digest-checked at
+    /// most once per worker rather than on every idle poll.
     fn backlog_complete(&self) -> bool {
         // A failed listing is *not* an empty backlog: concluding
         // "complete" off a disk hiccup would make the worker exit with
@@ -565,12 +560,13 @@ impl<'a> Worker<'a> {
         };
         let mut complete = true;
         for seq in seqs {
-            if self.completed.borrow().contains(&seq) || self.invalid.borrow().contains(&seq) {
+            if self.queue.is_settled(seq)
+                || self.invalid.borrow().contains(&seq)
+                || self.queue.report(seq).is_some()
+            {
                 continue;
             }
-            if self.queue.report(seq).is_some() {
-                self.completed.borrow_mut().insert(seq);
-            } else if self.queue.is_poisoned(seq) {
+            if self.queue.is_poisoned(seq) {
                 self.invalid.borrow_mut().insert(seq);
             } else {
                 // Only a *successful* read proving the record absent or
@@ -754,17 +750,12 @@ impl<'a> Worker<'a> {
         };
 
         // Phase 1 — claim. One scan, up to `lease_batch` exclusive-create
-        // lease claims, one leases-directory sync for the whole batch.
+        // lease claims, one leases-directory sync for the whole batch. The
+        // queue handle itself skips settled work.
         let skip: std::collections::BTreeSet<u64> = {
             let poisoned = self.poisoned.borrow();
-            let completed = self.completed.borrow();
             let invalid = self.invalid.borrow();
-            poisoned
-                .iter()
-                .chain(completed.iter())
-                .chain(invalid.iter())
-                .copied()
-                .collect()
+            poisoned.union(&invalid).copied().collect()
         };
         let leases = self.retry_io(|| {
             self.queue
@@ -993,7 +984,6 @@ impl<'a> Worker<'a> {
                 stats.campaigns_drained += 1;
                 stats.runs_executed += item.total_runs;
                 stats.sched.merge(&item.sched);
-                self.completed.borrow_mut().insert(item.seq);
                 sp_obs::global().counter("fleet.publishes").incr();
                 sp_obs::trace::emit_with("worker", "publish", || {
                     format!("seq={} token={}", item.seq, lease.token)

@@ -69,6 +69,24 @@
 //! as publish and release, so a renewal attempted after fencing returns
 //! the fencing error — it can never resurrect a reclaimed lease.
 //!
+//! Generations are **dense**: each one is created by an exclusive hard
+//! link at `last + 1`, where `last` is the highest generation its claimer
+//! found, and no lease file is ever removed or quarantined. So the
+//! generations of a submission are exactly `1..=K`, and a handle finds `K`
+//! without listing `leases/`: it reads `sub-<seq>.g<K+1>`, `g<K+2>`, …
+//! upward from the highest generation it has seen until one is
+//! `NotFound`. A probe that fails any other way is an I/O error, never
+//! "no generation".
+//!
+//! Each handle also keeps a **settled** set: submissions whose trusted
+//! report sits at a *released* generation. Release is fenced and final, so
+//! such a report stays trusted whatever generation comes later, and a
+//! claim walk skips settled work without touching the disk. A submission
+//! enters the set only when [`report`](WorkQueue::report) reads it so (or
+//! when this handle's own batched publish and release both commit), and
+//! leaves it whenever `report` reads nothing trusted — a report torn
+//! after it was trusted makes the work claimable again on the same handle.
+//!
 //! ## Poison marks
 //!
 //! A submission whose payload is undecodable on *every* machine (it
@@ -95,8 +113,11 @@
 //! one exception — their generation numbers are fencing tokens parsed
 //! from the file *name*, so a corrupt lease file stays in place, burned.
 
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::retention::TimeSource;
 use crate::sha256::Sha256;
@@ -289,6 +310,12 @@ pub struct WorkQueue {
     lease_secs: u64,
     fs: Arc<dyn StoreFs>,
     staging: StagingDir,
+    /// Highest lease generation this handle has seen, per submission: the
+    /// floor the next generation probe starts from.
+    generations: Mutex<HashMap<u64, u64>>,
+    /// Submissions whose trusted report's generation is released (see the
+    /// module docs): claims skip them without I/O.
+    settled: Mutex<HashSet<u64>>,
 }
 
 impl WorkQueue {
@@ -336,6 +363,8 @@ impl WorkQueue {
             lease_secs: lease_secs.max(1),
             fs,
             staging,
+            generations: Mutex::new(HashMap::new()),
+            settled: Mutex::new(HashSet::new()),
         };
         queue.sweep_corrupt();
         Ok(queue)
@@ -548,17 +577,29 @@ impl WorkQueue {
 
     // ---- leases ------------------------------------------------------
 
-    /// Lease generation numbers present on disk for `seq` (including
-    /// corrupt records: their numbers stay burned so fencing holds).
-    fn lease_tokens(&self, seq: u64) -> Vec<u64> {
-        let prefix = format!("sub-{seq:08}.g");
-        let mut tokens: Vec<u64> = self
-            .scan("leases")
-            .into_iter()
-            .filter_map(|name| parse_seq(&name, &prefix, ""))
-            .collect();
-        tokens.sort_unstable();
-        tokens
+    /// How many lease generations `seq` has (including corrupt records:
+    /// their numbers stay burned so fencing holds). Generations are dense,
+    /// so this is also the highest one: probed upward from the highest
+    /// this handle has seen until a read is `NotFound`. Any other read
+    /// failure is an error, never "no generation".
+    fn generations(&self, seq: u64) -> std::io::Result<u64> {
+        let mut highest = self.generations.lock().get(&seq).copied().unwrap_or(0);
+        loop {
+            match self.fs.read(&self.lease_path(seq, highest + 1)) {
+                Ok(_) => highest += 1,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
+                Err(e) => return Err(e),
+            }
+        }
+        self.saw_generation(seq, highest);
+        Ok(highest)
+    }
+
+    /// Raises the probe floor of `seq` to `token`, known to exist.
+    fn saw_generation(&self, seq: u64, token: u64) {
+        let mut seen = self.generations.lock();
+        let known = seen.entry(seq).or_insert(token);
+        *known = (*known).max(token);
     }
 
     fn read_lease(&self, seq: u64, token: u64) -> Option<LeaseRecord> {
@@ -597,7 +638,11 @@ impl WorkQueue {
     /// The record is created whole ([`create_durable_exclusive`]) because
     /// a half-written lease would read as corrupt, hence reclaimable.
     fn claim(&self, seq: u64, holder: &str) -> std::io::Result<Option<Lease>> {
-        if self.report(seq).is_some() {
+        if self.is_settled(seq) {
+            return Ok(None);
+        }
+        let current = self.generations(seq)?;
+        if self.report_at(seq, current).is_some() {
             return Ok(None);
         }
         // A poisoned submission is permanently dead: leasing it would
@@ -614,22 +659,23 @@ impl WorkQueue {
         if self.submission_checked(seq)?.is_none() {
             return Ok(None);
         }
-        let tokens = self.lease_tokens(seq);
         let now = self.now_secs();
-        if let Some(&current) = tokens.last() {
+        if current > 0 {
             match self.read_lease(seq, current) {
                 // Live lease held by someone: not claimable.
                 Some(record) if Self::live(&record, now) => return Ok(None),
                 // Released since the completeness check above: a holder
                 // publishes its report before releasing, so look again
                 // before issuing a generation the work no longer needs.
-                Some(record) if record.released && self.report(seq).is_some() => return Ok(None),
+                Some(record) if record.released && self.report_at(seq, current).is_some() => {
+                    return Ok(None)
+                }
                 // Released, expired, or corrupt: the generation is dead —
                 // claim the next one.
                 _ => {}
             }
         }
-        let token = tokens.last().copied().unwrap_or(0) + 1;
+        let token = current + 1;
         let record = LeaseRecord {
             seq,
             token,
@@ -645,6 +691,7 @@ impl WorkQueue {
             &encode_lease(&record),
         ) {
             Ok(()) => {
+                self.saw_generation(seq, token);
                 // Close the rest of the publish/release race: between
                 // the lease read above and this claim, the previous
                 // holder may have published its report *and* released —
@@ -653,7 +700,7 @@ impl WorkQueue {
                 // trusted (see [`report`](Self::report)), so re-checking
                 // here catches it; the claimed generation is handed back
                 // released and the submission reads complete.
-                if self.report(seq).is_some() {
+                if self.report_at(seq, token).is_some() {
                     let mut record = record;
                     record.released = true;
                     self.write_atomic(&self.lease_path(seq, token), &encode_lease(&record))?;
@@ -675,8 +722,7 @@ impl WorkQueue {
     /// Verifies `lease` is still the live, current generation held by its
     /// holder. The common prelude of heartbeat/publish/release.
     fn verify_held(&self, lease: &Lease) -> Result<LeaseRecord, WqError> {
-        let tokens = self.lease_tokens(lease.seq);
-        let current = tokens.last().copied().unwrap_or(0);
+        let current = self.generations(lease.seq)?;
         if current > lease.token {
             return Err(WqError::StaleLease {
                 seq: lease.seq,
@@ -757,9 +803,9 @@ impl WorkQueue {
 
     /// Claims up to `max` submissions for `holder` in one scan, skipping
     /// any sequence number `want` declines (workers pass their
-    /// poisoned/completed caches as the filter without re-reading
-    /// anything). The claim entries' directory sync is amortised: each
-    /// claim's bytes are still individually `fsync`ed before linking —
+    /// poisoned/invalid caches as the filter) and, without I/O, any this
+    /// handle knows is settled. The claim entries' directory sync is
+    /// amortised: each claim's bytes are still individually `fsync`ed before linking —
     /// only entry durability is batched into a single `leases/` sync at
     /// the end, which is safe because nothing depends on a claim until
     /// this call returns (an entry lost with the power before its batch
@@ -877,6 +923,10 @@ impl WorkQueue {
             for (stage, _, _) in &releases {
                 let _ = self.fs.remove_file(stage);
             }
+        } else {
+            // Each report now sits at a released generation: settled.
+            let mut settled = self.settled.lock();
+            settled.extend(verified.iter().map(|&index| items[index].0.seq));
         }
         out
     }
@@ -892,23 +942,40 @@ impl WorkQueue {
     /// Reports from superseded *unreleased* generations — a worker that
     /// stalled, lost its lease and wrote anyway — are ignored, as is
     /// anything whose digest fails.
+    ///
+    /// Reading refreshes this handle's settled set: a report trusted at a
+    /// released generation settles the submission, and reading nothing
+    /// trusted unsettles it.
     pub fn report(&self, seq: u64) -> Option<Vec<u8>> {
-        let tokens = self.lease_tokens(seq);
-        let current = *tokens.last()?;
-        for &token in tokens.iter().rev() {
+        // A failed probe reads as absent, like a failed report read.
+        self.report_at(seq, self.generations(seq).unwrap_or(0))
+    }
+
+    /// [`report`](Self::report) against generations `1..=current` already
+    /// probed by the caller.
+    fn report_at(&self, seq: u64, current: u64) -> Option<Vec<u8>> {
+        for token in (1..=current).rev() {
             let Some(payload) = self.read_report(seq, token) else {
                 continue;
             };
-            if token == current {
+            let released = self
+                .read_lease(seq, token)
+                .is_some_and(|record| record.released);
+            if released {
+                self.settled.lock().insert(seq);
+            }
+            if token == current || released {
                 return Some(payload);
             }
-            if let Some(record) = self.read_lease(seq, token) {
-                if record.released {
-                    return Some(payload);
-                }
-            }
         }
+        self.settled.lock().remove(&seq);
         None
+    }
+
+    /// Whether this handle knows `seq` is settled: its trusted report sits
+    /// at a released generation. Cache only, no I/O.
+    pub fn is_settled(&self, seq: u64) -> bool {
+        self.settled.lock().contains(&seq)
     }
 
     /// Reads one generation's report record, digest-validated.
@@ -1021,15 +1088,15 @@ impl WorkQueue {
             }
         }
         for &seq in &seqs {
-            let tokens = self.lease_tokens(seq);
-            stats.leases_issued += tokens.len();
-            stats.reclaims += tokens.len().saturating_sub(1);
-            for &token in &tokens {
+            let current = self.generations(seq).unwrap_or(0);
+            stats.leases_issued += current as usize;
+            stats.reclaims += current.saturating_sub(1) as usize;
+            for token in 1..=current {
                 if self.read_lease(seq, token).is_none() {
                     stats.corrupt_dropped += 1;
                 }
             }
-            if self.report(seq).is_some() {
+            if self.report_at(seq, current).is_some() {
                 stats.completed += 1;
             }
             if self.is_poisoned(seq) {
@@ -1332,6 +1399,252 @@ mod tests {
         assert_eq!((stats.leases_issued, stats.reclaims), (1, 0));
         assert_eq!(q.report(seq).unwrap(), b"result");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An `OsFs` passthrough that counts reads and listings per queue
+    /// subdirectory, and fails every read of one path with `EIO`.
+    #[derive(Default)]
+    struct CountingFs {
+        reads: Mutex<HashMap<String, u64>>,
+        lists: Mutex<HashMap<String, u64>>,
+        fail: Mutex<Option<PathBuf>>,
+    }
+
+    impl CountingFs {
+        fn count(map: &Mutex<HashMap<String, u64>>, dir: &Path) {
+            let sub = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            *map.lock().entry(sub.to_string()).or_insert(0) += 1;
+        }
+
+        fn reads(&self) -> u64 {
+            self.reads.lock().values().sum()
+        }
+
+        fn lists_of(&self, sub: &str) -> u64 {
+            self.lists.lock().get(sub).copied().unwrap_or(0)
+        }
+    }
+
+    impl StoreFs for CountingFs {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            Self::count(&self.reads, path.parent().unwrap_or(path));
+            if self.fail.lock().as_deref() == Some(path) {
+                return Err(std::io::Error::from_raw_os_error(5));
+            }
+            OsFs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            OsFs.write(path, bytes)
+        }
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.sync_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            OsFs.rename(from, to)
+        }
+        fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
+            OsFs.hard_link(src, dst)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.create_dir_all(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            OsFs.sync_dir(dir)
+        }
+        fn read_dir_names(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            Self::count(&self.lists, dir);
+            OsFs.read_dir_names(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            OsFs.exists(path)
+        }
+    }
+
+    #[test]
+    fn a_failed_generation_probe_is_an_error_not_absence() {
+        let (q, clock, dir) = queue(60);
+        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        let mut lease = q.lease_next("w1").unwrap().expect("claimable");
+        q.publish_report(&lease, b"result").unwrap();
+        let fs = Arc::new(CountingFs::default());
+        let flaky = WorkQueue::open_with(&dir, 60, clock.clone(), fs.clone()).unwrap();
+        *fs.fail.lock() = Some(q.lease_path(seq, 1));
+        // The probe cannot tell whether generation 1 exists: claiming
+        // must surface that, not issue generation 1 again.
+        let err = flaky.lease_next("w2").unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5));
+        *fs.fail.lock() = Some(q.lease_path(seq, 2));
+        assert!(matches!(flaky.renew(&mut lease), Err(WqError::Io(_))));
+        assert!(matches!(flaky.release(&lease), Err(WqError::Io(_))));
+        *fs.fail.lock() = None;
+        flaky.release(&lease).unwrap();
+        assert_eq!(flaky.report(seq).unwrap(), b"result");
+        assert_eq!(q.stats().leases_issued, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_a_released_generation_settles_its_report() {
+        let (q, _clock, dir) = queue(30);
+        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        let lease = q.lease_next("w1").unwrap().expect("claimable");
+        q.publish_report(&lease, b"result").unwrap();
+        assert_eq!(q.report(seq).unwrap(), b"result");
+        // A later generation could still supersede an unreleased one.
+        assert!(!q.is_settled(seq));
+        q.release(&lease).unwrap();
+        assert_eq!(q.report(seq).unwrap(), b"result");
+        assert!(q.is_settled(seq));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Highest lease generation of `seq` per a listing of `leases/`,
+    /// asserting the generations are dense.
+    fn listed_generations(dir: &Path, seq: u64) -> u64 {
+        let prefix = format!("sub-{seq:08}.g");
+        let mut tokens: Vec<u64> = OsFs
+            .read_dir_names(&dir.join("leases"))
+            .unwrap()
+            .iter()
+            .filter_map(|name| parse_seq(name, &prefix, ""))
+            .collect();
+        tokens.sort_unstable();
+        assert!(
+            tokens.iter().copied().eq(1..=tokens.len() as u64),
+            "dense: {tokens:?}"
+        );
+        tokens.len() as u64
+    }
+
+    #[test]
+    fn probed_generations_and_settled_work_match_a_listing_oracle() {
+        for seed in [1_u64, 7, 2013] {
+            let (first, clock, dir) = queue(30);
+            let seqs: Vec<u64> = (0..6)
+                .map(|i| first.submit(&[i], 1, 1, 0).unwrap())
+                .collect();
+            let mut handles = vec![first];
+            for _ in 0..2 {
+                handles.push(WorkQueue::open_with_time(&dir, 30, clock.clone()).unwrap());
+            }
+            let mut held: Vec<Lease> = Vec::new();
+            let mut state = seed;
+            let mut draw = |n: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % n
+            };
+            for _ in 0..150 {
+                let q = &handles[draw(handles.len())];
+                let pick = if held.is_empty() {
+                    None
+                } else {
+                    Some(draw(held.len()))
+                };
+                match (draw(8), pick) {
+                    (0 | 6, _) => {
+                        let holder = format!("w{}", draw(3));
+                        held.extend(q.lease_next(&holder).unwrap());
+                    }
+                    (1, _) => {
+                        clock.0.fetch_add(16, Ordering::SeqCst);
+                    }
+                    // A renewal the protocol refuses drops the lease.
+                    (2, Some(i)) if q.renew(&mut held[i]).is_err() => {
+                        held.swap_remove(i);
+                    }
+                    (3, Some(i)) => {
+                        let lease = held.swap_remove(i);
+                        let _ = q.publish_and_release_batch(&[(&lease, b"report")]);
+                    }
+                    (4, Some(i)) => {
+                        let _ = q.release(&held.swap_remove(i));
+                    }
+                    (5, _) => {
+                        let names = OsFs.read_dir_names(&dir.join("leases")).unwrap();
+                        if !names.is_empty() {
+                            let victim = dir.join("leases").join(&names[draw(names.len())]);
+                            let bytes = std::fs::read(&victim).unwrap();
+                            std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+                        }
+                    }
+                    // Published, then the holder stalls before releasing.
+                    (7, Some(i)) => {
+                        let _ = q.publish_report(&held[i], b"unreleased");
+                    }
+                    _ => {}
+                }
+                let fresh = WorkQueue::open_with_time(&dir, 30, clock.clone()).unwrap();
+                for q in &handles {
+                    for &seq in &seqs {
+                        assert_eq!(q.generations(seq).unwrap(), listed_generations(&dir, seq));
+                        if q.is_settled(seq) {
+                            assert!(fresh.report(seq).is_some(), "settled {seq} is complete");
+                        }
+                        assert_eq!(q.report(seq), fresh.report(seq));
+                    }
+                    assert_eq!(q.drained(), fresh.drained());
+                    assert_eq!(q.stats(), fresh.stats());
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Drains `depth` submissions with two handles whose claims and
+    /// publishes interleave, returning the reads per drained submission.
+    fn reads_per_drained(depth: usize) -> f64 {
+        let (q, clock, dir) = queue(60);
+        for i in 0..depth {
+            q.submit(&i.to_le_bytes(), 1, 1, 0).unwrap();
+        }
+        let fs = Arc::new(CountingFs::default());
+        let handles: Vec<WorkQueue> = (0..2)
+            .map(|_| WorkQueue::open_with(&dir, 60, clock.clone(), fs.clone()).unwrap())
+            .collect();
+        // Count only the drain, not the open-time sweeps.
+        fs.reads.lock().clear();
+        fs.lists.lock().clear();
+        let mut drained = 0;
+        loop {
+            let claims: Vec<Vec<Lease>> = handles
+                .iter()
+                .enumerate()
+                .map(|(w, h)| h.try_lease_batch(&format!("w{w}"), 4, |_| true).unwrap())
+                .collect();
+            if claims.iter().all(Vec::is_empty) {
+                break;
+            }
+            for (h, leases) in handles.iter().zip(&claims) {
+                let items: Vec<(&Lease, &[u8])> =
+                    leases.iter().map(|l| (l, b"report".as_slice())).collect();
+                for verdict in h.publish_and_release_batch(&items) {
+                    verdict.unwrap();
+                    drained += 1;
+                }
+            }
+        }
+        assert_eq!(drained, depth);
+        assert_eq!(fs.lists_of("leases"), 0, "claims list no leases/");
+        assert_eq!(fs.lists_of("reports"), 0, "claims list no reports/");
+        let reads = fs.reads();
+        assert!(handles.iter().all(WorkQueue::drained));
+        std::fs::remove_dir_all(&dir).ok();
+        reads as f64 / depth as f64
+    }
+
+    #[test]
+    fn claim_cost_per_submission_does_not_grow_with_backlog_depth() {
+        let shallow = reads_per_drained(20);
+        let deep = reads_per_drained(100);
+        assert!(
+            deep <= shallow + 2.0,
+            "reads per drained: {shallow} at 20, {deep} at 100"
+        );
     }
 
     #[test]
