@@ -53,6 +53,7 @@ use sp_exec::{
     Backoff, CancellationToken, PollLoop, PollOutcome, PollStats, ProgressHook, ProgressPoint,
     RetryPolicy,
 };
+use sp_obs::MetricsSnapshot;
 use sp_store::{Lease, QueueStats, WorkQueue, WqError};
 use sp_wire::{self as wire, Cursor};
 
@@ -268,22 +269,74 @@ pub struct WorkerStats {
     pub poll: PollStats,
 }
 
+/// The one name table through which a [`WorkerStats`] crosses processes
+/// as a [`MetricsSnapshot`]: calls `visit` with each field's `fleet.*`
+/// counter name and its value as a mutable `u64`. Every name sits under
+/// `fleet.`, so adding a worker's counters to the process registry never
+/// touches a name the exec layer counts itself.
+fn visit_counters(stats: &mut WorkerStats, mut visit: impl FnMut(&'static str, &mut u64)) {
+    let (sched, poll) = (&mut stats.sched, &mut stats.poll);
+    for (name, value) in [
+        ("fleet.campaigns_drained", &mut stats.campaigns_drained),
+        ("fleet.runs_executed", &mut stats.runs_executed),
+        ("fleet.failures", &mut stats.failures),
+        ("fleet.renewals", &mut stats.renewals),
+        ("fleet.io_retries", &mut stats.io_retries),
+        ("fleet.publish_batches", &mut stats.publish_batches),
+        ("fleet.sched.rounds", &mut sched.rounds),
+        ("fleet.sched.lanes_executed", &mut sched.lanes_executed),
+        ("fleet.sched.lanes_cancelled", &mut sched.lanes_cancelled),
+        ("fleet.sched.lanes_local", &mut sched.lanes_local),
+        ("fleet.sched.lanes_stolen", &mut sched.lanes_stolen),
+        ("fleet.poll.worked", &mut poll.worked),
+        ("fleet.poll.idle", &mut poll.idle),
+    ] {
+        visit(name, value);
+    }
+    for (name, count) in [
+        (
+            "fleet.sched.campaigns_submitted",
+            &mut sched.campaigns_submitted,
+        ),
+        (
+            "fleet.sched.campaigns_admitted",
+            &mut sched.campaigns_admitted,
+        ),
+        (
+            "fleet.sched.campaigns_completed",
+            &mut sched.campaigns_completed,
+        ),
+        (
+            "fleet.sched.campaigns_cancelled",
+            &mut sched.campaigns_cancelled,
+        ),
+    ] {
+        let mut value = *count as u64;
+        visit(name, &mut value);
+        *count = value as usize;
+    }
+    let mut slept_us = poll.slept.as_micros() as u64;
+    visit("fleet.poll.slept_us", &mut slept_us);
+    poll.slept = Duration::from_micros(slept_us);
+}
+
 impl WorkerStats {
-    /// Accumulates another worker's counters (same no-double-counting
-    /// argument as [`ScheduleStats::merge`]; sleep durations add).
-    pub fn merge(&mut self, other: &WorkerStats) {
-        self.campaigns_drained = self
-            .campaigns_drained
-            .saturating_add(other.campaigns_drained);
-        self.runs_executed = self.runs_executed.saturating_add(other.runs_executed);
-        self.failures = self.failures.saturating_add(other.failures);
-        self.renewals = self.renewals.saturating_add(other.renewals);
-        self.io_retries = self.io_retries.saturating_add(other.io_retries);
-        self.publish_batches = self.publish_batches.saturating_add(other.publish_batches);
-        self.sched.merge(&other.sched);
-        self.poll.worked = self.poll.worked.saturating_add(other.poll.worked);
-        self.poll.idle = self.poll.idle.saturating_add(other.poll.idle);
-        self.poll.slept = self.poll.slept.saturating_add(other.poll.slept);
+    /// These counters as a snapshot of `fleet.*` counters, the form a
+    /// worker publishes and the fleet digest merges. Sleep time goes out
+    /// in whole microseconds.
+    pub fn to_metrics(&self) -> MetricsSnapshot {
+        let (mut stats, mut snapshot) = (*self, MetricsSnapshot::default());
+        visit_counters(&mut stats, |name, value| {
+            snapshot.counters.insert(name.to_string(), *value);
+        });
+        snapshot
+    }
+
+    /// Reads the `fleet.*` counters of `snapshot` back; absent ones are 0.
+    pub fn from_metrics(snapshot: &MetricsSnapshot) -> WorkerStats {
+        let mut stats = WorkerStats::default();
+        visit_counters(&mut stats, |name, value| *value = snapshot.counter(name));
+        stats
     }
 }
 
@@ -1028,42 +1081,16 @@ impl<'a> Worker<'a> {
             std::thread::sleep,
         );
         stats.poll = poll_stats;
-        let payload = encode_worker_stats(&stats);
+        // Publish the counters as an `SPMS` snapshot so any process can
+        // merge them into a fleet digest, and add them to this process's
+        // registry under the same names.
+        let metrics = stats.to_metrics();
+        let payload = metrics.encode();
         let _ = self.retry_io(|| self.queue.publish_worker_stats(&self.name, &payload));
-        // Mirror the end-of-drain aggregates into the process-wide
-        // registry: counters for the drain-loop events, gauges sampling
-        // the queue's health and the system's memo hit rates (the store
-        // cannot push into `sp_obs` itself, so the worker — which sees
-        // both — samples on its way out).
         let registry = sp_obs::global();
-        registry
-            .counter("fleet.campaigns_drained")
-            .add(stats.campaigns_drained);
-        registry
-            .counter("fleet.runs_executed")
-            .add(stats.runs_executed);
-        registry.counter("fleet.failures").add(stats.failures);
-        registry.counter("fleet.renewals").add(stats.renewals);
-        registry.counter("fleet.io_retries").add(stats.io_retries);
-        registry
-            .counter("fleet.publish_batches")
-            .add(stats.publish_batches);
-        sp_obs::instrument::sample_queue_stats(registry, &self.queue.stats());
-        sp_obs::instrument::sample_cache_stats(
-            registry,
-            "store.memo.chain",
-            &self.system.chain_memo_stats(),
-        );
-        sp_obs::instrument::sample_cache_stats(
-            registry,
-            "store.memo.output",
-            &self.system.output_memo_stats(),
-        );
-        sp_obs::instrument::sample_cache_stats(
-            registry,
-            "store.memo.build",
-            &self.system.build_memo_stats(),
-        );
+        for (name, value) in &metrics.counters {
+            registry.counter(name).add(*value);
+        }
         sp_obs::trace::emit_with("worker", "drained", || {
             format!(
                 "worker={} campaigns={} failures={}",
@@ -1087,22 +1114,23 @@ pub struct FleetStats {
 }
 
 /// Assembles the fleet digest from the queue directory: queue accounting
-/// plus every published worker-stats blob, merged. Any process with the
-/// storage mounted can compute this — no shared memory, no coordinator
-/// privileges.
+/// plus every worker's published `SPMS` snapshot, merged with
+/// [`MetricsSnapshot::merge`]. A blob that does not decode is dropped.
+/// Any process with the storage mounted can compute this — no shared
+/// memory, no coordinator privileges.
 pub fn fleet_stats(queue: &WorkQueue) -> FleetStats {
-    let mut drained = WorkerStats::default();
+    let mut merged = MetricsSnapshot::default();
     let mut workers = 0;
     for (_, payload) in queue.worker_stats() {
-        if let Some(stats) = decode_worker_stats(&payload) {
-            drained.merge(&stats);
+        if let Some(snapshot) = MetricsSnapshot::decode(&payload) {
+            merged.merge(&snapshot);
             workers += 1;
         }
     }
     FleetStats {
         queue: queue.stats(),
         workers,
-        drained,
+        drained: WorkerStats::from_metrics(&merged),
     }
 }
 
@@ -1347,73 +1375,6 @@ pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<Ca
     })
 }
 
-// ---- worker-stats codec ----------------------------------------------
-
-/// Serialises worker counters for the queue's `workers/` area.
-pub fn encode_worker_stats(stats: &WorkerStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96);
-    wire::put_u64(&mut out, stats.campaigns_drained);
-    wire::put_u64(&mut out, stats.runs_executed);
-    wire::put_u64(&mut out, stats.failures);
-    wire::put_u64(&mut out, stats.renewals);
-    for value in [
-        stats.sched.campaigns_submitted as u64,
-        stats.sched.campaigns_admitted as u64,
-        stats.sched.campaigns_completed as u64,
-        stats.sched.campaigns_cancelled as u64,
-        stats.sched.rounds,
-        stats.sched.lanes_executed,
-        stats.sched.lanes_cancelled,
-        stats.sched.lanes_local,
-        stats.sched.lanes_stolen,
-    ] {
-        wire::put_u64(&mut out, value);
-    }
-    wire::put_u64(&mut out, stats.poll.worked);
-    wire::put_u64(&mut out, stats.poll.idle);
-    wire::put_u64(&mut out, stats.poll.slept.as_millis() as u64);
-    wire::put_u64(&mut out, stats.io_retries);
-    wire::put_u64(&mut out, stats.publish_batches);
-    out
-}
-
-/// Parses counters serialised by [`encode_worker_stats`].
-pub fn decode_worker_stats(bytes: &[u8]) -> Option<WorkerStats> {
-    let mut cursor = Cursor::new(bytes);
-    let campaigns_drained = cursor.take_u64()?;
-    let runs_executed = cursor.take_u64()?;
-    let failures = cursor.take_u64()?;
-    let renewals = cursor.take_u64()?;
-    let sched = ScheduleStats {
-        campaigns_submitted: cursor.take_u64()? as usize,
-        campaigns_admitted: cursor.take_u64()? as usize,
-        campaigns_completed: cursor.take_u64()? as usize,
-        campaigns_cancelled: cursor.take_u64()? as usize,
-        rounds: cursor.take_u64()?,
-        lanes_executed: cursor.take_u64()?,
-        lanes_cancelled: cursor.take_u64()?,
-        lanes_local: cursor.take_u64()?,
-        lanes_stolen: cursor.take_u64()?,
-    };
-    let poll = PollStats {
-        worked: cursor.take_u64()?,
-        idle: cursor.take_u64()?,
-        slept: Duration::from_millis(cursor.take_u64()?),
-    };
-    let io_retries = cursor.take_u64()?;
-    let publish_batches = cursor.take_u64()?;
-    cursor.finished().then_some(WorkerStats {
-        campaigns_drained,
-        runs_executed,
-        failures,
-        renewals,
-        io_retries,
-        publish_batches,
-        sched,
-        poll,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1508,42 +1469,65 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_round_trip_and_merge() {
-        let a = WorkerStats {
-            campaigns_drained: 2,
-            runs_executed: 10,
-            failures: 1,
-            renewals: 7,
-            io_retries: 3,
-            publish_batches: 2,
+    fn worker_stats_metrics_round_trip() {
+        // Every field distinct and non-zero (its position in the name
+        // list below), so a row naming or writing the wrong field fails.
+        let stats = WorkerStats {
+            campaigns_drained: 1,
+            runs_executed: 2,
+            failures: 3,
+            renewals: 4,
+            io_retries: 5,
+            publish_batches: 6,
             sched: ScheduleStats {
-                campaigns_submitted: 2,
-                campaigns_admitted: 2,
-                campaigns_completed: 2,
-                campaigns_cancelled: 0,
-                rounds: 6,
+                campaigns_submitted: 7,
+                campaigns_admitted: 8,
+                campaigns_completed: 9,
+                campaigns_cancelled: 10,
+                rounds: 11,
                 lanes_executed: 12,
-                lanes_cancelled: 0,
-                lanes_local: 9,
-                lanes_stolen: 3,
+                lanes_cancelled: 13,
+                lanes_local: 14,
+                lanes_stolen: 15,
             },
             poll: PollStats {
-                worked: 2,
-                idle: 5,
-                slept: Duration::from_millis(321),
+                worked: 16,
+                idle: 17,
+                slept: Duration::from_micros(18),
             },
         };
-        let bytes = encode_worker_stats(&a);
-        assert_eq!(decode_worker_stats(&bytes), Some(a));
-        assert!(decode_worker_stats(&bytes[..bytes.len() - 1]).is_none());
-
-        let mut merged = a;
-        merged.merge(&a);
-        assert_eq!(merged.campaigns_drained, 4);
-        assert_eq!(merged.renewals, 14);
-        assert_eq!(merged.io_retries, 6);
-        assert_eq!(merged.publish_batches, 4);
-        assert_eq!(merged.sched.lanes_executed, 24);
-        assert_eq!(merged.poll.slept, Duration::from_millis(642));
+        let metrics = stats.to_metrics();
+        let expected: BTreeMap<String, u64> = [
+            "fleet.campaigns_drained",
+            "fleet.runs_executed",
+            "fleet.failures",
+            "fleet.renewals",
+            "fleet.io_retries",
+            "fleet.publish_batches",
+            "fleet.sched.campaigns_submitted",
+            "fleet.sched.campaigns_admitted",
+            "fleet.sched.campaigns_completed",
+            "fleet.sched.campaigns_cancelled",
+            "fleet.sched.rounds",
+            "fleet.sched.lanes_executed",
+            "fleet.sched.lanes_cancelled",
+            "fleet.sched.lanes_local",
+            "fleet.sched.lanes_stolen",
+            "fleet.poll.worked",
+            "fleet.poll.idle",
+            "fleet.poll.slept_us",
+        ]
+        .into_iter()
+        .zip(1..)
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
+        assert_eq!(metrics.counters, expected, "each field under its own name");
+        assert_eq!(WorkerStats::from_metrics(&metrics), stats);
+        let decoded = MetricsSnapshot::decode(&metrics.encode()).expect("SPMS round trip");
+        assert_eq!(WorkerStats::from_metrics(&decoded), stats);
+        assert_eq!(
+            WorkerStats::from_metrics(&MetricsSnapshot::default()),
+            WorkerStats::default()
+        );
     }
 }

@@ -1248,11 +1248,11 @@ impl SpSystem {
         snapshot.encode()
     }
 
-    /// Restores warm state exported by [`export_warm_state`]
-    /// (Self::export_warm_state). The objects the memo entries point at
-    /// must already be in the content store (import the storage first);
-    /// trust is earned in layers and anything that fails a layer is
-    /// dropped, never served:
+    /// Restores warm state exported by
+    /// [`export_warm_state`](Self::export_warm_state). The objects the
+    /// memo entries point at must already be in the content store (import
+    /// the storage first); trust is earned in layers and anything that
+    /// fails a layer is dropped, never served:
     ///
     /// 1. the snapshot container validates its versioned header and every
     ///    entry's digest (bit-rot drops the entry);

@@ -150,6 +150,27 @@ fn config_for(
     }
 }
 
+/// The field-by-field sum of per-thread drain results, written out
+/// without the name table the fleet digest goes through. Sleep time is
+/// published in whole microseconds, so each worker's share is truncated
+/// to that before it adds.
+fn sum_by_hand(all: &[WorkerStats]) -> WorkerStats {
+    let mut sum = WorkerStats::default();
+    for stats in all {
+        sum.campaigns_drained += stats.campaigns_drained;
+        sum.runs_executed += stats.runs_executed;
+        sum.failures += stats.failures;
+        sum.renewals += stats.renewals;
+        sum.io_retries += stats.io_retries;
+        sum.publish_batches += stats.publish_batches;
+        sum.sched.merge(&stats.sched);
+        sum.poll.worked += stats.poll.worked;
+        sum.poll.idle += stats.poll.idle;
+        sum.poll.slept += Duration::from_micros(stats.poll.slept.as_micros() as u64);
+    }
+    sum
+}
+
 fn temp_queue_dir(tag: &str) -> std::path::PathBuf {
     static UNIQ: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
@@ -302,12 +323,16 @@ proptest! {
             );
         }
 
-        // The published fleet digest agrees with the per-thread stats.
+        // The published fleet digest agrees with the per-thread stats,
+        // field by field.
         let digest = fleet::fleet_stats(&queue);
         prop_assert_eq!(digest.queue.submissions, campaigns.len());
         prop_assert_eq!(digest.queue.completed, campaigns.len());
-        prop_assert_eq!(digest.drained.campaigns_drained, drained_total);
         prop_assert_eq!(digest.queue.corrupt_dropped, 0);
+        prop_assert_eq!(digest.workers, fleet_size);
+        let per_thread: Vec<WorkerStats> =
+            worker_ledgers.iter().map(|(stats, _)| *stats).collect();
+        prop_assert_eq!(digest.drained, sum_by_hand(&per_thread));
 
         std::fs::remove_dir_all(&dir).ok();
     }

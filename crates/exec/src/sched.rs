@@ -18,7 +18,7 @@
 //!   surfaces as the scheduler digest.
 //!
 //! The scheduler is deliberately ignorant of what a "campaign" *is* —
-//! `sp-core` builds the actual [`CampaignScheduler`] on top of this by
+//! `sp-core` builds the actual `CampaignScheduler` on top of this by
 //! submitting per-repetition experiment lanes and collecting validated
 //! runs; the admission policy (which campaigns are active at all) also
 //! lives there, next to the domain knowledge it needs.
@@ -183,20 +183,6 @@ pub struct LaneSchedulerStats {
     pub local: u64,
     /// Lanes executed after being stolen from a peer (pool accounting).
     pub stolen: u64,
-}
-
-impl LaneSchedulerStats {
-    /// Accumulates another scheduler's counters into this one. Every
-    /// field is a disjoint event count owned by exactly one scheduler, so
-    /// summing per-worker snapshots yields a fleet total without double
-    /// counting (saturating, so a corrupt snapshot cannot wrap the sum).
-    pub fn merge(&mut self, other: &LaneSchedulerStats) {
-        self.rounds = self.rounds.saturating_add(other.rounds);
-        self.lanes_executed = self.lanes_executed.saturating_add(other.lanes_executed);
-        self.lanes_cancelled = self.lanes_cancelled.saturating_add(other.lanes_cancelled);
-        self.local = self.local.saturating_add(other.local);
-        self.stolen = self.stolen.saturating_add(other.stolen);
-    }
 }
 
 /// The fair-share lane dispatcher over one shared [`WorkStealingPool`].
@@ -423,35 +409,6 @@ mod tests {
         let results: Vec<Option<u32>> = sched.dispatch(Vec::<Lane<u32>>::new(), |_, p| p);
         assert!(results.is_empty());
         assert_eq!(sched.stats().rounds, 0);
-    }
-
-    #[test]
-    fn merged_stats_equal_one_scheduler_doing_all_the_work() {
-        // Two schedulers each run part of the workload; merging their
-        // snapshots must equal one scheduler having run everything.
-        let token = CancellationToken::new();
-        let part_a = LaneScheduler::new(2);
-        let part_b = LaneScheduler::new(2);
-        let whole = LaneScheduler::new(2);
-        part_a.dispatch(vec![lane(1, &token, 1), lane(1, &token, 2)], |_, p| p);
-        part_b.dispatch(vec![lane(2, &token, 3)], |_, p| p);
-        whole.dispatch(vec![lane(1, &token, 1), lane(1, &token, 2)], |_, p| p);
-        whole.dispatch(vec![lane(2, &token, 3)], |_, p| p);
-        let mut merged = part_a.stats();
-        merged.merge(&part_b.stats());
-        let expected = whole.stats();
-        assert_eq!(merged.rounds, expected.rounds);
-        assert_eq!(merged.lanes_executed, expected.lanes_executed);
-        assert_eq!(merged.lanes_cancelled, expected.lanes_cancelled);
-        assert_eq!(
-            merged.local + merged.stolen,
-            expected.local + expected.stolen,
-            "every lane is counted exactly once"
-        );
-        // Merging an empty snapshot changes nothing.
-        let before = merged;
-        merged.merge(&LaneSchedulerStats::default());
-        assert_eq!(merged, before);
     }
 
     #[test]

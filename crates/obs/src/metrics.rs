@@ -1,13 +1,12 @@
 //! The process-wide metrics registry.
 //!
-//! The fleet's existing accounting ([`sp_core::WorkerStats`]-style structs)
-//! is end-of-run aggregate state: counters are carried in locals, merged at
-//! the end, and say nothing while the run is in flight. This module adds
-//! the orthogonal, always-on layer: a cheap process-wide registry of named
-//! **monotonic counters**, **gauges** and **fixed-bucket latency
-//! histograms** that any component may bump from any thread, snapshot at
-//! any instant, and ship across processes with the same snapshot/merge/
-//! wire-codec posture as `WorkerStats`.
+//! A cheap process-wide registry of named **monotonic counters**,
+//! **gauges** and **fixed-bucket latency histograms** that any component
+//! may bump from any thread and snapshot at any instant. A
+//! [`MetricsSnapshot`] is also the one format in which counters cross
+//! processes: a fleet worker publishes its end-of-drain counters as an
+//! encoded snapshot, and any process merges the published snapshots into
+//! the fleet digest.
 //!
 //! Cost model: a handle ([`Counter`], [`Gauge`], [`Histogram`]) is an
 //! `Arc` around atomics — one relaxed RMW per bump, no lock. The registry
@@ -254,8 +253,7 @@ impl MetricsRegistry {
 }
 
 /// A frozen, mergeable, wire-codable view of a registry — the shape one
-/// process publishes and another merges into a fleet-wide digest, exactly
-/// like `WorkerStats`.
+/// process publishes and another merges into a fleet-wide digest.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -268,8 +266,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Merges another snapshot: counters and histograms add, gauges take
-    /// the other side's value when present (last writer wins, as with the
-    /// worker-stats blobs).
+    /// the other side's value when present (last writer wins).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, value) in &other.counters {
             let slot = self.counters.entry(name.clone()).or_insert(0);

@@ -120,9 +120,9 @@ pub fn render_scheduler_stats(
 }
 
 /// Renders the cross-process fleet digest: queue accounting from the
-/// shared directory plus every worker's published counters merged into
-/// one total (`ScheduleStats::merge` / `WorkerStats::merge`, so nothing
-/// is double counted however many processes contributed).
+/// shared directory plus every worker's published `SPMS` snapshot merged
+/// into one total. Each worker counts only its own events, so nothing is
+/// double counted however many processes contributed.
 pub fn render_fleet_stats(stats: &FleetStats) -> String {
     let mut table = TextTable::new(&["fleet", "value"]).align(&[Align::Left, Align::Right]);
     table.row_owned(vec![
@@ -356,10 +356,9 @@ mod tests {
     #[test]
     fn fleet_digest_renders_merged_counters() {
         use sp_core::WorkerStats;
-        let mut drained = WorkerStats::default();
-        drained.merge(&WorkerStats {
+        let worker = WorkerStats {
             campaigns_drained: 3,
-            runs_executed: 42,
+            runs_executed: 21,
             failures: 1,
             renewals: 6,
             sched: ScheduleStats {
@@ -369,7 +368,11 @@ mod tests {
                 ..Default::default()
             },
             ..Default::default()
-        });
+        };
+        let mut merged = worker.to_metrics();
+        merged.merge(&worker.to_metrics());
+        let drained = WorkerStats::from_metrics(&merged);
+        assert_eq!(drained.sched.lanes_executed, 36);
         let stats = FleetStats {
             queue: sp_store::QueueStats {
                 submissions: 4,

@@ -17,7 +17,7 @@
 //!
 //! Entries are sorted by path at pack time so that packing is deterministic:
 //! the same logical contents always yield the same bytes, hence the same
-//! [`ObjectId`](crate::ObjectId) — which is what makes artifact
+//! [`ObjectId`] — which is what makes artifact
 //! deduplication across validation runs work. Unpacking rejects entries
 //! out of path order, so an unpacked archive re-packs to its input bytes.
 

@@ -6,7 +6,7 @@
 //! or under which lease generation. The run log is the orthogonal,
 //! history-preserving record: each validated cell outcome becomes one
 //! digest-guarded `SPRL` record streamed through the same
-//! [`StoreFs`](crate::vfs::StoreFs) seam as the queue, living right next
+//! [`StoreFs`] seam as the queue, living right next
 //! to it (by convention `<store>/runlog/`).
 //!
 //! ## Durability posture

@@ -1073,7 +1073,7 @@ fn sweep_workload_batched(fs: Arc<FaultFs>, root: &Path) -> SweepProgress {
 
 /// [`standard_crash_sweep`] over the **batched** lease-claim and
 /// publish+release paths: power loss is replayed at every filesystem
-/// operation of [`sweep_workload_batched`], and recovery must observe only
+/// operation of the batched sweep workload, and recovery must observe only
 /// committed-before or never-happened states — an acknowledged batch item
 /// survives whole, a torn batch is a committed prefix of whole records.
 pub fn batched_crash_sweep(base: &Path) -> CrashSweepOutcome {

@@ -13,7 +13,7 @@
 //! <root>/submissions/sub-<seq>.spwq        one enqueued unit of work
 //! <root>/leases/sub-<seq>.g<token>         lease generations (fencing)
 //! <root>/reports/sub-<seq>.g<token>.rep    published results, per token
-//! <root>/workers/<holder>.stats            per-worker counters (opaque)
+//! <root>/workers/<holder>.stats            SPMS counter snapshot, sealed record
 //! <root>/poison/sub-<seq>.spwp             permanent poison marks
 //! <root>/quarantine/...                    records that failed decode
 //! <root>/tmp/...                           staging for atomic renames
@@ -1045,8 +1045,16 @@ impl WorkQueue {
 
     /// Publishes a worker's opaque counter blob (overwriting its previous
     /// one), so the driver can merge per-process stats into a fleet
-    /// digest without shared memory.
+    /// digest without shared memory. A holder that is empty, starts with
+    /// `.` or contains a path separator is `InvalidInput`: the blob must
+    /// land at exactly `workers/<holder>.stats`.
     pub fn publish_worker_stats(&self, holder: &str, payload: &[u8]) -> std::io::Result<()> {
+        if holder.is_empty() || holder.starts_with('.') || holder.contains(['/', '\\']) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("worker name {holder:?} is not a plain file name"),
+            ));
+        }
         let mut body = Vec::with_capacity(payload.len() + holder.len() + 16);
         wire::put_str(&mut body, holder);
         wire::put_bytes(&mut body, payload);
@@ -1054,18 +1062,22 @@ impl WorkQueue {
         self.write_atomic(&self.root.join(format!("workers/{holder}.stats")), &record)
     }
 
-    /// All valid worker-stats blobs, sorted by holder name.
+    /// All valid worker-stats blobs, sorted by holder name. Only a file
+    /// named exactly `<holder>.stats` whose sealed body names the same
+    /// holder counts, so a stray copy (`w1.stats.bak`, a file renamed to
+    /// another worker's name) is never merged as a second worker.
     pub fn worker_stats(&self) -> Vec<(String, Vec<u8>)> {
         let mut out: Vec<(String, Vec<u8>)> = self
             .scan("workers")
             .into_iter()
             .filter_map(|name| {
+                let stem = name.strip_suffix(".stats")?;
                 let bytes = self.fs.read(&self.root.join("workers").join(&name)).ok()?;
                 let body = decode_record(&MAGIC_WORKER, &bytes)?;
                 let mut cursor = wire::Cursor::new(&body);
                 let holder = cursor.take_str()?;
                 let payload = cursor.take_bytes()?;
-                cursor.finished().then_some((holder, payload))
+                (cursor.finished() && holder == stem).then_some((holder, payload))
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1777,6 +1789,31 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0], ("w1".to_string(), b"aaa2".to_vec()));
         assert_eq!(stats[1], ("w2".to_string(), b"bbb".to_vec()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn worker_stats_ignore_stray_copies() {
+        let (q, _clock, dir) = queue(60);
+        q.publish_worker_stats("w1", b"aaa").unwrap();
+        let workers = dir.join("workers");
+        // A backup copy, and a copy renamed to another worker's name: the
+        // sealed body names w1 in both, so neither is a second worker.
+        std::fs::copy(workers.join("w1.stats"), workers.join("w1.stats.bak")).unwrap();
+        std::fs::copy(workers.join("w1.stats"), workers.join("w2.stats")).unwrap();
+        assert_eq!(q.worker_stats(), vec![("w1".to_string(), b"aaa".to_vec())]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn worker_stats_holder_must_be_a_plain_file_name() {
+        let (q, _clock, dir) = queue(60);
+        for holder in ["../leases/x", "", ".hidden", "a/b", "a\\b"] {
+            let err = q.publish_worker_stats(holder, b"aaa").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{holder:?}");
+        }
+        assert!(!dir.join("leases/x.stats").exists());
+        assert!(q.worker_stats().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

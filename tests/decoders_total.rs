@@ -391,19 +391,3 @@ fn decode_campaign_report_is_total() {
     );
     check_total("decode_campaign_report", &valid, None, decode, encode);
 }
-
-#[test]
-fn decode_worker_stats_is_total() {
-    let mut stats = WorkerStats {
-        campaigns_drained: 4,
-        runs_executed: 63,
-        ..WorkerStats::default()
-    };
-    stats.sched.rounds = 12;
-    stats.sched.lanes_stolen = 3;
-    stats.poll.idle = 2;
-    stats.poll.slept = std::time::Duration::from_millis(1_500);
-    let valid = [encode_worker_stats(&stats)];
-    let (decode, encode) = (decode_worker_stats, encode_worker_stats);
-    check_total("decode_worker_stats", &valid, None, decode, encode);
-}
