@@ -39,8 +39,9 @@
 //!    at byte level from the sequential flag-off oracle on fresh systems
 //!    (repetition-1 cells compare against the bootstrap reference);
 //! 6. **crash-point sweep** — `sp_store::vfs::standard_crash_sweep`:
-//!    power loss replayed at *every* filesystem operation of a
-//!    queue+snapshot workload, recovery verified to observe only
+//!    power loss replayed at *every* filesystem operation of the queue's
+//!    batched claim and publish path, the one workers run, plus a
+//!    warm-state snapshot; recovery verified to observe only
 //!    committed-before or never-happened states.
 //!
 //! The stall/slow distinction is the heart of the liveness contract: a
@@ -726,9 +727,10 @@ fn main() {
     }
 
     // Crash-point sweep: replay power loss at every filesystem operation
-    // of a queue+snapshot workload and verify recovery observes only
-    // committed-before or never-happened states — the strongest
-    // durability statement this driver makes, and cheap enough to gate CI.
+    // of the batched claim and publish path workers run (plus a snapshot
+    // write) and verify recovery observes only committed-before or
+    // never-happened states — the strongest durability statement this
+    // driver makes, and cheap enough to gate CI.
     if !has_flag("--no-sweep") {
         let base =
             std::env::temp_dir().join(format!("sp-repro-fleet-{}-sweep", std::process::id()));

@@ -510,6 +510,13 @@ impl ProgressHook for LeaseRenewer<'_> {
     }
 }
 
+/// How many submissions one poll claims and drains as a batch. Batching
+/// amortises the queue's durable-publish cost — one parent-directory sync
+/// per flushed batch instead of one per report — at the price of holding
+/// the batch-mates' leases for the whole batch (renewed from the active
+/// campaign's progress ticks, so they cannot silently lapse).
+const LEASE_BATCH: usize = 4;
+
 /// The draining side of the fleet: one per worker process.
 pub struct Worker<'a> {
     system: &'a SpSystem,
@@ -517,9 +524,6 @@ pub struct Worker<'a> {
     name: String,
     threads: usize,
     max_idle_polls: u32,
-    /// How many submissions one poll may claim and drain as a batch
-    /// (see [`with_lease_batch`](Self::with_lease_batch)).
-    lease_batch: usize,
     /// Chaos injection: per-barrier sleep handed to the [`LeaseRenewer`]
     /// (see [`with_slowdown`](Self::with_slowdown)).
     slowdown: Option<Duration>,
@@ -561,7 +565,6 @@ impl<'a> Worker<'a> {
             name,
             threads: threads.max(1),
             max_idle_polls,
-            lease_batch: 4,
             slowdown: None,
             run_log: None,
             poisoned: std::cell::RefCell::new(std::collections::BTreeSet::new()),
@@ -640,17 +643,6 @@ impl<'a> Worker<'a> {
     /// before concluding the backlog is done (minimum 1).
     pub fn with_patience(mut self, max_idle_polls: u32) -> Self {
         self.max_idle_polls = max_idle_polls.max(1);
-        self
-    }
-
-    /// Overrides how many submissions one poll may claim and drain as a
-    /// batch (minimum 1; the default is 4). Batching amortises the
-    /// queue's durable-publish cost — one parent-directory sync per
-    /// flushed batch instead of one per report — at the price of holding
-    /// the batch-mates' leases for the whole batch (renewed from the
-    /// active campaign's progress ticks, so they cannot silently lapse).
-    pub fn with_lease_batch(mut self, max: usize) -> Self {
-        self.lease_batch = max.max(1);
         self
     }
 
@@ -802,7 +794,7 @@ impl<'a> Worker<'a> {
             }
         };
 
-        // Phase 1 — claim. One scan, up to `lease_batch` exclusive-create
+        // Phase 1 — claim. One scan, up to `LEASE_BATCH` exclusive-create
         // lease claims, one leases-directory sync for the whole batch. The
         // queue handle itself skips settled work.
         let skip: std::collections::BTreeSet<u64> = {
@@ -812,7 +804,7 @@ impl<'a> Worker<'a> {
         };
         let leases = self.retry_io(|| {
             self.queue
-                .try_lease_batch(&self.name, self.lease_batch, |seq| !skip.contains(&seq))
+                .try_lease_batch(&self.name, LEASE_BATCH, |seq| !skip.contains(&seq))
         })?;
         if leases.is_empty() {
             return Ok(Vec::new());
@@ -1056,8 +1048,8 @@ impl<'a> Worker<'a> {
     /// The worker main loop: drain until the backlog is complete (or the
     /// idle budget runs out), then publish this worker's counters to the
     /// queue so any process can merge them into a fleet digest. Each poll
-    /// claims and drains up to a [`with_lease_batch`](Self::with_lease_batch)
-    /// of submissions through the batched publish+release path.
+    /// claims and drains up to four submissions through the batched
+    /// publish+release path.
     pub fn drain(&self) -> WorkerStats {
         let mut stats = WorkerStats::default();
         let seed = sp_store::fnv64(&self.name);

@@ -374,9 +374,10 @@ fn crashed_worker_is_reclaimed_and_fenced() {
     // Worker 1 leases the campaign and crashes mid-flight: no heartbeat,
     // no publish, no release.
     let doomed_lease = queue
-        .try_lease(ticket.seq(), "doomed")
+        .lease_next("doomed")
         .expect("queue io")
         .expect("claimable");
+    assert_eq!(doomed_lease.seq, ticket.seq());
     assert!(
         queue.lease_next("survivor").expect("queue io").is_none(),
         "a live lease blocks re-claiming"
@@ -394,7 +395,10 @@ fn crashed_worker_is_reclaimed_and_fenced() {
     assert_eq!(queue.stats().reclaims, 1, "generation 2 re-leased the work");
 
     // The zombie's stale commit bounces off the fencing token.
-    match queue.publish_report(&doomed_lease, b"stale") {
+    match queue
+        .publish_and_release_batch(&[(&doomed_lease, b"stale".as_slice())])
+        .remove(0)
+    {
         Err(WqError::StaleLease { held, current, .. }) => {
             assert_eq!(held, 1);
             assert_eq!(current, 2);
@@ -479,9 +483,7 @@ fn fenced_mid_flight_execution_rolls_back_and_re_lease_counts_once() {
     let (first, last) = coordinator.reserved_run_ids(ticket).unwrap();
 
     let (system, _) = fresh_system();
-    let worker = Worker::new(&system, &queue, "w0", 2)
-        .with_patience(50)
-        .with_lease_batch(1);
+    let worker = Worker::new(&system, &queue, "w0", 2).with_patience(50);
     let mut stats = WorkerStats::default();
 
     // Wall time leaps past the whole lease on every clock read: the first

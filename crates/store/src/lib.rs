@@ -91,7 +91,7 @@ pub use shared::{ExportSummary, ImportSummary, SharedStorage, StorageArea};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotLoadReport, SnapshotSection};
 pub use vault::{FrozenImage, FrozenVault};
 pub use vfs::{
-    batched_crash_sweep, create_durable_exclusive, standard_crash_sweep, write_durable_atomic,
+    create_durable_exclusive, standard_crash_sweep, write_durable_atomic,
     write_durable_atomic_batch, CommittedHistory, CrashSweepOutcome, FaultConfig, FaultFs,
     FixedClock, ForcedFault, OsFs, StoreFs,
 };

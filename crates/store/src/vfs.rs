@@ -30,8 +30,9 @@
 //! `FaultFs` to enumerate its operations and record every committed state,
 //! then replay it once per crash point and verify that recovery observes
 //! only bytes that were committed before the crash — or nothing at all.
-//! [`standard_crash_sweep`] packages the queue+snapshot workload both the
-//! test suite and the `repro-fleet` chaos binary gate on.
+//! [`standard_crash_sweep`] packages the workload both the test suite and
+//! the `repro-fleet` chaos binary gate on: the work queue's batched claim
+//! and publish path, which workers run, plus a warm-state snapshot.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -869,15 +870,19 @@ impl TimeSource for FixedClock {
     }
 }
 
-/// What the standard sweep workload managed to commit before the crash.
+/// What the sweep workload managed to commit before the crash.
 #[derive(Debug, Clone, Default)]
-pub struct SweepProgress {
+struct SweepProgress {
     /// `(seq, payload)` of every submission whose `submit` returned `Ok`.
-    pub submitted: Vec<(u64, Vec<u8>)>,
-    /// Sequence numbers whose report publish returned `Ok`.
-    pub published: Vec<u64>,
+    submitted: Vec<(u64, Vec<u8>)>,
+    /// Sequence numbers whose batch-flush verdict was `Ok`.
+    published: Vec<u64>,
     /// Whether the warm-state snapshot write returned `Ok`.
-    pub snapshot: bool,
+    snapshot: bool,
+    /// The workload stopped before its last step although the filesystem
+    /// had not crashed: the sweep would replay a shorter path than the
+    /// one it names.
+    stopped_early: bool,
 }
 
 const SWEEP_REPORT: &[u8] = b"sweep-report-alpha";
@@ -893,40 +898,42 @@ fn sweep_snapshot() -> crate::snapshot::Snapshot {
 }
 
 fn sweep_workload(fs: Arc<FaultFs>, root: &Path) -> SweepProgress {
-    use crate::wq::WorkQueue;
     let mut progress = SweepProgress::default();
-    let fs: Arc<dyn StoreFs> = fs;
-    let Ok(queue) = WorkQueue::open_with(root, 60, Arc::new(FixedClock(1_000)), fs.clone()) else {
-        return progress;
-    };
-    for payload in [b"sweep-plan-a".as_slice(), b"sweep-plan-b".as_slice()] {
-        match queue.submit(payload, 100, 4, 7_000) {
-            Ok(seq) => progress.submitted.push((seq, payload.to_vec())),
-            Err(_) => return progress,
-        }
-    }
-    let lease = match queue.lease_next("sweeper") {
-        Ok(Some(lease)) => lease,
-        _ => return progress,
-    };
-    if queue.publish_report(&lease, SWEEP_REPORT).is_err() {
-        return progress;
-    }
-    progress.published.push(lease.seq);
-    if queue.release(&lease).is_err() {
-        return progress;
-    }
-    // Leave the second submission held mid-lease: the crash must also be
-    // survivable with work in flight.
-    let _ = queue.lease_next("sweeper");
-    let snapshot = sweep_snapshot();
-    if snapshot
-        .write_durable(fs.as_ref(), &root.join("warm_state.spws"))
-        .is_ok()
-    {
-        progress.snapshot = true;
-    }
+    let finished = sweep_steps(fs.clone(), root, &mut progress).is_some();
+    progress.stopped_early = !finished && !fs.crashed();
     progress
+}
+
+/// The workload's steps, stopping (`None`) at the first that fails: an
+/// I/O error is process death. Three submissions; two claimed in one
+/// [`try_lease_batch`](crate::wq::WorkQueue::try_lease_batch) and
+/// flushed by one
+/// [`publish_and_release_batch`](crate::wq::WorkQueue::publish_and_release_batch),
+/// as workers do; the third held mid-lease across the crash; then a
+/// warm-state snapshot. Only `Ok` flush verdicts count as published.
+fn sweep_steps(fs: Arc<FaultFs>, root: &Path, progress: &mut SweepProgress) -> Option<()> {
+    use crate::wq::{Lease, WorkQueue};
+    let fs: Arc<dyn StoreFs> = fs;
+    let queue = WorkQueue::open_with(root, 60, Arc::new(FixedClock(1_000)), fs.clone()).ok()?;
+    for payload in [b"sweep-plan-a", b"sweep-plan-b", b"sweep-plan-c"] {
+        let seq = queue.submit(payload, 100, 4, 7_000).ok()?;
+        progress.submitted.push((seq, payload.to_vec()));
+    }
+    let leases = queue.try_lease_batch("sweeper", 2, |_| true).ok()?;
+    if leases.len() != 2 {
+        return None;
+    }
+    let items: Vec<(&Lease, &[u8])> = leases.iter().map(|lease| (lease, SWEEP_REPORT)).collect();
+    for (lease, verdict) in leases.iter().zip(queue.publish_and_release_batch(&items)) {
+        verdict.ok()?;
+        progress.published.push(lease.seq);
+    }
+    queue.lease_next("sweeper").ok()??;
+    sweep_snapshot()
+        .write_durable(fs.as_ref(), &root.join("warm_state.spws"))
+        .ok()?;
+    progress.snapshot = true;
+    Some(())
 }
 
 fn sweep_verify(
@@ -935,6 +942,9 @@ fn sweep_verify(
     progress: &SweepProgress,
 ) -> Result<(), String> {
     use crate::wq::WorkQueue;
+    if progress.stopped_early {
+        return Err("the workload stopped early on a filesystem that had not crashed".into());
+    }
     let os = OsFs;
     // 1. No third outcome: every surviving durable record is byte-identical
     //    to a state that was committed in the reference pass. (tmp/ staging
@@ -999,19 +1009,14 @@ fn sweep_verify(
 
     // 3. Drive the backlog to completion — recovery must always be able to
     //    finish the job.
-    loop {
-        match queue.lease_next("recovery") {
-            Ok(Some(lease)) => {
-                queue
-                    .publish_report(&lease, SWEEP_RECOVERED)
-                    .map_err(|e| format!("recovery publish failed: {e}"))?;
-                queue
-                    .release(&lease)
-                    .map_err(|e| format!("recovery release failed: {e}"))?;
-            }
-            Ok(None) => break,
-            Err(e) => return Err(format!("recovery lease failed: {e}")),
-        }
+    while let Some(lease) = queue
+        .lease_next("recovery")
+        .map_err(|e| format!("recovery lease failed: {e}"))?
+    {
+        queue
+            .publish_and_release_batch(&[(&lease, SWEEP_RECOVERED)])
+            .remove(0)
+            .map_err(|e| format!("recovery publish failed: {e}"))?;
     }
     if !queue.drained() {
         return Err("recovered queue cannot drain its backlog".into());
@@ -1019,65 +1024,15 @@ fn sweep_verify(
     Ok(())
 }
 
-/// The queue+snapshot crash-point sweep both the store test suite and the
-/// `repro-fleet` chaos binary gate on: submissions, a completed lease with
-/// a published report, a second lease held in flight, and a durable
-/// warm-state snapshot — crashed at every enumerated operation, recovered,
-/// and verified against the committed-before-or-never invariant.
+/// The crash-point sweep both the store test suite and the `repro-fleet`
+/// chaos binary gate on. Its workload runs the queue's batched claim and
+/// publish path, the one workers run, with a lease held in flight, then
+/// writes a durable warm-state snapshot; it is crashed at every
+/// enumerated operation, recovered, and verified against the
+/// committed-before-or-never invariant. A workload that stops early
+/// without a crash fails the sweep.
 pub fn standard_crash_sweep(base: &Path) -> CrashSweepOutcome {
     crash_point_sweep(base, sweep_workload, sweep_verify)
-}
-
-/// The batched-I/O twin of [`sweep_workload`]: claims two submissions in
-/// one [`WorkQueue::try_lease_batch`](crate::wq::WorkQueue::try_lease_batch)
-/// pass (one `leases/` entry sync for both claims) and publishes both
-/// reports through
-/// [`publish_and_release_batch`](crate::wq::WorkQueue::publish_and_release_batch)
-/// (one `reports/` sync and one `leases/` sync for the whole batch), with
-/// a third submission left mid-lease across the crash. Only publishes the
-/// batch acknowledged (`Ok`) count as committed — a torn batch must
-/// degrade to a committed prefix of whole records, never a half-written
-/// one.
-fn sweep_workload_batched(fs: Arc<FaultFs>, root: &Path) -> SweepProgress {
-    use crate::wq::WorkQueue;
-    let mut progress = SweepProgress::default();
-    let fs: Arc<dyn StoreFs> = fs;
-    let Ok(queue) = WorkQueue::open_with(root, 60, Arc::new(FixedClock(1_000)), fs.clone()) else {
-        return progress;
-    };
-    for payload in [
-        b"batch-plan-a".as_slice(),
-        b"batch-plan-b".as_slice(),
-        b"batch-plan-c".as_slice(),
-    ] {
-        match queue.submit(payload, 200, 4, 9_000) {
-            Ok(seq) => progress.submitted.push((seq, payload.to_vec())),
-            Err(_) => return progress,
-        }
-    }
-    let Ok(leases) = queue.try_lease_batch("batch-sweeper", 2, |_| true) else {
-        return progress;
-    };
-    let items: Vec<(&crate::wq::Lease, &[u8])> =
-        leases.iter().map(|lease| (lease, SWEEP_REPORT)).collect();
-    for (lease, result) in leases.iter().zip(queue.publish_and_release_batch(&items)) {
-        if result.is_ok() {
-            progress.published.push(lease.seq);
-        }
-    }
-    // Leave the third submission held mid-lease: the torn-batch crash must
-    // also be survivable with unrelated work in flight.
-    let _ = queue.lease_next("batch-sweeper");
-    progress
-}
-
-/// [`standard_crash_sweep`] over the **batched** lease-claim and
-/// publish+release paths: power loss is replayed at every filesystem
-/// operation of the batched sweep workload, and recovery must observe only
-/// committed-before or never-happened states — an acknowledged batch item
-/// survives whole, a torn batch is a committed prefix of whole records.
-pub fn batched_crash_sweep(base: &Path) -> CrashSweepOutcome {
-    crash_point_sweep(base, sweep_workload_batched, sweep_verify)
 }
 
 #[cfg(test)]

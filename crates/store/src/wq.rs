@@ -32,17 +32,18 @@
 //! goes through an injectable [`StoreFs`], so the same paths run over the
 //! deterministic fault layer in tests and chaos harnesses.
 //!
-//! The **batched** variants
-//! ([`try_lease_batch`](WorkQueue::try_lease_batch),
-//! [`publish_and_release_batch`](WorkQueue::publish_and_release_batch))
-//! amortise the parent-directory fsync — the dominant cost of
+//! Work is claimed by [`try_lease_batch`](WorkQueue::try_lease_batch)
+//! ([`lease_next`](WorkQueue::lease_next) is its width-1 call) and
+//! published by
+//! [`publish_and_release_batch`](WorkQueue::publish_and_release_batch).
+//! Both amortise the parent-directory fsync — the dominant cost of
 //! small-record storms — across a whole batch while leaving per-record
 //! durability untouched: every record's bytes are still `fsync`ed before
 //! its rename/link, so a crash mid-batch tears the batch only at record
 //! granularity (a committed prefix of whole records, never a torn one),
 //! and nothing is acknowledged to the caller before the batch's
-//! directory sync lands. [`batched_crash_sweep`](crate::vfs::batched_crash_sweep)
-//! replays power loss at every operation of this path.
+//! directory sync lands. [`standard_crash_sweep`](crate::vfs::standard_crash_sweep)
+//! replays power loss at every operation of these two paths.
 //!
 //! ## Leases, heartbeats, fencing
 //!
@@ -60,10 +61,10 @@
 //! report records the token it was produced under, and a report is only
 //! ever trusted if its token equals the submission's *current highest*
 //! generation. A stalled worker whose lease expired and was re-issued can
-//! therefore never commit stale results — its
-//! [`publish_report`](WorkQueue::publish_report) is rejected with
-//! [`WqError::StaleLease`], and even a file it managed to write is ignored
-//! at collection time because a higher generation exists.
+//! therefore never commit stale results — its batch item in
+//! [`publish_and_release_batch`](WorkQueue::publish_and_release_batch) is
+//! rejected with [`WqError::StaleLease`], and even a file it managed to
+//! write is ignored at collection time because a higher generation exists.
 //!
 //! Renewal is generation-checked through the same `verify_held` prelude
 //! as publish and release, so a renewal attempted after fencing returns
@@ -83,7 +84,7 @@
 //! such a report stays trusted whatever generation comes later, and a
 //! claim walk skips settled work without touching the disk. A submission
 //! enters the set only when [`report`](WorkQueue::report) reads it so (or
-//! when this handle's own batched publish and release both commit), and
+//! when this handle's own publish and release both commit), and
 //! leaves it whenever `report` reads nothing trusted — a report torn
 //! after it was trusted makes the work claimable again on the same handle.
 //!
@@ -285,7 +286,8 @@ struct LeaseRecord {
 /// cross-process digest without shared memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Valid submissions enqueued.
+    /// Submissions enqueued and not proven corrupt (an unreadable record
+    /// still counts).
     pub submissions: usize,
     /// Submissions with a trusted (current-generation) report.
     pub completed: usize,
@@ -566,15 +568,6 @@ impl WorkQueue {
         Ok(seqs)
     }
 
-    /// All valid submissions, in sequence order.
-    pub fn submissions(&self) -> Vec<QueueSubmission> {
-        self.submission_seqs_checked()
-            .unwrap_or_default()
-            .into_iter()
-            .filter_map(|seq| self.submission(seq))
-            .collect()
-    }
-
     // ---- leases ------------------------------------------------------
 
     /// How many lease generations `seq` has (including corrupt records:
@@ -624,17 +617,12 @@ impl WorkQueue {
         Ok(self.try_lease_batch(holder, 1, |_| true)?.pop())
     }
 
-    /// Attempts to claim one specific submission. `None` if it is
-    /// complete, currently held live, corrupt, or lost in a claim race.
-    pub fn try_lease(&self, seq: u64, holder: &str) -> std::io::Result<Option<Lease>> {
-        let claimed = self.claim(seq, holder)?.into_iter().collect();
-        Ok(self.sync_claims(claimed)?.pop())
-    }
-
     /// Claims the next lease generation of `seq` for `holder` **without**
     /// syncing `leases/`: the hard link alone arbitrates the exclusivity
     /// race, the sync only makes the entry durable, so callers must not
-    /// act on a claim until [`sync_claims`](Self::sync_claims) returns it.
+    /// act on a claim until [`try_lease_batch`](Self::try_lease_batch)
+    /// has synced `leases/`. `None` if the submission is settled,
+    /// complete, poisoned, corrupt, held live, or lost in a claim race.
     /// The record is created whole ([`create_durable_exclusive`]) because
     /// a half-written lease would read as corrupt, hence reclaimable.
     fn claim(&self, seq: u64, holder: &str) -> std::io::Result<Option<Lease>> {
@@ -775,17 +763,6 @@ impl WorkQueue {
         Ok(record.expires_at)
     }
 
-    /// Publishes the result bytes for a leased submission, recording the
-    /// fencing token. Rejected with [`WqError::StaleLease`] /
-    /// [`WqError::Expired`] when the caller no longer holds the current
-    /// live generation — a stalled worker cannot commit stale results.
-    pub fn publish_report(&self, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
-        self.verify_held(lease)?;
-        let record = encode_report(lease.seq, lease.token, payload);
-        self.write_atomic(&self.report_path(lease.seq, lease.token), &record)?;
-        Ok(())
-    }
-
     /// Releases a lease after its work is done. Double release is a
     /// protocol error ([`WqError::AlreadyReleased`]), as is releasing a
     /// lease another generation has superseded.
@@ -814,7 +791,10 @@ impl WorkQueue {
     /// batch: the claims already won are synced and returned rather than
     /// handed back (releasing them would itself ride the faulty disk, and
     /// an orphaned release strands the work for a whole lease duration) —
-    /// the error surfaces only when nothing was claimed.
+    /// the error surfaces only when nothing was claimed. The `leases/`
+    /// sync must succeed before any claim may be acted on; if it fails
+    /// the claims are handed back best-effort (expiry reclaims any the
+    /// release itself fails on).
     pub fn try_lease_batch(
         &self,
         holder: &str,
@@ -839,14 +819,6 @@ impl WorkQueue {
                 Err(_) => break,
             }
         }
-        self.sync_claims(leases)
-    }
-
-    /// Commits claims with one `leases/` sync. That sync must succeed
-    /// before any claim may be acted on; if it fails the claims are
-    /// handed back best-effort (expiry reclaims any the release itself
-    /// fails on).
-    fn sync_claims(&self, leases: Vec<Lease>) -> std::io::Result<Vec<Lease>> {
         if !leases.is_empty() {
             if let Err(e) = self.fs.sync_dir(&self.root.join("leases")) {
                 for lease in &leases {
@@ -868,10 +840,10 @@ impl WorkQueue {
     /// Returns one verdict per item, index-aligned with `items`. An `Ok`
     /// verdict is an acknowledgment that the item's report is durable; a
     /// crash mid-batch therefore degrades to "some records committed
-    /// whole, the rest never happened" (the batched crash-point sweep
+    /// whole, the rest never happened"
+    /// ([`standard_crash_sweep`](crate::vfs::standard_crash_sweep)
     /// replays power loss at every operation of this path). Reports
-    /// commit strictly before releases, matching the single-record
-    /// publish-then-release protocol; a release that fails after its
+    /// commit strictly before releases; a release that fails after its
     /// report committed is tolerated — the report is what matters, an
     /// unreleased lease simply expires. On a batch-level I/O failure the
     /// verified-but-unacknowledged items all report [`WqError::Io`]:
@@ -986,11 +958,19 @@ impl WorkQueue {
 
     /// Whether every valid submission has reached a terminal state: a
     /// trusted report, or a poison mark (poisoned work will never
-    /// complete, so waiting on it would hang the fleet forever).
+    /// complete, so waiting on it would hang the fleet forever). A failed
+    /// listing or submission read means "not drained": it proves nothing
+    /// about the work behind it.
     pub fn drained(&self) -> bool {
-        self.submissions()
-            .iter()
-            .all(|s| self.report(s.seq).is_some() || self.is_poisoned(s.seq))
+        let Ok(seqs) = self.submission_seqs_checked() else {
+            return false;
+        };
+        seqs.into_iter()
+            .all(|seq| match self.submission_checked(seq) {
+                Ok(Some(_)) => self.report(seq).is_some() || self.is_poisoned(seq),
+                Ok(None) => true,
+                Err(_) => false,
+            })
     }
 
     // ---- poison marks ------------------------------------------------
@@ -1086,27 +1066,34 @@ impl WorkQueue {
 
     // ---- accounting --------------------------------------------------
 
-    /// Derives the queue digest from the directory state.
+    /// Derives the queue digest from the directory state. Only bytes that
+    /// read fine and fail decode count as a corrupt drop; a record whose
+    /// read fails is unjudged, and an unreadable submission still counts
+    /// as enqueued.
     pub fn stats(&self) -> QueueStats {
         let mut stats = QueueStats::default();
         let mut seqs: Vec<u64> = Vec::new();
         for name in self.scan("submissions") {
-            match parse_seq(&name, "sub-", ".spwq") {
-                Some(seq) if self.submission(seq).is_some() => {
-                    stats.submissions += 1;
-                    seqs.push(seq);
-                }
-                _ => stats.corrupt_dropped += 1,
+            let Some(seq) = parse_seq(&name, "sub-", ".spwq") else {
+                stats.corrupt_dropped += 1;
+                continue;
+            };
+            match self.submission_checked(seq) {
+                Ok(Some(_)) | Err(_) => seqs.push(seq),
+                Ok(None) => stats.corrupt_dropped += 1,
             }
         }
+        stats.submissions = seqs.len();
         for &seq in &seqs {
             let current = self.generations(seq).unwrap_or(0);
             stats.leases_issued += current as usize;
             stats.reclaims += current.saturating_sub(1) as usize;
             for token in 1..=current {
-                if self.read_lease(seq, token).is_none() {
-                    stats.corrupt_dropped += 1;
-                }
+                let corrupt = self
+                    .fs
+                    .read(&self.lease_path(seq, token))
+                    .is_ok_and(|bytes| decode_lease(seq, token, &bytes).is_none());
+                stats.corrupt_dropped += corrupt as usize;
             }
             if self.report_at(seq, current).is_some() {
                 stats.completed += 1;
@@ -1296,6 +1283,22 @@ mod tests {
         }
     }
 
+    /// Publishes and releases one lease as a batch of one, returning its
+    /// verdict.
+    fn flush(q: &WorkQueue, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
+        q.publish_and_release_batch(&[(lease, payload)]).remove(0)
+    }
+
+    /// Commits a report under `lease` and leaves the lease unreleased:
+    /// the state a fault between the two halves of a batch flush leaves
+    /// behind. Fenced like a flush item.
+    fn publish_unreleased(q: &WorkQueue, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
+        q.verify_held(lease)?;
+        let record = encode_report(lease.seq, lease.token, payload);
+        q.write_atomic(&q.report_path(lease.seq, lease.token), &record)?;
+        Ok(())
+    }
+
     fn queue(lease_secs: u64) -> (WorkQueue, Arc<TestClock>, PathBuf) {
         static UNIQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -1314,12 +1317,12 @@ mod tests {
         let a = q.submit(b"plan-a", 100, 5, 7_000).unwrap();
         let b = q.submit(b"plan-b", 105, 3, 7_000).unwrap();
         assert!(a < b);
-        let subs = q.submissions();
-        assert_eq!(subs.len(), 2);
-        assert_eq!(subs[0].payload, b"plan-a");
-        assert_eq!(subs[0].base_run_id, 100);
-        assert_eq!(subs[0].total_runs, 5);
-        assert_eq!(subs[1].origin, 7_000);
+        assert_eq!(q.submission_seqs_checked().unwrap(), vec![a, b]);
+        let (sub_a, sub_b) = (q.submission(a).unwrap(), q.submission(b).unwrap());
+        assert_eq!(sub_a.payload, b"plan-a");
+        assert_eq!(sub_a.base_run_id, 100);
+        assert_eq!(sub_a.total_runs, 5);
+        assert_eq!(sub_b.origin, 7_000);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1332,8 +1335,7 @@ mod tests {
         assert_eq!(lease.token, 1);
         // Held live: nobody else can claim it.
         assert!(q.lease_next("w2").unwrap().is_none());
-        q.publish_report(&lease, b"result").unwrap();
-        q.release(&lease).unwrap();
+        flush(&q, &lease, b"result").unwrap();
         assert_eq!(q.report(seq).unwrap(), b"result");
         assert!(q.drained());
         // Complete: not claimable again.
@@ -1400,8 +1402,7 @@ mod tests {
         let holder = WorkQueue::open_with_time(&dir, 60, clock.clone()).unwrap();
         let fs = AfterMissingReport {
             hook: parking_lot::Mutex::new(Some(Box::new(move || {
-                holder.publish_report(&lease, b"result").unwrap();
-                holder.release(&lease).unwrap();
+                flush(&holder, &lease, b"result").unwrap();
             }))),
         };
         let racer = WorkQueue::open_with(&dir, 60, clock, Arc::new(fs)).unwrap();
@@ -1480,7 +1481,7 @@ mod tests {
         let (q, clock, dir) = queue(60);
         let seq = q.submit(b"work", 1, 1, 0).unwrap();
         let mut lease = q.lease_next("w1").unwrap().expect("claimable");
-        q.publish_report(&lease, b"result").unwrap();
+        publish_unreleased(&q, &lease, b"result").unwrap();
         let fs = Arc::new(CountingFs::default());
         let flaky = WorkQueue::open_with(&dir, 60, clock.clone(), fs.clone()).unwrap();
         *fs.fail.lock() = Some(q.lease_path(seq, 1));
@@ -1503,7 +1504,7 @@ mod tests {
         let (q, _clock, dir) = queue(30);
         let seq = q.submit(b"work", 1, 1, 0).unwrap();
         let lease = q.lease_next("w1").unwrap().expect("claimable");
-        q.publish_report(&lease, b"result").unwrap();
+        publish_unreleased(&q, &lease, b"result").unwrap();
         assert_eq!(q.report(seq).unwrap(), b"result");
         // A later generation could still supersede an unreleased one.
         assert!(!q.is_settled(seq));
@@ -1571,7 +1572,7 @@ mod tests {
                     }
                     (3, Some(i)) => {
                         let lease = held.swap_remove(i);
-                        let _ = q.publish_and_release_batch(&[(&lease, b"report")]);
+                        let _ = flush(q, &lease, b"report");
                     }
                     (4, Some(i)) => {
                         let _ = q.release(&held.swap_remove(i));
@@ -1586,7 +1587,7 @@ mod tests {
                     }
                     // Published, then the holder stalls before releasing.
                     (7, Some(i)) => {
-                        let _ = q.publish_report(&held[i], b"unreleased");
+                        let _ = publish_unreleased(q, &held[i], b"unreleased");
                     }
                     _ => {}
                 }
@@ -1671,7 +1672,7 @@ mod tests {
         assert_eq!(fresh.token, 2, "next fencing generation");
         // The zombie cannot publish under its superseded token...
         assert!(matches!(
-            q.publish_report(&dead, b"stale"),
+            flush(&q, &dead, b"stale"),
             Err(WqError::StaleLease {
                 held: 1,
                 current: 2,
@@ -1679,8 +1680,7 @@ mod tests {
             })
         ));
         // ...and the fresh holder completes normally.
-        q.publish_report(&fresh, b"good").unwrap();
-        q.release(&fresh).unwrap();
+        flush(&q, &fresh, b"good").unwrap();
         assert_eq!(q.report(seq).unwrap(), b"good");
         assert_eq!(q.stats().reclaims, 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1722,7 +1722,7 @@ mod tests {
         // Fencing at read time: the zombie report is not the current
         // generation, so the submission still reads as incomplete.
         assert!(q.report(seq).is_none());
-        q.publish_report(&live, b"good").unwrap();
+        flush(&q, &live, b"good").unwrap();
         assert_eq!(q.report(seq).unwrap(), b"good");
         std::fs::remove_dir_all(&dir).ok();
     }

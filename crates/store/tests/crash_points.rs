@@ -5,10 +5,11 @@
 //! either reads back byte-identical to a state that was committed before
 //! the crash, or it is cleanly absent — never a third, half-written
 //! outcome that gets trusted. `sp_store::vfs::standard_crash_sweep`
-//! enumerates every operation of a queue+snapshot workload and replays
-//! the crash at each one; the targeted tests below pin the individual
-//! failure shapes (torn stage, truncated record, half-written snapshot)
-//! the sweep's pass depends on.
+//! enumerates every operation of a workload that claims and publishes
+//! through the queue's batched path — the one workers run — and writes a
+//! warm-state snapshot, and replays the crash at each one; the targeted
+//! tests below pin the individual failure shapes (torn stage, truncated
+//! record, half-written snapshot) the sweep's pass depends on.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,8 +17,17 @@ use std::sync::Arc;
 
 use sp_store::snapshot::{Snapshot, SnapshotError, SnapshotSection};
 use sp_store::{
-    CellRecord, FaultConfig, FaultFs, FixedClock, ForcedFault, OsFs, RunLog, StoreFs, WorkQueue,
+    CellRecord, FaultConfig, FaultFs, FixedClock, ForcedFault, Lease, OsFs, RunLog, StoreFs,
+    WorkQueue, WqError,
 };
+
+/// Publishes and releases one lease as a batch of one, returning its
+/// verdict.
+fn flush(queue: &WorkQueue, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
+    queue
+        .publish_and_release_batch(&[(lease, payload)])
+        .remove(0)
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     static UNIQ: AtomicU64 = AtomicU64::new(0);
@@ -32,47 +42,25 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The tentpole gate: crash at every enumerated operation of the standard
-/// queue+snapshot workload, recover, and find only committed-before or
-/// never-happened states — no fsync-discipline violations, no quarantined
-/// losses of committed work, and a backlog recovery can always drain.
+/// workload — two claims in one batch flushed by one
+/// `publish_and_release_batch`, a third lease in flight, a warm-state
+/// snapshot — recover, and find only committed-before or never-happened
+/// states: no fsync-discipline violations, no quarantined losses of
+/// committed work, and a backlog recovery can always drain. Power loss
+/// inside the batch must degrade to a committed prefix of whole records,
+/// or nothing.
 #[test]
 fn standard_crash_sweep_recovers_every_crash_point() {
     let base = temp_dir("sweep");
     let outcome = sp_store::vfs::standard_crash_sweep(&base);
     assert!(
-        outcome.crash_points > 20,
-        "the workload must enumerate a real operation sequence, got {}",
+        outcome.crash_points >= 75,
+        "the workload must enumerate its whole operation sequence, got {}",
         outcome.crash_points
     );
     assert!(
         outcome.passed(),
         "crash-point sweep failed at {} of {} points:\n{}",
-        outcome.failures.len(),
-        outcome.crash_points,
-        outcome.failures.join("\n")
-    );
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// The same gate over the *batched* publish path: a workload that claims
-/// a multi-lease batch and flushes its reports through
-/// `publish_and_release_batch` (one reports-dir sync, one leases-dir sync
-/// for the whole batch). Power loss inside the batch must degrade to "a
-/// committed prefix of whole records, or nothing" — an acknowledged
-/// report survives byte-identical, a torn batch never leaves a
-/// half-written record under a final name.
-#[test]
-fn batched_publish_crash_sweep_commits_prefix_or_nothing() {
-    let base = temp_dir("sweep-batch");
-    let outcome = sp_store::batched_crash_sweep(&base);
-    assert!(
-        outcome.crash_points > 20,
-        "the batched workload must enumerate a real operation sequence, got {}",
-        outcome.crash_points
-    );
-    assert!(
-        outcome.passed(),
-        "batched crash-point sweep failed at {} of {} points:\n{}",
         outcome.failures.len(),
         outcome.crash_points,
         outcome.failures.join("\n")
@@ -322,8 +310,7 @@ fn corrupt_submission_is_quarantined_not_fatal() {
     // The intact sibling still drains to a trusted report.
     let lease = queue.lease_next("w1").unwrap().expect("intact leases");
     assert_eq!(lease.seq, intact);
-    queue.publish_report(&lease, b"done").unwrap();
-    queue.release(&lease).unwrap();
+    flush(&queue, &lease, b"done").unwrap();
     assert_eq!(queue.report(intact).as_deref(), Some(b"done".as_slice()));
     assert!(
         queue.drained(),
@@ -604,8 +591,33 @@ fn transient_read_fault_never_quarantines_valid_work() {
         .unwrap()
         .expect("still claimable");
     assert_eq!(lease.seq, seq);
-    recovered.publish_report(&lease, b"done").unwrap();
-    recovered.release(&lease).unwrap();
+    flush(&recovered, &lease, b"done").unwrap();
     assert!(recovered.drained());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed read is not "no work" and not corruption: with the one
+/// submission's read faulting, the queue is not drained, and the digest
+/// still counts the submission and no corrupt drop.
+#[test]
+fn transient_read_fault_never_reads_as_drained_or_corrupt() {
+    let dir = temp_dir("deny-read-drained");
+    let healthy = WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_000))).expect("open");
+    let seq = healthy.submit(b"intact-payload", 5, 1, 0).unwrap();
+    drop(healthy);
+
+    let flaky = WorkQueue::open_with(
+        &dir,
+        60,
+        Arc::new(FixedClock(1_100)),
+        Arc::new(DenyRead {
+            deny: dir.join("submissions").join(format!("sub-{seq:08}.spwq")),
+        }),
+    )
+    .expect("open over flaky disk");
+    assert!(!flaky.drained(), "unread work is not finished work");
+    let stats = flaky.stats();
+    assert_eq!(stats.submissions, 1, "the unread submission stays enqueued");
+    assert_eq!(stats.corrupt_dropped, 0, "no verdict without bytes");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,6 +23,12 @@ impl TimeSource for TestClock {
     }
 }
 
+/// Publishes and releases one lease as a batch of one, returning its
+/// verdict.
+fn flush(q: &WorkQueue, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
+    q.publish_and_release_batch(&[(lease, payload)]).remove(0)
+}
+
 fn queue(lease_secs: u64, tag: &str) -> (WorkQueue, Arc<TestClock>, PathBuf) {
     static UNIQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -67,8 +73,7 @@ fn double_release_is_a_protocol_error() {
     let (q, _clock, dir) = queue(60, "double-release");
     q.submit(b"work", 1, 1, 0).unwrap();
     let lease = q.lease_next("w1").unwrap().unwrap();
-    q.publish_report(&lease, b"done").unwrap();
-    q.release(&lease).unwrap();
+    flush(&q, &lease, b"done").unwrap();
     assert!(matches!(
         q.release(&lease),
         Err(WqError::AlreadyReleased { token: 1, .. })
@@ -80,7 +85,7 @@ fn double_release_is_a_protocol_error() {
         Err(WqError::AlreadyReleased { .. })
     ));
     assert!(matches!(
-        q.publish_report(&lease, b"again"),
+        flush(&q, &lease, b"again"),
         Err(WqError::AlreadyReleased { .. })
     ));
     std::fs::remove_dir_all(&dir).ok();
@@ -96,7 +101,7 @@ fn commit_from_an_expired_lease_is_fenced() {
     // the holder cannot sneak results in after its deadline.
     clock.0.fetch_add(30, Ordering::SeqCst);
     assert!(matches!(
-        q.publish_report(&dead, b"late"),
+        flush(&q, &dead, b"late"),
         Err(WqError::Expired { token: 1, .. })
     ));
     assert!(q.report(seq).is_none());
@@ -104,15 +109,14 @@ fn commit_from_an_expired_lease_is_fenced() {
     // Superseded by the next generation: rejected as stale, with both
     // tokens named.
     let fresh = q.lease_next("w2").unwrap().unwrap();
-    match q.publish_report(&dead, b"stale") {
+    match flush(&q, &dead, b"stale") {
         Err(WqError::StaleLease { held, current, .. }) => {
             assert_eq!((held, current), (1, 2));
         }
         other => panic!("expected StaleLease, got {other:?}"),
     }
     // The live generation commits normally and its report is trusted.
-    q.publish_report(&fresh, b"good").unwrap();
-    q.release(&fresh).unwrap();
+    flush(&q, &fresh, b"good").unwrap();
     assert_eq!(q.report(seq).unwrap(), b"good");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -194,8 +198,7 @@ fn renew_after_fencing_returns_the_fencing_error() {
         }
         other => panic!("expected StaleLease, got {other:?}"),
     }
-    q.publish_report(&fresh, b"good").unwrap();
-    q.release(&fresh).unwrap();
+    flush(&q, &fresh, b"good").unwrap();
     assert_eq!(q.report(fresh.seq).unwrap(), b"good");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -257,8 +260,7 @@ fn torn_report_reads_absent_and_the_work_re_leases() {
     let (q, clock, dir) = queue(30, "torn-report");
     let seq = q.submit(b"work", 1, 1, 0).unwrap();
     let lease = q.lease_next("w1").unwrap().unwrap();
-    q.publish_report(&lease, b"the-report").unwrap();
-    q.release(&lease).unwrap();
+    flush(&q, &lease, b"the-report").unwrap();
     assert_eq!(q.report(seq).as_deref(), Some(b"the-report".as_slice()));
 
     // The crash model's worst leftover: the record torn to a prefix.
@@ -278,8 +280,7 @@ fn torn_report_reads_absent_and_the_work_re_leases() {
     let recovery = q.lease_next("w2").unwrap().expect("re-leasable");
     assert_eq!(recovery.seq, seq);
     assert!(recovery.token > lease.token, "old generation stays burned");
-    q.publish_report(&recovery, b"the-report").unwrap();
-    q.release(&recovery).unwrap();
+    flush(&q, &recovery, b"the-report").unwrap();
     assert_eq!(q.report(seq).as_deref(), Some(b"the-report".as_slice()));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -323,8 +324,7 @@ fn transient_faults_surface_as_io_not_protocol_verdicts() {
     // …and the very next attempt succeeds with the same token: the
     // fault proved nothing about the lease.
     q.renew(&mut lease).expect("retry succeeds");
-    q.publish_report(&lease, b"done").unwrap();
-    q.release(&lease).unwrap();
+    flush(&q, &lease, b"done").unwrap();
     assert!(q.drained());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -358,8 +358,7 @@ fn lease_batch_claims_up_to_max_and_respects_the_filter() {
 
     // Every batch-claimed lease speaks the full single-lease protocol.
     for lease in batch.iter().chain(sibling.iter()) {
-        q.publish_report(lease, b"done").unwrap();
-        q.release(lease).unwrap();
+        flush(&q, lease, b"done").unwrap();
     }
     assert!(q.drained());
     std::fs::remove_dir_all(&dir).ok();
@@ -431,8 +430,9 @@ fn partially_fenced_batch_commits_only_the_live_items() {
     q.renew(&mut keep).expect("still live");
     clock.0.fetch_add(1, Ordering::SeqCst);
     let reclaimed = q
-        .try_lease(b, "w2")
+        .try_lease_batch("w2", 1, |seq| seq == b)
         .expect("reclaim io")
+        .pop()
         .expect("expired item reclaims");
     assert_eq!(reclaimed.seq, b);
 
@@ -450,8 +450,7 @@ fn partially_fenced_batch_commits_only_the_live_items() {
     assert!(q.report(b).is_none());
 
     // The reclaimer finishes the fenced item's work.
-    q.publish_report(&reclaimed, b"redone").unwrap();
-    q.release(&reclaimed).unwrap();
+    flush(&q, &reclaimed, b"redone").unwrap();
     assert_eq!(q.report(b).as_deref(), Some(b"redone".as_slice()));
     assert!(q.drained());
     std::fs::remove_dir_all(&dir).ok();
@@ -469,7 +468,7 @@ proptest! {
         ops in prop::collection::vec((0u8..5, any::<u8>(), any::<u8>()), 1..40),
     ) {
         let (q, clock, dir) = queue(20, "prop-renew");
-        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        q.submit(b"work", 1, 1, 0).unwrap();
         let mut handles: Vec<Lease> = Vec::new();
         let mut next_holder = 0u32;
         for (op, pick, advance) in ops {
@@ -479,7 +478,7 @@ proptest! {
                 }
                 1 => {
                     next_holder += 1;
-                    if let Ok(Some(lease)) = q.try_lease(seq, &format!("w{next_holder}")) {
+                    if let Ok(Some(lease)) = q.lease_next(&format!("w{next_holder}")) {
                         handles.push(lease);
                     }
                 }
@@ -503,9 +502,13 @@ proptest! {
                 }
             }
         }
-        let committed = handles
+        // One flush verifies every item before writing any of them, so
+        // each verdict is judged against the same lease table.
+        let items: Vec<(&Lease, &[u8])> = handles.iter().map(|l| (l, b"x".as_slice())).collect();
+        let committed = q
+            .publish_and_release_batch(&items)
             .iter()
-            .filter(|lease| q.publish_report(lease, b"x").is_ok())
+            .filter(|verdict| verdict.is_ok())
             .count();
         prop_assert!(committed <= 1, "{committed} live holders of one seq");
         std::fs::remove_dir_all(&dir).ok();
@@ -528,8 +531,7 @@ proptest! {
         // One completed unit (lease + report + release), one expired
         // lease awaiting reclaim — so every record kind is on disk.
         let lease_a = q.lease_next("w1").unwrap().unwrap();
-        q.publish_report(&lease_a, b"report-a").unwrap();
-        q.release(&lease_a).unwrap();
+        flush(&q, &lease_a, b"report-a").unwrap();
         let _lease_b = q.lease_next("w1").unwrap().unwrap();
         clock.0.fetch_add(30, Ordering::SeqCst);
 
@@ -557,7 +559,8 @@ proptest! {
 
         // Nothing read back may be fabricated: every surviving
         // submission is one of the originals, bit for bit.
-        for submission in q.submissions() {
+        let valid = q.submission_seqs_checked().unwrap();
+        for submission in valid.into_iter().filter_map(|seq| q.submission(seq)) {
             let expected: &[u8] = if submission.seq == seq_a {
                 b"payload-a"
             } else {
