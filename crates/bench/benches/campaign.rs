@@ -1,14 +1,11 @@
 //! End-to-end validation-run cost: the full §3.1 (ii) cycle — parallel
 //! stack build, unit checks, standalone executables, analysis chains,
-//! reference comparison and bookkeeping — per experiment, plus the whole
-//! Figure-3 campaign grid under the sequential oracle and the work-stealing
-//! `CampaignScheduler` at several worker counts.
+//! reference comparison and bookkeeping — per experiment, plus the H1
+//! stack build alone. Whole campaign grids and fleet drains are measured
+//! end to end by `perfbench` (`cold-grid`, `nightly-warm`, `fleet-drain`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{desy_deployment, repro_run_config};
-use sp_core::fleet::{Coordinator, Worker};
-use sp_core::{Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, SpSystem};
-use sp_store::WorkQueue;
 
 fn bench_validation_runs(c: &mut Criterion) {
     let system = desy_deployment();
@@ -64,247 +61,5 @@ fn bench_stack_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full 3-experiment × 5-image grid, one nightly pass: sequential
-/// oracle vs the sharded engine. Each iteration runs on a fresh system so
-/// neither path inherits the other's references or digest cache. The
-/// parallel benches run with `image_parallel`: per-experiment lanes cap
-/// this grid at 3 stealable units, so worker counts beyond 3 only measure
-/// scheduler overhead — the image axis is where the spare cores go (15
-/// cell lanes per repetition on this grid).
-fn bench_campaign_engines(c: &mut Criterion) {
-    let grid = |system: &SpSystem, options: CampaignOptions| CampaignConfig {
-        experiments: vec!["zeus".into(), "h1".into(), "hermes".into()],
-        images: system.images().iter().map(|i| i.id).collect(),
-        repetitions: 1,
-        run: repro_run_config(0.05),
-        interval_secs: 86_400,
-        options,
-    };
-    let mut group = c.benchmark_group("campaign_grid");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let system = desy_deployment();
-            let config = grid(&system, CampaignOptions::default());
-            Campaign::new(&system, config)
-                .execute()
-                .expect("oracle campaign")
-                .total_runs()
-        })
-    });
-    for workers in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let system = desy_deployment();
-                    let config = grid(&system, CampaignOptions::image_parallel());
-                    let mut scheduler = CampaignScheduler::new(&system, workers);
-                    scheduler.submit(config).expect("planned grid");
-                    scheduler.execute().expect("engine campaign")[0]
-                        .summary
-                        .total_runs()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The memoization headline: the same grid repeated over five nightly
-/// passes, uncached vs memoized. From the second pass on every cell's
-/// determinants are unchanged, so the memoized engine replays conserved
-/// outputs (digest-first comparisons included) instead of re-running the
-/// chains; each iteration uses a fresh system so the memo is rebuilt from
-/// scratch every time.
-fn bench_campaign_memoized(c: &mut Criterion) {
-    let grid = |system: &SpSystem, memoize: bool| CampaignConfig {
-        experiments: vec!["zeus".into(), "h1".into(), "hermes".into()],
-        images: system.images().iter().map(|i| i.id).collect(),
-        repetitions: 5,
-        run: repro_run_config(0.05),
-        interval_secs: 86_400,
-        options: CampaignOptions {
-            memoize,
-            ..CampaignOptions::default()
-        },
-    };
-    let mut group = c.benchmark_group("campaign_grid");
-    group.sample_size(10);
-    for (label, memoize) in [("uncached_5rep", false), ("memoized_5rep", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let system = desy_deployment();
-                let config = grid(&system, memoize);
-                let mut scheduler = CampaignScheduler::new(&system, 4);
-                scheduler.submit(config).expect("planned grid");
-                scheduler.execute().expect("engine campaign")[0]
-                    .summary
-                    .total_runs()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The DESY deployment plus a fourth experiment (a HERMES-shaped stack
-/// under its own name), so the scheduler benches can split the same total
-/// grid into 1 or 4 experiment-disjoint campaigns.
-fn four_experiment_deployment() -> SpSystem {
-    let system = desy_deployment();
-    let mut hera = sp_experiments::hermes_experiment();
-    hera.name = "hera".into();
-    system
-        .register_experiment(hera)
-        .expect("renamed experiment registers");
-    system
-}
-
-/// Multi-campaign scheduling: the identical 4-experiment × 5-image grid
-/// submitted as one campaign vs as four concurrent single-experiment
-/// campaigns over the same shared pool, plus the warm-state effect — the
-/// same memoized campaign started cold vs started from a restored
-/// `SPWS` snapshot (first repetition already replays).
-fn bench_campaign_sched(c: &mut Criterion) {
-    let experiments = ["zeus", "h1", "hermes", "hera"];
-    let config = |system: &SpSystem, names: &[&str], repetitions: usize| CampaignConfig {
-        experiments: names.iter().map(|n| n.to_string()).collect(),
-        images: system.images().iter().map(|i| i.id).collect(),
-        repetitions,
-        run: repro_run_config(0.05),
-        interval_secs: 86_400,
-        options: CampaignOptions::memoized(),
-    };
-
-    let mut group = c.benchmark_group("campaign_sched");
-    group.sample_size(10);
-    group.bench_function("1_campaign", |b| {
-        b.iter(|| {
-            let system = four_experiment_deployment();
-            let mut scheduler = CampaignScheduler::new(&system, 4);
-            scheduler
-                .submit(config(&system, &experiments, 2))
-                .expect("one grid campaign");
-            scheduler.execute().expect("scheduled batch").len()
-        })
-    });
-    group.bench_function("4_campaigns", |b| {
-        b.iter(|| {
-            let system = four_experiment_deployment();
-            let mut scheduler = CampaignScheduler::new(&system, 4);
-            for name in &experiments {
-                scheduler
-                    .submit(config(&system, &[name], 2))
-                    .expect("disjoint campaign");
-            }
-            scheduler.execute().expect("scheduled batch").len()
-        })
-    });
-
-    // Warm-state restore: one checkpoint, re-imported per iteration.
-    let checkpoint = std::env::temp_dir().join(format!("sp-bench-warm-{}", std::process::id()));
-    std::fs::create_dir_all(&checkpoint).expect("checkpoint dir");
-    {
-        let system = desy_deployment();
-        let mut scheduler = CampaignScheduler::new(&system, 4);
-        scheduler
-            .submit(config(&system, &["zeus", "h1", "hermes"], 1))
-            .expect("priming campaign");
-        scheduler.execute().expect("priming batch");
-        system.export_to_dir(&checkpoint).expect("checkpoint");
-    }
-    for (label, warm) in [("cold_memo", false), ("warm_restored", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let system = desy_deployment();
-                if warm {
-                    system
-                        .import_from_dir(&checkpoint)
-                        .expect("restored checkpoint");
-                }
-                let mut scheduler = CampaignScheduler::new(&system, 4);
-                scheduler
-                    .submit(config(&system, &["zeus", "h1", "hermes"], 1))
-                    .expect("bench campaign");
-                scheduler.execute().expect("bench batch").len()
-            })
-        });
-    }
-    group.finish();
-    std::fs::remove_dir_all(&checkpoint).ok();
-}
-
-/// Distributed-queue drain cost: the 3-experiment backlog (one campaign
-/// per experiment, all images) drained through the durable `sp_store::wq`
-/// queue by 1 vs 4 isolated workers — each with its own `SpSystem` and
-/// its own queue handle, sharing only the directory, exactly the sharing
-/// surface of separate OS processes (the process-spawn cost itself is
-/// measured by `repro-fleet`, not here).
-fn bench_fleet_drain(c: &mut Criterion) {
-    let experiments = ["zeus", "h1", "hermes"];
-    let config = |system: &SpSystem, name: &str| CampaignConfig {
-        experiments: vec![name.to_string()],
-        images: system.images().iter().map(|i| i.id).collect(),
-        repetitions: 1,
-        run: repro_run_config(0.05),
-        interval_secs: 86_400,
-        options: CampaignOptions::default(),
-    };
-    let mut group = c.benchmark_group("fleet_drain");
-    group.sample_size(10);
-    for fleet_size in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("workers", fleet_size),
-            &fleet_size,
-            |b, &fleet_size| {
-                let dir = std::env::temp_dir().join(format!(
-                    "sp-bench-fleet-{}-{fleet_size}",
-                    std::process::id()
-                ));
-                b.iter(|| {
-                    std::fs::remove_dir_all(&dir).ok();
-                    let queue = WorkQueue::open(&dir, 3_600).expect("queue dir");
-                    let system = desy_deployment();
-                    let mut coordinator = Coordinator::new(&system, &queue);
-                    for name in &experiments {
-                        coordinator
-                            .submit(config(&system, name))
-                            .expect("disjoint backlog");
-                    }
-                    let drained: u64 = std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..fleet_size)
-                            .map(|w| {
-                                let dir = dir.clone();
-                                scope.spawn(move || {
-                                    let queue = WorkQueue::open(&dir, 3_600).expect("worker queue");
-                                    let local = desy_deployment();
-                                    Worker::new(&local, &queue, format!("w{w}"), 2)
-                                        .with_patience(400)
-                                        .drain()
-                                        .campaigns_drained
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).sum()
-                    });
-                    assert!(coordinator.drained(), "backlog must drain");
-                    drained
-                });
-                std::fs::remove_dir_all(&dir).ok();
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fleet_drain,
-    bench_campaign_sched,
-    bench_campaign_engines,
-    bench_campaign_memoized,
-    bench_validation_runs,
-    bench_stack_build
-);
+criterion_group!(benches, bench_validation_runs, bench_stack_build);
 criterion_main!(benches);

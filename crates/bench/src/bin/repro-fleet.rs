@@ -29,16 +29,7 @@
 //!    (a flaky disk on every client machine). The drain must degrade to
 //!    bounded retries: reports byte-identical to the oracles, zero
 //!    poisoned submissions, zero quarantined records;
-//! 5. **image-parallel drain** — the same backlog submitted with
-//!    [`CampaignOptions::image_parallel`]: every (experiment, image) cell
-//!    its own stealable lane, reference promotion deferred to the
-//!    repetition barrier. The flag rides the wire through the queue, so
-//!    this proves the whole fleet path (encode → lease → execute →
-//!    publish) honours it. The oracle is the **solo flag-on engine** —
-//!    flag-on output is deterministic for any worker count, but differs
-//!    at byte level from the sequential flag-off oracle on fresh systems
-//!    (repetition-1 cells compare against the bootstrap reference);
-//! 6. **crash-point sweep** — `sp_store::vfs::standard_crash_sweep`:
+//! 5. **crash-point sweep** — `sp_store::vfs::standard_crash_sweep`:
 //!    power loss replayed at *every* filesystem operation of the queue's
 //!    batched claim and publish path, the one workers run, plus a
 //!    warm-state snapshot; recovery verified to observe only
@@ -61,7 +52,7 @@
 //! ```text
 //! cargo run --release -p sp-bench --bin repro-fleet -- \
 //!     [--workers N] [--scale 0.05] [--reps 2] [--quick] \
-//!     [--no-crash] [--no-slow] [--no-sweep] [--no-image-parallel] \
+//!     [--no-crash] [--no-slow] [--no-sweep] \
 //!     [--kill-after MS] [--slow-ms MS] \
 //!     [--io-fault-rate R] [--fault-seed S]
 //! ```
@@ -73,9 +64,7 @@ use std::sync::Arc;
 
 use sp_bench::{arg_value, desy_deployment, has_flag, repro_run_config, scale_from_args};
 use sp_core::fleet::{fleet_stats, run_log_cells, Coordinator, Worker};
-use sp_core::{
-    Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, FleetTicket, SpSystem,
-};
+use sp_core::{Campaign, CampaignConfig, CampaignOptions, FleetTicket, SpSystem};
 use sp_report::render_fleet_stats;
 use sp_store::{FaultConfig, FaultFs, RunLog, StoreFs, SystemTimeSource, WorkQueue};
 
@@ -86,7 +75,6 @@ fn campaign_config(
     experiment: &str,
     repetitions: usize,
     scale: f64,
-    options: CampaignOptions,
 ) -> CampaignConfig {
     CampaignConfig {
         experiments: vec![experiment.to_string()],
@@ -94,7 +82,7 @@ fn campaign_config(
         repetitions,
         run: repro_run_config(scale),
         interval_secs: 86_400,
-        options,
+        options: CampaignOptions::memoized(),
     }
 }
 
@@ -266,40 +254,25 @@ fn submit_backlog<'a>(
     system: &SpSystem,
     repetitions: usize,
     scale: f64,
-    options: CampaignOptions,
 ) -> Vec<FleetTicket> {
     EXPERIMENTS
         .iter()
         .map(|experiment| {
             coordinator
-                .submit(campaign_config(
-                    system,
-                    experiment,
-                    repetitions,
-                    scale,
-                    options,
-                ))
+                .submit(campaign_config(system, experiment, repetitions, scale))
                 .expect("experiment-disjoint backlog")
         })
         .collect()
 }
 
 /// Verifies every collected report against its solo oracle. Returns the
-/// number of divergent or missing reports.
-///
-/// The oracle is the sequential `Campaign` — except under
-/// `image_parallel`, where flag-on output legitimately differs from the
-/// sequential oracle at byte level on a fresh system (repetition-1 cells
-/// compare against the bootstrap reference instead of chasing in-lane
-/// promotions). There the oracle is the **solo flag-on engine**, whose
-/// output is deterministic for any worker count — so the fleet-drained
-/// report must still match it bit for bit.
+/// number of divergent or missing reports. The oracle is the sequential
+/// `Campaign`.
 fn verify_against_oracles(
     coordinator: &Coordinator<'_>,
     tickets: &[FleetTicket],
     repetitions: usize,
     scale: f64,
-    options: CampaignOptions,
 ) -> usize {
     let reports = coordinator.collect();
     let mut divergent = 0;
@@ -316,23 +289,10 @@ fn verify_against_oracles(
         if first.0 > 1 {
             oracle_system.reserve_run_ids(first.0 - 1);
         }
-        let oracle_config =
-            campaign_config(&oracle_system, experiment, repetitions, scale, options);
-        let oracle = if options.image_parallel {
-            let mut scheduler = CampaignScheduler::new(&oracle_system, 1);
-            scheduler
-                .submit(oracle_config)
-                .expect("planned oracle grid");
-            scheduler
-                .execute()
-                .expect("oracle campaign")
-                .remove(0)
-                .summary
-        } else {
-            Campaign::new(&oracle_system, oracle_config)
-                .execute()
-                .expect("oracle campaign")
-        };
+        let oracle_config = campaign_config(&oracle_system, experiment, repetitions, scale);
+        let oracle = Campaign::new(&oracle_system, oracle_config)
+            .execute()
+            .expect("oracle campaign");
         if report.summary == oracle {
             println!(
                 "  {experiment:<7} report == solo oracle ({} runs, ids {}..={})",
@@ -456,14 +416,13 @@ fn run_scenario(
     kill_one_after: Option<Duration>,
     slow_ms: Option<u64>,
     io_fault: Option<(f64, u64)>,
-    options: CampaignOptions,
 ) -> usize {
     let dir = std::env::temp_dir().join(format!("sp-repro-fleet-{}-{label}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let queue = WorkQueue::open(&dir, lease_secs).expect("queue dir");
     let system = desy_deployment();
     let mut coordinator = Coordinator::new(&system, &queue);
-    let tickets = submit_backlog(&mut coordinator, &system, repetitions, scale, options);
+    let tickets = submit_backlog(&mut coordinator, &system, repetitions, scale);
     println!(
         "\n[{label}] {} campaigns queued, {} worker process(es), lease {lease_secs}s",
         tickets.len(),
@@ -523,7 +482,7 @@ fn run_scenario(
     }
     let elapsed = started.elapsed();
 
-    let mut divergent = verify_against_oracles(&coordinator, &tickets, repetitions, scale, options);
+    let mut divergent = verify_against_oracles(&coordinator, &tickets, repetitions, scale);
     divergent += verify_run_log(&coordinator, &tickets, &dir);
     let digest = fleet_stats(&queue);
     if kill_one_after.is_some() && digest.queue.reclaims == 0 {
@@ -638,7 +597,6 @@ fn main() {
             None,
             None,
             None,
-            CampaignOptions::memoized(),
         );
     }
 
@@ -658,7 +616,6 @@ fn main() {
             Some(Duration::from_millis(kill_after_ms)),
             None,
             None,
-            CampaignOptions::memoized(),
         );
     }
 
@@ -679,7 +636,6 @@ fn main() {
             None,
             Some(slow_ms),
             None,
-            CampaignOptions::memoized(),
         );
     }
 
@@ -698,31 +654,6 @@ fn main() {
             None,
             None,
             Some((io_fault_rate, fault_seed)),
-            CampaignOptions::memoized(),
-        );
-    }
-
-    // Image-parallel drain: the same backlog with `image_parallel` set —
-    // every (experiment, image) cell its own stealable lane, reference
-    // promotion deferred to the repetition barrier. The flag crosses the
-    // wire with the campaign config, so this exercises the whole fleet
-    // path honouring it; the oracle is the solo flag-on engine (flag-on
-    // is deterministic for any worker count), and the drained reports
-    // must match it bit for bit.
-    if !has_flag("--no-image-parallel") {
-        divergent += run_scenario(
-            "image-parallel",
-            2,
-            repetitions,
-            scale,
-            120,
-            None,
-            None,
-            None,
-            CampaignOptions {
-                memoize: true,
-                image_parallel: true,
-            },
         );
     }
 

@@ -30,8 +30,8 @@
 //! what makes each campaign independent), and pre-reserves its contiguous
 //! run-id range. [`execute`](CampaignScheduler::execute) then runs
 //! admitted campaigns in rounds — one repetition per campaign per round —
-//! dispatching every campaign's experiment lanes **fair-share interleaved**
-//! onto one shared [`sp_exec::LaneScheduler`] pool, committing each
+//! dispatching every campaign's cells **fair-share interleaved** onto one
+//! shared [`sp_exec::LaneScheduler`] pool, committing each
 //! campaign's repetition to the ledger as its own batch (no cross-campaign
 //! interleaving inside a batch), and collecting one [`CampaignReport`] per
 //! campaign.
@@ -47,45 +47,42 @@
 //! campaign-scoped [`sp_exec::CancellationToken`] stops one campaign
 //! without touching its neighbours.
 //!
-//! ## Why the engine shards by experiment
+//! ## Produce in parallel, judge in lane order
 //!
 //! Within one repetition, runs of the *same* experiment form a dependency
 //! chain: a successful run promotes its outputs to reference status, and
 //! the next run of that experiment compares against exactly those
-//! references. Runs of *different* experiments share nothing (references
-//! are per-experiment, storage is content-addressed, ids are
-//! pre-assigned). The engine therefore schedules one **lane** per
-//! experiment — the stealable unit — executing each lane's tasks in task
-//! order and promoting references as it goes, while different lanes run
-//! concurrently. At the repetition barrier the runs are committed to the
-//! ledger in task order through a single [`RunLedger::commit_batch`]
-//! (one lock acquisition per repetition instead of one per run), and the
-//! clock ticks. The result: a [`CampaignSummary`] byte-identical to the
-//! sequential oracle for any worker count, which
-//! `crates/core/tests/campaign_equivalence.rs` asserts property-wise.
+//! references. But only the comparison reads the reference — the stack
+//! build, unit checks and MC chains that make up nearly all of a run do
+//! not. So every run is split in two
+//! ([`SpSystem::execute_run_at`] is the composition):
 //!
-//! ## Saturating the grid: `image_parallel`
+//! 1. **produce** — every (experiment, image) cell of the round is its own
+//!    pool task: build, execute and conserve, whatever its experiment;
+//! 2. **judge** — once the round's cells are produced, each experiment's
+//!    cells are compared against the current reference and promoted in
+//!    task order, one **lane** per experiment; lanes of different
+//!    experiments judge in parallel (references are per-experiment,
+//!    storage is content-addressed, ids are pre-assigned).
 //!
-//! Per-experiment lanes cap parallelism at the experiment count: a grid
-//! of 3 experiments × 8 images yields 3 stealable units per repetition,
-//! each serialised by in-lane promotion. [`CampaignOptions::image_parallel`]
-//! trades that in-repetition reference chasing for throughput: every
-//! (experiment, image) cell becomes its own lane, **all** cells of a
-//! repetition compare against the reference state frozen at the previous
-//! barrier, and the repetition's promotions are applied at the barrier in
-//! task order (so the *post-barrier* state is byte-identical to the
-//! sequential engine's). The flagged-off path is untouched and remains
-//! the byte-identity oracle; the flagged-on path agrees at report level
-//! on conserved workloads — both pinned by proptest.
+//! At the repetition barrier the runs are committed to the ledger in task
+//! order through a single [`RunLedger::commit_batch`] (one lock
+//! acquisition per repetition instead of one per run), and the clock
+//! ticks. Every cell therefore sees exactly the reference the sequential
+//! oracle shows it, so a [`CampaignSummary`] is byte-identical to the
+//! oracle's for any worker count, which
+//! `crates/core/tests/campaign_equivalence.rs` asserts property-wise,
+//! and a round takes as long as its total work over the pool, not as
+//! long as its largest experiment's cells in sequence.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sp_env::VmImageId;
 use sp_exec::{CampaignId, CancellationToken, Lane, LaneScheduler, ProgressHook, ProgressPoint};
 
-use crate::ledger::RunLedger;
+use crate::ledger::{ReferenceState, RunLedger};
 use crate::run::{RunId, TestStatus, ValidationRun};
-use crate::system::{RunConfig, SpSystem, SystemError};
+use crate::system::{ProducedRun, RunConfig, SpSystem, SystemError};
 
 /// Execution options orthogonal to the campaign grid itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,23 +96,11 @@ pub struct CampaignOptions {
     /// [`CampaignSummary`] is byte-identical to the uncached path (the
     /// memoized-vs-uncached property test asserts exactly this).
     pub memoize: bool,
-    /// Parallelise the **image axis**: instead of one lane per experiment
-    /// (each lane walking its images in order and promoting references as
-    /// it goes), every (experiment, image) cell becomes its own stealable
-    /// lane, and reference promotion is deferred to the repetition
-    /// barrier (in task order, so the post-barrier reference state is
-    /// identical to the sequential engine's).
-    ///
-    /// The tradeoff: within a repetition every cell compares against the
-    /// reference state **frozen at the previous barrier** rather than
-    /// chasing in-lane promotions, so image `k` of repetition `r` no
-    /// longer sees image `k-1`'s just-promoted outputs — in particular,
-    /// repetition 1 cells compare against the bootstrap reference (or
-    /// run referenceless on a fresh system). On conserved workloads the
-    /// snapshot and the chased state carry identical bytes from the
-    /// first promotion on, and the report-level equivalence proptest in
-    /// `campaign_equivalence.rs` pins that agreement. Default **off**:
-    /// the flagged-off path is byte-identical to the sequential oracle.
+    /// Ignored. Every campaign already produces its (experiment, image)
+    /// cells in parallel and judges them in task order (see the module
+    /// docs), so there is no second execution mode to select. The field
+    /// stays only because the fleet's campaign payload still carries its
+    /// byte.
     pub image_parallel: bool,
 }
 
@@ -124,15 +109,6 @@ impl CampaignOptions {
     pub fn memoized() -> Self {
         CampaignOptions {
             memoize: true,
-            ..CampaignOptions::default()
-        }
-    }
-
-    /// Options with image-axis parallelism enabled (see
-    /// [`image_parallel`](Self::image_parallel) for the tradeoff).
-    pub fn image_parallel() -> Self {
-        CampaignOptions {
-            image_parallel: true,
             ..CampaignOptions::default()
         }
     }
@@ -152,7 +128,7 @@ pub struct CampaignConfig {
     /// Seconds the clock advances between repetitions (one nightly cron
     /// interval by default).
     pub interval_secs: u64,
-    /// Execution options (memoisation, image-axis parallelism).
+    /// Execution options (memoisation).
     pub options: CampaignOptions,
 }
 
@@ -383,39 +359,6 @@ impl CampaignPlan {
     pub fn image_labels(&self) -> &[String] {
         &self.image_labels
     }
-
-    /// Groups one repetition's tasks into lanes — the engine's stealable
-    /// unit.
-    ///
-    /// Default: one lane per **experiment**, preserving task order within
-    /// each lane (in-lane reference promotion requires an experiment's
-    /// images to run in order). With
-    /// [`CampaignOptions::image_parallel`] every (experiment, image)
-    /// cell is its own single-task lane: promotion is deferred to the
-    /// barrier, so nothing orders cells against each other and the whole
-    /// grid row becomes stealable at once.
-    fn lanes(&self, repetition: usize) -> Vec<Vec<&RunTask>> {
-        if self.config.options.image_parallel {
-            return self
-                .repetition_tasks(repetition)
-                .iter()
-                .map(|task| vec![task])
-                .collect();
-        }
-        let mut order: Vec<&str> = Vec::new();
-        let mut lanes: BTreeMap<&str, Vec<&RunTask>> = BTreeMap::new();
-        for task in self.repetition_tasks(repetition) {
-            let lane = lanes.entry(task.experiment.as_str()).or_default();
-            if lane.is_empty() {
-                order.push(task.experiment.as_str());
-            }
-            lane.push(task);
-        }
-        order
-            .into_iter()
-            .map(|name| lanes.remove(name).expect("lane recorded"))
-            .collect()
-    }
 }
 
 /// Streaming aggregation of runs into a [`CampaignSummary`]; shared by the
@@ -525,12 +468,14 @@ pub struct ScheduleStats {
     pub campaigns_completed: usize,
     /// Campaigns stopped by their cancellation token.
     pub campaigns_cancelled: usize,
-    /// Scheduling rounds dispatched (each round = one repetition per
-    /// active campaign, fair-share interleaved).
+    /// Pool dispatches: each scheduling round (one repetition per active
+    /// campaign, fair-share interleaved) dispatches its cells, then its
+    /// judge lanes.
     pub rounds: u64,
-    /// Experiment lanes executed.
+    /// Lanes executed: one per produced cell and one per experiment lane
+    /// judged.
     pub lanes_executed: u64,
-    /// Experiment lanes skipped by cancellation.
+    /// Lanes skipped by cancellation.
     pub lanes_cancelled: u64,
     /// Lanes a pool worker took from its own queue.
     pub lanes_local: u64,
@@ -632,9 +577,9 @@ impl<'a> CampaignScheduler<'a> {
     }
 
     /// Attaches an in-flight liveness hook: it ticks from pool workers as
-    /// lanes start ([`ProgressPoint::Dispatch`]), after every task
-    /// completes ([`ProgressPoint::Task`]), and at every repetition
-    /// barrier ([`ProgressPoint::Barrier`]). A fleet worker hangs its
+    /// each cell starts producing ([`ProgressPoint::Dispatch`]), after
+    /// each cell's run is produced ([`ProgressPoint::Task`]), and at every
+    /// repetition barrier ([`ProgressPoint::Barrier`]). A fleet worker hangs its
     /// lease renewal off these ticks so a lease held by a live executor
     /// never expires mid-campaign, however long the campaign runs.
     pub fn with_progress(mut self, hook: &'a dyn ProgressHook) -> Self {
@@ -738,11 +683,12 @@ impl<'a> CampaignScheduler<'a> {
     /// collects one report per submission, in submission order.
     ///
     /// Rounds dispatch one repetition per active campaign; within a round
-    /// every campaign's lanes share the pool fair-share interleaved. At
-    /// each campaign's repetition barrier its runs are committed to the
-    /// ledger as **one batch in task order** — batches of different
-    /// campaigns never interleave inside a commit, and each campaign's
-    /// ledger ids are exactly its pre-reserved range in ascending order.
+    /// every campaign's cells share the pool fair-share interleaved, then
+    /// each campaign's experiment lanes judge. At each campaign's
+    /// repetition barrier its runs are committed to the ledger as **one
+    /// batch in task order** — batches of different campaigns never
+    /// interleave inside a commit, and each campaign's ledger ids are
+    /// exactly its pre-reserved range in ascending order.
     pub fn execute(&mut self) -> Result<Vec<CampaignReport>, SystemError> {
         self.execute_from(self.system.clock().now())
     }
@@ -804,24 +750,19 @@ impl<'a> CampaignScheduler<'a> {
         }
         admit!();
 
-        type LaneResult<'p> = Result<Vec<(&'p RunTask, ValidationRun)>, SystemError>;
-        /// One dispatched lane's payload: (campaign index, its plan, the
-        /// lane's tasks, the repetition timestamp).
-        type LanePayload<'p> = (usize, &'p CampaignPlan, Vec<&'p RunTask>, u64);
-
         while !active.is_empty() {
-            // One repetition per active campaign, fair-share interleaved.
-            // Lanes promote references as they run, so before dispatching
-            // a campaign's repetition its experiments' reference states
-            // are checkpointed — a repetition discarded by cancellation
-            // rolls its promotions back (references of runs that
-            // officially never happened must not leak into later work).
-            let mut round: Vec<Lane<LanePayload<'_>>> = Vec::new();
-            let mut checkpoints: BTreeMap<usize, Vec<(String, crate::ledger::ReferenceState)>> =
-                BTreeMap::new();
+            // One repetition per live campaign, every cell its own pool
+            // task. Judging promotes references in-lane, so before a
+            // campaign's repetition is dispatched its experiments'
+            // reference states are checkpointed — a repetition discarded
+            // by cancellation rolls its promotions back (references of
+            // runs that officially never happened must not leak into
+            // later work).
+            let mut cells: Vec<Lane<(&CampaignPlan, &RunTask, u64)>> = Vec::new();
+            let mut checkpoints: BTreeMap<usize, Vec<(String, ReferenceState)>> = BTreeMap::new();
             for &index in &active {
                 let state = &states[index];
-                if state.cancelled || state.token.is_cancelled() {
+                if state.token.is_cancelled() {
                     continue;
                 }
                 checkpoints.insert(
@@ -836,106 +777,98 @@ impl<'a> CampaignScheduler<'a> {
                 );
                 let repetition = state.next_repetition;
                 let timestamp = origin + repetition as u64 * state.plan.config().interval_secs;
-                for lane_tasks in state.plan.lanes(repetition) {
-                    round.push(Lane {
+                for task in state.plan.repetition_tasks(repetition) {
+                    cells.push(Lane {
                         campaign: CampaignId(index as u64),
                         token: state.token.clone(),
-                        payload: (index, state.plan, lane_tasks, timestamp),
+                        payload: (state.plan, task, timestamp),
                     });
                 }
             }
+
+            // Produce: nothing reads a reference, so cells of one
+            // experiment run in any order on any worker.
+            let owners = lane_owners(&cells);
             let bases: Vec<RunId> = states.iter().map(|s| s.base).collect();
             let progress = self.progress;
-
-            let results = self.lanes.dispatch_hooked(
-                round,
-                progress,
-                |_, (index, plan, tasks, timestamp)| {
-                    let base = bases[index];
-                    let mut completed: Vec<(&RunTask, ValidationRun)> =
-                        Vec::with_capacity(tasks.len());
-                    for task in tasks {
-                        let run_id = RunId(base.0 + task.index as u64);
+            let produced =
+                self.lanes
+                    .dispatch_hooked(cells, progress, |campaign, (plan, task, timestamp)| {
+                        let run_id = RunId(bases[campaign.0 as usize].0 + task.index as u64);
                         let run_config = plan.config().run_config_for(task);
-                        match self.system.execute_run_at(
+                        let produced = self.system.produce(
                             &task.experiment,
                             task.image,
                             &run_config,
                             run_id,
                             timestamp,
-                        ) {
-                            Ok(run) => {
-                                // In-lane reference promotion: the next run
-                                // of the same experiment compares against
-                                // exactly this state. Under `image_parallel`
-                                // promotion moves to the repetition barrier
-                                // instead — cells of one repetition all
-                                // compare against the state frozen at the
-                                // previous barrier, which is what lets them
-                                // run in any order.
-                                if !plan.config().options.image_parallel {
-                                    ledger.promote(&run);
-                                }
-                                completed.push((task, run));
-                                if let Some(hook) = progress {
-                                    hook.tick(ProgressPoint::Task);
-                                }
-                            }
-                            Err(error) => return (index, Err(error)),
+                        );
+                        if let (Ok(_), Some(hook)) = (&produced, progress) {
+                            hook.tick(ProgressPoint::Task);
                         }
-                    }
-                    (index, Ok(completed))
-                },
-            );
+                        (task, produced)
+                    });
 
-            // Collect per campaign: group this round's lane results. A
-            // `None` is a skipped lane of a cancelled campaign — the
-            // scheduler learns which one below, because a round
-            // dispatches lanes only for live campaigns, so every lane of
-            // a cancelled campaign comes back `None` together.
-            let mut per_campaign: BTreeMap<usize, Vec<Option<LaneResult<'_>>>> = BTreeMap::new();
-            for (index, lane_result) in results.into_iter().flatten() {
-                per_campaign
-                    .entry(index)
-                    .or_default()
-                    .push(Some(lane_result));
+            // Judge: a campaign whose every cell was produced compares and
+            // promotes each experiment's cells in task order, one lane per
+            // experiment. A campaign cancelled before that is never judged.
+            let mut produced = by_owner(owners, produced);
+            let mut judged: BTreeSet<usize> = BTreeSet::new();
+            let mut lanes: Vec<Lane<Vec<(&RunTask, ProducedRun)>>> = Vec::new();
+            for &index in checkpoints.keys() {
+                let state = &states[index];
+                let cells = produced.remove(&index).unwrap_or_default();
+                if state.token.is_cancelled() || cells.iter().any(Option::is_none) {
+                    continue;
+                }
+                let mut by_experiment: Vec<Vec<(&RunTask, ProducedRun)>> = Vec::new();
+                for (task, run) in cells.into_iter().flatten() {
+                    let cell = (task, run?);
+                    match by_experiment
+                        .iter_mut()
+                        .find(|lane| lane[0].0.experiment == task.experiment)
+                    {
+                        Some(lane) => lane.push(cell),
+                        None => by_experiment.push(vec![cell]),
+                    }
+                }
+                lanes.extend(by_experiment.into_iter().map(|payload| Lane {
+                    campaign: CampaignId(index as u64),
+                    token: state.token.clone(),
+                    payload,
+                }));
+                judged.insert(index);
             }
+            let owners = lane_owners(&lanes);
+            let judged_lanes = self.lanes.dispatch(lanes, |_, lane| {
+                lane.into_iter()
+                    .map(|(task, produced)| {
+                        let run = self.system.judge(produced);
+                        ledger.promote(&run);
+                        (task, run)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let mut judged_lanes = by_owner(owners, judged_lanes);
 
             let mut still_active: Vec<usize> = Vec::new();
             for &index in &active {
                 let state = &mut states[index];
-                let expected_lanes = if state.cancelled || state.token.is_cancelled() {
-                    0
-                } else {
-                    state.plan.lanes(state.next_repetition).len()
-                };
-                let lane_results = per_campaign.remove(&index).unwrap_or_default();
-                let complete = lane_results.len() == expected_lanes
+                let lanes = judged_lanes.remove(&index).unwrap_or_default();
+                let complete = judged.contains(&index)
                     && !state.token.is_cancelled()
-                    && !state.cancelled;
+                    && lanes.iter().all(Option::is_some);
                 if complete {
                     // Barrier: commit the repetition in task order as one
                     // batch (references were already promoted in-lane), and
                     // move the shared clock forward past this barrier.
-                    let mut repetition_runs: Vec<(&RunTask, ValidationRun)> = Vec::new();
-                    for lane in lane_results.into_iter().flatten() {
-                        repetition_runs.extend(lane?);
-                    }
-                    repetition_runs.sort_by_key(|(task, _)| task.index);
-                    for (task, run) in &repetition_runs {
+                    let mut runs: Vec<(&RunTask, ValidationRun)> =
+                        lanes.into_iter().flatten().flatten().collect();
+                    runs.sort_by_key(|(task, _)| task.index);
+                    for (task, run) in &runs {
                         state.aggregator.record(task, run);
                     }
-                    if state.plan.config().options.image_parallel {
-                        // Deferred promotion: applying the repetition's
-                        // promotions here in task order reproduces exactly
-                        // the reference state sequential execution leaves
-                        // at this barrier — the snapshot the *next*
-                        // repetition's cells will all compare against.
-                        for (_, run) in &repetition_runs {
-                            ledger.promote(run);
-                        }
-                    }
-                    ledger.log_batch(repetition_runs.into_iter().map(|(_, run)| run).collect());
+                    ledger.log_batch(runs.into_iter().map(|(_, run)| run).collect());
                     state.next_repetition += 1;
                     self.system.clock().advance_to(
                         origin + state.next_repetition as u64 * state.plan.config().interval_secs,
@@ -984,6 +917,21 @@ impl<'a> CampaignScheduler<'a> {
             })
             .collect())
     }
+}
+
+/// The campaign index of each lane, in lane order.
+fn lane_owners<T>(lanes: &[Lane<T>]) -> Vec<usize> {
+    lanes.iter().map(|lane| lane.campaign.0 as usize).collect()
+}
+
+/// Groups one dispatch's results by owning campaign (`owners[i]` owns
+/// `results[i]`), keeping dispatch order within each campaign.
+fn by_owner<R>(owners: Vec<usize>, results: Vec<Option<R>>) -> BTreeMap<usize, Vec<Option<R>>> {
+    let mut grouped: BTreeMap<usize, Vec<Option<R>>> = BTreeMap::new();
+    for (owner, result) in owners.into_iter().zip(results) {
+        grouped.entry(owner).or_default().push(result);
+    }
+    grouped
 }
 
 /// Matrix column label for an image: the configuration label plus the
@@ -1181,12 +1129,11 @@ mod tests {
         let rep1 = plan.repetition_tasks(1);
         assert_eq!(rep1.len(), 4);
         assert_eq!(rep1[0].index, 4);
-        // Lanes: config order (beta first), task order inside each lane.
-        let lanes = plan.lanes(1);
-        assert_eq!(lanes.len(), 2);
-        assert_eq!(lanes[0][0].experiment, "beta");
-        assert_eq!(lanes[1][0].experiment, "alpha");
-        assert!(lanes[0].windows(2).all(|w| w[0].index < w[1].index));
+        // Config order (beta first), images in order within each experiment.
+        let experiments: Vec<&str> = rep1.iter().map(|t| t.experiment.as_str()).collect();
+        assert_eq!(experiments, ["beta", "beta", "alpha", "alpha"]);
+        assert_eq!(rep1[0].image, img1);
+        assert_eq!(rep1[1].image, img2);
         assert!(plan.tasks()[0].description.contains("(pass 1)"));
     }
 
@@ -1337,6 +1284,77 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted, "serialised campaigns commit in id order");
+    }
+
+    /// One experiment on four images is four pool tasks: its cells produce
+    /// concurrently instead of queueing behind one experiment lane.
+    #[test]
+    fn one_experiment_row_produces_its_cells_in_parallel() {
+        use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+        use std::time::{Duration, Instant};
+
+        /// Counts cells as they start and finish producing; the first two
+        /// to start wait (bounded) for each other, so two workers that
+        /// really run cells side by side always overlap.
+        #[derive(Default)]
+        struct Overlap {
+            started: AtomicU64,
+            produced: AtomicU64,
+            in_flight: AtomicI64,
+            peak: AtomicI64,
+        }
+        impl ProgressHook for Overlap {
+            fn tick(&self, point: ProgressPoint) {
+                match point {
+                    ProgressPoint::Dispatch => {
+                        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                        self.peak.fetch_max(now, Ordering::SeqCst);
+                        if self.started.fetch_add(1, Ordering::SeqCst) < 2 {
+                            let deadline = Instant::now() + Duration::from_secs(5);
+                            while self.started.load(Ordering::SeqCst) < 2
+                                && Instant::now() < deadline
+                            {
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                    ProgressPoint::Task => {
+                        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                        self.produced.fetch_add(1, Ordering::SeqCst);
+                    }
+                    ProgressPoint::Barrier => {}
+                }
+            }
+        }
+
+        let system = SpSystem::new();
+        let images: Vec<VmImageId> = sp_env::catalog::paper_images()
+            .into_iter()
+            .take(4)
+            .map(|spec| system.register_image(spec).unwrap())
+            .collect();
+        system
+            .register_experiment(sp_experiments_stub("alpha"))
+            .unwrap();
+        let config = CampaignConfig {
+            experiments: vec!["alpha".into()],
+            images,
+            repetitions: 1,
+            run: RunConfig::default(),
+            interval_secs: 60,
+            options: CampaignOptions::default(),
+        };
+        let hook = Overlap::default();
+        let mut scheduler = CampaignScheduler::new(&system, 2).with_progress(&hook);
+        scheduler.submit(config).unwrap();
+        let reports = scheduler.execute().unwrap();
+        assert_eq!(reports[0].summary.total_runs(), 4);
+        assert_eq!(hook.started.load(Ordering::SeqCst), 4, "one task per cell");
+        assert_eq!(hook.produced.load(Ordering::SeqCst), 4);
+        assert!(
+            hook.peak.load(Ordering::SeqCst) >= 2,
+            "cells of one experiment must be in flight together"
+        );
     }
 
     /// A minimal registrable experiment for plan-level tests.

@@ -843,7 +843,7 @@ impl<'a> Worker<'a> {
             };
             stats.failures += 1;
             if let Some(lease) = held.remove(&seq) {
-                let _ = self.queue.release(&lease);
+                self.queue.hand_back(&lease);
             }
             if let Some(error) = error {
                 record_error(error, &mut first_error);
@@ -869,7 +869,7 @@ impl<'a> Worker<'a> {
                     | WqError::Expired { .. }
                     | WqError::AlreadyReleased { .. }
             ) {
-                let _ = self.queue.release(lease);
+                self.queue.hand_back(lease);
             }
         };
         let mut pending: Vec<PendingPublish> = Vec::new();
@@ -950,7 +950,7 @@ impl<'a> Worker<'a> {
                     self.roll_back_fenced(&submission, checkpoint);
                     stats.failures += 1;
                     self.poisoned.borrow_mut().insert(seq);
-                    let _ = self.queue.release(&renewer.lease());
+                    self.queue.hand_back(&renewer.lease());
                     record_error(error, &mut first_error);
                 }
             }
@@ -962,29 +962,42 @@ impl<'a> Worker<'a> {
         // reports-directory sync commits the whole batch, then one
         // leases-directory sync releases it. The history append comes
         // strictly first so a trusted report always implies logged cells;
-        // an item whose history cannot commit is dropped from the flush
-        // (rolled back, lease handed back) without abandoning its mates.
+        // if the history cannot commit, no report of the batch may land:
+        // every item is rolled back (newest first, so each experiment ends
+        // at its oldest checkpoint) and its lease handed back.
         if let Some(log) = &self.run_log {
-            let mut kept = Vec::with_capacity(pending.len());
-            for item in pending {
-                match self.retry_io(|| log.append_batch(&item.cells)) {
-                    Ok(_) => {
-                        sp_obs::global()
-                            .counter("fleet.cells_logged")
-                            .add(item.cells.len() as u64);
-                        kept.push(item);
-                    }
-                    Err(error) => {
+            let cells: Vec<sp_store::CellRecord> = pending
+                .iter_mut()
+                .flat_map(|item| std::mem::take(&mut item.cells))
+                .collect();
+            // A retry resumes where the faulted attempt stopped, and an
+            // attempt that linked records earns a fresh retry budget, so
+            // one batch rides a flaky disk as well as per-item appends.
+            let mut seqs = Vec::with_capacity(cells.len());
+            let appended = loop {
+                let linked = seqs.len();
+                match self.retry_io(|| log.append_resuming(&cells, &mut seqs)) {
+                    Err(_) if seqs.len() > linked => continue,
+                    result => break result,
+                }
+            };
+            match appended {
+                Ok(_) => {
+                    sp_obs::global()
+                        .counter("fleet.cells_logged")
+                        .add(cells.len() as u64);
+                }
+                Err(error) => {
+                    for item in std::mem::take(&mut pending).into_iter().rev() {
                         self.roll_back_fenced(&item.submission, item.checkpoint);
                         stats.failures += 1;
                         if let Some(lease) = held.remove(&item.seq) {
-                            let _ = self.queue.release(&lease);
+                            self.queue.hand_back(&lease);
                         }
-                        record_error(error.into(), &mut first_error);
                     }
+                    record_error(error.into(), &mut first_error);
                 }
             }
-            pending = kept;
         }
         let mut drained: Vec<u64> = Vec::new();
         if !pending.is_empty() {

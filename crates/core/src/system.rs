@@ -373,6 +373,13 @@ impl SpSystem {
     /// stamping runs from that timeline instead of the live shared clock is
     /// what keeps every campaign's summary byte-identical to executing it
     /// alone.
+    ///
+    /// A run is two phases: *produce* (build, execute, conserve — nothing
+    /// reads the reference) and *judge* (compare against the current
+    /// reference and conserve the run summary). This is their composition;
+    /// the campaign scheduler runs the phases apart, producing every cell
+    /// of a repetition in parallel and judging each experiment's cells in
+    /// task order.
     pub fn execute_run_at(
         &self,
         experiment_name: &str,
@@ -381,6 +388,24 @@ impl SpSystem {
         run_id: RunId,
         timestamp: u64,
     ) -> Result<ValidationRun, SystemError> {
+        let produced = self.produce(experiment_name, image_id, config, run_id, timestamp)?;
+        Ok(self.judge(produced))
+    }
+
+    /// The produce phase of a run: the §3.1 (ii) stack build, unit checks,
+    /// standalone executables and MC chains (memo-served or executed),
+    /// with every output conserved and named under `run_id`. It never
+    /// reads the experiment's reference, so any number of runs of one
+    /// experiment may produce at once; each comparison the run owes is
+    /// left as a [`Verdict`] for [`judge`](Self::judge).
+    pub(crate) fn produce(
+        &self,
+        experiment_name: &str,
+        image_id: VmImageId,
+        config: &RunConfig,
+        run_id: RunId,
+        timestamp: u64,
+    ) -> Result<ProducedRun, SystemError> {
         let registered = self
             .registered(experiment_name)
             .ok_or_else(|| SystemError::UnknownExperiment(experiment_name.to_string()))?;
@@ -408,13 +433,13 @@ impl SpSystem {
         // unit checks and standalone executables run in parallel on the
         // pool; chains run sequentially. Job ids are allocated in suite
         // order, and each package's runtime behaviour is checked once.
-        let mut results: Vec<TestResult> = Vec::new();
+        let mut results: Vec<(TestResult, Option<Verdict>)> = Vec::new();
         let mut parallel_tests: Vec<(JobId, &ValidationTest, &PackageId)> = Vec::new();
         let mut runtime: HashMap<&PackageId, RuntimeOutcome> = HashMap::new();
         for test in experiment.suite.tests() {
             match &test.kind {
                 TestKind::Compile { package } => {
-                    results.push(self.compile_result(test, package, &build, run_id));
+                    results.push((self.compile_result(test, package, &build, run_id), None));
                 }
                 TestKind::UnitCheck { package, .. } | TestKind::Standalone { package, .. } => {
                     runtime
@@ -440,8 +465,8 @@ impl SpSystem {
             .run(tasks, |_, (job, test, outcome)| {
                 self.run_parallel_test(&ctx, test, job, outcome)
             });
-        for (result, name) in parallel {
-            results.push(result);
+        for (result, verdict, name) in parallel {
+            results.push((result, verdict));
             served.extend(name);
         }
 
@@ -466,7 +491,15 @@ impl SpSystem {
         self.storage
             .register_named_many(StorageArea::Results, served);
 
-        results.sort_by(|a, b| a.test.cmp(&b.test));
+        results.sort_by(|a, b| a.0.test.cmp(&b.0.test));
+        // Split by hand: collecting in place would keep the pairs' larger
+        // allocation alive in every run the ledger holds.
+        let mut verdicts = Vec::new();
+        let mut tests = Vec::with_capacity(results.len());
+        for (index, (result, verdict)) in results.into_iter().enumerate() {
+            tests.push(result);
+            verdicts.extend(verdict.map(|verdict| (index, verdict)));
+        }
         let run = ValidationRun {
             id: run_id,
             experiment: experiment_name.to_string(),
@@ -477,12 +510,41 @@ impl SpSystem {
                 config.description.clone()
             },
             timestamp,
-            results,
+            results: tests,
         };
+        Ok(ProducedRun { run, verdicts })
+    }
 
-        // Bookkeeping: run summary into the common storage. The ledger
-        // commit (which promotes successful runs to reference status) is
-        // the caller's responsibility.
+    /// The judge phase of a run: resolves every [`Verdict`] the produced
+    /// run owes against the experiment's *current* reference, then
+    /// conserves the run summary, whose counts and digest depend on those
+    /// verdicts. The ledger commit (which promotes successful runs to
+    /// reference status) is the caller's responsibility, so runs of one
+    /// experiment must be judged and promoted in task order.
+    pub(crate) fn judge(&self, produced: ProducedRun) -> ValidationRun {
+        let ProducedRun { mut run, verdicts } = produced;
+        for (index, verdict) in verdicts {
+            let (status, compare) = match &verdict.fresh {
+                Some(output) => self.compare_to_reference(
+                    &run.experiment,
+                    &verdict.test_id,
+                    verdict.output_name,
+                    verdict.oid,
+                    output,
+                ),
+                None => self.compare_stored_output(
+                    &run.experiment,
+                    &verdict.test_id,
+                    verdict.output_name,
+                    verdict.oid,
+                ),
+            };
+            let result = &mut run.results[index];
+            result.status = status;
+            result.compare = compare;
+        }
+
+        // Bookkeeping: run summary into the common storage.
         let summary = format!(
             "run {} experiment {} image {} time {}\npassed {} failed {} skipped {}\ndigest {}\n",
             run.id,
@@ -496,10 +558,10 @@ impl SpSystem {
         );
         self.storage.put_named(
             StorageArea::Results,
-            &format!("{run_id}/SUMMARY"),
+            &format!("{}/SUMMARY", run.id),
             summary.into_bytes(),
         );
-        Ok(run)
+        run
     }
 
     /// Runs (or, for memoized configs, replays) the §3.1 (ii) stack build.
@@ -594,7 +656,8 @@ impl SpSystem {
     }
 
     /// Runs one unit-check or standalone test (called from the pool) with
-    /// its package's runtime outcome. A memo-served test also returns the
+    /// its package's runtime outcome. A test that produced an output also
+    /// returns the comparison it owes; a memo-served one also returns the
     /// name its conserved output must be registered under for this run.
     fn run_parallel_test(
         &self,
@@ -602,7 +665,7 @@ impl SpSystem {
         test: &ValidationTest,
         job: JobId,
         runtime: &RuntimeOutcome,
-    ) -> (TestResult, Option<(String, ObjectId)>) {
+    ) -> (TestResult, Option<Verdict>, Option<(String, ObjectId)>) {
         let RunContext {
             experiment,
             env_label,
@@ -616,16 +679,20 @@ impl SpSystem {
             TestKind::UnitCheck { package, .. } | TestKind::Standalone { package, .. } => package,
             _ => unreachable!("parallel tests are unit checks or standalone"),
         };
-        let make = |status: TestStatus,
-                    outputs: Vec<(String, ObjectId)>,
-                    compare: Option<CompareOutcome>| TestResult {
+        let make = |status: TestStatus, outputs: Vec<(String, ObjectId)>| TestResult {
             test: test.id.clone(),
             category: test.category(),
             group: test.group.clone(),
             job,
             status,
             outputs,
-            compare,
+            compare: None,
+        };
+        let verdict = |oid: ObjectId, fresh: Option<TestOutput>| Verdict {
+            test_id: test.id.as_str().to_string(),
+            output_name: "result",
+            oid,
+            fresh,
         };
 
         // The executable must exist.
@@ -636,14 +703,14 @@ impl SpSystem {
             .unwrap_or(false);
         if !built {
             let status = TestStatus::Skipped(format!("artifact for '{package}' missing"));
-            return (make(status, Vec::new(), None), None);
+            return (make(status, Vec::new()), None, None);
         }
 
         // Runtime behaviour of the package (with its dependencies).
         let deviation = match runtime {
             RuntimeOutcome::Crash { message, .. } => {
                 let status = TestStatus::Failed(FailureKind::Crash(message.clone()));
-                return (make(status, Vec::new(), None), None);
+                return (make(status, Vec::new()), None, None);
             }
             RuntimeOutcome::Deviating { shift_sigma, .. } => *shift_sigma,
             RuntimeOutcome::Nominal => 0.0,
@@ -652,7 +719,7 @@ impl SpSystem {
         // Digest-first memo: an unchanged (test, seed, env, scale) cell has
         // a bit-identical output, so serve its conserved object and skip
         // production, serialisation and hashing — the comparison against
-        // the (possibly evolved) reference is recomputed below either way.
+        // the (possibly evolved) reference is judged either way.
         let memo_key = config
             .memoize
             .then(|| cell_key(&experiment.name, test, config, env_label));
@@ -663,11 +730,9 @@ impl SpSystem {
             })
         });
         if let Some(oid) = served {
-            let (status, compare) =
-                self.compare_stored_output(&experiment.name, test.id.as_str(), "result", oid);
             let name = (format!("{run_id}/{}/result", test.id), oid);
-            let result = make(status, vec![("result".to_string(), oid)], compare);
-            return (result, Some(name));
+            let result = make(TestStatus::Passed, vec![("result".to_string(), oid)]);
+            return (result, Some(verdict(oid, None)), Some(name));
         }
 
         let output = match &test.kind {
@@ -717,27 +782,25 @@ impl SpSystem {
         if let Some(key) = memo_key {
             self.output_memo.insert(key, oid);
         }
-        let outputs = vec![("result".to_string(), oid)];
-        let (status, compare) =
-            self.compare_to_reference(&experiment.name, test.id.as_str(), "result", oid, &output);
-        (make(status, outputs, compare), None)
+        let result = make(TestStatus::Passed, vec![("result".to_string(), oid)]);
+        (result, Some(verdict(oid, Some(output))), None)
     }
 
     /// Serves a chain test from the memo, re-registering its conserved
-    /// outputs under the new run id and recomputing the validation-stage
-    /// comparison against the *current* reference (references evolve
-    /// between runs, so the verdict is never memoised). The outputs' names
-    /// under the new run id are appended to `served`. Returns `None` when
-    /// any memoised object has been pruned from the content store — the
-    /// entry can no longer be replayed and must be invalidated.
+    /// outputs under the new run id and leaving the validation-stage
+    /// comparison to be judged against the *current* reference
+    /// (references evolve between runs, so the verdict is never
+    /// memoised). The outputs' names under the new run id are appended to
+    /// `served`. Returns `None` when any memoised object has been pruned
+    /// from the content store — the entry can no longer be replayed and
+    /// must be invalidated.
     fn replay_chain_test(
         &self,
-        experiment: &ExperimentDef,
         test: &ValidationTest,
         memo: &MemoizedChain,
         run_id: RunId,
         served: &mut Vec<(String, ObjectId)>,
-    ) -> Option<Vec<TestResult>> {
+    ) -> Option<Vec<(TestResult, Option<Verdict>)>> {
         let content = self.storage.content();
         for stage in &memo.stages {
             for (_, oid) in &stage.outputs {
@@ -759,51 +822,39 @@ impl SpSystem {
                 served.extend(stage.outputs.iter().map(|(name, oid)| {
                     (format!("{run_id}/{}/{}/{name}", test.id, stage.stage), *oid)
                 }));
-                let (status, compare) = if stage.stage == "validation"
+                let (status, verdict) = if stage.stage == "validation"
                     && !matches!(stage.status, TestStatus::Skipped(_))
                 {
-                    self.validation_stage_outcome(experiment, test, hist_id)
+                    match hist_id {
+                        Some(hist_id) => (TestStatus::Passed, Some(chain_verdict(test, hist_id))),
+                        None => (
+                            TestStatus::Failed(FailureKind::DependencyFailed(
+                                "analysis-output-missing".to_string(),
+                            )),
+                            None,
+                        ),
+                    }
                 } else {
                     (stage.status.clone(), None)
                 };
-                TestResult {
+                let result = TestResult {
                     test: stage.test.clone(),
                     category: stage.category,
                     group: test.group.clone(),
                     job: self.job_ids.allocate(),
                     status,
                     outputs: stage.outputs.clone(),
-                    compare,
-                }
+                    compare: None,
+                };
+                (result, verdict)
             })
             .collect();
         Some(results)
     }
 
-    /// Resolves the validation stage of a chain test: digest-first
-    /// comparison of the analysis histograms against the current
-    /// reference. Shared by live execution and memoised replay so both
-    /// produce identical statuses and verdicts.
-    fn validation_stage_outcome(
-        &self,
-        experiment: &ExperimentDef,
-        test: &ValidationTest,
-        hist_id: Option<ObjectId>,
-    ) -> (TestStatus, Option<CompareOutcome>) {
-        let Some(hist_id) = hist_id else {
-            return (
-                TestStatus::Failed(FailureKind::DependencyFailed(
-                    "analysis-output-missing".to_string(),
-                )),
-                None,
-            );
-        };
-        let analysis_test_id = format!("{}/analysis", test.id);
-        self.compare_stored_output(&experiment.name, &analysis_test_id, "histograms", hist_id)
-    }
-
-    /// Runs a full analysis chain, producing one result per stage. A
-    /// memo-served chain appends its outputs' names to `served`.
+    /// Runs a full analysis chain, producing one result per stage; the
+    /// validation stage's comparison is left to be judged. A memo-served
+    /// chain appends its outputs' names to `served`.
     fn run_chain_test(
         &self,
         ctx: &RunContext<'_>,
@@ -812,7 +863,7 @@ impl SpSystem {
         stage_packages: &BTreeMap<String, PackageId>,
         events: usize,
         served: &mut Vec<(String, ObjectId)>,
-    ) -> Vec<TestResult> {
+    ) -> Vec<(TestResult, Option<Verdict>)> {
         let RunContext {
             experiment: registered,
             env,
@@ -831,7 +882,7 @@ impl SpSystem {
         // A pruned conserved object fails the replay: re-execute.
         let replayed = memo_key.as_ref().and_then(|key| {
             self.chain_memo.serve(key, |memo| {
-                self.replay_chain_test(experiment, test, &memo, run_id, served)
+                self.replay_chain_test(test, &memo, run_id, served)
             })
         });
         if let Some(results) = replayed {
@@ -870,7 +921,7 @@ impl SpSystem {
         }
 
         let mut stage_outputs: BTreeMap<String, Vec<(String, ObjectId)>> = BTreeMap::new();
-        let mut validation_compare: Option<CompareOutcome> = None;
+        let mut validation_hist: Option<ObjectId> = None;
 
         let report = chain.execute(|stage, inputs| {
             // Stage prerequisites: the implementing package must be built
@@ -982,10 +1033,8 @@ impl SpSystem {
                     StageData::Done
                 }
                 "validation" => {
-                    // Compare the analysis histograms to the reference,
-                    // digest-first: equal content addresses prove
-                    // bit-identity without decoding either histogram set.
-                    let analysis_test_id = format!("{}/analysis", test.id);
+                    // The analysis histograms are compared to the
+                    // reference when the run is judged.
                     let stored = stage_outputs
                         .get("analysis")
                         .and_then(|outs| outs.iter().find(|(n, _)| n == "histograms"))
@@ -993,30 +1042,8 @@ impl SpSystem {
                     let Some(hist_id) = stored else {
                         return Err("dep:analysis-output-missing".to_string());
                     };
-                    match self.compare_stored_to_reference(
-                        &experiment.name,
-                        &analysis_test_id,
-                        "histograms",
-                        hist_id,
-                    ) {
-                        Ok(None) => {
-                            validation_compare = None; // first run: becomes reference
-                            StageData::Done
-                        }
-                        Ok(Some(outcome)) => {
-                            let passed = outcome.passed();
-                            let detail = match &outcome {
-                                CompareOutcome::Differs { detail } => detail.clone(),
-                                _ => String::new(),
-                            };
-                            validation_compare = Some(outcome);
-                            if !passed {
-                                return Err(format!("cmp:{detail}"));
-                            }
-                            StageData::Done
-                        }
-                        Err(detail) => return Err(format!("cmp:{detail}")),
-                    }
+                    validation_hist = Some(hist_id);
+                    StageData::Done
                 }
                 other => return Err(format!("unknown stage '{other}'")),
             };
@@ -1025,7 +1052,7 @@ impl SpSystem {
         });
 
         // Convert per-stage statuses into test results.
-        let results: Vec<TestResult> = report
+        let results: Vec<(TestResult, Option<Verdict>)> = report
             .stages
             .iter()
             .map(|(stage_name, status)| {
@@ -1035,34 +1062,38 @@ impl SpSystem {
                 } else {
                     TestCategory::AnalysisChain
                 };
-                let status = match status {
-                    StageStatus::Succeeded => TestStatus::Passed,
-                    StageStatus::Failed(message) => {
-                        TestStatus::Failed(parse_stage_error(message, stage_name))
-                    }
-                    StageStatus::Skipped { missing, .. } => {
-                        TestStatus::Skipped(format!("upstream stage '{missing}' unavailable"))
-                    }
+                let (status, verdict) = match status {
+                    StageStatus::Succeeded if stage_name == "validation" => (
+                        TestStatus::Passed,
+                        validation_hist.map(|hist_id| chain_verdict(test, hist_id)),
+                    ),
+                    StageStatus::Succeeded => (TestStatus::Passed, None),
+                    StageStatus::Failed(message) => (
+                        TestStatus::Failed(parse_stage_error(message, stage_name)),
+                        None,
+                    ),
+                    StageStatus::Skipped { missing, .. } => (
+                        TestStatus::Skipped(format!("upstream stage '{missing}' unavailable")),
+                        None,
+                    ),
                 };
-                let compare = if stage_name == "validation" {
-                    validation_compare.clone()
-                } else {
-                    None
-                };
-                TestResult {
+                let result = TestResult {
                     test: test_id,
                     category,
                     group: test.group.clone(),
                     job: self.job_ids.allocate(),
                     status,
                     outputs: stage_outputs.get(stage_name).cloned().unwrap_or_default(),
-                    compare,
-                }
+                    compare: None,
+                };
+                (result, verdict)
             })
             .collect();
         if let Some(key) = memo_key {
-            self.chain_memo
-                .insert(key, MemoizedChain::from_results(&results, &test.id));
+            self.chain_memo.insert(
+                key,
+                MemoizedChain::from_results(results.iter().map(|(result, _)| result), &test.id),
+            );
         }
         results
     }
@@ -1099,41 +1130,9 @@ impl SpSystem {
     }
 
     /// Digest-first comparison of a *stored* output (identified by content
-    /// address) against the reference. `Ok(None)` means no reference exists
-    /// yet; `Err` carries a detail message when the stored output cannot be
-    /// decoded for a deep comparison.
-    fn compare_stored_to_reference(
-        &self,
-        experiment: &str,
-        test_id: &str,
-        output_name: &str,
-        output_id: ObjectId,
-    ) -> Result<Option<CompareOutcome>, String> {
-        let Some(reference_id) = self
-            .ledger
-            .reference_output_id(experiment, test_id, output_name)
-        else {
-            return Ok(None);
-        };
-        if output_id == reference_id {
-            // Bit-identical by content address: the paper's "compared
-            // bit-for-bit against any earlier run" collapses to an id
-            // check — nothing is decoded, no histogram χ² runs.
-            return Ok(Some(CompareOutcome::Identical));
-        }
-        let current = self
-            .decode_stored_output(output_id)
-            .ok_or_else(|| format!("{output_name} output unreadable"))?;
-        let Some(reference) = self.decode_stored_output(reference_id) else {
-            return Ok(None);
-        };
-        Ok(Some(
-            Comparator::default_for(&current).compare(&current, &reference),
-        ))
-    }
-
-    /// [`compare_stored_to_reference`](Self::compare_stored_to_reference)
-    /// folded into a test status + comparison verdict.
+    /// address) against the reference, folded into a test status and
+    /// comparison verdict. No reference (or an unreadable one) passes and
+    /// makes this output the next reference; an undecodable output fails.
     fn compare_stored_output(
         &self,
         experiment: &str,
@@ -1141,14 +1140,30 @@ impl SpSystem {
         output_name: &str,
         output_id: ObjectId,
     ) -> (TestStatus, Option<CompareOutcome>) {
-        match self.compare_stored_to_reference(experiment, test_id, output_name, output_id) {
-            Ok(None) => (TestStatus::Passed, None),
-            Ok(Some(outcome)) => (status_from_outcome(&outcome), Some(outcome)),
-            Err(detail) => (
+        let Some(reference_id) = self
+            .ledger
+            .reference_output_id(experiment, test_id, output_name)
+        else {
+            return (TestStatus::Passed, None);
+        };
+        if output_id == reference_id {
+            // Bit-identical by content address: the paper's "compared
+            // bit-for-bit against any earlier run" collapses to an id
+            // check — nothing is decoded, no histogram χ² runs.
+            return (TestStatus::Passed, Some(CompareOutcome::Identical));
+        }
+        let Some(current) = self.decode_stored_output(output_id) else {
+            let detail = format!("{output_name} output unreadable");
+            return (
                 TestStatus::Failed(FailureKind::ComparisonFailed(detail)),
                 None,
-            ),
-        }
+            );
+        };
+        let Some(reference) = self.decode_stored_output(reference_id) else {
+            return (TestStatus::Passed, None);
+        };
+        let outcome = Comparator::default_for(&current).compare(&current, &reference);
+        (status_from_outcome(&outcome), Some(outcome))
     }
 
     /// Fetches and decodes a stored [`TestOutput`] by content address.
@@ -1515,6 +1530,42 @@ impl RegisteredExperiment {
     }
 }
 
+/// A run that is built, executed and conserved but not yet judged: what
+/// [`SpSystem::produce`] returns and [`SpSystem::judge`] consumes. Every
+/// result that compares against the reference holds a placeholder
+/// status until its verdict is resolved.
+pub(crate) struct ProducedRun {
+    run: ValidationRun,
+    /// The comparisons the run owes, each with the index of the result
+    /// it decides.
+    verdicts: Vec<(usize, Verdict)>,
+}
+
+/// One comparison against the experiment's reference that a produced run
+/// owes.
+struct Verdict {
+    /// The test id and output name the reference is kept under.
+    test_id: String,
+    output_name: &'static str,
+    /// Content address of the produced output.
+    oid: ObjectId,
+    /// The output itself when this run produced it, compared without
+    /// decoding it back; `None` for a conserved output (memo-served, or a
+    /// chain's analysis histograms), compared by content address first.
+    fresh: Option<TestOutput>,
+}
+
+/// The validation stage's comparison of a chain test: its analysis
+/// histograms against the reference's.
+fn chain_verdict(test: &ValidationTest, hist_id: ObjectId) -> Verdict {
+    Verdict {
+        test_id: format!("{}/analysis", test.id),
+        output_name: "histograms",
+        oid: hist_id,
+        fresh: None,
+    }
+}
+
 /// What every test of one run reads, resolved once per run.
 #[derive(Clone, Copy)]
 struct RunContext<'a> {
@@ -1624,11 +1675,13 @@ pub(crate) struct MemoizedChain {
 }
 
 impl MemoizedChain {
-    fn from_results(results: &[TestResult], chain_test: &crate::test::TestId) -> Self {
+    fn from_results<'a>(
+        results: impl Iterator<Item = &'a TestResult>,
+        chain_test: &crate::test::TestId,
+    ) -> Self {
         let prefix = format!("{chain_test}/");
         MemoizedChain {
             stages: results
-                .iter()
                 .map(|r| MemoizedStage {
                     stage: r
                         .test
@@ -1736,8 +1789,6 @@ fn parse_stage_error(message: &str, stage_name: &str) -> FailureKind {
         FailureKind::DependencyFailed(pkg.to_string())
     } else if let Some(msg) = message.strip_prefix("crash:") {
         FailureKind::Crash(msg.to_string())
-    } else if let Some(detail) = message.strip_prefix("cmp:") {
-        FailureKind::ComparisonFailed(detail.to_string())
     } else {
         FailureKind::ChainStageFailed(stage_name.to_string())
     }

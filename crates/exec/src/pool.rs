@@ -19,8 +19,8 @@
 //! not.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError, TryLockError};
 
 /// Counters describing how a batch was scheduled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,9 +40,10 @@ impl PoolStats {
 
 /// A fixed-width work-stealing pool.
 ///
-/// The pool itself is stateless between batches (workers are scoped threads
-/// spawned per [`run`](Self::run)), so one instance can be reused across
-/// campaign repetitions without carrying state over a barrier.
+/// The pool itself is stateless between batches (the calling thread is
+/// worker 0 and the other workers are scoped threads spawned per
+/// [`run`](Self::run)), so one instance can be reused across campaign
+/// repetitions without carrying state over a barrier.
 pub struct WorkStealingPool {
     workers: usize,
 }
@@ -107,56 +108,24 @@ impl WorkStealingPool {
         // completion count that will never be reached: the first panic is
         // parked here, every worker bails out, and it is re-raised on the
         // caller thread after the scope joins.
-        let abort = std::sync::atomic::AtomicBool::new(false);
+        let abort = AtomicBool::new(false);
         let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
 
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let queues = &queues;
-                let local_count = &local_count;
-                let stolen_count = &stolen_count;
-                let abort = &abort;
-                let panic_slot = &panic_slot;
-                let result_tx = result_tx.clone();
-                let f = &f;
-                scope.spawn(move || {
-                    let execute = |index: usize, task: T| -> bool {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                f(index, task)
-                            }));
-                        match outcome {
-                            Ok(result) => {
-                                if result_tx.send((index, result)).is_err() {
-                                    unreachable!("result channel outlives the scope");
-                                }
-                                true
-                            }
-                            Err(payload) => {
-                                let mut slot = panic_slot.lock().expect("panic slot");
-                                slot.get_or_insert(payload);
-                                abort.store(true, Ordering::SeqCst);
-                                false
-                            }
-                        }
-                    };
-                    loop {
-                        if abort.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        // 1. Own queue first.
-                        let own = queues[me]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop_front();
-                        if let Some((index, task)) = own {
-                            local_count.fetch_add(1, Ordering::Relaxed);
-                            if !execute(index, task) {
-                                break;
-                            }
-                            continue;
-                        }
+        // One worker's loop; returns the `(index, result)` pairs it ran.
+        let work = |me: usize| -> Vec<(usize, R)> {
+            let mut done = Vec::new();
+            while !abort.load(Ordering::SeqCst) {
+                // 1. Own queue first.
+                let own = queues[me]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .pop_front();
+                let (index, task) = match own {
+                    Some(next) => {
+                        local_count.fetch_add(1, Ordering::Relaxed);
+                        next
+                    }
+                    None => {
                         // 2. Steal from peers, scanning away from ourselves
                         //    so two idle workers don't hammer one victim.
                         let mut stole = None;
@@ -176,35 +145,57 @@ impl WorkStealingPool {
                                 break;
                             }
                         }
-                        if let Some((index, task)) = stole {
-                            stolen_count.fetch_add(1, Ordering::Relaxed);
-                            if !execute(index, task) {
-                                break;
+                        match stole {
+                            Some(next) => {
+                                stolen_count.fetch_add(1, Ordering::Relaxed);
+                                next
                             }
-                            continue;
+                            // 3. Every queue (own + all peers) was observed
+                            //    empty with no contention. Tasks cannot
+                            //    enqueue further tasks, so no new work can
+                            //    ever appear: whatever remains is in flight
+                            //    on other workers and this worker is done.
+                            //    Only a contended (locked) queue — which may
+                            //    still hold tasks — warrants another sweep.
+                            None if contended => {
+                                std::thread::yield_now();
+                                continue;
+                            }
+                            None => break,
                         }
-                        // 3. Every queue (own + all peers) was observed
-                        //    empty with no contention. Tasks cannot enqueue
-                        //    further tasks, so no new work can ever appear:
-                        //    whatever remains is in flight on other workers
-                        //    and this worker is done. Only a contended
-                        //    (locked) queue — which may still hold tasks —
-                        //    warrants another sweep.
-                        if !contended {
-                            break;
-                        }
-                        std::thread::yield_now();
                     }
-                });
+                };
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index, task))) {
+                    Ok(result) => done.push((index, result)),
+                    Err(payload) => {
+                        let mut slot = panic_slot.lock().expect("panic slot");
+                        slot.get_or_insert(payload);
+                        abort.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                }
             }
+            done
+        };
+
+        // The calling thread is worker 0: a batch of `workers` spawns
+        // `workers - 1` threads, so a one-worker batch spawns none.
+        let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let work = &work;
+            let peers: Vec<_> = (1..workers)
+                .map(|me| scope.spawn(move || work(me)))
+                .collect();
+            let mut indexed = work(0);
+            for peer in peers {
+                indexed.extend(peer.join().expect("task panics are caught in the loop"));
+            }
+            indexed
         });
-        drop(result_tx);
 
         if let Some(payload) = panic_slot.into_inner().expect("panic slot") {
             std::panic::resume_unwind(payload);
         }
 
-        let mut indexed: Vec<(usize, R)> = result_rx.iter().collect();
         assert!(
             indexed.len() == total,
             "every task must produce a result ({} of {total})",
@@ -307,6 +298,14 @@ mod tests {
             t
         });
         assert!(peak.load(Ordering::SeqCst) > 1);
+    }
+
+    #[test]
+    fn one_worker_batch_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let threads =
+            WorkStealingPool::new(1).run(vec![1u32, 2, 3], |_, _| std::thread::current().id());
+        assert!(threads.iter().all(|id| *id == caller), "{threads:?}");
     }
 
     #[test]

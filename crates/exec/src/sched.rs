@@ -18,10 +18,11 @@
 //!   surfaces as the scheduler digest.
 //!
 //! The scheduler is deliberately ignorant of what a "campaign" *is* —
-//! `sp-core` builds the actual `CampaignScheduler` on top of this by
-//! submitting per-repetition experiment lanes and collecting validated
-//! runs; the admission policy (which campaigns are active at all) also
-//! lives there, next to the domain knowledge it needs.
+//! `sp-core` builds the actual `CampaignScheduler` on top of this: each
+//! repetition dispatches one lane per (experiment, image) cell to produce
+//! its run, then one lane per experiment to judge its cells in order. The
+//! admission policy (which campaigns are active at all) also lives there,
+//! next to the domain knowledge it needs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -213,13 +213,30 @@ impl RunLog {
     /// batch. Returns each record's log sequence. Nothing in the batch is
     /// durable until the call returns.
     pub fn append_batch(&self, records: &[CellRecord]) -> std::io::Result<Vec<u64>> {
+        let mut seqs = Vec::with_capacity(records.len());
+        self.append_resuming(records, &mut seqs)?;
+        Ok(seqs)
+    }
+
+    /// [`append_batch`](Self::append_batch) that a retry resumes: `seqs`
+    /// holds the sequences of `records[..seqs.len()]`, linked by earlier
+    /// attempts, and grows as further records link. A retry after a fault
+    /// links only the rest, and the closing directory sync makes the links
+    /// of every attempt durable.
+    pub fn append_resuming(
+        &self,
+        records: &[CellRecord],
+        seqs: &mut Vec<u64>,
+    ) -> std::io::Result<()> {
         if records.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let cells = self.root.join("cells");
-        let mut next = self.max_seq().map(|s| s + 1).unwrap_or(1);
-        let mut seqs = Vec::with_capacity(records.len());
-        for record in records {
+        // Past every record on disk (other appenders' included), and past
+        // this batch's own links should the listing fail.
+        let listed = self.max_seq().map_or(1, |s| s + 1);
+        let mut next = seqs.last().map_or(listed, |last| listed.max(last + 1));
+        for record in &records[seqs.len()..] {
             let bytes = record.encode();
             loop {
                 let target = cells.join(format!("{CELL_PREFIX}{next:08}{CELL_SUFFIX}"));
@@ -240,8 +257,7 @@ impl RunLog {
                 }
             }
         }
-        self.fs.sync_dir(&cells)?;
-        Ok(seqs)
+        self.fs.sync_dir(&cells)
     }
 
     /// Replays the whole log: committed records in sequence order,
@@ -383,6 +399,31 @@ mod tests {
         assert_eq!(replay.corrupt_dropped, 0);
         assert_eq!(reopened.len(), 3);
         assert_eq!(reopened.max_seq(), Some(3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resumed_append_links_only_the_rest_past_other_appenders() {
+        let dir = temp_dir("resume");
+        let log = RunLog::open(&dir).unwrap();
+        let batch = [
+            sample(1, CellRecord::STATUS_PASS),
+            sample(2, CellRecord::STATUS_PASS),
+            sample(3, CellRecord::STATUS_FAIL),
+        ];
+        // An attempt that linked the first record, then faulted ...
+        let mut seqs = log.append_batch(&batch[..1]).unwrap();
+        // ... while another appender took the next sequence.
+        let other = CellRecord {
+            campaign: 4,
+            ..sample(9, CellRecord::STATUS_PASS)
+        };
+        assert_eq!(log.append(&other).unwrap(), 2);
+        log.append_resuming(&batch, &mut seqs).unwrap();
+        assert_eq!(seqs, vec![1, 3, 4]);
+        let replay = log.replay();
+        assert_eq!(replay.records.len(), 4);
+        assert_eq!(replay.duplicates_dropped, 0, "no record linked twice");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

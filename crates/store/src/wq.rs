@@ -138,6 +138,8 @@ const MAGIC_POISON: [u8; 4] = *b"SPWP";
 
 /// Current wire version of all queue records.
 const WQ_VERSION: u32 = 1;
+/// Attempts [`WorkQueue::hand_back`] makes before leaving a lease to expire.
+const HAND_BACK_ATTEMPTS: usize = 8;
 
 /// Reads "now" from the operating-system clock — the time source a real
 /// multi-process fleet shares, since the virtual clock of one process is
@@ -534,10 +536,8 @@ impl WorkQueue {
     /// quarantined as a side effect.
     pub fn submission_checked(&self, seq: u64) -> std::io::Result<Option<QueueSubmission>> {
         let path = self.submission_path(seq);
-        let bytes = match self.fs.read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
+        let Some(bytes) = read_absent_as_none(self.fs.read(&path))? else {
+            return Ok(None);
         };
         match decode_submission(seq, &bytes) {
             Some(submission) => Ok(Some(submission)),
@@ -595,9 +595,14 @@ impl WorkQueue {
         *known = (*known).max(token);
     }
 
-    fn read_lease(&self, seq: u64, token: u64) -> Option<LeaseRecord> {
-        let bytes = self.fs.read(&self.lease_path(seq, token)).ok()?;
-        decode_lease(seq, token, &bytes)
+    /// Reads one lease generation's record: `Ok(None)` when it is absent
+    /// or fails its digest, `Err` on any other read failure — a fault
+    /// proves nothing about the record behind it.
+    fn read_lease(&self, seq: u64, token: u64) -> std::io::Result<Option<LeaseRecord>> {
+        Ok(
+            read_absent_as_none(self.fs.read(&self.lease_path(seq, token)))?
+                .and_then(|bytes| decode_lease(seq, token, &bytes)),
+        )
     }
 
     /// Whether a lease record is live (held, unreleased, unexpired) at
@@ -630,7 +635,7 @@ impl WorkQueue {
             return Ok(None);
         }
         let current = self.generations(seq)?;
-        if self.report_at(seq, current).is_some() {
+        if self.report_at(seq, current)?.is_some() {
             return Ok(None);
         }
         // A poisoned submission is permanently dead: leasing it would
@@ -649,13 +654,13 @@ impl WorkQueue {
         }
         let now = self.now_secs();
         if current > 0 {
-            match self.read_lease(seq, current) {
+            match self.read_lease(seq, current)? {
                 // Live lease held by someone: not claimable.
                 Some(record) if Self::live(&record, now) => return Ok(None),
                 // Released since the completeness check above: a holder
                 // publishes its report before releasing, so look again
                 // before issuing a generation the work no longer needs.
-                Some(record) if record.released && self.report_at(seq, current).is_some() => {
+                Some(record) if record.released && self.report_at(seq, current)?.is_some() => {
                     return Ok(None)
                 }
                 // Released, expired, or corrupt: the generation is dead —
@@ -687,8 +692,11 @@ impl WorkQueue {
                 // is in fact done. Released-generation reports stay
                 // trusted (see [`report`](Self::report)), so re-checking
                 // here catches it; the claimed generation is handed back
-                // released and the submission reads complete.
-                if self.report_at(seq, token).is_some() {
+                // released and the submission reads complete. A faulting
+                // re-check keeps the claim: the checks above read no
+                // report, and failing now would leave the generation held
+                // by nobody until it expires.
+                if let Ok(Some(_)) = self.report_at(seq, token) {
                     let mut record = record;
                     record.released = true;
                     self.write_atomic(&self.lease_path(seq, token), &encode_lease(&record))?;
@@ -719,7 +727,7 @@ impl WorkQueue {
             });
         }
         let record = self
-            .read_lease(lease.seq, lease.token)
+            .read_lease(lease.seq, lease.token)?
             .ok_or(WqError::NotHeld {
                 seq: lease.seq,
                 token: lease.token,
@@ -776,6 +784,19 @@ impl WorkQueue {
         Ok(())
     }
 
+    /// Releases a lease whose work this holder gives up, best effort:
+    /// an I/O fault is retried in place a bounded number of times, since
+    /// a hand-back that fails leaves the work stranded until the lease
+    /// expires. A protocol verdict (stale, expired, already released)
+    /// ends it at once: the lease is no longer this holder's to give.
+    pub fn hand_back(&self, lease: &Lease) {
+        for _ in 0..HAND_BACK_ATTEMPTS {
+            if !matches!(self.release(lease), Err(WqError::Io(_))) {
+                return;
+            }
+        }
+    }
+
     // ---- batched leasing and publication -----------------------------
 
     /// Claims up to `max` submissions for `holder` in one scan, skipping
@@ -793,8 +814,8 @@ impl WorkQueue {
     /// an orphaned release strands the work for a whole lease duration) —
     /// the error surfaces only when nothing was claimed. The `leases/`
     /// sync must succeed before any claim may be acted on; if it fails
-    /// the claims are handed back best-effort (expiry reclaims any the
-    /// release itself fails on).
+    /// the claims are handed back ([`hand_back`](Self::hand_back); expiry
+    /// reclaims any whose release keeps failing).
     pub fn try_lease_batch(
         &self,
         holder: &str,
@@ -822,7 +843,7 @@ impl WorkQueue {
         if !leases.is_empty() {
             if let Err(e) = self.fs.sync_dir(&self.root.join("leases")) {
                 for lease in &leases {
-                    let _ = self.release(lease);
+                    self.hand_back(lease);
                 }
                 return Err(e);
             }
@@ -919,29 +940,33 @@ impl WorkQueue {
     /// released generation settles the submission, and reading nothing
     /// trusted unsettles it.
     pub fn report(&self, seq: u64) -> Option<Vec<u8>> {
-        // A failed probe reads as absent, like a failed report read.
+        // A failed probe or read reads as absent here; the claim path
+        // sees the error instead.
         self.report_at(seq, self.generations(seq).unwrap_or(0))
+            .ok()
+            .flatten()
     }
 
     /// [`report`](Self::report) against generations `1..=current` already
-    /// probed by the caller.
-    fn report_at(&self, seq: u64, current: u64) -> Option<Vec<u8>> {
+    /// probed by the caller. A failed read is `Err` and leaves the settled
+    /// set as it was.
+    fn report_at(&self, seq: u64, current: u64) -> std::io::Result<Option<Vec<u8>>> {
         for token in (1..=current).rev() {
-            let Some(payload) = self.read_report(seq, token) else {
+            let Some(payload) = self.read_report(seq, token)? else {
                 continue;
             };
             let released = self
-                .read_lease(seq, token)
+                .read_lease(seq, token)?
                 .is_some_and(|record| record.released);
             if released {
                 self.settled.lock().insert(seq);
             }
             if token == current || released {
-                return Some(payload);
+                return Ok(Some(payload));
             }
         }
         self.settled.lock().remove(&seq);
-        None
+        Ok(None)
     }
 
     /// Whether this handle knows `seq` is settled: its trusted report sits
@@ -950,10 +975,14 @@ impl WorkQueue {
         self.settled.lock().contains(&seq)
     }
 
-    /// Reads one generation's report record, digest-validated.
-    fn read_report(&self, seq: u64, token: u64) -> Option<Vec<u8>> {
-        let bytes = self.fs.read(&self.report_path(seq, token)).ok()?;
-        decode_report_bytes(seq, token, &bytes)
+    /// Reads one generation's report record, digest-validated: `Ok(None)`
+    /// when it is absent or fails its digest, `Err` on any other read
+    /// failure.
+    fn read_report(&self, seq: u64, token: u64) -> std::io::Result<Option<Vec<u8>>> {
+        Ok(
+            read_absent_as_none(self.fs.read(&self.report_path(seq, token)))?
+                .and_then(|bytes| decode_report_bytes(seq, token, &bytes)),
+        )
     }
 
     /// Whether every valid submission has reached a terminal state: a
@@ -1095,7 +1124,7 @@ impl WorkQueue {
                     .is_ok_and(|bytes| decode_lease(seq, token, &bytes).is_none());
                 stats.corrupt_dropped += corrupt as usize;
             }
-            if self.report_at(seq, current).is_some() {
+            if matches!(self.report_at(seq, current), Ok(Some(_))) {
                 stats.completed += 1;
             }
             if self.is_poisoned(seq) {
@@ -1227,6 +1256,16 @@ fn parse_report_name(name: &str) -> Option<(u64, u64)> {
     let rest = name.strip_prefix("sub-")?.strip_suffix(".rep")?;
     let (seq, token) = rest.split_once(".g")?;
     Some((seq.parse().ok()?, token.parse().ok()?))
+}
+
+/// A read result with `NotFound` folded into `Ok(None)`: an absent record
+/// is an answer, any other failure is not.
+fn read_absent_as_none(read: std::io::Result<Vec<u8>>) -> std::io::Result<Option<Vec<u8>>> {
+    match read {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 /// Parses `<prefix><number><suffix>` file names back to their number.
@@ -1847,7 +1886,7 @@ mod tests {
         let mut body = decode_record(&MAGIC_LEASE, &std::fs::read(&path).unwrap()).unwrap();
         *body.last_mut().unwrap() = 2;
         std::fs::write(&path, encode_record(&MAGIC_LEASE, &body)).unwrap();
-        assert_eq!(q.read_lease(seq, lease.token), None);
+        assert!(matches!(q.read_lease(seq, lease.token), Ok(None)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

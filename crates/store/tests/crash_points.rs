@@ -546,6 +546,149 @@ impl StoreFs for DenyRead {
     }
 }
 
+/// A filesystem whose `nth` read of one path fails once with a transient
+/// error; every other operation goes straight to the disk.
+struct FailNthRead {
+    path: PathBuf,
+    nth: u64,
+    reads: AtomicU64,
+}
+
+impl StoreFs for FailNthRead {
+    fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        if path == self.path && self.reads.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Interrupted,
+                "injected transient read fault",
+            ));
+        }
+        OsFs.read(path)
+    }
+    fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+        OsFs.write(path, bytes)
+    }
+    fn sync_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        OsFs.sync_file(path)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+        OsFs.rename(from, to)
+    }
+    fn hard_link(&self, src: &std::path::Path, dst: &std::path::Path) -> std::io::Result<()> {
+        OsFs.hard_link(src, dst)
+    }
+    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
+        OsFs.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
+        OsFs.create_dir_all(path)
+    }
+    fn sync_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        OsFs.sync_dir(dir)
+    }
+    fn read_dir_names(&self, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
+        OsFs.read_dir_names(dir)
+    }
+    fn exists(&self, path: &std::path::Path) -> bool {
+        OsFs.exists(path)
+    }
+}
+
+/// A report that cannot be read is not a missing report: with the read
+/// of a finished submission's report faulting, a claim must not issue a
+/// second generation for work that is already done.
+#[test]
+fn report_read_fault_never_reissues_finished_work() {
+    let dir = temp_dir("deny-report");
+    let healthy = WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_000))).expect("open");
+    let seq = healthy.submit(b"work", 5, 1, 0).unwrap();
+    let lease = healthy.lease_next("w1").unwrap().expect("claimable");
+    flush(&healthy, &lease, b"done").unwrap();
+    drop(healthy);
+
+    let flaky = WorkQueue::open_with(
+        &dir,
+        60,
+        Arc::new(FixedClock(1_100)),
+        Arc::new(DenyRead {
+            deny: dir.join("reports").join(format!("sub-{seq:08}.g0001.rep")),
+        }),
+    )
+    .expect("open over flaky disk");
+    if let Ok(Some(lease)) = flaky.lease_next("w2") {
+        assert_ne!(
+            (lease.seq, lease.token),
+            (seq, 2),
+            "finished work re-issued"
+        );
+    }
+    assert_eq!(flaky.stats().reclaims, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lease that cannot be read is not a dead lease: while w1 holds a live
+/// lease, one faulting read of it must not let w2 claim the next
+/// generation, and w1's flush still lands.
+#[test]
+fn lease_read_fault_never_steals_a_live_lease() {
+    let dir = temp_dir("fail-lease-read");
+    let w1 = WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_000))).expect("open");
+    let seq = w1.submit(b"work", 5, 1, 0).unwrap();
+    let lease = w1.lease_next("w1").unwrap().expect("claimable");
+    assert_eq!(lease.token, 1);
+
+    // w2's claim reads the lease twice: the generation probe, then the
+    // liveness check. The second read faults.
+    let w2 = WorkQueue::open_with(
+        &dir,
+        60,
+        Arc::new(FixedClock(1_010)),
+        Arc::new(FailNthRead {
+            path: dir.join("leases").join(format!("sub-{seq:08}.g0001")),
+            nth: 2,
+            reads: AtomicU64::new(0),
+        }),
+    )
+    .expect("open over flaky disk");
+    if let Ok(Some(stolen)) = w2.lease_next("w2") {
+        assert_ne!(stolen.token, 2, "a live lease was stolen");
+    }
+    flush(&w1, &lease, b"done").expect("w1 still holds its lease");
+    assert_eq!(w1.report(seq).as_deref(), Some(&b"done"[..]));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-back rides out a read fault: the lease is released, so the
+/// work re-leases at once instead of after the lease expires.
+#[test]
+fn hand_back_retries_a_faulting_release() {
+    let dir = temp_dir("hand-back");
+    let flaky = WorkQueue::open_with(
+        &dir,
+        60,
+        Arc::new(FixedClock(1_000)),
+        Arc::new(FailNthRead {
+            path: dir.join("leases").join("sub-00000001.g0001"),
+            // The claim's generation probe reads it once (absent); the
+            // release's liveness check is the second read.
+            nth: 2,
+            reads: AtomicU64::new(0),
+        }),
+    )
+    .expect("open over flaky disk");
+    let seq = flaky.submit(b"work", 5, 1, 0).unwrap();
+    let lease = flaky.lease_next("w1").unwrap().expect("claimable");
+    assert_eq!((lease.seq, lease.token), (seq, 1));
+    flaky.hand_back(&lease);
+
+    let healthy = WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_000))).expect("open");
+    let next = healthy
+        .lease_next("w2")
+        .unwrap()
+        .expect("handed-back work re-leases at once");
+    assert_eq!(next.token, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Corruption is a verdict about *bytes*, never about a failed read: a
 /// record whose read faults transiently during the open-time sweep must
 /// stay in place (a flaky disk must never quarantine committed work —
