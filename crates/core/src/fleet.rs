@@ -957,7 +957,7 @@ impl<'a> Worker<'a> {
         }
 
         // Phase 4 — append every surviving item's run history (one
-        // batched `SPRL` append, one cells-directory sync), then flush
+        // `SPRL` batch file, one cells-directory sync), then flush
         // the reports through the batched publish+release path: one
         // reports-directory sync commits the whole batch, then one
         // leases-directory sync releases it. The history append comes
@@ -970,18 +970,10 @@ impl<'a> Worker<'a> {
                 .iter_mut()
                 .flat_map(|item| std::mem::take(&mut item.cells))
                 .collect();
-            // A retry resumes where the faulted attempt stopped, and an
-            // attempt that linked records earns a fresh retry budget, so
-            // one batch rides a flaky disk as well as per-item appends.
-            let mut seqs = Vec::with_capacity(cells.len());
-            let appended = loop {
-                let linked = seqs.len();
-                match self.retry_io(|| log.append_resuming(&cells, &mut seqs)) {
-                    Err(_) if seqs.len() > linked => continue,
-                    result => break result,
-                }
-            };
-            match appended {
+            // The batch is one file, so a retry re-appends it whole; a
+            // retry after a landed link logs duplicates that replay's
+            // dedup collapses.
+            match self.retry_io(|| log.append_batch(&cells)) {
                 Ok(_) => {
                     sp_obs::global()
                         .counter("fleet.cells_logged")

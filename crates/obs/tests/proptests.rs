@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sp_obs::{CellQuery, HistorySource, RunHistory};
+use sp_obs::{CellQuery, HistorySource, RunHistory, StatusChange};
 use sp_store::{CellRecord, OsFs, RunLog, StoreFs};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -59,7 +59,139 @@ fn cell_strategy() -> impl Strategy<Value = CellRecord> {
         )
 }
 
+/// Strategy for one cell outcome with many collisions: timestamps tie,
+/// several groups (the empty one included) share experiments and images,
+/// and `(campaign, run_id)` repeats, so the dedup rule drops records.
+fn colliding_cell_strategy() -> impl Strategy<Value = CellRecord> {
+    (
+        (1u64..3, 1u64..8),     // campaign, run id
+        (0usize..2, 0usize..3), // experiment, group
+        (0usize..2, 0u32..2),   // image, repetition
+        0u8..4,                 // status
+        0u64..6,                // timestamp
+    )
+        .prop_map(
+            |((campaign, run_id), (exp, group), (img, repetition), status, timestamp)| {
+                CellRecord {
+                    campaign,
+                    // Length order differs from name order, and the
+                    // empty group sorts first.
+                    experiment: ["hermes", "zeus"][exp].to_string(),
+                    group: ["", "reco", "dst-mc"][group].to_string(),
+                    image_label: ["sl5", "sl6"][img].to_string(),
+                    repetition,
+                    run_id,
+                    status,
+                    passed: 3,
+                    failed: u32::from(status == CellRecord::STATUS_FAIL),
+                    skipped: 0,
+                    timestamp,
+                    worker: "w-0".into(),
+                    lease_token: campaign,
+                }
+            },
+        )
+}
+
+/// The drill-down as a linear scan over the records: filter one cell,
+/// then sort by (timestamp, campaign, repetition, run id), keeping log
+/// order on ties.
+fn scanned_timeline<'a>(
+    records: &'a [(u64, CellRecord)],
+    experiment: &str,
+    group: &str,
+    image: &str,
+) -> Vec<&'a CellRecord> {
+    let mut timeline: Vec<&CellRecord> = records
+        .iter()
+        .map(|(_, r)| r)
+        .filter(|r| r.experiment == experiment && r.group == group && r.image_label == image)
+        .collect();
+    timeline.sort_by_key(|r| (r.timestamp, r.campaign, r.repetition, r.run_id));
+    timeline
+}
+
+/// The regression timeline as a linear scan: group every record by cell,
+/// sort each cell's timeline, and report consecutive status changes, cells
+/// in key order.
+fn scanned_status_changes(records: &[(u64, CellRecord)]) -> Vec<StatusChange> {
+    let mut by_cell: std::collections::BTreeMap<(&str, &str, &str), Vec<&CellRecord>> =
+        std::collections::BTreeMap::new();
+    for (_, record) in records {
+        by_cell
+            .entry((&record.experiment, &record.group, &record.image_label))
+            .or_default()
+            .push(record);
+    }
+    let mut changes = Vec::new();
+    for ((experiment, group, image_label), mut timeline) in by_cell {
+        timeline.sort_by_key(|r| (r.timestamp, r.campaign, r.repetition, r.run_id));
+        for pair in timeline.windows(2) {
+            if pair[0].status != pair[1].status {
+                changes.push(StatusChange {
+                    experiment: experiment.to_string(),
+                    group: group.to_string(),
+                    image_label: image_label.to_string(),
+                    from: pair[0].clone(),
+                    to: pair[1].clone(),
+                });
+            }
+        }
+    }
+    changes
+}
+
 proptest! {
+    /// The per-cell index against the linear scan: for any log of
+    /// multi-record batches, every cell's timeline, the status changes
+    /// and the regressions equal the scans above, cold and warm alike, and
+    /// the records are the batches in order with later duplicates dropped.
+    #[test]
+    fn cell_index_answers_equal_the_linear_scan(
+        batches in prop::collection::vec(
+            prop::collection::vec(colliding_cell_strategy(), 1..6),
+            0..8,
+        ),
+    ) {
+        let dir = temp_dir("cells");
+        let log = RunLog::open(&dir).expect("open run log");
+        let mut expected: Vec<(u64, CellRecord)> = Vec::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for batch in &batches {
+            let seqs = log.append_batch(batch).expect("append batch");
+            for (seq, record) in seqs.into_iter().zip(batch) {
+                if seen.insert(record.dedup_key()) {
+                    expected.push((seq, record.clone()));
+                }
+            }
+        }
+
+        let cold = RunHistory::rebuild(&log);
+        cold.save_warm(&log, &OsFs).expect("persist warm index");
+        let warm = RunHistory::open(&log);
+        prop_assert_eq!(warm.source(), HistorySource::Warm);
+        for history in [&cold, &warm] {
+            prop_assert_eq!(history.records(), expected.as_slice());
+            let mut cells: Vec<(&str, &str, &str)> = expected
+                .iter()
+                .map(|(_, r)| (r.experiment.as_str(), r.group.as_str(), r.image_label.as_str()))
+                .collect();
+            cells.push(("hermes", "", "sl7"));
+            for (experiment, group, image) in cells {
+                prop_assert_eq!(
+                    history.cell_timeline(experiment, group, image),
+                    scanned_timeline(&expected, experiment, group, image)
+                );
+            }
+            let changes = scanned_status_changes(&expected);
+            prop_assert_eq!(history.status_changes(), changes.clone());
+            let regressions: Vec<StatusChange> =
+                changes.into_iter().filter(StatusChange::is_regression).collect();
+            prop_assert_eq!(history.regressions(), regressions);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Cold rebuild vs warm restore: for any record set and any query in
     /// a covering family (full scan, each single-key filter, a time
     /// window, and a conjunction), the warm-restored history returns

@@ -4,38 +4,55 @@
 //! The work queue records *current* state — a report file per campaign,
 //! replaced wholesale, with no memory of when each cell ran, who ran it,
 //! or under which lease generation. The run log is the orthogonal,
-//! history-preserving record: each validated cell outcome becomes one
-//! digest-guarded `SPRL` record streamed through the same
-//! [`StoreFs`] seam as the queue, living right next
-//! to it (by convention `<store>/runlog/`).
+//! history-preserving record: each appended batch of validated cell
+//! outcomes becomes one digest-guarded `SPRL` file, streamed through the
+//! same [`StoreFs`] seam as the queue and living right next to it (by
+//! convention `<store>/runlog/`).
+//!
+//! ## Layout
+//!
+//! `cells/cell-<seq>.sprl` holds one batch: the `SPRL` frame (magic,
+//! version, body, SHA-256) around the batch's record bodies back to back.
+//! Each record body is self-delimiting, so a one-record batch is
+//! byte-identical to a single-record file and logs written one record per
+//! file replay unchanged. Every record of a batch carries the batch
+//! file's sequence and keeps its place within the batch.
 //!
 //! ## Durability posture
 //!
-//! Appends follow the queue's stage→fsync→link discipline exactly: the
-//! framed record is staged under `tmp/<pid>-<counter>`, `fsync`ed, then
-//! hard-linked to its final `cells/cell-<seq>.sprl` name (the hard link
-//! arbitrates concurrent appenders — `AlreadyExists` means another
-//! process won that sequence number and the appender retries the next
-//! one), and the `cells/` directory is synced before the append returns.
-//! Batch appends defer the directory sync to one call for the whole
-//! batch. A crash at any point leaves each record either fully committed
-//! or absent — never torn: a torn or tampered record fails its SHA-256
-//! digest at replay and is **dropped and counted, never misread**.
+//! The batch is the unit of atomicity. An append follows the queue's
+//! stage→fsync→link discipline once per batch: the framed batch is staged
+//! under `tmp/<pid>-<counter>` and `fsync`ed, then hard-linked to its
+//! final `cells/cell-<seq>.sprl` name, and the `cells/` directory is
+//! synced before the append returns. The hard link arbitrates concurrent
+//! appenders: `AlreadyExists` means another handle won that sequence, and
+//! the appender links the same staged file at the next one. A handle lists
+//! `cells/` only at its first append and afterwards keeps a sequence
+//! floor, so a batch costs one write, one file fsync, one link and one
+//! directory fsync. A crash at any point leaves a batch either fully
+//! committed or absent; a torn or tampered batch file fails its digest at
+//! replay and is **dropped whole and counted once, never misread**.
+//!
+//! A fault is never an absence: a failed listing or read is an error to
+//! the appender and an `unreadable` count to replay, never "no records".
 //!
 //! ## Idempotency
 //!
 //! Workers append cell records *before* publishing the campaign report,
 //! so a published report always has its history logged. The cost is that
-//! a worker fenced at publish time leaves records for an execution the
-//! queue rejected — but cell content is derived deterministically from
-//! the campaign (reserved run ids, virtual timestamps), so the eventual
-//! winner's records carry identical cell facts and readers dedup by
-//! `(campaign, run_id)` keeping the first committed occurrence.
+//! a worker fenced at publish time, or an append retried after its link
+//! landed, leaves records for an execution the log already holds — but
+//! cell content is derived deterministically from the campaign (reserved
+//! run ids, virtual timestamps), so the repeated records carry identical
+//! cell facts and readers dedup by `(campaign, run_id)` keeping the first
+//! committed occurrence.
 
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::vfs::{create_durable_exclusive, StagingDir, StoreFs};
+use crate::vfs::{StagingDir, StoreFs};
 use crate::wq::{decode_record, encode_record, parse_seq};
 use sp_wire as wire;
 
@@ -111,34 +128,23 @@ impl CellRecord {
         (self.campaign, self.run_id)
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(96);
-        wire::put_u64(&mut body, self.campaign);
-        wire::put_str(&mut body, &self.experiment);
-        wire::put_str(&mut body, &self.group);
-        wire::put_str(&mut body, &self.image_label);
-        wire::put_u32(&mut body, self.repetition);
-        wire::put_u64(&mut body, self.run_id);
-        wire::put_u32(&mut body, self.status as u32);
-        wire::put_u32(&mut body, self.passed);
-        wire::put_u32(&mut body, self.failed);
-        wire::put_u32(&mut body, self.skipped);
-        wire::put_u64(&mut body, self.timestamp);
-        wire::put_str(&mut body, &self.worker);
-        wire::put_u64(&mut body, self.lease_token);
-        body
+    fn put_body(&self, body: &mut Vec<u8>) {
+        wire::put_u64(body, self.campaign);
+        wire::put_str(body, &self.experiment);
+        wire::put_str(body, &self.group);
+        wire::put_str(body, &self.image_label);
+        wire::put_u32(body, self.repetition);
+        wire::put_u64(body, self.run_id);
+        wire::put_u32(body, self.status as u32);
+        wire::put_u32(body, self.passed);
+        wire::put_u32(body, self.failed);
+        wire::put_u32(body, self.skipped);
+        wire::put_u64(body, self.timestamp);
+        wire::put_str(body, &self.worker);
+        wire::put_u64(body, self.lease_token);
     }
 
-    /// Frames the record for disk: `SPRL` magic, version, body, SHA-256.
-    pub fn encode(&self) -> Vec<u8> {
-        encode_record(&MAGIC_RUN_CELL, &self.encode_body())
-    }
-
-    /// Parses a framed record. `None` on any digest, magic, version or
-    /// structural mismatch — dropped, never trusted.
-    pub fn decode(bytes: &[u8]) -> Option<CellRecord> {
-        let body = decode_record(&MAGIC_RUN_CELL, bytes)?;
-        let mut cursor = wire::Cursor::new(&body);
+    fn take_body(cursor: &mut wire::Cursor<'_>) -> Option<CellRecord> {
         let record = CellRecord {
             campaign: cursor.take_u64()?,
             experiment: cursor.take_str()?,
@@ -154,22 +160,70 @@ impl CellRecord {
             worker: cursor.take_str()?,
             lease_token: cursor.take_u64()?,
         };
-        (cursor.finished() && record.status <= CellRecord::STATUS_NOT_RUN).then_some(record)
+        (record.status <= CellRecord::STATUS_NOT_RUN).then_some(record)
+    }
+
+    /// Frames the record for disk: `SPRL` magic, version, body, SHA-256.
+    /// Equal to the [`encode_batch`](Self::encode_batch) of a one-record
+    /// batch.
+    pub fn encode(&self) -> Vec<u8> {
+        CellRecord::encode_batch(std::slice::from_ref(self))
+    }
+
+    /// Parses a framed single record. `None` on any digest, magic,
+    /// version or structural mismatch, or when the frame holds more than
+    /// one record — dropped, never trusted.
+    pub fn decode(bytes: &[u8]) -> Option<CellRecord> {
+        let mut records = CellRecord::decode_batch(bytes)?;
+        (records.len() == 1).then(|| records.pop()).flatten()
+    }
+
+    /// Frames a batch for disk: one `SPRL` frame around the record bodies
+    /// back to back.
+    pub fn encode_batch(records: &[CellRecord]) -> Vec<u8> {
+        let mut body = Vec::with_capacity(96 * records.len());
+        for record in records {
+            record.put_body(&mut body);
+        }
+        encode_record(&MAGIC_RUN_CELL, &body)
+    }
+
+    /// Parses a framed batch of one or more records, in order. `None` on
+    /// any digest, magic, version or structural mismatch anywhere in the
+    /// frame: a damaged batch is dropped whole, never partly trusted.
+    pub fn decode_batch(bytes: &[u8]) -> Option<Vec<CellRecord>> {
+        let body = decode_record(&MAGIC_RUN_CELL, bytes)?;
+        let mut cursor = wire::Cursor::new(&body);
+        let mut records = Vec::new();
+        while !cursor.finished() {
+            records.push(CellRecord::take_body(&mut cursor)?);
+        }
+        (!records.is_empty()).then_some(records)
     }
 }
 
 /// Outcome of a full log replay.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunLogReplay {
-    /// Committed records in log-sequence order, deduplicated by
-    /// `(campaign, run_id)` keeping the first occurrence. The `u64` is
-    /// the record's log sequence.
+    /// Committed records in log order (batch sequence, then place within
+    /// the batch), deduplicated by `(campaign, run_id)` keeping the first
+    /// occurrence. The `u64` is the sequence of the record's batch file.
     pub records: Vec<(u64, CellRecord)>,
-    /// Records dropped for failing decode (torn tail, bit rot, foreign
-    /// magic). Never misread, only counted.
+    /// Batch files dropped for failing decode (torn tail, bit rot,
+    /// foreign magic), each counted once however many records it held.
+    /// Never misread, only counted.
     pub corrupt_dropped: usize,
     /// Later duplicates collapsed by the dedup rule.
     pub duplicates_dropped: usize,
+    /// Failed listings of `cells/` and failed batch-file reads. A failed
+    /// read proves nothing about the bytes (they may be intact on a flaky
+    /// disk), so it is not corruption — but the replay is incomplete, and
+    /// a nonzero count says so.
+    pub unreadable: usize,
+    /// Highest batch sequence listed, 0 for an empty log — the log's
+    /// high-water mark, whether or not that batch read, decoded or held a
+    /// record that survived the dedup.
+    pub high_water: u64,
 }
 
 /// The append-only run log over a [`StoreFs`].
@@ -177,24 +231,30 @@ pub struct RunLog {
     root: PathBuf,
     fs: Arc<dyn StoreFs>,
     staging: StagingDir,
+    /// The lowest sequence this handle may link next; 0 until its first
+    /// append lists `cells/`. Other handles may have linked past it, which
+    /// the link's `AlreadyExists` reports. Only a hint, since the link
+    /// arbitrates, so it publishes nothing and `Relaxed` suffices.
+    floor: AtomicU64,
 }
 
 impl RunLog {
     /// Opens (creating if needed) a run log rooted at `dir` on the real
     /// filesystem.
-    pub fn open(dir: &Path) -> std::io::Result<RunLog> {
+    pub fn open(dir: &Path) -> io::Result<RunLog> {
         RunLog::open_with(dir, Arc::new(crate::vfs::OsFs))
     }
 
     /// Opens (creating if needed) a run log rooted at `dir` on an
     /// arbitrary [`StoreFs`] — the seam fault injection plugs into.
-    pub fn open_with(dir: &Path, fs: Arc<dyn StoreFs>) -> std::io::Result<RunLog> {
+    pub fn open_with(dir: &Path, fs: Arc<dyn StoreFs>) -> io::Result<RunLog> {
         fs.create_dir_all(&dir.join("cells"))?;
         let staging = StagingDir::open(fs.as_ref(), dir.join("tmp"))?;
         Ok(RunLog {
             root: dir.to_path_buf(),
             fs,
             staging,
+            floor: AtomicU64::new(0),
         })
     }
 
@@ -204,118 +264,95 @@ impl RunLog {
     }
 
     /// Appends one record; returns its log sequence.
-    pub fn append(&self, record: &CellRecord) -> std::io::Result<u64> {
+    pub fn append(&self, record: &CellRecord) -> io::Result<u64> {
         self.append_batch(std::slice::from_ref(record))
             .map(|seqs| seqs[0])
     }
 
-    /// Appends a batch of records with one directory sync for the whole
-    /// batch. Returns each record's log sequence. Nothing in the batch is
-    /// durable until the call returns.
-    pub fn append_batch(&self, records: &[CellRecord]) -> std::io::Result<Vec<u64>> {
-        let mut seqs = Vec::with_capacity(records.len());
-        self.append_resuming(records, &mut seqs)?;
-        Ok(seqs)
-    }
-
-    /// [`append_batch`](Self::append_batch) that a retry resumes: `seqs`
-    /// holds the sequences of `records[..seqs.len()]`, linked by earlier
-    /// attempts, and grows as further records link. A retry after a fault
-    /// links only the rest, and the closing directory sync makes the links
-    /// of every attempt durable.
-    pub fn append_resuming(
-        &self,
-        records: &[CellRecord],
-        seqs: &mut Vec<u64>,
-    ) -> std::io::Result<()> {
+    /// Appends a batch of records as one file: one staging write, one
+    /// fsync, one hard link and one directory sync, whatever the batch
+    /// size. Returns each record's log sequence (the batch file's). The
+    /// batch is durable when the call returns and absent if it fails
+    /// before the link; a retry after a later failure may log it twice,
+    /// which replay's dedup collapses.
+    pub fn append_batch(&self, records: &[CellRecord]) -> io::Result<Vec<u64>> {
         if records.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
+        let mut seq = match self.floor.load(Ordering::Relaxed) {
+            0 => self.max_seq()?.map_or(1, |s| s + 1),
+            floor => floor,
+        };
         let cells = self.root.join("cells");
-        // Past every record on disk (other appenders' included), and past
-        // this batch's own links should the listing fail.
-        let listed = self.max_seq().map_or(1, |s| s + 1);
-        let mut next = seqs.last().map_or(listed, |last| listed.max(last + 1));
-        for record in &records[seqs.len()..] {
-            let bytes = record.encode();
-            loop {
-                let target = cells.join(format!("{CELL_PREFIX}{next:08}{CELL_SUFFIX}"));
-                match create_durable_exclusive(
-                    self.fs.as_ref(),
-                    &self.staging.next(),
-                    &target,
-                    &bytes,
-                ) {
-                    Ok(()) => {
-                        seqs.push(next);
-                        next += 1;
-                        break;
-                    }
-                    // Another appender won this sequence; take the next.
-                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => next += 1,
-                    Err(e) => return Err(e),
-                }
+        let stage = self.staging.next();
+        self.fs.write(&stage, &CellRecord::encode_batch(records))?;
+        self.fs.sync_file(&stage)?;
+        let linked = loop {
+            match self.fs.hard_link(&stage, &cells.join(cell_name(seq))) {
+                // Another appender won this sequence; take the next.
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => seq += 1,
+                linked => break linked,
             }
-        }
-        self.fs.sync_dir(&cells)
+        };
+        self.fs.remove_file(&stage).ok();
+        linked?;
+        self.floor.fetch_max(seq + 1, Ordering::Relaxed);
+        self.fs.sync_dir(&cells)?;
+        Ok(vec![seq; records.len()])
     }
 
-    /// Replays the whole log: committed records in sequence order,
-    /// corrupt records dropped and counted, duplicates collapsed.
+    /// Replays the whole log: committed records in log order, corrupt
+    /// batch files dropped and counted, duplicates collapsed, and failed
+    /// listings or reads counted as [`unreadable`](RunLogReplay::unreadable).
     pub fn replay(&self) -> RunLogReplay {
         let mut replay = RunLogReplay::default();
-        let mut seen = std::collections::BTreeSet::new();
         let cells = self.root.join("cells");
-        let names = self.fs.read_dir_names(&cells).unwrap_or_default();
-        let mut entries: Vec<(u64, String)> = names
-            .into_iter()
-            .filter_map(|name| parse_seq(&name, CELL_PREFIX, CELL_SUFFIX).map(|seq| (seq, name)))
-            .collect();
+        let Ok(mut entries) = self.cell_files() else {
+            replay.unreadable += 1;
+            return replay;
+        };
         entries.sort_unstable();
+        replay.high_water = entries.last().map_or(0, |(seq, _)| *seq);
+        let mut seen = std::collections::HashSet::new();
         for (seq, name) in entries {
-            // A failed *read* proves nothing about the record (it may be
-            // intact on a flaky disk) — skip without counting corruption.
             let Ok(bytes) = self.fs.read(&cells.join(&name)) else {
+                replay.unreadable += 1;
                 continue;
             };
-            match CellRecord::decode(&bytes) {
-                Some(record) => {
-                    if seen.insert(record.dedup_key()) {
-                        replay.records.push((seq, record));
-                    } else {
-                        replay.duplicates_dropped += 1;
-                    }
+            let Some(batch) = CellRecord::decode_batch(&bytes) else {
+                replay.corrupt_dropped += 1;
+                continue;
+            };
+            for record in batch {
+                if seen.insert(record.dedup_key()) {
+                    replay.records.push((seq, record));
+                } else {
+                    replay.duplicates_dropped += 1;
                 }
-                None => replay.corrupt_dropped += 1,
             }
         }
         replay
     }
 
-    /// Highest committed log sequence, `None` when the log is empty.
-    pub fn max_seq(&self) -> Option<u64> {
-        self.fs
-            .read_dir_names(&self.root.join("cells"))
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|name| parse_seq(name, CELL_PREFIX, CELL_SUFFIX))
-            .max()
+    /// Highest committed log sequence, `None` when the log is empty. A
+    /// failed listing is an error, never an empty log.
+    pub fn max_seq(&self) -> io::Result<Option<u64>> {
+        Ok(self.cell_files()?.into_iter().map(|(seq, _)| seq).max())
     }
 
-    /// Number of record files currently on disk (committed, pre-dedup).
-    pub fn len(&self) -> usize {
-        self.fs
-            .read_dir_names(&self.root.join("cells"))
-            .unwrap_or_default()
-            .iter()
-            .filter(|name| parse_seq(name, CELL_PREFIX, CELL_SUFFIX).is_some())
-            .count()
+    /// `(sequence, file name)` of every batch file in `cells/`, unsorted.
+    fn cell_files(&self) -> io::Result<Vec<(u64, String)>> {
+        Ok(self
+            .fs
+            .read_dir_names(&self.root.join("cells"))?
+            .into_iter()
+            .filter_map(|name| parse_seq(&name, CELL_PREFIX, CELL_SUFFIX).map(|seq| (seq, name)))
+            .collect())
     }
+}
 
-    /// True when no records have been committed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+fn cell_name(seq: u64) -> String {
+    format!("{CELL_PREFIX}{seq:08}{CELL_SUFFIX}")
 }
 
 impl std::fmt::Debug for RunLog {
@@ -327,7 +364,7 @@ impl std::fmt::Debug for RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::vfs::{FaultFs, ForcedFault, OsFs};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -380,50 +417,52 @@ mod tests {
     }
 
     #[test]
-    fn append_replay_round_trip_with_dedup() {
-        let dir = temp_dir("roundtrip");
-        let log = RunLog::open(&dir).unwrap();
-        assert!(log.is_empty());
-        let a = sample(1, CellRecord::STATUS_PASS);
-        let b = sample(2, CellRecord::STATUS_FAIL);
-        assert_eq!(log.append(&a).unwrap(), 1);
-        assert_eq!(log.append_batch(std::slice::from_ref(&b)).unwrap(), vec![2]);
-        // A fenced re-execution re-appends the same (campaign, run_id).
-        assert_eq!(log.append(&a).unwrap(), 3);
-
-        // A fresh handle (restart) replays the identical history.
-        let reopened = RunLog::open(&dir).unwrap();
-        let replay = reopened.replay();
-        assert_eq!(replay.records, vec![(1, a), (2, b)]);
-        assert_eq!(replay.duplicates_dropped, 1);
-        assert_eq!(replay.corrupt_dropped, 0);
-        assert_eq!(reopened.len(), 3);
-        assert_eq!(reopened.max_seq(), Some(3));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn batch_codec_round_trips_and_one_record_is_a_single_record() {
+        let batch = [
+            sample(1, CellRecord::STATUS_PASS),
+            sample(2, CellRecord::STATUS_FAIL),
+        ];
+        let bytes = CellRecord::encode_batch(&batch);
+        assert_eq!(CellRecord::decode_batch(&bytes), Some(batch.to_vec()));
+        // Two records are not a single record.
+        assert_eq!(CellRecord::decode(&bytes), None);
+        // A one-record batch is byte-identical to the single record.
+        let one = CellRecord::encode_batch(&batch[..1]);
+        assert_eq!(one, batch[0].encode());
+        assert_eq!(CellRecord::decode_batch(&one), Some(batch[..1].to_vec()));
+        // An empty frame holds no batch.
+        assert_eq!(
+            CellRecord::decode_batch(&CellRecord::encode_batch(&[])),
+            None
+        );
     }
 
     #[test]
-    fn a_resumed_append_links_only_the_rest_past_other_appenders() {
-        let dir = temp_dir("resume");
+    fn append_replay_round_trip_with_dedup() {
+        let dir = temp_dir("roundtrip");
         let log = RunLog::open(&dir).unwrap();
-        let batch = [
-            sample(1, CellRecord::STATUS_PASS),
-            sample(2, CellRecord::STATUS_PASS),
-            sample(3, CellRecord::STATUS_FAIL),
-        ];
-        // An attempt that linked the first record, then faulted ...
-        let mut seqs = log.append_batch(&batch[..1]).unwrap();
-        // ... while another appender took the next sequence.
-        let other = CellRecord {
-            campaign: 4,
-            ..sample(9, CellRecord::STATUS_PASS)
-        };
-        assert_eq!(log.append(&other).unwrap(), 2);
-        log.append_resuming(&batch, &mut seqs).unwrap();
-        assert_eq!(seqs, vec![1, 3, 4]);
-        let replay = log.replay();
-        assert_eq!(replay.records.len(), 4);
-        assert_eq!(replay.duplicates_dropped, 0, "no record linked twice");
+        assert_eq!(log.max_seq().unwrap(), None);
+        let a = sample(1, CellRecord::STATUS_PASS);
+        let b = sample(2, CellRecord::STATUS_FAIL);
+        let c = sample(3, CellRecord::STATUS_WARNINGS);
+        assert_eq!(log.append(&a).unwrap(), 1);
+        assert_eq!(
+            log.append_batch(&[b.clone(), c.clone()]).unwrap(),
+            vec![2, 2]
+        );
+        // A fenced re-execution re-appends the same (campaign, run_id).
+        assert_eq!(log.append(&a).unwrap(), 3);
+
+        // A fresh handle (restart) replays the identical history: a batch
+        // is one file, its records in batch order under its sequence.
+        let reopened = RunLog::open(&dir).unwrap();
+        let replay = reopened.replay();
+        assert_eq!(replay.records, vec![(1, a), (2, b), (2, c)]);
+        assert_eq!(replay.duplicates_dropped, 1);
+        assert_eq!(replay.corrupt_dropped, 0);
+        assert_eq!(replay.unreadable, 0);
+        assert_eq!(reopened.max_seq().unwrap(), Some(3));
+        assert_eq!(std::fs::read_dir(dir.join("cells")).unwrap().count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -436,15 +475,187 @@ mod tests {
             sample(2, CellRecord::STATUS_PASS),
         ])
         .unwrap();
-        // Simulate a torn tail: truncate the last committed record.
-        let tail = dir.join("cells").join("cell-00000002.sprl");
+        // Simulate a torn tail: truncate the two-record batch file.
+        let tail = dir.join("cells").join("cell-00000001.sprl");
         let bytes = std::fs::read(&tail).unwrap();
         std::fs::write(&tail, &bytes[..bytes.len() / 2]).unwrap();
 
+        // The batch is the unit of atomicity: both records drop, and the
+        // torn file counts once.
         let replay = RunLog::open(&dir).unwrap().replay();
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.records[0].1.run_id, 1);
+        assert!(replay.records.is_empty());
         assert_eq!(replay.corrupt_dropped, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Wraps the real filesystem and records the name of every operation.
+    #[derive(Default)]
+    struct RecordingFs {
+        ops: std::sync::Mutex<Vec<&'static str>>,
+    }
+
+    impl RecordingFs {
+        fn note(&self, op: &'static str) {
+            self.ops.lock().unwrap().push(op);
+        }
+
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.ops.lock().unwrap())
+        }
+    }
+
+    impl StoreFs for RecordingFs {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.note("read");
+            OsFs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            self.note("write");
+            OsFs.write(path, bytes)
+        }
+        fn sync_file(&self, path: &Path) -> io::Result<()> {
+            self.note("sync_file");
+            OsFs.sync_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.note("rename");
+            OsFs.rename(from, to)
+        }
+        fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
+            self.note("hard_link");
+            OsFs.hard_link(src, dst)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.note("remove_file");
+            OsFs.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.note("create_dir_all");
+            OsFs.create_dir_all(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.note("sync_dir");
+            OsFs.sync_dir(dir)
+        }
+        fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.note("read_dir_names");
+            OsFs.read_dir_names(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            OsFs.exists(path)
+        }
+    }
+
+    #[test]
+    fn a_stale_handle_links_past_other_batches_without_relisting() {
+        let dir = temp_dir("stale");
+        let fs = Arc::new(RecordingFs::default());
+        let stale = RunLog::open_with(&dir, fs.clone()).unwrap();
+        let batch: Vec<CellRecord> = (1..=16)
+            .map(|i| sample(i, CellRecord::STATUS_PASS))
+            .collect();
+        fs.take();
+        assert_eq!(stale.append_batch(&batch[..8]).unwrap(), vec![1; 8]);
+        assert_eq!(
+            fs.take(),
+            [
+                "read_dir_names",
+                "write",
+                "sync_file",
+                "hard_link",
+                "remove_file",
+                "sync_dir"
+            ],
+            "the first append lists cells/ once"
+        );
+        // Another handle appends three batches past the stale handle's floor.
+        let other = RunLog::open(&dir).unwrap();
+        for i in 0..3 {
+            other
+                .append(&sample(100 + i, CellRecord::STATUS_FAIL))
+                .unwrap();
+        }
+        assert_eq!(stale.append_batch(&batch[8..]).unwrap(), vec![5; 8]);
+        assert_eq!(
+            fs.take(),
+            [
+                "write",
+                "sync_file",
+                "hard_link",
+                "hard_link",
+                "hard_link",
+                "hard_link",
+                "remove_file",
+                "sync_dir"
+            ],
+            "one staging write and one fsync; taken sequences cost a link each, no listing"
+        );
+        let replay = RunLog::open(&dir).unwrap().replay();
+        assert_eq!(replay.records.len(), 19);
+        assert_eq!(replay.duplicates_dropped, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_first_listing_fails_the_append_never_restarts_at_one() {
+        let dir = temp_dir("list-fault");
+        RunLog::open(&dir)
+            .unwrap()
+            .append_batch(&[
+                sample(1, CellRecord::STATUS_PASS),
+                sample(2, CellRecord::STATUS_PASS),
+            ])
+            .unwrap();
+        let fs = Arc::new(FaultFs::over_os(crate::vfs::FaultConfig::default()));
+        let log = RunLog::open_with(&dir, fs.clone()).unwrap();
+        fs.fail_nth_read(1, ForcedFault::Eio);
+        assert_eq!(log.max_seq().unwrap_err().raw_os_error(), Some(5));
+        fs.fail_nth_read(1, ForcedFault::Eio);
+        let err = log.append(&sample(3, CellRecord::STATUS_FAIL)).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5), "the listing fault surfaces");
+        assert_eq!(log.max_seq().unwrap(), Some(1), "nothing was linked");
+        // The retry lists again and links straight past the last batch.
+        let before = fs.op_count();
+        assert_eq!(log.append(&sample(3, CellRecord::STATUS_FAIL)).unwrap(), 2);
+        assert_eq!(
+            fs.op_count() - before,
+            6,
+            "list, write, fsync, link, remove, sync"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_read_is_unreadable_never_a_short_history() {
+        let dir = temp_dir("read-fault");
+        let healthy = RunLog::open(&dir).unwrap();
+        for i in 1..=3 {
+            healthy.append(&sample(i, CellRecord::STATUS_PASS)).unwrap();
+        }
+        let fs = Arc::new(FaultFs::over_os(crate::vfs::FaultConfig::default()));
+        let log = RunLog::open_with(&dir, fs.clone()).unwrap();
+
+        // The listing fails: nothing replays, and the replay says why.
+        fs.fail_nth_read(1, ForcedFault::Eio);
+        let replay = log.replay();
+        assert!(replay.records.is_empty());
+        assert_eq!((replay.unreadable, replay.corrupt_dropped), (1, 0));
+
+        // The second batch file's read fails: two records replay, the gap
+        // is counted, and it is not corruption.
+        fs.fail_nth_read(3, ForcedFault::Transient);
+        let replay = log.replay();
+        assert_eq!(
+            replay
+                .records
+                .iter()
+                .map(|(seq, _)| *seq)
+                .collect::<Vec<_>>(),
+            vec![1, 3]
+        );
+        assert_eq!((replay.unreadable, replay.corrupt_dropped), (1, 0));
+
+        assert_eq!(log.replay().unreadable, 0, "the fault was transient");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

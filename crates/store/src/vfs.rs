@@ -353,6 +353,9 @@ struct FaultState {
     violations: Vec<String>,
     /// A hard fault armed for the next write operation.
     fail_next_write: Option<ForcedFault>,
+    /// A hard fault armed for a later read or listing: (reads still to
+    /// pass before it, fault).
+    fail_read: Option<(u64, ForcedFault)>,
 }
 
 enum Gate {
@@ -395,6 +398,12 @@ impl FaultFs {
     /// Arms a hard fault for the next *write* operation (reads pass).
     pub fn fail_next_write(&self, fault: ForcedFault) {
         self.state.lock().fail_next_write = Some(fault);
+    }
+
+    /// Arms a hard fault for the `nth` read operation from now (1 is the
+    /// next), file reads and directory listings alike; writes pass.
+    pub fn fail_nth_read(&self, nth: u64, fault: ForcedFault) {
+        self.state.lock().fail_read = Some((nth.saturating_sub(1), fault));
     }
 
     /// Operations performed so far — after a clean reference pass, the
@@ -451,6 +460,12 @@ impl FaultFs {
             if let Some(fault) = state.fail_next_write.take() {
                 return Gate::Fault(fault.to_error());
             }
+        } else if let Some((pass, fault)) = state.fail_read {
+            if pass == 0 {
+                state.fail_read = None;
+                return Gate::Fault(fault.to_error());
+            }
+            state.fail_read = Some((pass - 1, fault));
         }
         if self.config.io_fault_rate > 0.0 {
             let draw = Self::rand(state) as f64 / u64::MAX as f64;

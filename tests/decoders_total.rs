@@ -355,6 +355,19 @@ fn cell_record_decode_is_total() {
 }
 
 #[test]
+fn cell_batch_decode_is_total() {
+    let cells = run_log_cells(3, &report(), "client-a", 2);
+    assert!(cells.len() > 1, "the fixture logs a multi-record batch");
+    let valid = [
+        CellRecord::encode_batch(&cells[..1]),
+        CellRecord::encode_batch(&cells),
+    ];
+    let decode = CellRecord::decode_batch;
+    let encode = |records: &Vec<CellRecord>| CellRecord::encode_batch(records);
+    check_total("CellRecord::decode_batch", &valid, SHA256, decode, encode);
+}
+
+#[test]
 fn metrics_snapshot_decode_is_total() {
     let registry = MetricsRegistry::new();
     registry.counter("exec.pool.batches").add(3);
