@@ -3,7 +3,7 @@
 //! clock of a validation run, so it fixes how often the cron can fire.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sp_hep::{run_chain, run_chain_with_scratch, ChainScratch, GeneratorConfig};
+use sp_hep::{run_chain, GeneratorConfig};
 
 fn bench_chain(c: &mut Criterion) {
     let config = GeneratorConfig::hera_nc();
@@ -15,13 +15,6 @@ fn bench_chain(c: &mut Criterion) {
             BenchmarkId::new("full_chain", events),
             &events,
             |b, &events| b.iter(|| run_chain(&config, events, 42, 0.0)),
-        );
-        // Steady state: per-event buffers amortised across whole chains.
-        let mut scratch = ChainScratch::new();
-        group.bench_with_input(
-            BenchmarkId::new("full_chain_scratch", events),
-            &events,
-            |b, &events| b.iter(|| run_chain_with_scratch(&config, events, 42, 0.0, &mut scratch)),
         );
     }
     group.finish();
@@ -60,6 +53,9 @@ fn bench_stages(c: &mut Criterion) {
     });
     group.bench_function("dst_write", |b| b.iter(|| sp_hep::write_dst(&simulated)));
     let dst = sp_hep::write_dst(&simulated);
+    group.bench_function("dst_checksum", |b| {
+        b.iter(|| sp_hep::dst::envelope_checksum(&dst))
+    });
     group.bench_function("dst_read", |b| b.iter(|| sp_hep::read_dst(&dst).unwrap()));
     group.finish();
 }

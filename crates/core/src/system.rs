@@ -22,10 +22,7 @@ use sp_exec::{
     Client, ClientError, ClientKind, CronSchedule, JobId, JobIdGenerator, StageStatus,
     VirtualClock, WorkStealingPool,
 };
-use sp_hep::{
-    hist_io, reconstruct, Analysis, DetectorSim, Event, EventGenerator, GeneratorConfig,
-    MicroEvent, SelectionCuts, SmearingConstants,
-};
+use sp_hep::{hist_io, GeneratorConfig};
 use sp_store::snapshot::{decode_run_key, encode_run_key};
 use sp_store::{
     fnv64, DigestCacheStats, FrozenVault, ObjectId, RetentionPolicy, RunKey, RunMemo,
@@ -891,12 +888,6 @@ impl SpSystem {
 
         let events = scaled_events(events, config.scale);
         let seed = fnv64(test.id.as_str()) ^ config.seed;
-        // All chains run the NC workload regardless of their physics name:
-        // validation power comes from populated control distributions, and
-        // the NC selection keeps every histogram filled. (A CC-configured
-        // generator would leave the NC-oriented selection empty and make
-        // the comparison vacuous.)
-        let generator_config = GeneratorConfig::hera_nc();
 
         // Total numeric deviation across every stage package: a latent bug
         // anywhere in the chain shifts the final distributions.
@@ -912,20 +903,13 @@ impl SpSystem {
             }
         }
 
-        /// Data flowing between chain stages.
-        #[derive(Clone)]
-        enum StageData {
-            Events(Vec<Event>),
-            Reco(Vec<sp_hep::RecoEvent>),
-            Done,
-        }
-
-        let mut stage_outputs: BTreeMap<String, Vec<(String, ObjectId)>> = BTreeMap::new();
-        let mut validation_hist: Option<ObjectId> = None;
-
-        let report = chain.execute(|stage, inputs| {
-            // Stage prerequisites: the implementing package must be built
-            // and must not crash at run time.
+        // Plan: no stage's outcome depends on event data, so decide every
+        // one before making any event. A stage fails when its package is
+        // not built or crashes at run time, when it is not a known stage,
+        // or when its upstream data stage is not among its needs; stages
+        // downstream of a failure are skipped.
+        let mut analysis_planned = false;
+        let plan = chain.execute(|stage, _: &BTreeMap<String, ()>| {
             if let Some(package) = stage_packages.get(&stage.name) {
                 let built = build
                     .records
@@ -939,120 +923,70 @@ impl SpSystem {
             if let Some(message) = crash.get(stage.name.as_str()) {
                 return Err(format!("crash:{message}"));
             }
-
-            let mut outputs: Vec<(String, ObjectId)> = Vec::new();
-            let data = match stage.name.as_str() {
-                "mcgen" => {
-                    let generated: Vec<Event> = EventGenerator::new(generator_config.clone(), seed)
-                        .take(events)
-                        .collect();
-                    let bytes = sp_hep::write_dst(&generated);
-                    outputs.push((
-                        "gen.dst".to_string(),
-                        self.store_stage_output(run_id, test, &stage.name, "gen.dst", bytes),
-                    ));
-                    StageData::Events(generated)
+            if stage.name == "validation" {
+                // The analysis histograms are compared to the reference
+                // when the run is judged.
+                if !analysis_planned {
+                    return Err("dep:analysis-output-missing".to_string());
                 }
-                "sim" => {
-                    let StageData::Events(generated) = &inputs["mcgen"] else {
-                        return Err("bad upstream data".to_string());
-                    };
-                    let sim =
-                        DetectorSim::new(SmearingConstants::V2_SL5).with_deviation(total_deviation);
-                    let simulated: Vec<Event> = generated
-                        .iter()
-                        .map(|ev| sim.simulate(ev, seed ^ ev.id))
-                        .collect();
-                    StageData::Events(simulated)
-                }
-                "dst" => {
-                    let StageData::Events(simulated) = &inputs["sim"] else {
-                        return Err("bad upstream data".to_string());
-                    };
-                    let bytes = sp_hep::write_dst(simulated);
-                    outputs.push((
-                        "events.dst".to_string(),
-                        self.store_stage_output(run_id, test, &stage.name, "events.dst", bytes),
-                    ));
-                    StageData::Events(simulated.clone())
-                }
-                "microdst" => {
-                    let StageData::Events(simulated) = &inputs["dst"] else {
-                        return Err("bad upstream data".to_string());
-                    };
-                    let reco: Vec<sp_hep::RecoEvent> = simulated
-                        .iter()
-                        .map(|ev| reconstruct(ev, &generator_config))
-                        .collect();
-                    let micro: Vec<MicroEvent> = reco
-                        .iter()
-                        .filter_map(|r| {
-                            let k = r.kinematics?;
-                            Some(MicroEvent {
-                                id: r.id,
-                                process: r.process,
-                                q2: k.q2,
-                                x: k.x,
-                                y: k.y,
-                                e_prime: r.electron.map(|e| e.e).unwrap_or(0.0),
-                            })
-                        })
-                        .collect();
-                    let bytes = sp_hep::write_micro_dst(&micro);
-                    outputs.push((
-                        "events.microdst".to_string(),
-                        self.store_stage_output(
-                            run_id,
-                            test,
-                            &stage.name,
-                            "events.microdst",
-                            bytes,
-                        ),
-                    ));
-                    StageData::Reco(reco)
-                }
-                "analysis" => {
-                    let StageData::Reco(reco) = &inputs["microdst"] else {
-                        return Err("bad upstream data".to_string());
-                    };
-                    let mut analysis = Analysis::new(SelectionCuts::default());
-                    for event in reco {
-                        analysis.process(event);
-                    }
-                    let result = analysis.finish();
-                    let mut payload = b"H".to_vec();
-                    hist_io::encode_set_with(&result.histograms, &mut |b| {
-                        payload.extend_from_slice(b)
-                    });
-                    let oid = self.storage.put_named(
-                        StorageArea::Results,
-                        &format!("{run_id}/{}/{}/histograms", test.id, stage.name),
-                        payload,
-                    );
-                    outputs.push(("histograms".to_string(), oid));
-                    StageData::Done
-                }
-                "validation" => {
-                    // The analysis histograms are compared to the
-                    // reference when the run is judged.
-                    let stored = stage_outputs
-                        .get("analysis")
-                        .and_then(|outs| outs.iter().find(|(n, _)| n == "histograms"))
-                        .map(|(_, id)| *id);
-                    let Some(hist_id) = stored else {
-                        return Err("dep:analysis-output-missing".to_string());
-                    };
-                    validation_hist = Some(hist_id);
-                    StageData::Done
-                }
-                other => return Err(format!("unknown stage '{other}'")),
+                return Ok(());
+            }
+            let Some(data_stage) = sp_hep::Stage::from_name(&stage.name) else {
+                return Err(format!("unknown stage '{}'", stage.name));
             };
-            stage_outputs.insert(stage.name.clone(), outputs);
-            Ok(data)
+            if let Some(upstream) = data_stage.upstream() {
+                if !stage.needs.iter().any(|need| need == upstream.name()) {
+                    return Err(format!("upstream stage '{}' not needed", upstream.name()));
+                }
+            }
+            analysis_planned |= data_stage == sp_hep::Stage::Analysis;
+            Ok(())
         });
 
+        // Stream: one pass over the events through the last data stage
+        // that succeeded (they form a prefix of the pipeline, since each
+        // needs its upstream). All chains run the NC workload regardless
+        // of their physics name: validation power comes from populated
+        // control distributions, and the NC selection keeps every
+        // histogram filled. (A CC-configured generator would leave the
+        // NC-oriented selection empty and make the comparison vacuous.)
+        let last = sp_hep::Stage::ALL
+            .into_iter()
+            .take_while(|stage| plan.outputs.contains_key(stage.name()))
+            .last();
+        let mut stage_outputs: BTreeMap<&str, Vec<(String, ObjectId)>> = BTreeMap::new();
+        let mut hist_id = None;
+        if let Some(last) = last {
+            let output = sp_hep::stream_chain(
+                &GeneratorConfig::hera_nc(),
+                events,
+                seed,
+                total_deviation,
+                last,
+                true,
+            );
+            let files = [
+                ("mcgen", "gen.dst", output.gen_dst),
+                ("dst", "events.dst", output.events_dst),
+                ("microdst", "events.microdst", output.micro_dst),
+            ];
+            for (stage, name, bytes) in files {
+                if let Some(bytes) = bytes {
+                    let oid = self.store_stage_output(run_id, test, stage, name, bytes);
+                    stage_outputs.insert(stage, vec![(name.to_string(), oid)]);
+                }
+            }
+            if let Some(result) = output.analysis {
+                let mut payload = b"H".to_vec();
+                hist_io::encode_set_with(&result.histograms, &mut |b| payload.extend_from_slice(b));
+                let oid = self.store_stage_output(run_id, test, "analysis", "histograms", payload);
+                stage_outputs.insert("analysis", vec![("histograms".to_string(), oid)]);
+                hist_id = Some(oid);
+            }
+        }
+
         // Convert per-stage statuses into test results.
-        let results: Vec<(TestResult, Option<Verdict>)> = report
+        let results: Vec<(TestResult, Option<Verdict>)> = plan
             .stages
             .iter()
             .map(|(stage_name, status)| {
@@ -1065,7 +999,7 @@ impl SpSystem {
                 let (status, verdict) = match status {
                     StageStatus::Succeeded if stage_name == "validation" => (
                         TestStatus::Passed,
-                        validation_hist.map(|hist_id| chain_verdict(test, hist_id)),
+                        hist_id.map(|hist_id| chain_verdict(test, hist_id)),
                     ),
                     StageStatus::Succeeded => (TestStatus::Passed, None),
                     StageStatus::Failed(message) => (
@@ -1083,7 +1017,10 @@ impl SpSystem {
                     group: test.group.clone(),
                     job: self.job_ids.allocate(),
                     status,
-                    outputs: stage_outputs.get(stage_name).cloned().unwrap_or_default(),
+                    outputs: stage_outputs
+                        .get(stage_name.as_str())
+                        .cloned()
+                        .unwrap_or_default(),
                     compare: None,
                 };
                 (result, verdict)
@@ -1802,11 +1739,16 @@ mod tests {
     use crate::test::ValidationTest;
     use sp_build::{DependencyGraph, Package, PackageId, PackageKind};
     use sp_env::{catalog, Arch, CodeTrait, Version};
-    use sp_exec::{ChainDef, CronSchedule};
+    use sp_exec::{ChainDef, CronSchedule, StageDef};
 
     /// A small but complete experiment: a clean library, a 64-bit-latent
     /// buggy library, an analysis linking the buggy library, and a chain.
     fn tiny_experiment() -> ExperimentDef {
+        tiny_experiment_with_chain(ChainDef::full_analysis_chain("nc"))
+    }
+
+    /// [`tiny_experiment`] with `chain` as its chain test.
+    fn tiny_experiment_with_chain(chain: ChainDef) -> ExperimentDef {
         let graph = DependencyGraph::from_packages([
             Package::new("util", Version::new(1, 0, 0), PackageKind::Library),
             Package::new("legacy", Version::new(1, 0, 0), PackageKind::Library)
@@ -1892,7 +1834,7 @@ mod tests {
                 "tiny",
                 "MC chain",
                 TestKind::Chain {
-                    chain: ChainDef::full_analysis_chain("nc"),
+                    chain,
                     stage_packages,
                     events: 2500,
                 },
@@ -1931,6 +1873,42 @@ mod tests {
         // 6 compiles + 2 unit + 1 standalone + 6 chain stages.
         assert_eq!(run.results.len(), 15);
         assert!(system.ledger().has_reference("tiny"));
+    }
+
+    #[test]
+    fn a_data_stage_missing_its_upstream_need_fails_without_a_panic() {
+        // `sim` consumes `mcgen`'s events but does not declare it.
+        let chain = ChainDef::new(
+            "odd",
+            vec![
+                StageDef::new("mcgen", &[]),
+                StageDef::new("sim", &[]),
+                StageDef::new("dst", &["sim"]),
+            ],
+        )
+        .unwrap();
+        let system = SpSystem::new();
+        let image = system
+            .register_image(catalog::sl5_gcc41(Arch::I686, Version::two(5, 34)))
+            .unwrap();
+        system
+            .register_experiment(tiny_experiment_with_chain(chain))
+            .unwrap();
+        let run = system.run_validation("tiny", image, &config()).unwrap();
+        let stage = |name: &str| {
+            run.results
+                .iter()
+                .find(|r| r.test.as_str() == format!("tiny/chain/nc/{name}"))
+                .unwrap()
+        };
+        assert_eq!(stage("mcgen").status, TestStatus::Passed);
+        assert_eq!(stage("mcgen").outputs.len(), 1, "gen.dst is written");
+        assert_eq!(
+            stage("sim").status,
+            TestStatus::Failed(FailureKind::ChainStageFailed("sim".to_string()))
+        );
+        assert!(matches!(stage("dst").status, TestStatus::Skipped(_)));
+        assert!(stage("dst").outputs.is_empty());
     }
 
     #[test]

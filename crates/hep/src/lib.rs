@@ -20,6 +20,12 @@
 //! * [`hist`] — 1-D histograms with χ² and Kolmogorov–Smirnov comparison.
 //! * [`stats`] — special functions backing the statistical tests.
 //!
+//! [`stream_chain`] is the one chain loop: it runs each event through
+//! every stage before making the next, in two reused event buffers, and
+//! streams the stage files into their [`DstWriter`]s as it goes, so a chain keeps no per-stage event
+//! vector and makes no per-event allocation. [`run_chain`] is the same
+//! loop through the analysis, writing no files.
+//!
 //! Everything is reproducible: the same seed and configuration produce
 //! bit-identical events, files and histograms on every run, which is the
 //! property the sp-system's run-to-run comparisons rely on.
@@ -50,112 +56,149 @@ pub mod stats;
 
 pub use analysis::{Analysis, AnalysisResult, SelectionCuts};
 pub use detsim::{DetectorSim, SmearingConstants};
-pub use dst::{read_dst, read_micro_dst, write_dst, write_micro_dst, MicroEvent};
+pub use dst::{read_dst, read_micro_dst, write_dst, write_micro_dst, DstWriter, MicroEvent};
 pub use hist::{Chi2Result, Histogram1D, HistogramSet, KsResult};
 pub use hist_io::{decode_set, encode_set};
 pub use kinematics::{DisKinematics, FourVector};
 pub use mcgen::{Event, EventGenerator, GeneratorConfig, Particle, Process};
 pub use reco::{reconstruct, RecoEvent};
 
-/// Reusable per-event buffers for the analysis chain.
-///
-/// One validation run processes thousands of events through
-/// generate → simulate → reconstruct; allocating fresh particle vectors for
-/// every event used to dominate the chain's wall time. A `ChainScratch`
-/// owns the generated-event and simulated-event buffers instead, so a
-/// worker amortises its allocations across a whole run (and across *runs*,
-/// if it keeps the scratch alive): after warm-up the steady state performs
-/// no per-event heap allocation at all — the generator's fragmentation
-/// buffer lives inside [`EventGenerator`], the two event buffers live here,
-/// and [`reconstruct`] and [`Analysis::process`] are allocation-free by
-/// construction.
-#[derive(Debug, Clone)]
-pub struct ChainScratch {
-    generated: Event,
-    simulated: Event,
+/// The data stages of the chain, in pipeline order. Each consumes the
+/// output of the one before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Stage {
+    /// MC generation; writes `gen.dst`.
+    Generate,
+    /// Detector simulation.
+    Simulate,
+    /// DST production; writes `events.dst`.
+    Dst,
+    /// Reconstruction into the µDST; writes `events.microdst`.
+    MicroDst,
+    /// The physics analysis; fills the histograms.
+    Analysis,
 }
 
-impl Default for ChainScratch {
-    fn default() -> Self {
-        Self::new()
+impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 5] = [
+        Stage::Generate,
+        Stage::Simulate,
+        Stage::Dst,
+        Stage::MicroDst,
+        Stage::Analysis,
+    ];
+
+    /// The stage's name in a chain definition (`mcgen`, `sim`, …).
+    pub fn name(self) -> &'static str {
+        ["mcgen", "sim", "dst", "microdst", "analysis"][self as usize]
+    }
+
+    /// The stage a chain definition names `name`, if it is a data stage.
+    pub fn from_name(name: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|stage| stage.name() == name)
+    }
+
+    /// The stage whose output this one consumes.
+    pub fn upstream(self) -> Option<Stage> {
+        (self as usize).checked_sub(1).map(|i| Stage::ALL[i])
     }
 }
 
-impl ChainScratch {
-    /// Creates empty scratch buffers.
-    pub fn new() -> Self {
-        let empty = Event {
-            id: 0,
-            process: mcgen::Process::NeutralCurrent,
-            truth: DisKinematics {
-                q2: 0.0,
-                x: 0.0,
-                y: 0.0,
-                w2: 0.0,
-            },
-            particles: Vec::new(),
-            weight: 1.0,
-        };
-        ChainScratch {
-            generated: empty.clone(),
-            simulated: empty,
+/// What one chain pass produced: the files of the stages it ran, when
+/// asked to write them, and the analysis result when it ran the analysis.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ChainOutput {
+    /// The generated events (`gen.dst`).
+    pub gen_dst: Option<Vec<u8>>,
+    /// The simulated events (`events.dst`).
+    pub events_dst: Option<Vec<u8>>,
+    /// The reconstructed records (`events.microdst`).
+    pub micro_dst: Option<Vec<u8>>,
+    /// The analysis result.
+    pub analysis: Option<AnalysisResult>,
+}
+
+/// Runs the chain with `events` events and the given seed through stage
+/// `last`, applying an optional environment-induced deviation (σ units)
+/// in the detector simulation, and with `write_files` streams each
+/// stage's DST into its writer as it goes.
+///
+/// This is the one chain loop: each event is generated, simulated,
+/// reconstructed and analysed before the next, in two reused event
+/// buffers, so the pass keeps no per-stage event vector and makes no
+/// per-event allocation (the writers' buffers grow by doubling).
+pub fn stream_chain(
+    config: &GeneratorConfig,
+    events: usize,
+    seed: u64,
+    deviation_sigma: f64,
+    last: Stage,
+    write_files: bool,
+) -> ChainOutput {
+    let writes = |stage: Stage| write_files && stage <= last;
+    let mut gen_dst = writes(Stage::Generate).then(DstWriter::default);
+    let mut events_dst = writes(Stage::Dst).then(DstWriter::default);
+    let mut micro_dst = writes(Stage::MicroDst).then(DstWriter::default);
+    let mut analysis = (last >= Stage::Analysis).then(|| Analysis::new(SelectionCuts::default()));
+
+    let mut generator = EventGenerator::new(config.clone(), seed);
+    let sim = DetectorSim::new(SmearingConstants::V2_SL5).with_deviation(deviation_sigma);
+    let mut generated = Event::default();
+    let mut simulated = Event::default();
+    for _ in 0..events {
+        generator.generate_into(&mut generated);
+        if let Some(writer) = &mut gen_dst {
+            writer.push(&generated);
+        }
+        if last < Stage::Simulate {
+            continue;
+        }
+        sim.simulate_into(&generated, seed ^ generated.id, &mut simulated);
+        if let Some(writer) = &mut events_dst {
+            writer.push(&simulated);
+        }
+        if last < Stage::MicroDst {
+            continue;
+        }
+        let reco = reconstruct(&simulated, config);
+        if let Some(writer) = &mut micro_dst {
+            if let Some(record) = MicroEvent::from_reco(&reco) {
+                writer.push(&record);
+            }
+        }
+        if let Some(analysis) = &mut analysis {
+            analysis.process(&reco);
         }
     }
-
-    /// Current capacity of the particle buffers (generated, simulated) —
-    /// useful for asserting that the buffers are actually reused.
-    pub fn capacities(&self) -> (usize, usize) {
-        (
-            self.generated.particles.capacity(),
-            self.simulated.particles.capacity(),
-        )
+    ChainOutput {
+        gen_dst: gen_dst.map(DstWriter::finish),
+        events_dst: events_dst.map(DstWriter::finish),
+        micro_dst: micro_dst.map(DstWriter::finish),
+        analysis: analysis.map(Analysis::finish),
     }
 }
 
 /// Runs the complete chain (generate → simulate → reconstruct → analyse)
 /// with `events` events and the given seed, applying an optional
-/// environment-induced deviation (σ units) in the detector simulation.
-///
-/// This is the convenience entry point used by examples and by the
-/// validation framework's chain tests. It creates a fresh [`ChainScratch`]
-/// per call; hot loops that run many chains should hold their own scratch
-/// and call [`run_chain_with_scratch`].
+/// environment-induced deviation (σ units) in the detector simulation:
+/// [`stream_chain`] through the analysis, writing no files.
 pub fn run_chain(
     config: &GeneratorConfig,
     events: usize,
     seed: u64,
     deviation_sigma: f64,
 ) -> AnalysisResult {
-    let mut scratch = ChainScratch::new();
-    run_chain_with_scratch(config, events, seed, deviation_sigma, &mut scratch)
-}
-
-/// [`run_chain`] with caller-provided scratch buffers: the allocation-free
-/// steady-state path. Results are bit-identical to [`run_chain`] for the
-/// same inputs regardless of what the scratch previously held.
-pub fn run_chain_with_scratch(
-    config: &GeneratorConfig,
-    events: usize,
-    seed: u64,
-    deviation_sigma: f64,
-    scratch: &mut ChainScratch,
-) -> AnalysisResult {
-    let mut generator = EventGenerator::new(config.clone(), seed);
-    let sim = DetectorSim::new(SmearingConstants::V2_SL5).with_deviation(deviation_sigma);
-    let cuts = SelectionCuts::default();
-    let mut analysis = Analysis::new(cuts);
-
-    for _ in 0..events {
-        generator.generate_into(&mut scratch.generated);
-        sim.simulate_into(
-            &scratch.generated,
-            seed ^ scratch.generated.id,
-            &mut scratch.simulated,
-        );
-        let reco = reconstruct(&scratch.simulated, config);
-        analysis.process(&reco);
-    }
-    analysis.finish()
+    stream_chain(
+        config,
+        events,
+        seed,
+        deviation_sigma,
+        Stage::Analysis,
+        false,
+    )
+    .analysis
+    .expect("the pass ran the analysis")
 }
 
 #[cfg(test)]
@@ -173,22 +216,82 @@ mod tests {
         assert_eq!(ha.counts(), hb.counts());
     }
 
-    #[test]
-    fn scratch_path_matches_and_reuses_buffers() {
+    /// The chain's stages run one after another over collected events:
+    /// the data flow the streamed pass must reproduce byte for byte.
+    fn collected(events: usize, seed: u64, deviation: f64) -> ChainOutput {
         let config = GeneratorConfig::hera_nc();
-        let fresh = run_chain(&config, 300, 42, 0.0);
+        let generated: Vec<Event> = EventGenerator::new(config.clone(), seed)
+            .take(events)
+            .collect();
+        let sim = DetectorSim::new(SmearingConstants::V2_SL5).with_deviation(deviation);
+        let simulated: Vec<Event> = generated
+            .iter()
+            .map(|ev| sim.simulate(ev, seed ^ ev.id))
+            .collect();
+        let reco: Vec<RecoEvent> = simulated
+            .iter()
+            .map(|ev| reconstruct(ev, &config))
+            .collect();
+        let micro: Vec<MicroEvent> = reco.iter().filter_map(MicroEvent::from_reco).collect();
+        let mut analysis = Analysis::new(SelectionCuts::default());
+        for event in &reco {
+            analysis.process(event);
+        }
+        ChainOutput {
+            gen_dst: Some(write_dst(&generated)),
+            events_dst: Some(write_dst(&simulated)),
+            micro_dst: Some(write_micro_dst(&micro)),
+            analysis: Some(analysis.finish()),
+        }
+    }
 
-        let mut scratch = ChainScratch::new();
-        // Dirty the scratch with a different workload first.
-        run_chain_with_scratch(&config, 50, 7, 2.0, &mut scratch);
-        let warm_capacity = scratch.capacities();
-        let reused = run_chain_with_scratch(&config, 300, 42, 0.0, &mut scratch);
+    #[test]
+    fn streamed_files_equal_the_collected_writers() {
+        let config = GeneratorConfig::hera_nc();
+        for (events, seed, deviation) in [(0, 1, 0.0), (1, 2, 0.0), (400, 42, 0.0), (300, 7, 3.0)] {
+            let streamed = stream_chain(&config, events, seed, deviation, Stage::Analysis, true);
+            assert_eq!(
+                streamed,
+                collected(events, seed, deviation),
+                "{events} events"
+            );
+            if events >= 300 {
+                let micro = read_micro_dst(streamed.micro_dst.as_deref().unwrap()).unwrap();
+                assert!(micro.len() < events, "reconstruction drops events");
+            }
+        }
+    }
 
-        assert_eq!(fresh, reused, "scratch reuse must not change physics");
-        assert!(
-            warm_capacity.0 > 0 && warm_capacity.1 > 0,
-            "buffers retained between chains: {warm_capacity:?}"
+    #[test]
+    fn a_pass_stops_at_its_last_stage() {
+        let config = GeneratorConfig::hera_nc();
+        let full = stream_chain(&config, 50, 9, 0.0, Stage::Analysis, true);
+        let to_dst = stream_chain(&config, 50, 9, 0.0, Stage::Dst, true);
+        assert_eq!(to_dst.gen_dst, full.gen_dst);
+        assert_eq!(to_dst.events_dst, full.events_dst);
+        assert_eq!((to_dst.micro_dst, to_dst.analysis), (None, None));
+        let generate_only = stream_chain(&config, 50, 9, 0.0, Stage::Generate, true);
+        assert_eq!(generate_only.gen_dst, full.gen_dst);
+        assert_eq!(generate_only.events_dst, None);
+        let unwritten = stream_chain(&config, 50, 9, 0.0, Stage::Analysis, false);
+        assert_eq!(
+            unwritten,
+            ChainOutput {
+                analysis: full.analysis,
+                ..ChainOutput::default()
+            }
         );
+    }
+
+    #[test]
+    fn stage_upstreams_follow_the_pipeline() {
+        assert_eq!(Stage::Generate.upstream(), None);
+        assert_eq!(Stage::Simulate.upstream(), Some(Stage::Generate));
+        assert_eq!(Stage::Analysis.upstream(), Some(Stage::MicroDst));
+        for stage in Stage::ALL {
+            assert_eq!(Stage::from_name(stage.name()), Some(stage));
+        }
+        assert_eq!(Stage::from_name("validation"), None);
     }
 
     #[test]

@@ -95,6 +95,25 @@ pub struct Event {
     pub weight: f64,
 }
 
+impl Default for Event {
+    /// An empty neutral-current event: a buffer for
+    /// [`EventGenerator::generate_into`] to fill.
+    fn default() -> Self {
+        Event {
+            id: 0,
+            process: Process::NeutralCurrent,
+            truth: DisKinematics {
+                q2: 0.0,
+                x: 0.0,
+                y: 0.0,
+                w2: 0.0,
+            },
+            particles: Vec::new(),
+            weight: 1.0,
+        }
+    }
+}
+
 impl Event {
     /// Sum four-vector of all final-state particles.
     pub fn visible_sum(&self) -> FourVector {
@@ -195,18 +214,7 @@ impl EventGenerator {
 
     /// Generates one event into a fresh allocation.
     fn generate(&mut self) -> Event {
-        let mut event = Event {
-            id: 0,
-            process: self.config.process,
-            truth: DisKinematics {
-                q2: 0.0,
-                x: 0.0,
-                y: 0.0,
-                w2: 0.0,
-            },
-            particles: Vec::new(),
-            weight: 1.0,
-        };
+        let mut event = Event::default();
         self.generate_into(&mut event);
         event
     }

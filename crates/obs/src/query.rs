@@ -36,7 +36,7 @@
 //! incomplete: [`HistorySummary::unreadable`] counts the failures, and
 //! [`RunHistory::save_warm`] refuses to conserve such a history as truth.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -203,6 +203,9 @@ pub struct RunHistory {
     by_time: Vec<(u64, u32)>,
     /// Each cell's record indexes in timeline order, cells sorted by key.
     by_cell: Vec<(CellKey, Vec<u32>)>,
+    /// Distinct campaigns and workers among the records, counted once
+    /// per index build so a summary does not recount them.
+    distinct: (usize, usize),
     corrupt_dropped: usize,
     duplicates_dropped: usize,
     unreadable: usize,
@@ -224,6 +227,7 @@ impl RunHistory {
             by_status: BTreeMap::new(),
             by_time: Vec::new(),
             by_cell: Vec::new(),
+            distinct: (0, 0),
             corrupt_dropped: 0,
             duplicates_dropped: 0,
             unreadable: 0,
@@ -379,34 +383,23 @@ impl RunHistory {
 
     /// Aggregates the history for the summary dashboard.
     pub fn summary(&self) -> HistorySummary {
-        let mut summary = HistorySummary {
+        let mut by_status = [0; 4];
+        for (status, postings) in &self.by_status {
+            by_status[usize::from(*status.min(&3))] += postings.len();
+        }
+        HistorySummary {
             cells: self.records.len(),
-            campaigns: self
-                .records
-                .iter()
-                .map(|(_, r)| r.campaign)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len(),
+            campaigns: self.distinct.0,
             experiments: self.by_experiment.len(),
             images: self.by_image.len(),
-            workers: self
-                .records
-                .iter()
-                .map(|(_, r)| r.worker.as_str())
-                .collect::<std::collections::BTreeSet<_>>()
-                .len(),
+            workers: self.distinct.1,
+            by_status,
+            first_timestamp: self.by_time.first().map(|(ts, _)| *ts),
+            last_timestamp: self.by_time.last().map(|(ts, _)| *ts),
             corrupt_dropped: self.corrupt_dropped,
             duplicates_dropped: self.duplicates_dropped,
             unreadable: self.unreadable,
-            ..HistorySummary::default()
-        };
-        for (_, record) in &self.records {
-            summary.by_status[(record.status.min(3)) as usize] += 1;
-            let ts = record.timestamp;
-            summary.first_timestamp = Some(summary.first_timestamp.map_or(ts, |t| t.min(ts)));
-            summary.last_timestamp = Some(summary.last_timestamp.map_or(ts, |t| t.max(ts)));
         }
-        summary
     }
 
     /// Canonical byte encoding of a query result — the byte-identity
@@ -448,6 +441,7 @@ impl RunHistory {
         self.by_status = by_status;
         self.by_time = by_time;
         self.by_cell = cell_index(records);
+        self.distinct = count_distinct(records);
     }
 
     fn to_snapshot(&self) -> Snapshot {
@@ -527,6 +521,7 @@ impl RunHistory {
             by_status: BTreeMap::new(),
             by_time: Vec::new(),
             by_cell: Vec::new(),
+            distinct: (0, 0),
             corrupt_dropped,
             duplicates_dropped,
             unreadable: 0,
@@ -557,8 +552,26 @@ impl RunHistory {
             }
         }
         history.by_cell = cell_index(&history.records);
+        history.distinct = count_distinct(&history.records);
         Some(history)
     }
+}
+
+/// Counts the distinct campaigns and workers of `records`. A campaign's
+/// or worker's records mostly follow one another in log order, so only a
+/// change of name reaches the sets.
+fn count_distinct(records: &[(u64, CellRecord)]) -> (usize, usize) {
+    let (mut campaigns, mut workers) = (BTreeSet::new(), BTreeSet::new());
+    let (mut campaign, mut worker) = (None, None);
+    for (_, record) in records {
+        if campaign.replace(record.campaign) != Some(record.campaign) {
+            campaigns.insert(record.campaign);
+        }
+        if worker.replace(record.worker.as_str()) != Some(record.worker.as_str()) {
+            workers.insert(record.worker.as_str());
+        }
+    }
+    (campaigns.len(), workers.len())
 }
 
 /// A record's place in its cell's timeline; ties keep log order.

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sp_obs::{CellQuery, HistorySource, RunHistory, StatusChange};
+use sp_obs::{CellQuery, HistorySource, HistorySummary, RunHistory, StatusChange};
 use sp_store::{CellRecord, OsFs, RunLog, StoreFs};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -141,7 +141,65 @@ fn scanned_status_changes(records: &[(u64, CellRecord)]) -> Vec<StatusChange> {
     changes
 }
 
+/// The summary recounted from the records alone, for a log with nothing
+/// corrupt, duplicated or unreadable.
+fn recounted_summary(records: &[(u64, CellRecord)]) -> HistorySummary {
+    let distinct = |key: &dyn Fn(&CellRecord) -> String| {
+        records
+            .iter()
+            .map(|(_, r)| key(r))
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+    };
+    let mut by_status = [0; 4];
+    for (_, r) in records {
+        by_status[usize::from(r.status.min(3))] += 1;
+    }
+    HistorySummary {
+        cells: records.len(),
+        campaigns: distinct(&|r| r.campaign.to_string()),
+        experiments: distinct(&|r| r.experiment.clone()),
+        images: distinct(&|r| r.image_label.clone()),
+        workers: distinct(&|r| r.worker.clone()),
+        by_status,
+        first_timestamp: records.iter().map(|(_, r)| r.timestamp).min(),
+        last_timestamp: records.iter().map(|(_, r)| r.timestamp).max(),
+        corrupt_dropped: 0,
+        duplicates_dropped: 0,
+        unreadable: 0,
+    }
+}
+
 proptest! {
+    /// The summary counted at index build equals a recount of the
+    /// records, cold and warm, over any sequence of appended batches.
+    #[test]
+    fn summary_equals_a_recount_of_the_records(
+        batches in prop::collection::vec(
+            prop::collection::vec(cell_strategy(), 1..8),
+            0..6,
+        ),
+    ) {
+        let dir = temp_dir("summary");
+        let log = RunLog::open(&dir).expect("open run log");
+        let mut run_id = 0;
+        for mut batch in batches {
+            for cell in &mut batch {
+                run_id += 1;
+                cell.run_id = run_id;
+            }
+            log.append_batch(&batch).expect("append batch");
+        }
+        let cold = RunHistory::rebuild(&log);
+        cold.save_warm(&log, &OsFs).expect("persist warm index");
+        let warm = RunHistory::open(&log);
+        prop_assert_eq!(warm.source(), HistorySource::Warm);
+        for history in [&cold, &warm] {
+            prop_assert_eq!(history.summary(), recounted_summary(history.records()));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The per-cell index against the linear scan: for any log of
     /// multi-record batches, every cell's timeline, the status changes
     /// and the regressions equal the scans above, cold and warm alike, and

@@ -640,8 +640,9 @@ impl WorkQueue {
         }
         // A poisoned submission is permanently dead: leasing it would
         // re-run a failure some worker already diagnosed as
-        // machine-independent.
-        if self.is_poisoned(seq) {
+        // machine-independent. A failed read of the mark proves nothing,
+        // so it surfaces instead of reading as "not poisoned".
+        if self.read_poison(seq)?.is_some() {
             return Ok(None);
         }
         // A corrupt submission is never leased: claiming it would burn
@@ -1024,16 +1025,27 @@ impl WorkQueue {
         }
     }
 
+    /// Reads one submission's poison mark, digest-validated: `Ok(None)`
+    /// when it is absent or corrupt, `Err` on any other read failure.
+    fn read_poison(&self, seq: u64) -> std::io::Result<Option<PoisonMark>> {
+        Ok(read_absent_as_none(self.fs.read(&self.poison_path(seq)))?
+            .and_then(|bytes| decode_poison_bytes(seq, &bytes)))
+    }
+
     /// Reads one submission's poison mark, digest-validated (`None` if
     /// absent or corrupt — a corrupt mark is dropped, and the submission
     /// becomes leasable again, which is safe: the worst case is
-    /// re-diagnosing and re-marking the same failure).
+    /// re-diagnosing and re-marking the same failure). A failed read is
+    /// also `None`. That is safe where it is asked: a claim reads the mark
+    /// itself and refuses to lease on a fault, and "not poisoned" only
+    /// keeps [`drained`](Self::drained) and a worker's backlog check
+    /// waiting for the submission, never ends them early.
     pub fn poison_mark(&self, seq: u64) -> Option<PoisonMark> {
-        let bytes = self.fs.read(&self.poison_path(seq)).ok()?;
-        decode_poison_bytes(seq, &bytes)
+        self.read_poison(seq).ok().flatten()
     }
 
-    /// Whether a valid poison mark exists for `seq`.
+    /// Whether a valid poison mark exists for `seq`; a failed read is no
+    /// mark (see [`poison_mark`](Self::poison_mark)).
     pub fn is_poisoned(&self, seq: u64) -> bool {
         self.poison_mark(seq).is_some()
     }
@@ -1513,6 +1525,26 @@ mod tests {
         fn exists(&self, path: &Path) -> bool {
             OsFs.exists(path)
         }
+    }
+
+    #[test]
+    fn a_failed_poison_mark_read_never_leases_poisoned_work() {
+        let (q, clock, dir) = queue(60);
+        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        assert!(q.mark_poisoned(seq, "w1", "payload undecodable").unwrap());
+        let fs = Arc::new(CountingFs::default());
+        let flaky = WorkQueue::open_with(&dir, 60, clock, fs.clone()).unwrap();
+        *fs.fail.lock() = Some(q.poison_path(seq));
+        // The mark cannot be read: claiming must surface that or lease
+        // nothing, never lease the poisoned submission.
+        match flaky.lease_next("w2") {
+            Err(err) => assert_eq!(err.raw_os_error(), Some(5)),
+            Ok(lease) => assert_eq!(lease, None),
+        }
+        *fs.fail.lock() = None;
+        assert_eq!(flaky.lease_next("w2").unwrap(), None);
+        assert_eq!(q.stats().leases_issued, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
