@@ -29,12 +29,14 @@
 //! (references, memo cells and lanes are per-experiment — disjointness is
 //! what makes each campaign independent), and pre-reserves its contiguous
 //! run-id range. [`execute`](CampaignScheduler::execute) then runs
-//! admitted campaigns in rounds — one repetition per campaign per round —
-//! dispatching every campaign's cells **fair-share interleaved** onto one
-//! shared [`sp_exec::LaneScheduler`] pool, committing each
-//! campaign's repetition to the ledger as its own batch (no cross-campaign
-//! interleaving inside a batch), and collecting one [`CampaignReport`] per
-//! campaign.
+//! admitted campaigns in rounds — one repetition per campaign per round.
+//! A round dispatches every campaign's cells, in submission order, as one
+//! batch onto the scheduler's [`sp_exec::WorkStealingPool`], then its
+//! judge lanes as a second batch; each batch returns only when all of its
+//! tasks have finished. At the round barrier each campaign's repetition
+//! is committed to the ledger as its own batch (no cross-campaign
+//! interleaving inside a batch), and one [`CampaignReport`] is collected
+//! per campaign.
 //!
 //! Each campaign runs on its own **virtual timeline**: repetition `r` is
 //! stamped `origin + r × interval` where `origin` is the shared clock at
@@ -78,7 +80,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sp_env::VmImageId;
-use sp_exec::{CampaignId, CancellationToken, Lane, LaneScheduler, ProgressHook, ProgressPoint};
+use sp_exec::{CancellationToken, ProgressHook, ProgressPoint, WorkStealingPool};
 
 use crate::ledger::{ReferenceState, RunLedger};
 use crate::run::{RunId, TestStatus, ValidationRun};
@@ -133,18 +135,6 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A campaign over everything registered, once.
-    pub fn single_pass(system: &SpSystem) -> Self {
-        CampaignConfig {
-            experiments: system.experiments().map(|e| e.name.clone()).collect(),
-            images: system.images().iter().map(|i| i.id).collect(),
-            repetitions: 1,
-            run: RunConfig::default(),
-            interval_secs: 86_400,
-            options: CampaignOptions::default(),
-        }
-    }
-
     /// The effective per-run configuration for one task: the base run
     /// config with the task description and the campaign-level options
     /// applied. Shared by the sequential oracle and the parallel engine so
@@ -469,8 +459,8 @@ pub struct ScheduleStats {
     /// Campaigns stopped by their cancellation token.
     pub campaigns_cancelled: usize,
     /// Pool dispatches: each scheduling round (one repetition per active
-    /// campaign, fair-share interleaved) dispatches its cells, then its
-    /// judge lanes.
+    /// campaign) dispatches its cells as one batch, then its judge lanes
+    /// as another.
     pub rounds: u64,
     /// Lanes executed: one per produced cell and one per experiment lane
     /// judged.
@@ -535,21 +525,18 @@ struct Submission {
 }
 
 /// The multi-campaign scheduler: N campaigns against one shared
-/// [`SpSystem`], fair-share over one work-stealing pool.
+/// [`SpSystem`], over one work-stealing pool.
 ///
 /// See the module docs for the execution model. Tickets are scoped to one
 /// [`execute`](Self::execute) batch; the scheduler can be reused for a
 /// fresh batch afterwards (counters accumulate).
 pub struct CampaignScheduler<'a> {
     system: &'a SpSystem,
-    lanes: LaneScheduler,
+    pool: WorkStealingPool,
     admission_limit: usize,
     progress: Option<&'a dyn ProgressHook>,
     submissions: Vec<Submission>,
-    campaigns_submitted: usize,
-    campaigns_admitted: usize,
-    campaigns_completed: usize,
-    campaigns_cancelled: usize,
+    stats: ScheduleStats,
 }
 
 impl<'a> CampaignScheduler<'a> {
@@ -558,14 +545,11 @@ impl<'a> CampaignScheduler<'a> {
     pub fn new(system: &'a SpSystem, workers: usize) -> Self {
         CampaignScheduler {
             system,
-            lanes: LaneScheduler::new(workers),
+            pool: WorkStealingPool::new(workers),
             admission_limit: usize::MAX,
             progress: None,
             submissions: Vec::new(),
-            campaigns_submitted: 0,
-            campaigns_admitted: 0,
-            campaigns_completed: 0,
-            campaigns_cancelled: 0,
+            stats: ScheduleStats::default(),
         }
     }
 
@@ -634,7 +618,7 @@ impl<'a> CampaignScheduler<'a> {
             base,
             token: CancellationToken::new(),
         });
-        self.campaigns_submitted += 1;
+        self.stats.campaigns_submitted += 1;
         ticket
     }
 
@@ -654,7 +638,7 @@ impl<'a> CampaignScheduler<'a> {
         self.submissions.get(ticket.0).map(|s| s.token.clone())
     }
 
-    /// Cancels one campaign: its not-yet-started lanes are skipped, its
+    /// Cancels one campaign: its not-yet-started tasks are skipped, its
     /// current repetition is discarded, and no further repetitions run.
     /// Other campaigns are unaffected.
     pub fn cancel(&self, ticket: CampaignTicket) {
@@ -665,26 +649,15 @@ impl<'a> CampaignScheduler<'a> {
 
     /// Snapshot of the accumulated scheduling counters.
     pub fn stats(&self) -> ScheduleStats {
-        let lanes = self.lanes.stats();
-        ScheduleStats {
-            campaigns_submitted: self.campaigns_submitted,
-            campaigns_admitted: self.campaigns_admitted,
-            campaigns_completed: self.campaigns_completed,
-            campaigns_cancelled: self.campaigns_cancelled,
-            rounds: lanes.rounds,
-            lanes_executed: lanes.lanes_executed,
-            lanes_cancelled: lanes.lanes_cancelled,
-            lanes_local: lanes.local,
-            lanes_stolen: lanes.stolen,
-        }
+        self.stats
     }
 
     /// Runs every submitted campaign to completion (or cancellation) and
     /// collects one report per submission, in submission order.
     ///
     /// Rounds dispatch one repetition per active campaign; within a round
-    /// every campaign's cells share the pool fair-share interleaved, then
-    /// each campaign's experiment lanes judge. At each campaign's
+    /// every campaign's cells share the pool as one batch, then each
+    /// campaign's experiment lanes judge as another. At each campaign's
     /// repetition barrier its runs are committed to the ledger as **one
     /// batch in task order** — batches of different campaigns never
     /// interleave inside a commit, and each campaign's ledger ids are
@@ -703,22 +676,18 @@ impl<'a> CampaignScheduler<'a> {
     /// moved forward past completed barriers.
     pub fn execute_from(&mut self, origin: u64) -> Result<Vec<CampaignReport>, SystemError> {
         let submissions = std::mem::take(&mut self.submissions);
-        let ledger: &RunLedger = self.system.ledger();
+        let system = self.system;
+        let progress = self.progress;
+        let ledger: &RunLedger = system.ledger();
 
-        struct CampaignState<'p> {
-            plan: &'p CampaignPlan,
-            base: RunId,
-            token: CancellationToken,
+        struct CampaignState {
             aggregator: SummaryAggregator,
             next_repetition: usize,
             cancelled: bool,
         }
-        let mut states: Vec<CampaignState<'_>> = submissions
+        let mut states: Vec<CampaignState> = submissions
             .iter()
             .map(|submission| CampaignState {
-                plan: &submission.plan,
-                base: submission.base,
-                token: submission.token.clone(),
                 aggregator: SummaryAggregator::new(&submission.plan),
                 next_repetition: 0,
                 cancelled: false,
@@ -727,7 +696,9 @@ impl<'a> CampaignScheduler<'a> {
 
         // Admission: up to `admission_limit` campaigns active at once, the
         // rest waiting in submission order. A campaign with nothing to run
-        // completes at admission without occupying a slot.
+        // completes at admission without occupying a slot. `active` stays
+        // in ascending submission order, which is also the order every
+        // round's tasks are pushed and its results come back in.
         let admission_limit = self.admission_limit;
         let mut waiting: VecDeque<usize> = (0..states.len()).collect();
         let mut active: Vec<usize> = Vec::new();
@@ -736,9 +707,9 @@ impl<'a> CampaignScheduler<'a> {
                 while active.len() < admission_limit {
                     match waiting.pop_front() {
                         Some(index) => {
-                            self.campaigns_admitted += 1;
-                            if states[index].plan.repetitions() == 0 {
-                                self.campaigns_completed += 1;
+                            self.stats.campaigns_admitted += 1;
+                            if submissions[index].plan.repetitions() == 0 {
+                                self.stats.campaigns_completed += 1;
                             } else {
                                 active.push(index);
                             }
@@ -758,67 +729,58 @@ impl<'a> CampaignScheduler<'a> {
             // by cancellation rolls its promotions back (references of
             // runs that officially never happened must not leak into
             // later work).
-            let mut cells: Vec<Lane<(&CampaignPlan, &RunTask, u64)>> = Vec::new();
+            let mut cells: Vec<(usize, (&RunTask, u64))> = Vec::new();
             let mut checkpoints: BTreeMap<usize, Vec<(String, ReferenceState)>> = BTreeMap::new();
             for &index in &active {
-                let state = &states[index];
-                if state.token.is_cancelled() {
+                let submission = &submissions[index];
+                if submission.token.is_cancelled() {
                     continue;
                 }
+                let config = submission.plan.config();
                 checkpoints.insert(
                     index,
-                    state
-                        .plan
-                        .config()
+                    config
                         .experiments
                         .iter()
                         .map(|name| (name.clone(), ledger.reference_state(name)))
                         .collect(),
                 );
-                let repetition = state.next_repetition;
-                let timestamp = origin + repetition as u64 * state.plan.config().interval_secs;
-                for task in state.plan.repetition_tasks(repetition) {
-                    cells.push(Lane {
-                        campaign: CampaignId(index as u64),
-                        token: state.token.clone(),
-                        payload: (state.plan, task, timestamp),
-                    });
+                let repetition = states[index].next_repetition;
+                let timestamp = origin + repetition as u64 * config.interval_secs;
+                for task in submission.plan.repetition_tasks(repetition) {
+                    cells.push((index, (task, timestamp)));
                 }
             }
 
             // Produce: nothing reads a reference, so cells of one
             // experiment run in any order on any worker.
-            let owners = lane_owners(&cells);
-            let bases: Vec<RunId> = states.iter().map(|s| s.base).collect();
-            let progress = self.progress;
-            let produced =
-                self.lanes
-                    .dispatch_hooked(cells, progress, |campaign, (plan, task, timestamp)| {
-                        let run_id = RunId(bases[campaign.0 as usize].0 + task.index as u64);
-                        let run_config = plan.config().run_config_for(task);
-                        let produced = self.system.produce(
-                            &task.experiment,
-                            task.image,
-                            &run_config,
-                            run_id,
-                            timestamp,
-                        );
-                        if let (Ok(_), Some(hook)) = (&produced, progress) {
-                            hook.tick(ProgressPoint::Task);
-                        }
-                        (task, produced)
-                    });
+            let produced = self.dispatch(&submissions, cells, |campaign, (task, timestamp)| {
+                if let Some(hook) = progress {
+                    hook.tick(ProgressPoint::Dispatch);
+                }
+                let submission = &submissions[campaign];
+                let run_config = submission.plan.config().run_config_for(task);
+                let run_id = RunId(submission.base.0 + task.index as u64);
+                let produced =
+                    system.produce(&task.experiment, task.image, &run_config, run_id, timestamp);
+                if let (Ok(_), Some(hook)) = (&produced, progress) {
+                    hook.tick(ProgressPoint::Task);
+                }
+                (task, produced)
+            });
 
             // Judge: a campaign whose every cell was produced compares and
             // promotes each experiment's cells in task order, one lane per
             // experiment. A campaign cancelled before that is never judged.
-            let mut produced = by_owner(owners, produced);
+            let mut produced = produced.into_iter().peekable();
             let mut judged: BTreeSet<usize> = BTreeSet::new();
-            let mut lanes: Vec<Lane<Vec<(&RunTask, ProducedRun)>>> = Vec::new();
+            let mut lanes: Vec<(usize, Vec<(&RunTask, ProducedRun)>)> = Vec::new();
             for &index in checkpoints.keys() {
-                let state = &states[index];
-                let cells = produced.remove(&index).unwrap_or_default();
-                if state.token.is_cancelled() || cells.iter().any(Option::is_none) {
+                let mut cells = Vec::new();
+                while let Some((_, cell)) = produced.next_if(|(owner, _)| *owner == index) {
+                    cells.push(cell);
+                }
+                if submissions[index].token.is_cancelled() || cells.iter().any(Option::is_none) {
                     continue;
                 }
                 let mut by_experiment: Vec<Vec<(&RunTask, ProducedRun)>> = Vec::new();
@@ -832,31 +794,30 @@ impl<'a> CampaignScheduler<'a> {
                         None => by_experiment.push(vec![cell]),
                     }
                 }
-                lanes.extend(by_experiment.into_iter().map(|payload| Lane {
-                    campaign: CampaignId(index as u64),
-                    token: state.token.clone(),
-                    payload,
-                }));
+                lanes.extend(by_experiment.into_iter().map(|lane| (index, lane)));
                 judged.insert(index);
             }
-            let owners = lane_owners(&lanes);
-            let judged_lanes = self.lanes.dispatch(lanes, |_, lane| {
+            let judged_lanes = self.dispatch(&submissions, lanes, |_, lane| {
                 lane.into_iter()
                     .map(|(task, produced)| {
-                        let run = self.system.judge(produced);
+                        let run = system.judge(produced);
                         ledger.promote(&run);
                         (task, run)
                     })
                     .collect::<Vec<_>>()
             });
-            let mut judged_lanes = by_owner(owners, judged_lanes);
+            let mut judged_lanes = judged_lanes.into_iter().peekable();
 
             let mut still_active: Vec<usize> = Vec::new();
             for &index in &active {
+                let mut lanes = Vec::new();
+                while let Some((_, lane)) = judged_lanes.next_if(|(owner, _)| *owner == index) {
+                    lanes.push(lane);
+                }
+                let plan = &submissions[index].plan;
                 let state = &mut states[index];
-                let lanes = judged_lanes.remove(&index).unwrap_or_default();
                 let complete = judged.contains(&index)
-                    && !state.token.is_cancelled()
+                    && !submissions[index].token.is_cancelled()
                     && lanes.iter().all(Option::is_some);
                 if complete {
                     // Barrier: commit the repetition in task order as one
@@ -870,19 +831,19 @@ impl<'a> CampaignScheduler<'a> {
                     }
                     ledger.log_batch(runs.into_iter().map(|(_, run)| run).collect());
                     state.next_repetition += 1;
-                    self.system.clock().advance_to(
-                        origin + state.next_repetition as u64 * state.plan.config().interval_secs,
+                    system.clock().advance_to(
+                        origin + state.next_repetition as u64 * plan.config().interval_secs,
                     );
                     // Every repetition barrier is a liveness point: a
                     // campaign of N repetitions proves it is alive at
                     // least N times however long the repetitions take.
-                    if let Some(hook) = self.progress {
+                    if let Some(hook) = progress {
                         hook.tick(ProgressPoint::Barrier);
                     }
-                    if state.next_repetition < state.plan.repetitions() {
+                    if state.next_repetition < plan.repetitions() {
                         still_active.push(index);
                     } else {
-                        self.campaigns_completed += 1;
+                        self.stats.campaigns_completed += 1;
                     }
                 } else {
                     // Cancelled mid-round: the partial repetition is
@@ -896,7 +857,7 @@ impl<'a> CampaignScheduler<'a> {
                         }
                     }
                     state.cancelled = true;
-                    self.campaigns_cancelled += 1;
+                    self.stats.campaigns_cancelled += 1;
                 }
             }
             active = still_active;
@@ -917,21 +878,48 @@ impl<'a> CampaignScheduler<'a> {
             })
             .collect())
     }
-}
 
-/// The campaign index of each lane, in lane order.
-fn lane_owners<T>(lanes: &[Lane<T>]) -> Vec<usize> {
-    lanes.iter().map(|lane| lane.campaign.0 as usize).collect()
-}
-
-/// Groups one dispatch's results by owning campaign (`owners[i]` owns
-/// `results[i]`), keeping dispatch order within each campaign.
-fn by_owner<R>(owners: Vec<usize>, results: Vec<Option<R>>) -> BTreeMap<usize, Vec<Option<R>>> {
-    let mut grouped: BTreeMap<usize, Vec<Option<R>>> = BTreeMap::new();
-    for (owner, result) in owners.into_iter().zip(results) {
-        grouped.entry(owner).or_default().push(result);
+    /// Runs one batch of `(campaign index, payload)` tasks on the pool and
+    /// returns `(campaign index, result)` in task order. A task whose
+    /// campaign was cancelled before it started is skipped (`None`); an
+    /// empty batch is not a round.
+    fn dispatch<T, R, F>(
+        &mut self,
+        submissions: &[Submission],
+        tasks: Vec<(usize, T)>,
+        f: F,
+    ) -> Vec<(usize, Option<R>)>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        if tasks.is_empty() {
+            return Vec::new();
+        }
+        let _round_span = sp_obs::trace::span("sched", "round");
+        let (results, pool) = self.pool.run_with_stats(tasks, |_, (campaign, payload)| {
+            let live = !submissions[campaign].token.is_cancelled();
+            (campaign, live.then(|| f(campaign, payload)))
+        });
+        let executed = results.iter().filter(|(_, r)| r.is_some()).count() as u64;
+        let cancelled = results.len() as u64 - executed;
+        self.stats.rounds += 1;
+        self.stats.lanes_executed += executed;
+        self.stats.lanes_cancelled += cancelled;
+        self.stats.lanes_local += pool.local as u64;
+        self.stats.lanes_stolen += pool.stolen as u64;
+        let registry = sp_obs::global();
+        registry.counter("exec.sched.rounds").incr();
+        registry.counter("exec.sched.lanes_executed").add(executed);
+        registry
+            .counter("exec.sched.lanes_cancelled")
+            .add(cancelled);
+        sp_obs::trace::emit_with("sched", "round_done", || {
+            format!("executed={executed} cancelled={cancelled}")
+        });
+        results
     }
-    grouped
 }
 
 /// Matrix column label for an image: the configuration label plus the
@@ -1355,6 +1343,147 @@ mod tests {
             hook.peak.load(Ordering::SeqCst) >= 2,
             "cells of one experiment must be in flight together"
         );
+    }
+
+    /// Two campaigns, two repetitions: every round is one produce batch
+    /// and one judge batch, each executed task is counted once, and the
+    /// counters keep accumulating across `execute` batches.
+    #[test]
+    fn scheduler_counts_every_round_and_task_once() {
+        let system = SpSystem::new();
+        let images: Vec<VmImageId> = sp_env::catalog::paper_images()
+            .into_iter()
+            .take(2)
+            .map(|spec| system.register_image(spec).unwrap())
+            .collect();
+        for name in ["alpha", "beta", "gamma"] {
+            system
+                .register_experiment(sp_experiments_stub(name))
+                .unwrap();
+        }
+        let config = |experiments: &[&str], repetitions: usize| CampaignConfig {
+            experiments: experiments.iter().map(|name| name.to_string()).collect(),
+            images: images.clone(),
+            repetitions,
+            run: RunConfig::default(),
+            interval_secs: 60,
+            options: CampaignOptions::default(),
+        };
+        let mut scheduler = CampaignScheduler::new(&system, 2);
+        scheduler.submit(config(&["alpha"], 2)).unwrap();
+        scheduler.submit(config(&["beta", "gamma"], 2)).unwrap();
+        let reports = scheduler.execute().unwrap();
+        assert_eq!(reports[0].summary.total_runs(), 4);
+        assert_eq!(reports[1].summary.total_runs(), 8);
+
+        // Per repetition: 2 + 4 cells produced, then 1 + 2 experiment
+        // lanes judged.
+        let stats = scheduler.stats();
+        assert_eq!(
+            stats.rounds,
+            2 * 2,
+            "one produce and one judge batch per repetition"
+        );
+        assert_eq!(stats.lanes_executed, 2 * (6 + 3));
+        assert_eq!(stats.lanes_local + stats.lanes_stolen, stats.lanes_executed);
+        assert_eq!(stats.lanes_cancelled, 0);
+        assert_eq!(stats.campaigns_submitted, 2);
+        assert_eq!(stats.campaigns_completed, 2);
+
+        // A second batch on the same scheduler adds to the same counters.
+        scheduler.submit(config(&["alpha"], 1)).unwrap();
+        scheduler.execute().unwrap();
+        let stats = scheduler.stats();
+        assert_eq!(stats.rounds, 4 + 2);
+        assert_eq!(stats.lanes_executed, 18 + 2 + 1);
+        assert_eq!(stats.lanes_local + stats.lanes_stolen, stats.lanes_executed);
+        assert_eq!(stats.campaigns_submitted, 3);
+        assert_eq!(stats.campaigns_completed, 3);
+
+        // A campaign cancelled before it starts leaves both batches of its
+        // round empty, and an empty batch is not a round.
+        let ticket = scheduler.submit(config(&["beta"], 1)).unwrap();
+        scheduler.cancel(ticket);
+        assert!(scheduler.execute().unwrap()[0].cancelled);
+        let after = scheduler.stats();
+        assert_eq!(after.rounds, stats.rounds);
+        assert_eq!(after.lanes_executed, stats.lanes_executed);
+        assert_eq!(after.lanes_cancelled, 0);
+        assert_eq!(after.campaigns_cancelled, 1);
+    }
+
+    /// With one worker the cells run in task order, so a hook that cancels
+    /// campaign A at its first `Dispatch` tick stops A mid-batch: A's
+    /// remaining cells are skipped without ticking, and B runs untouched.
+    #[test]
+    fn cancellation_mid_dispatch_skips_only_that_campaign() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::OnceLock;
+
+        #[derive(Default)]
+        struct CancelAtFirstDispatch {
+            doomed: OnceLock<CancellationToken>,
+            dispatches: AtomicU64,
+        }
+        impl ProgressHook for CancelAtFirstDispatch {
+            fn tick(&self, point: ProgressPoint) {
+                if point == ProgressPoint::Dispatch
+                    && self.dispatches.fetch_add(1, Ordering::SeqCst) == 0
+                {
+                    self.doomed.get().expect("token installed").cancel();
+                }
+            }
+        }
+
+        let system = SpSystem::new();
+        let images: Vec<VmImageId> = sp_env::catalog::paper_images()
+            .into_iter()
+            .take(3)
+            .map(|spec| system.register_image(spec).unwrap())
+            .collect();
+        for name in ["alpha", "beta"] {
+            system
+                .register_experiment(sp_experiments_stub(name))
+                .unwrap();
+        }
+        let config = |name: &str, images: &[VmImageId]| CampaignConfig {
+            experiments: vec![name.into()],
+            images: images.to_vec(),
+            repetitions: 2,
+            run: RunConfig::default(),
+            interval_secs: 60,
+            options: CampaignOptions::default(),
+        };
+        let hook = CancelAtFirstDispatch::default();
+        let mut scheduler = CampaignScheduler::new(&system, 1).with_progress(&hook);
+        let a = scheduler.submit(config("alpha", &images)).unwrap();
+        let b = scheduler.submit(config("beta", &images[..2])).unwrap();
+        hook.doomed
+            .set(scheduler.cancellation_token(a).unwrap())
+            .unwrap();
+        let reports = scheduler.execute().unwrap();
+
+        let a_report = &reports[a.index()];
+        assert!(a_report.cancelled);
+        assert_eq!(a_report.completed_repetitions, 0);
+        assert!(a_report.summary.runs.is_empty());
+        let b_report = &reports[b.index()];
+        assert!(!b_report.cancelled);
+        assert_eq!(b_report.completed_repetitions, 2);
+        assert_eq!(b_report.summary.total_runs(), 4);
+
+        // A's first cell ticked and ran; its other two were skipped and
+        // raised no tick. B's 2 cells ticked in each of its 2 repetitions.
+        assert_eq!(hook.dispatches.load(Ordering::SeqCst), 1 + 2 * 2);
+        let stats = scheduler.stats();
+        assert_eq!(stats.lanes_cancelled, 2);
+        assert_eq!(stats.campaigns_cancelled, 1);
+        assert_eq!(stats.campaigns_completed, 1);
+        assert!(system
+            .ledger()
+            .runs()
+            .iter()
+            .all(|run| run.experiment == "beta"));
     }
 
     /// A minimal registrable experiment for plan-level tests.

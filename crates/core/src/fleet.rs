@@ -208,22 +208,6 @@ impl<'a> Coordinator<'a> {
             .all(|s| self.queue.report(s.seq).is_some())
     }
 
-    /// Blocks (sleeping with jittered backoff) until the backlog is
-    /// drained or the poll budget runs out; returns whether it drained.
-    pub fn wait_drained(&self, mut poll: PollLoop) -> bool {
-        poll.run(
-            || {
-                if self.drained() {
-                    PollOutcome::Stop
-                } else {
-                    PollOutcome::Idle
-                }
-            },
-            std::thread::sleep,
-        );
-        self.drained()
-    }
-
     /// Collects the published reports, in submission order. `None` slots
     /// are campaigns whose report has not (or not trustably) appeared.
     pub fn collect(&self) -> Vec<Option<CampaignReport>> {

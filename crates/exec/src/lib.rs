@@ -16,9 +16,8 @@
 //!   queue with.
 //! * [`pool`] — the generic work-stealing scheduler: per-worker deques,
 //!   oldest-first stealing, results in task-index order.
-//! * [`sched`] — fair-share lane dispatch over one shared pool:
-//!   round-robin interleaving across campaigns, campaign-scoped
-//!   cancellation tokens, scheduling counters.
+//! * [`sched`] — campaign-scoped cancellation tokens and the progress
+//!   hook that campaign execution ticks for lease liveness.
 //! * [`chain`] — DAG-structured analysis chains: "some of these tests …
 //!   are run in parallel, many are run sequentially and form discrete parts
 //!   in one of several full analysis chains" (§3.2).
@@ -52,7 +51,4 @@ pub use cron::{CronError, CronSchedule};
 pub use job::{JobId, JobIdGenerator};
 pub use poll::{Backoff, PollLoop, PollOutcome, PollStats, RetryPolicy};
 pub use pool::{PoolStats, WorkStealingPool};
-pub use sched::{
-    CampaignId, CancellationToken, Lane, LaneScheduler, LaneSchedulerStats, ProgressHook,
-    ProgressPoint, TracingProgressHook,
-};
+pub use sched::{CancellationToken, ProgressHook, ProgressPoint};

@@ -1,8 +1,8 @@
 //! Trace spans and events.
 //!
 //! A [`TraceSink`] receives a flat stream of [`TraceEvent`]s from
-//! instrumented components: the lane scheduler's `ProgressHook` points,
-//! the work-stealing pool, the work queue's lease/publish/quarantine
+//! instrumented components: the campaign scheduler's rounds, the
+//! work-stealing pool, the work queue's lease/publish/quarantine
 //! transitions, worker/coordinator lifecycle, and retry/backoff loops.
 //! The default sink is a null sink and event construction is guarded by
 //! an atomic flag, so a process that never installs a sink pays one

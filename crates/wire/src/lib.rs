@@ -21,52 +21,62 @@
 //! ```
 
 /// Appends a `u8`.
+#[inline]
 pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
 /// Appends an `i8`.
+#[inline]
 pub fn put_i8(out: &mut Vec<u8>, v: i8) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u16`.
+#[inline]
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends an `i32`.
+#[inline]
 pub fn put_i32(out: &mut Vec<u8>, v: i32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u32`.
+#[inline]
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a `u64`.
+#[inline]
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends an `f64` (its IEEE-754 bits, so NaN payloads survive).
+#[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends `u32`-length-prefixed raw bytes.
+#[inline]
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(out, bytes.len() as u32);
     out.extend_from_slice(bytes);
 }
 
 /// Appends a `u32`-length-prefixed UTF-8 string.
+#[inline]
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
 /// Appends a `u16`-length-prefixed UTF-8 string (section names).
+#[inline]
 pub fn put_str16(out: &mut Vec<u8>, s: &str) {
     let len = s.len().min(u16::MAX as usize) as u16;
     put_u16(out, len);
@@ -88,6 +98,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Takes `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let slice = self.data.get(self.pos..end)?;
@@ -103,36 +114,43 @@ impl<'a> Cursor<'a> {
     }
 
     /// Takes a `u8`.
+    #[inline]
     pub fn take_u8(&mut self) -> Option<u8> {
         self.take_array().map(u8::from_le_bytes)
     }
 
     /// Takes an `i8`.
+    #[inline]
     pub fn take_i8(&mut self) -> Option<i8> {
         self.take_array().map(i8::from_le_bytes)
     }
 
     /// Takes a little-endian `u16`.
+    #[inline]
     pub fn take_u16(&mut self) -> Option<u16> {
         self.take_array().map(u16::from_le_bytes)
     }
 
     /// Takes a little-endian `i32`.
+    #[inline]
     pub fn take_i32(&mut self) -> Option<i32> {
         self.take_array().map(i32::from_le_bytes)
     }
 
     /// Takes a little-endian `u32`.
+    #[inline]
     pub fn take_u32(&mut self) -> Option<u32> {
         self.take_array().map(u32::from_le_bytes)
     }
 
     /// Takes a little-endian `u64`.
+    #[inline]
     pub fn take_u64(&mut self) -> Option<u64> {
         self.take_array().map(u64::from_le_bytes)
     }
 
     /// Takes a little-endian `f64`.
+    #[inline]
     pub fn take_f64(&mut self) -> Option<f64> {
         self.take_array().map(f64::from_le_bytes)
     }
@@ -141,12 +159,14 @@ impl<'a> Cursor<'a> {
     /// input cannot hold when each element occupies at least
     /// `min_elem_bytes` on the wire — so a corrupt count fails the
     /// decode instead of sizing an allocation.
+    #[inline]
     pub fn take_count(&mut self, min_elem_bytes: usize) -> Option<usize> {
         let count = self.take_u32()? as usize;
         self.bound(count, min_elem_bytes)
     }
 
     /// [`take_count`](Self::take_count) for a `u16` element count.
+    #[inline]
     pub fn take_count16(&mut self, min_elem_bytes: usize) -> Option<usize> {
         let count = self.take_u16()? as usize;
         self.bound(count, min_elem_bytes)
@@ -158,12 +178,14 @@ impl<'a> Cursor<'a> {
     }
 
     /// Takes `u32`-length-prefixed bytes.
+    #[inline]
     pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
         let len = self.take_u32()? as usize;
         self.take(len).map(|b| b.to_vec())
     }
 
     /// Takes a `u32`-length-prefixed UTF-8 string.
+    #[inline]
     pub fn take_str(&mut self) -> Option<String> {
         let len = self.take_u32()? as usize;
         let bytes = self.take(len)?;
@@ -171,6 +193,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Takes a `u16`-length-prefixed UTF-8 string.
+    #[inline]
     pub fn take_str16(&mut self) -> Option<String> {
         let len = self.take_u16()? as usize;
         let bytes = self.take(len)?;
