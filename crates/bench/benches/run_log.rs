@@ -1,5 +1,6 @@
 //! Durable run-log throughput and query latency: SPRL batch appends with
-//! the stage→fsync→link discipline, and indexed history queries over a
+//! the stage→fsync→link discipline, the batch encoder alone (the fsync
+//! decides the append figure), and indexed history queries over a
 //! populated log.
 
 use std::path::PathBuf;
@@ -57,6 +58,18 @@ fn bench_append(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_encode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("run_log");
+    for batch in [16usize, 64] {
+        group.throughput(Throughput::Elements(batch as u64));
+        group.bench_with_input(BenchmarkId::new("encode_batch", batch), &batch, |b, &n| {
+            let cells: Vec<CellRecord> = (0..n as u64).map(cell).collect();
+            b.iter(|| CellRecord::encode_batch(&cells))
+        });
+    }
+    group.finish();
+}
+
 fn bench_query(c: &mut Criterion) {
     let dir = temp_dir("query");
     let log = RunLog::open(&dir).expect("log dir");
@@ -84,5 +97,5 @@ fn bench_query(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_append, bench_query);
+criterion_group!(benches, bench_append, bench_encode, bench_query);
 criterion_main!(benches);

@@ -412,16 +412,6 @@ impl DependencyGraph {
         }
         seen.into_iter().collect()
     }
-
-    /// Names of every external required anywhere in the given package set
-    /// (all packages when `within` is `None`).
-    pub fn required_externals(&self, within: Option<&BTreeSet<PackageId>>) -> BTreeSet<String> {
-        self.packages
-            .values()
-            .filter(|p| within.is_none_or(|set| set.contains(&p.id)))
-            .flat_map(|p| p.externals().into_iter().map(str::to_owned))
-            .collect()
-    }
 }
 
 #[cfg(test)]

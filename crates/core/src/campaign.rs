@@ -56,8 +56,8 @@
 //! the next run of that experiment compares against exactly those
 //! references. But only the comparison reads the reference — the stack
 //! build, unit checks and MC chains that make up nearly all of a run do
-//! not. So every run is split in two
-//! ([`SpSystem::execute_run_at`] is the composition):
+//! not. So every run is split in two, `SpSystem::produce` and
+//! `SpSystem::judge` ([`SpSystem::run_validation`] is the composition):
 //!
 //! 1. **produce** — every (experiment, image) cell of the round is its own
 //!    pool task: build, execute and conserve, whatever its experiment;

@@ -81,7 +81,7 @@ impl TestOutput {
     /// address: one traversal of the output structure with no intermediate
     /// buffers (histograms stream field-wise straight into `out`), then a
     /// single contiguous hash pass — and callers hand the id to
-    /// `put_named_prehashed`, so the store never re-hashes the bytes.
+    /// `ContentStore::put_prehashed`, so the store never re-hashes the bytes.
     pub fn encode_and_digest(&self, out: &mut Vec<u8>) -> ObjectId {
         out.clear();
         self.encode_into(out);

@@ -335,6 +335,14 @@ impl SpSystem {
 
     /// Runs the full validation of one experiment on one image: the §3.1
     /// (ii) regular build plus all validation tests, with bookkeeping.
+    ///
+    /// A run is two phases: `produce` (build, execute, conserve; nothing
+    /// reads the reference) and `judge` (compare against the current
+    /// reference and conserve the run summary). This is their composition,
+    /// stamped with the current clock time and recorded in the ledger; the
+    /// campaign scheduler runs the phases apart, producing every cell of a
+    /// repetition in parallel and judging each experiment's cells in task
+    /// order, each campaign on its own virtual timeline.
     pub fn run_validation(
         &self,
         experiment_name: &str,
@@ -342,51 +350,10 @@ impl SpSystem {
         config: &RunConfig,
     ) -> Result<ValidationRun, SystemError> {
         let run_id = self.reserve_run_ids(1);
-        let run = self.execute_run_with_id(experiment_name, image_id, config, run_id)?;
+        let produced = self.produce(experiment_name, image_id, config, run_id, self.clock.now())?;
+        let run = self.judge(produced);
         self.ledger.record(run.clone());
         Ok(run)
-    }
-
-    /// The execution core of [`run_validation`](Self::run_validation) with
-    /// a caller-assigned run id and **no ledger commit**: the run summary
-    /// is conserved in the common storage, but recording (and reference
-    /// promotion) is left to the caller. The campaign engine uses this to
-    /// batch a whole repetition's runs into one
-    /// [`RunLedger::commit_batch`] while controlling reference-promotion
-    /// order explicitly. The run is stamped with the current clock time.
-    pub fn execute_run_with_id(
-        &self,
-        experiment_name: &str,
-        image_id: VmImageId,
-        config: &RunConfig,
-        run_id: RunId,
-    ) -> Result<ValidationRun, SystemError> {
-        self.execute_run_at(experiment_name, image_id, config, run_id, self.clock.now())
-    }
-
-    /// [`execute_run_with_id`](Self::execute_run_with_id) with an explicit
-    /// timestamp. The campaign scheduler runs N campaigns concurrently,
-    /// each on its own virtual timeline (`origin + repetition × interval`);
-    /// stamping runs from that timeline instead of the live shared clock is
-    /// what keeps every campaign's summary byte-identical to executing it
-    /// alone.
-    ///
-    /// A run is two phases: *produce* (build, execute, conserve — nothing
-    /// reads the reference) and *judge* (compare against the current
-    /// reference and conserve the run summary). This is their composition;
-    /// the campaign scheduler runs the phases apart, producing every cell
-    /// of a repetition in parallel and judging each experiment's cells in
-    /// task order.
-    pub fn execute_run_at(
-        &self,
-        experiment_name: &str,
-        image_id: VmImageId,
-        config: &RunConfig,
-        run_id: RunId,
-        timestamp: u64,
-    ) -> Result<ValidationRun, SystemError> {
-        let produced = self.produce(experiment_name, image_id, config, run_id, timestamp)?;
-        Ok(self.judge(produced))
     }
 
     /// The produce phase of a run: the §3.1 (ii) stack build, unit checks,
@@ -423,7 +390,6 @@ impl SpSystem {
             env_label: &env_label,
             build: &build,
             config,
-            run_id,
         };
 
         // Execute the suite: compile results come from the build report;
@@ -436,7 +402,7 @@ impl SpSystem {
         for test in experiment.suite.tests() {
             match &test.kind {
                 TestKind::Compile { package } => {
-                    results.push((self.compile_result(test, package, &build, run_id), None));
+                    results.push((self.compile_result(test, package, &build), None));
                 }
                 TestKind::UnitCheck { package, .. } | TestKind::Standalone { package, .. } => {
                     runtime
@@ -451,21 +417,15 @@ impl SpSystem {
             }
         }
 
-        // The names of memo-served outputs under this run, registered with
-        // one metadata write once the suite is done.
-        let mut served: Vec<(String, ObjectId)> = Vec::new();
         let tasks: Vec<_> = parallel_tests
             .into_iter()
             .map(|(job, test, package)| (job, test, &runtime[package]))
             .collect();
-        let parallel = WorkStealingPool::new(config.threads)
-            .run(tasks, |_, (job, test, outcome)| {
+        results.extend(
+            WorkStealingPool::new(config.threads).run(tasks, |_, (job, test, outcome)| {
                 self.run_parallel_test(&ctx, test, job, outcome)
-            });
-        for (result, verdict, name) in parallel {
-            results.push((result, verdict));
-            served.extend(name);
-        }
+            }),
+        );
 
         // Sequential chains.
         for test in experiment.suite.tests() {
@@ -475,28 +435,32 @@ impl SpSystem {
                 events,
             } = &test.kind
             {
-                results.extend(self.run_chain_test(
-                    &ctx,
-                    test,
-                    chain,
-                    stage_packages,
-                    *events,
-                    &mut served,
-                ));
+                results.extend(self.run_chain_test(&ctx, test, chain, stage_packages, *events));
             }
         }
-        self.storage
-            .register_named_many(StorageArea::Results, served);
 
         results.sort_by(|a, b| a.0.test.cmp(&b.0.test));
         // Split by hand: collecting in place would keep the pairs' larger
-        // allocation alive in every run the ledger holds.
+        // allocation alive in every run the ledger holds. Every output the
+        // run conserved, executed or memo-served, is named
+        // `<run>/<test>/<output>` with one metadata write; a compile
+        // test's tar-ball is the build's artifact and is named there.
         let mut verdicts = Vec::new();
+        let mut served: Vec<(String, ObjectId)> = Vec::new();
         let mut tests = Vec::with_capacity(results.len());
         for (index, (result, verdict)) in results.into_iter().enumerate() {
+            served.extend(
+                result
+                    .outputs
+                    .iter()
+                    .filter(|(name, _)| name != "tarball")
+                    .map(|(name, oid)| (format!("{run_id}/{}/{name}", result.test), *oid)),
+            );
             tests.push(result);
             verdicts.extend(verdict.map(|verdict| (index, verdict)));
         }
+        self.storage
+            .register_named_many(StorageArea::Results, served);
         let run = ValidationRun {
             id: run_id,
             experiment: experiment_name.to_string(),
@@ -521,21 +485,7 @@ impl SpSystem {
     pub(crate) fn judge(&self, produced: ProducedRun) -> ValidationRun {
         let ProducedRun { mut run, verdicts } = produced;
         for (index, verdict) in verdicts {
-            let (status, compare) = match &verdict.fresh {
-                Some(output) => self.compare_to_reference(
-                    &run.experiment,
-                    &verdict.test_id,
-                    verdict.output_name,
-                    verdict.oid,
-                    output,
-                ),
-                None => self.compare_stored_output(
-                    &run.experiment,
-                    &verdict.test_id,
-                    verdict.output_name,
-                    verdict.oid,
-                ),
-            };
+            let (status, compare) = self.compare_output(&run.experiment, &verdict);
             let result = &mut run.results[index];
             result.status = status;
             result.compare = compare;
@@ -616,7 +566,6 @@ impl SpSystem {
         test: &ValidationTest,
         package: &sp_build::PackageId,
         build: &BuildReport,
-        run_id: RunId,
     ) -> TestResult {
         let record = build.records.get(package);
         let (status, log) = match record {
@@ -636,7 +585,7 @@ impl SpSystem {
                 (status, r.log.clone())
             }
         };
-        let log_id = self.store_output(run_id, test, "build.log", log.into_bytes());
+        let log_id = self.storage.content().put(log.into_bytes());
         let mut outputs = vec![("build.log".to_string(), log_id)];
         if let Some(artifact) = record.and_then(|r| r.artifact) {
             outputs.push(("tarball".to_string(), artifact));
@@ -654,21 +603,19 @@ impl SpSystem {
 
     /// Runs one unit-check or standalone test (called from the pool) with
     /// its package's runtime outcome. A test that produced an output also
-    /// returns the comparison it owes; a memo-served one also returns the
-    /// name its conserved output must be registered under for this run.
+    /// returns the comparison it owes.
     fn run_parallel_test(
         &self,
         ctx: &RunContext<'_>,
         test: &ValidationTest,
         job: JobId,
         runtime: &RuntimeOutcome,
-    ) -> (TestResult, Option<Verdict>, Option<(String, ObjectId)>) {
+    ) -> (TestResult, Option<Verdict>) {
         let RunContext {
             experiment,
             env_label,
             build,
             config,
-            run_id,
             ..
         } = *ctx;
         let experiment = &*experiment.def;
@@ -700,14 +647,14 @@ impl SpSystem {
             .unwrap_or(false);
         if !built {
             let status = TestStatus::Skipped(format!("artifact for '{package}' missing"));
-            return (make(status, Vec::new()), None, None);
+            return (make(status, Vec::new()), None);
         }
 
         // Runtime behaviour of the package (with its dependencies).
         let deviation = match runtime {
             RuntimeOutcome::Crash { message, .. } => {
                 let status = TestStatus::Failed(FailureKind::Crash(message.clone()));
-                return (make(status, Vec::new()), None, None);
+                return (make(status, Vec::new()), None);
             }
             RuntimeOutcome::Deviating { shift_sigma, .. } => *shift_sigma,
             RuntimeOutcome::Nominal => 0.0,
@@ -727,9 +674,8 @@ impl SpSystem {
             })
         });
         if let Some(oid) = served {
-            let name = (format!("{run_id}/{}/result", test.id), oid);
             let result = make(TestStatus::Passed, vec![("result".to_string(), oid)]);
-            return (result, Some(verdict(oid, None)), Some(name));
+            return (result, Some(verdict(oid, None)));
         }
 
         let output = match &test.kind {
@@ -770,69 +716,50 @@ impl SpSystem {
         // store), then remember the cell for future campaigns.
         let mut encoded = Vec::new();
         let digest = output.encode_and_digest(&mut encoded);
-        let oid = self.storage.put_named_prehashed(
-            StorageArea::Results,
-            &format!("{run_id}/{}/result", test.id),
-            digest,
-            encoded,
-        );
+        let oid = self.storage.content().put_prehashed(digest, encoded);
         if let Some(key) = memo_key {
             self.output_memo.insert(key, oid);
         }
         let result = make(TestStatus::Passed, vec![("result".to_string(), oid)]);
-        (result, Some(verdict(oid, Some(output))), None)
+        (result, Some(verdict(oid, Some(output))))
     }
 
-    /// Serves a chain test from the memo, re-registering its conserved
-    /// outputs under the new run id and leaving the validation-stage
-    /// comparison to be judged against the *current* reference
-    /// (references evolve between runs, so the verdict is never
-    /// memoised). The outputs' names under the new run id are appended to
-    /// `served`. Returns `None` when any memoised object has been pruned
-    /// from the content store — the entry can no longer be replayed and
-    /// must be invalidated.
-    fn replay_chain_test(
+    /// Builds a chain test's results from its production, one per stage
+    /// in stage-report order, allocating their job ids. Executed and
+    /// memo-served chains both come through here. Each stage keeps its
+    /// recorded status; a validation stage recorded as `Passed` is a
+    /// placeholder whose comparison of the analysis histograms is left to
+    /// be judged against the *current* reference (references evolve
+    /// between runs, so the verdict is never memoised).
+    fn chain_results(
         &self,
         test: &ValidationTest,
-        memo: &MemoizedChain,
-        run_id: RunId,
-        served: &mut Vec<(String, ObjectId)>,
-    ) -> Option<Vec<(TestResult, Option<Verdict>)>> {
-        let content = self.storage.content();
-        for stage in &memo.stages {
-            for (_, oid) in &stage.outputs {
-                if !content.contains(*oid) {
-                    return None;
-                }
-            }
-        }
-        let hist_id = memo
+        chain: &MemoizedChain,
+    ) -> Vec<(TestResult, Option<Verdict>)> {
+        let hist_id = chain
             .stages
             .iter()
             .find(|s| s.stage == "analysis")
             .and_then(|s| s.outputs.iter().find(|(name, _)| name == "histograms"))
             .map(|(_, id)| *id);
-        let results = memo
+        chain
             .stages
             .iter()
             .map(|stage| {
-                served.extend(stage.outputs.iter().map(|(name, oid)| {
-                    (format!("{run_id}/{}/{}/{name}", test.id, stage.stage), *oid)
-                }));
-                let (status, verdict) = if stage.stage == "validation"
-                    && !matches!(stage.status, TestStatus::Skipped(_))
-                {
-                    match hist_id {
-                        Some(hist_id) => (TestStatus::Passed, Some(chain_verdict(test, hist_id))),
-                        None => (
-                            TestStatus::Failed(FailureKind::DependencyFailed(
-                                "analysis-output-missing".to_string(),
-                            )),
-                            None,
-                        ),
+                let judged = stage.stage == "validation" && stage.status == TestStatus::Passed;
+                let (status, verdict) = match hist_id {
+                    Some(hist_id) if judged => {
+                        (TestStatus::Passed, Some(chain_verdict(test, hist_id)))
                     }
-                } else {
-                    (stage.status.clone(), None)
+                    // Only a restored warm-state entry can record a passed
+                    // validation stage without analysis histograms.
+                    None if judged => (
+                        TestStatus::Failed(FailureKind::DependencyFailed(
+                            "analysis-output-missing".to_string(),
+                        )),
+                        None,
+                    ),
+                    _ => (stage.status.clone(), None),
                 };
                 let result = TestResult {
                     test: stage.test.clone(),
@@ -845,13 +772,12 @@ impl SpSystem {
                 };
                 (result, verdict)
             })
-            .collect();
-        Some(results)
+            .collect()
     }
 
     /// Runs a full analysis chain, producing one result per stage; the
-    /// validation stage's comparison is left to be judged. A memo-served
-    /// chain appends its outputs' names to `served`.
+    /// validation stage's comparison is left to be judged. An unchanged
+    /// cell replays its memoised production instead.
     fn run_chain_test(
         &self,
         ctx: &RunContext<'_>,
@@ -859,7 +785,6 @@ impl SpSystem {
         chain: &sp_exec::ChainDef,
         stage_packages: &BTreeMap<String, PackageId>,
         events: usize,
-        served: &mut Vec<(String, ObjectId)>,
     ) -> Vec<(TestResult, Option<Verdict>)> {
         let RunContext {
             experiment: registered,
@@ -867,7 +792,6 @@ impl SpSystem {
             env_label,
             build,
             config,
-            run_id,
         } = *ctx;
         let experiment = &*registered.def;
         // Digest-first memo: an unchanged (test, seed, env, scale) cell
@@ -877,13 +801,13 @@ impl SpSystem {
             .memoize
             .then(|| cell_key(&experiment.name, test, config, env_label));
         // A pruned conserved object fails the replay: re-execute.
+        let content = self.storage.content();
         let replayed = memo_key.as_ref().and_then(|key| {
-            self.chain_memo.serve(key, |memo| {
-                self.replay_chain_test(test, &memo, run_id, served)
-            })
+            self.chain_memo
+                .serve(key, |memo| memo.outputs_present(content).then_some(memo))
         });
-        if let Some(results) = replayed {
-            return results;
+        if let Some(memo) = replayed {
+            return self.chain_results(test, &memo);
         }
 
         let events = scaled_events(events, config.scale);
@@ -955,7 +879,6 @@ impl SpSystem {
             .take_while(|stage| plan.outputs.contains_key(stage.name()))
             .last();
         let mut stage_outputs: BTreeMap<&str, Vec<(String, ObjectId)>> = BTreeMap::new();
-        let mut hist_id = None;
         if let Some(last) = last {
             let output = sp_hep::stream_chain(
                 &GeneratorConfig::hera_nc(),
@@ -972,134 +895,95 @@ impl SpSystem {
             ];
             for (stage, name, bytes) in files {
                 if let Some(bytes) = bytes {
-                    let oid = self.store_stage_output(run_id, test, stage, name, bytes);
-                    stage_outputs.insert(stage, vec![(name.to_string(), oid)]);
+                    stage_outputs.insert(stage, vec![(name.to_string(), content.put(bytes))]);
                 }
             }
             if let Some(result) = output.analysis {
                 let mut payload = b"H".to_vec();
                 hist_io::encode_set_with(&result.histograms, &mut |b| payload.extend_from_slice(b));
-                let oid = self.store_stage_output(run_id, test, "analysis", "histograms", payload);
-                stage_outputs.insert("analysis", vec![("histograms".to_string(), oid)]);
-                hist_id = Some(oid);
+                stage_outputs.insert(
+                    "analysis",
+                    vec![("histograms".to_string(), content.put(payload))],
+                );
             }
         }
 
-        // Convert per-stage statuses into test results.
-        let results: Vec<(TestResult, Option<Verdict>)> = plan
-            .stages
-            .iter()
-            .map(|(stage_name, status)| {
-                let test_id = crate::test::TestId::new(format!("{}/{stage_name}", test.id));
-                let category = if stage_name == "validation" {
-                    TestCategory::DataValidation
-                } else {
-                    TestCategory::AnalysisChain
-                };
-                let (status, verdict) = match status {
-                    StageStatus::Succeeded if stage_name == "validation" => (
-                        TestStatus::Passed,
-                        hist_id.map(|hist_id| chain_verdict(test, hist_id)),
-                    ),
-                    StageStatus::Succeeded => (TestStatus::Passed, None),
-                    StageStatus::Failed(message) => (
-                        TestStatus::Failed(parse_stage_error(message, stage_name)),
-                        None,
-                    ),
-                    StageStatus::Skipped { missing, .. } => (
-                        TestStatus::Skipped(format!("upstream stage '{missing}' unavailable")),
-                        None,
-                    ),
-                };
-                let result = TestResult {
-                    test: test_id,
-                    category,
-                    group: test.group.clone(),
-                    job: self.job_ids.allocate(),
-                    status,
+        // Record the plan's per-stage statuses with the stage files; a
+        // succeeded validation stage is a placeholder `Passed` until judged.
+        let production = MemoizedChain {
+            stages: plan
+                .stages
+                .iter()
+                .map(|(stage_name, status)| MemoizedStage {
+                    test: crate::test::TestId::new(format!("{}/{stage_name}", test.id)),
+                    category: if stage_name == "validation" {
+                        TestCategory::DataValidation
+                    } else {
+                        TestCategory::AnalysisChain
+                    },
+                    status: match status {
+                        StageStatus::Succeeded => TestStatus::Passed,
+                        StageStatus::Failed(message) => {
+                            TestStatus::Failed(parse_stage_error(message, stage_name))
+                        }
+                        StageStatus::Skipped { missing, .. } => {
+                            TestStatus::Skipped(format!("upstream stage '{missing}' unavailable"))
+                        }
+                    },
                     outputs: stage_outputs
-                        .get(stage_name.as_str())
-                        .cloned()
+                        .remove(stage_name.as_str())
                         .unwrap_or_default(),
-                    compare: None,
-                };
-                (result, verdict)
-            })
-            .collect();
+                    stage: stage_name.clone(),
+                })
+                .collect(),
+        };
+        let results = self.chain_results(test, &production);
         if let Some(key) = memo_key {
-            self.chain_memo.insert(
-                key,
-                MemoizedChain::from_results(results.iter().map(|(result, _)| result), &test.id),
-            );
+            self.chain_memo.insert(key, production);
         }
         results
     }
 
-    /// Compares a fresh output against the experiment's reference, deciding
-    /// the test status. Digest-first: when the fresh output's content
-    /// address equals the reference's, the outputs are bit-identical and
-    /// neither the reference bytes nor the comparator run is needed.
-    fn compare_to_reference(
+    /// Judges one output against the experiment's reference, deciding the
+    /// test status. Digest-first: when the output's content address equals
+    /// the reference's, the outputs are bit-identical and nothing is
+    /// decoded, no histogram χ² runs. Otherwise the current output is the
+    /// fresh one or, for a conserved output, the decoded stored object; an
+    /// undecodable one fails. No reference (or an unreadable one) passes
+    /// and makes this output the next reference.
+    fn compare_output(
         &self,
         experiment: &str,
-        test_id: &str,
-        output_name: &str,
-        output_id: ObjectId,
-        output: &TestOutput,
+        verdict: &Verdict,
     ) -> (TestStatus, Option<CompareOutcome>) {
-        let Some(reference_id) = self
-            .ledger
-            .reference_output_id(experiment, test_id, output_name)
+        let Some(reference_id) =
+            self.ledger
+                .reference_output_id(experiment, &verdict.test_id, verdict.output_name)
         else {
             return (TestStatus::Passed, None);
         };
-        let comparator = Comparator::default_for(output);
-        if let Some(outcome) = comparator.compare_by_id(output_id, reference_id) {
-            return (TestStatus::Passed, Some(outcome));
-        }
-        let Some(reference) = self.decode_stored_output(reference_id) else {
-            // The reference object is gone or unreadable: treat like the
-            // first run (the fresh output becomes the new reference).
-            return (TestStatus::Passed, None);
-        };
-        let outcome = comparator.compare(output, &reference);
-        (status_from_outcome(&outcome), Some(outcome))
-    }
-
-    /// Digest-first comparison of a *stored* output (identified by content
-    /// address) against the reference, folded into a test status and
-    /// comparison verdict. No reference (or an unreadable one) passes and
-    /// makes this output the next reference; an undecodable output fails.
-    fn compare_stored_output(
-        &self,
-        experiment: &str,
-        test_id: &str,
-        output_name: &str,
-        output_id: ObjectId,
-    ) -> (TestStatus, Option<CompareOutcome>) {
-        let Some(reference_id) = self
-            .ledger
-            .reference_output_id(experiment, test_id, output_name)
-        else {
-            return (TestStatus::Passed, None);
-        };
-        if output_id == reference_id {
-            // Bit-identical by content address: the paper's "compared
-            // bit-for-bit against any earlier run" collapses to an id
-            // check — nothing is decoded, no histogram χ² runs.
+        if verdict.oid == reference_id {
             return (TestStatus::Passed, Some(CompareOutcome::Identical));
         }
-        let Some(current) = self.decode_stored_output(output_id) else {
-            let detail = format!("{output_name} output unreadable");
-            return (
-                TestStatus::Failed(FailureKind::ComparisonFailed(detail)),
-                None,
-            );
+        let stored;
+        let current = match &verdict.fresh {
+            Some(output) => output,
+            None => {
+                let Some(output) = self.decode_stored_output(verdict.oid) else {
+                    let detail = format!("{} output unreadable", verdict.output_name);
+                    return (
+                        TestStatus::Failed(FailureKind::ComparisonFailed(detail)),
+                        None,
+                    );
+                };
+                stored = output;
+                &stored
+            }
         };
         let Some(reference) = self.decode_stored_output(reference_id) else {
             return (TestStatus::Passed, None);
         };
-        let outcome = Comparator::default_for(&current).compare(&current, &reference);
+        let outcome = Comparator::default_for(current).compare(current, &reference);
         (status_from_outcome(&outcome), Some(outcome))
     }
 
@@ -1107,35 +991,6 @@ impl SpSystem {
     fn decode_stored_output(&self, id: ObjectId) -> Option<TestOutput> {
         let bytes = self.storage.content().get(id).ok()?;
         TestOutput::from_bytes(&bytes)
-    }
-
-    fn store_output(
-        &self,
-        run_id: RunId,
-        test: &ValidationTest,
-        name: &str,
-        bytes: Vec<u8>,
-    ) -> ObjectId {
-        self.storage.put_named(
-            StorageArea::Results,
-            &format!("{run_id}/{}/{name}", test.id),
-            bytes,
-        )
-    }
-
-    fn store_stage_output(
-        &self,
-        run_id: RunId,
-        test: &ValidationTest,
-        stage: &str,
-        name: &str,
-        bytes: impl Into<std::sync::Arc<[u8]>>,
-    ) -> ObjectId {
-        self.storage.put_named(
-            StorageArea::Results,
-            &format!("{run_id}/{}/{stage}/{name}", test.id),
-            bytes,
-        )
     }
 
     /// Prunes the run history under `policy`, deciding ages against the
@@ -1270,13 +1125,7 @@ impl SpSystem {
         if let Some(section) = snapshot.section(warm::SECTION_CHAIN_MEMO) {
             for (key, value) in &section.entries {
                 match (decode_run_key(key), warm::decode_chain(value)) {
-                    (Some(key), Some(chain))
-                        if chain
-                            .stages
-                            .iter()
-                            .flat_map(|s| &s.outputs)
-                            .all(|(_, oid)| content.contains(*oid)) =>
-                    {
+                    (Some(key), Some(chain)) if chain.outputs_present(content) => {
                         self.chain_memo.insert(key, chain);
                         report.chain_memo_entries += 1;
                     }
@@ -1512,7 +1361,6 @@ struct RunContext<'a> {
     env_label: &'a str,
     build: &'a BuildReport,
     config: &'a RunConfig,
-    run_id: RunId,
 }
 
 /// What [`SpSystem::verify_storage`] found wrong with the common storage.
@@ -1612,27 +1460,13 @@ pub(crate) struct MemoizedChain {
 }
 
 impl MemoizedChain {
-    fn from_results<'a>(
-        results: impl Iterator<Item = &'a TestResult>,
-        chain_test: &crate::test::TestId,
-    ) -> Self {
-        let prefix = format!("{chain_test}/");
-        MemoizedChain {
-            stages: results
-                .map(|r| MemoizedStage {
-                    stage: r
-                        .test
-                        .as_str()
-                        .strip_prefix(&prefix)
-                        .unwrap_or(r.test.as_str())
-                        .to_string(),
-                    test: r.test.clone(),
-                    category: r.category,
-                    status: r.status.clone(),
-                    outputs: r.outputs.clone(),
-                })
-                .collect(),
-        }
+    /// Whether every stage output is still in the content store; a pruned
+    /// object means the production can no longer be replayed.
+    fn outputs_present(&self, content: &sp_store::ContentStore) -> bool {
+        self.stages
+            .iter()
+            .flat_map(|stage| &stage.outputs)
+            .all(|(_, oid)| content.contains(*oid))
     }
 }
 
@@ -1991,6 +1825,66 @@ mod tests {
         ] {
             let key = format!("{}/{key}", second.id);
             assert!(served.iter().any(|(name, _)| *name == key), "{key}");
+        }
+    }
+
+    #[test]
+    fn memoized_chain_keeps_its_recorded_validation_status() {
+        // The chain's validation stage runs its own package, which calls an
+        // interface every catalogue OS has dropped: it crashes on every run.
+        let crashing = || {
+            let mut def = tiny_experiment();
+            let validator = Package::new("val-pkg", Version::new(1, 0, 0), PackageKind::Analysis)
+                .dep("util")
+                .with_trait(CodeTrait::LegacySyscall { breaks_at_abi: 0 });
+            def.graph =
+                DependencyGraph::from_packages(def.graph.packages().cloned().chain([validator]))
+                    .unwrap();
+            let mut suite = TestSuite::new("tiny", PreservationLevel::FullSoftware);
+            for test in def.suite.tests() {
+                let mut test = test.clone();
+                if let TestKind::Chain { stage_packages, .. } = &mut test.kind {
+                    stage_packages.insert("validation".to_string(), PackageId::new("val-pkg"));
+                }
+                suite.add(test).unwrap();
+            }
+            def.suite = suite;
+            def
+        };
+        let runs = |memoize: bool| {
+            let system = SpSystem::new();
+            let image = system
+                .register_image(catalog::sl5_gcc41(Arch::I686, Version::two(5, 34)))
+                .unwrap();
+            system.register_experiment(crashing()).unwrap();
+            let run_config = RunConfig {
+                memoize,
+                ..config()
+            };
+            let runs: Vec<ValidationRun> = (0..2)
+                .map(|_| system.run_validation("tiny", image, &run_config).unwrap())
+                .collect();
+            (runs, system.chain_memo_stats().hits)
+        };
+        let validation = |run: &ValidationRun| {
+            run.results
+                .iter()
+                .find(|r| r.test.as_str() == "tiny/chain/nc/validation")
+                .map(|r| r.status.clone())
+                .unwrap()
+        };
+
+        let (plain, _) = runs(false);
+        let (memoized, hits) = runs(true);
+        assert_eq!(hits, 1, "the second memoized run replays the chain");
+        for (plain, memoized) in plain.iter().zip(&memoized) {
+            assert!(
+                matches!(validation(plain), TestStatus::Failed(FailureKind::Crash(_))),
+                "{:?}",
+                validation(plain)
+            );
+            assert_eq!(validation(memoized), validation(plain));
+            assert_eq!(memoized.digest(), plain.digest());
         }
     }
 

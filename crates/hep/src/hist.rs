@@ -155,12 +155,6 @@ impl Histogram1D {
         Some(idx.min(self.nbins() - 1))
     }
 
-    /// Centre of bin `idx`.
-    pub fn bin_center(&self, idx: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.nbins() as f64;
-        self.lo + (idx as f64 + 0.5) * width
-    }
-
     /// Fills with unit weight.
     pub fn fill(&mut self, x: f64) {
         self.fill_weighted(x, 1.0);

@@ -182,13 +182,6 @@ impl GeneratorConfig {
             ..Self::hera_nc()
         }
     }
-
-    /// Overrides the beam energies (builder style).
-    pub fn with_beams(mut self, e_beam: f64, p_beam: f64) -> Self {
-        self.e_beam = e_beam;
-        self.p_beam = p_beam;
-        self
-    }
 }
 
 /// The seeded event generator; an [`Iterator`] over [`Event`]s.

@@ -48,10 +48,10 @@ impl ContentStore {
     }
 
     /// Stores `data`, returning its content address. Idempotent: storing the
-    /// same bytes twice returns the same id and keeps a single copy.
-    pub fn put(&self, data: impl Into<Arc<[u8]>>) -> ObjectId {
-        let data = data.into();
-        let id = ObjectId::for_bytes(&data);
+    /// same bytes twice returns the same id and keeps a single copy. The id
+    /// is taken from the borrowed bytes, so a duplicate copies nothing.
+    pub fn put(&self, data: impl AsRef<[u8]> + Into<Arc<[u8]>>) -> ObjectId {
+        let id = ObjectId::for_bytes(data.as_ref());
         self.insert(id, data);
         id
     }
@@ -60,10 +60,13 @@ impl ContentStore {
     /// hash pass [`put`](Self::put) would perform. The caller must have
     /// obtained `id` by hashing exactly these bytes, which is verified in
     /// debug builds.
-    pub fn put_prehashed(&self, id: ObjectId, data: impl Into<Arc<[u8]>>) -> ObjectId {
-        let data = data.into();
+    pub fn put_prehashed(
+        &self,
+        id: ObjectId,
+        data: impl AsRef<[u8]> + Into<Arc<[u8]>>,
+    ) -> ObjectId {
         debug_assert_eq!(
-            ObjectId::for_bytes(&data),
+            ObjectId::for_bytes(data.as_ref()),
             id,
             "put_prehashed: id does not address these bytes"
         );
@@ -71,16 +74,22 @@ impl ContentStore {
         id
     }
 
-    fn insert(&self, id: ObjectId, data: Arc<[u8]>) {
-        let mut objects = self.objects.write();
-        let mut stats = self.stats.write();
-        if let std::collections::hash_map::Entry::Vacant(entry) = objects.entry(id) {
-            stats.inserted += 1;
-            stats.bytes += data.len() as u64;
-            entry.insert(data);
-        } else {
-            stats.deduplicated += 1;
+    /// Inserts `data` under `id` unless it is already held. The bytes are
+    /// converted into the store's shared buffer only for a new object, and
+    /// outside the lock.
+    fn insert(&self, id: ObjectId, data: impl Into<Arc<[u8]>>) {
+        if !self.objects.read().contains_key(&id) {
+            let data = data.into();
+            let mut objects = self.objects.write();
+            if let std::collections::hash_map::Entry::Vacant(entry) = objects.entry(id) {
+                let mut stats = self.stats.write();
+                stats.inserted += 1;
+                stats.bytes += data.len() as u64;
+                entry.insert(data);
+                return;
+            }
         }
+        self.stats.write().deduplicated += 1;
     }
 
     /// Fetches an object, verifying its integrity.

@@ -95,7 +95,12 @@ impl SharedStorage {
     }
 
     /// Stores raw bytes under `area/key` and returns the content address.
-    pub fn put_named(&self, area: StorageArea, key: &str, data: impl Into<Arc<[u8]>>) -> ObjectId {
+    pub fn put_named(
+        &self,
+        area: StorageArea,
+        key: &str,
+        data: impl AsRef<[u8]> + Into<Arc<[u8]>>,
+    ) -> ObjectId {
         let id = self.content.put(data);
         self.meta.set(area.namespace(), key, id.to_hex());
         id
@@ -108,7 +113,7 @@ impl SharedStorage {
         area: StorageArea,
         key: &str,
         id: ObjectId,
-        data: impl Into<Arc<[u8]>>,
+        data: impl AsRef<[u8]> + Into<Arc<[u8]>>,
     ) -> ObjectId {
         let id = self.content.put_prehashed(id, data);
         self.meta.set(area.namespace(), key, id.to_hex());
@@ -129,7 +134,9 @@ impl SharedStorage {
 
     /// [`register_named`](Self::register_named) for a batch of
     /// `(key, id)` pairs under one metadata write lock. Pairs whose object
-    /// is absent are skipped; returns how many names were registered.
+    /// is absent are skipped; returns how many names were registered. A
+    /// name is kept for the storage's life, so it is stored without the
+    /// spare capacity a formatted key may carry.
     pub fn register_named_many(
         &self,
         area: StorageArea,
@@ -138,7 +145,10 @@ impl SharedStorage {
         let present: Vec<(String, String)> = names
             .into_iter()
             .filter(|(_, id)| self.content.contains(*id))
-            .map(|(key, id)| (key, id.to_hex()))
+            .map(|(mut key, id)| {
+                key.shrink_to_fit();
+                (key, id.to_hex())
+            })
             .collect();
         self.meta.set_many(area.namespace(), present)
     }
