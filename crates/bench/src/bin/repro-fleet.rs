@@ -30,10 +30,11 @@
 //!    bounded retries: reports byte-identical to the oracles, zero
 //!    poisoned submissions, zero quarantined records;
 //! 5. **crash-point sweep** — `sp_store::vfs::standard_crash_sweep`:
-//!    power loss replayed at *every* filesystem operation of the queue's
-//!    batched claim and publish path, the one workers run, plus a
-//!    warm-state snapshot; recovery verified to observe only
-//!    committed-before or never-happened states.
+//!    power loss replayed at *every* filesystem operation of the path
+//!    workers run — the queue's batched claim, the run-log append of the
+//!    claimed cells, the batched publish — plus a warm-state snapshot;
+//!    recovery verified to observe only committed-before or
+//!    never-happened states, in the queue and the run history alike.
 //!
 //! The stall/slow distinction is the heart of the liveness contract: a
 //! stalled worker stops heartbeating and is rightly fenced away; a slow
@@ -658,10 +659,11 @@ fn main() {
     }
 
     // Crash-point sweep: replay power loss at every filesystem operation
-    // of the batched claim and publish path workers run (plus a snapshot
-    // write) and verify recovery observes only committed-before or
-    // never-happened states — the strongest durability statement this
-    // driver makes, and cheap enough to gate CI.
+    // of the path workers run — batched claim, run-log append, batched
+    // publish — plus a snapshot write, and verify recovery observes only
+    // committed-before or never-happened states in the queue and the run
+    // log — the strongest durability statement this driver makes, and
+    // cheap enough to gate CI.
     if !has_flag("--no-sweep") {
         let base =
             std::env::temp_dir().join(format!("sp-repro-fleet-{}-sweep", std::process::id()));

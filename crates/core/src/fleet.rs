@@ -1096,20 +1096,24 @@ pub struct FleetStats {
 
 /// Assembles the fleet digest from the queue directory: queue accounting
 /// plus every worker's published `SPMS` snapshot, merged with
-/// [`MetricsSnapshot::merge`]. A blob that does not decode is dropped.
-/// Any process with the storage mounted can compute this — no shared
-/// memory, no coordinator privileges.
+/// [`MetricsSnapshot::merge`]. A blob that does not decode is dropped; a
+/// worker whose stats cannot be read counts in
+/// [`QueueStats::unreadable`]. Any process with the storage mounted can
+/// compute this — no shared memory, no coordinator privileges.
 pub fn fleet_stats(queue: &WorkQueue) -> FleetStats {
     let mut merged = MetricsSnapshot::default();
     let mut workers = 0;
-    for (_, payload) in queue.worker_stats() {
+    let (blobs, unreadable) = queue.worker_stats();
+    for (_, payload) in blobs {
         if let Some(snapshot) = MetricsSnapshot::decode(&payload) {
             merged.merge(&snapshot);
             workers += 1;
         }
     }
+    let mut queue_stats = queue.stats();
+    queue_stats.unreadable += unreadable;
     FleetStats {
-        queue: queue.stats(),
+        queue: queue_stats,
         workers,
         drained: WorkerStats::from_metrics(&merged),
     }
@@ -1510,5 +1514,28 @@ mod tests {
             WorkerStats::from_metrics(&MetricsSnapshot::default()),
             WorkerStats::default()
         );
+    }
+
+    #[test]
+    fn a_worker_whose_stats_read_fails_is_unreadable_not_missing() {
+        use sp_store::{FaultConfig, FaultFs, FixedClock, ForcedFault};
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join(format!("sp-fleet-stats-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = Arc::new(FixedClock(1_000));
+        let healthy = WorkQueue::open_with_time(&dir, 60, clock.clone()).unwrap();
+        let blob = WorkerStats::default().to_metrics().encode();
+        for name in ["w1", "w2"] {
+            healthy.publish_worker_stats(name, &blob).unwrap();
+        }
+        let fs = Arc::new(FaultFs::over_os(FaultConfig::default()));
+        let flaky = WorkQueue::open_with(&dir, 60, clock, fs.clone()).unwrap();
+        // Read 1 lists workers/, read 2 is w1.stats.
+        fs.fail_nth_read(2, ForcedFault::Eio);
+        let stats = fleet_stats(&flaky);
+        assert_eq!((stats.workers, stats.queue.unreadable), (1, 1));
+        let stats = fleet_stats(&flaky);
+        assert_eq!((stats.workers, stats.queue.unreadable), (2, 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

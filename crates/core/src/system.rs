@@ -1195,12 +1195,7 @@ impl SpSystem {
         let target = dir.join(WARM_STATE_FILE);
         let mut stage = target.as_os_str().to_os_string();
         stage.push(".stage");
-        sp_store::vfs::write_durable_atomic(
-            fs,
-            std::path::Path::new(&stage),
-            &target,
-            &warm_state,
-        )?;
+        sp_store::vfs::write_durable_atomic(fs, &[(stage.into(), target, &warm_state[..])])?;
         Ok(SystemExportSummary {
             storage,
             warm_state_bytes,

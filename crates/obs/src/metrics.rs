@@ -13,9 +13,10 @@
 //! map is only locked when a handle is first created (or a snapshot is
 //! taken), so instrumented hot paths cache their handles.
 //!
-//! The wire codec follows the store conventions: magic `SPMS`, version,
-//! body, SHA-256 over all of it — a snapshot read back from disk or a
-//! queue blob is dropped, never trusted, on any mismatch.
+//! The wire codec is the store's one sealed frame
+//! ([`sp_store::frame`]): magic `SPMS`, version, body, SHA-256 over all
+//! of it — a snapshot read back from disk or a queue blob is dropped,
+//! never trusted, on any mismatch.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -23,14 +24,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::RwLock;
-use sp_store::sha256::Sha256;
+use sp_store::frame;
 use sp_wire as wire;
 
 /// Snapshot-file / blob magic for an encoded [`MetricsSnapshot`].
 pub const METRICS_MAGIC: [u8; 4] = *b"SPMS";
-
-/// Current wire version of encoded snapshots.
-pub const METRICS_VERSION: u32 = 1;
 
 /// Upper bounds (microseconds) of the fixed histogram buckets; the last
 /// bucket is the overflow bucket (everything above the last bound). The
@@ -285,54 +283,36 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Serialises the snapshot: magic, version, body, SHA-256 digest.
+    /// Serialises the snapshot in the `SPMS` sealed frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&METRICS_MAGIC);
-        wire::put_u32(&mut out, METRICS_VERSION);
-        wire::put_u32(&mut out, self.counters.len() as u32);
-        for (name, value) in &self.counters {
-            wire::put_str(&mut out, name);
-            wire::put_u64(&mut out, *value);
-        }
-        wire::put_u32(&mut out, self.gauges.len() as u32);
-        for (name, value) in &self.gauges {
-            wire::put_str(&mut out, name);
-            wire::put_u64(&mut out, *value as u64);
-        }
-        wire::put_u32(&mut out, self.histograms.len() as u32);
-        for (name, hist) in &self.histograms {
-            wire::put_str(&mut out, name);
-            wire::put_u64(&mut out, hist.count);
-            wire::put_u64(&mut out, hist.sum_us);
-            wire::put_u32(&mut out, hist.buckets.len() as u32);
-            for bucket in &hist.buckets {
-                wire::put_u64(&mut out, *bucket);
+        frame::seal(&METRICS_MAGIC, |out| {
+            wire::put_u32(out, self.counters.len() as u32);
+            for (name, value) in &self.counters {
+                wire::put_str(out, name);
+                wire::put_u64(out, *value);
             }
-        }
-        let mut hasher = Sha256::new();
-        hasher.update(&out);
-        let digest = hasher.finalize();
-        out.extend_from_slice(&digest);
-        out
+            wire::put_u32(out, self.gauges.len() as u32);
+            for (name, value) in &self.gauges {
+                wire::put_str(out, name);
+                wire::put_u64(out, *value as u64);
+            }
+            wire::put_u32(out, self.histograms.len() as u32);
+            for (name, hist) in &self.histograms {
+                wire::put_str(out, name);
+                wire::put_u64(out, hist.count);
+                wire::put_u64(out, hist.sum_us);
+                wire::put_u32(out, hist.buckets.len() as u32);
+                for bucket in &hist.buckets {
+                    wire::put_u64(out, *bucket);
+                }
+            }
+        })
     }
 
-    /// Parses an encoded snapshot. `None` on any structural or digest
+    /// Parses an encoded snapshot. `None` on any structural or frame
     /// mismatch — dropped, never trusted.
     pub fn decode(bytes: &[u8]) -> Option<MetricsSnapshot> {
-        if bytes.len() < 44 || bytes[..4] != METRICS_MAGIC {
-            return None;
-        }
-        let (framed, digest) = bytes.split_at(bytes.len() - 32);
-        let mut hasher = Sha256::new();
-        hasher.update(framed);
-        if hasher.finalize() != digest {
-            return None;
-        }
-        let mut cursor = wire::Cursor::new(&framed[4..]);
-        if cursor.take_u32()? != METRICS_VERSION {
-            return None;
-        }
+        let mut cursor = wire::Cursor::new(frame::unseal(&METRICS_MAGIC, bytes)?);
         // Each map is written in name order; any other order is rejected
         // so that a decoded snapshot re-encodes to its input bytes. An
         // entry is at least a length-prefixed name and one u64.

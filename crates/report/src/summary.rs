@@ -153,6 +153,10 @@ pub fn render_fleet_stats(stats: &FleetStats) -> String {
         "quarantined records".into(),
         stats.queue.quarantined.to_string(),
     ]);
+    table.row_owned(vec![
+        "unreadable records".into(),
+        stats.queue.unreadable.to_string(),
+    ]);
     table.row_owned(vec!["worker processes".into(), stats.workers.to_string()]);
     table.row_owned(vec![
         "campaigns drained".into(),
@@ -203,8 +207,8 @@ pub fn render_fleet_stats(stats: &FleetStats) -> String {
 
 /// Exports the merged fleet digest as JSON, mirroring every row of the
 /// text table — including the failure-surface counters (`poisoned`,
-/// `quarantined`, `corrupt_dropped`, `io_retries`) that dashboards need
-/// to alert on.
+/// `quarantined`, `unreadable`, `corrupt_dropped`, `io_retries`) that
+/// dashboards need to alert on.
 pub fn fleet_stats_json(stats: &FleetStats) -> JsonValue {
     JsonValue::object([
         (
@@ -217,6 +221,7 @@ pub fn fleet_stats_json(stats: &FleetStats) -> JsonValue {
                 ("corrupt_dropped", stats.queue.corrupt_dropped.into()),
                 ("poisoned", stats.queue.poisoned.into()),
                 ("quarantined", stats.queue.quarantined.into()),
+                ("unreadable", stats.queue.unreadable.into()),
             ]),
         ),
         ("workers", stats.workers.into()),
@@ -382,6 +387,7 @@ mod tests {
                 corrupt_dropped: 0,
                 poisoned: 1,
                 quarantined: 1,
+                unreadable: 1,
             },
             workers: 2,
             drained,
@@ -392,6 +398,7 @@ mod tests {
         assert!(rendered.contains("campaigns drained"));
         assert!(rendered.contains("poisoned submissions"));
         assert!(rendered.contains("quarantined records"));
+        assert!(rendered.contains("unreadable records"));
         assert!(rendered.contains("lease renewals"));
         assert!(rendered.contains("io retries"));
         assert!(rendered.contains("publish batches"));
@@ -410,6 +417,7 @@ mod tests {
                 corrupt_dropped: 2,
                 poisoned: 1,
                 quarantined: 1,
+                unreadable: 1,
             },
             workers: 2,
             drained: WorkerStats {
@@ -420,6 +428,7 @@ mod tests {
         let json = fleet_stats_json(&stats).render();
         assert!(json.contains("\"poisoned\":1"));
         assert!(json.contains("\"quarantined\":1"));
+        assert!(json.contains("\"unreadable\":1"));
         assert!(json.contains("\"corrupt_dropped\":2"));
         assert!(json.contains("\"io_retries\":7"));
         assert!(json.contains("\"workers\":2"));

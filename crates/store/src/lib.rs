@@ -37,6 +37,8 @@
 //!   memo and digest-cache entries conserved alongside the exported
 //!   storage, digest-guarded so a restarted system never trusts a
 //!   corrupted entry.
+//! * [`frame`] — the one sealed frame (magic, version, body, SHA-256)
+//!   around every queue record, run-log batch and metrics snapshot.
 //! * [`vfs`] — the injectable filesystem under every durable path:
 //!   [`StoreFs`] with the production [`OsFs`] (full fsync discipline) and
 //!   the deterministic fault-injecting [`FaultFs`] (EIO/ENOSPC, torn
@@ -46,8 +48,8 @@
 //!   heartbeat/expiry, and fencing tokens so a stalled worker whose lease
 //!   was re-issued can never commit stale results.
 //! * [`run_log`] — the append-only `SPRL` run-history log next to the
-//!   queue: one digest-guarded record per validated cell outcome, with
-//!   the queue's stage→fsync→link durability discipline, so run history
+//!   queue: one digest-guarded batch file per append of validated cell
+//!   outcomes, created by the queue's staged create, so run history
 //!   survives restarts byte-identically.
 //!
 //! ## Example
@@ -66,6 +68,7 @@ pub mod archive;
 pub mod content;
 pub mod digest_cache;
 pub mod fnv;
+pub mod frame;
 pub mod meta;
 pub mod object;
 pub mod retention;
@@ -91,9 +94,8 @@ pub use shared::{ExportSummary, ImportSummary, SharedStorage, StorageArea};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotLoadReport, SnapshotSection};
 pub use vault::{FrozenImage, FrozenVault};
 pub use vfs::{
-    create_durable_exclusive, standard_crash_sweep, write_durable_atomic,
-    write_durable_atomic_batch, CommittedHistory, CrashSweepOutcome, FaultConfig, FaultFs,
-    FixedClock, ForcedFault, OsFs, StoreFs,
+    create_durable_exclusive, standard_crash_sweep, write_durable_atomic, CommittedHistory,
+    CrashSweepOutcome, FaultConfig, FaultFs, FixedClock, ForcedFault, OsFs, StoreFs,
 };
 pub use wq::{
     Lease, PoisonMark, QueueStats, QueueSubmission, SystemTimeSource, WorkQueue, WqError,

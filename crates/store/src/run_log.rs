@@ -20,13 +20,13 @@
 //!
 //! ## Durability posture
 //!
-//! The batch is the unit of atomicity. An append follows the queue's
-//! stage→fsync→link discipline once per batch: the framed batch is staged
-//! under `tmp/<pid>-<counter>` and `fsync`ed, then hard-linked to its
-//! final `cells/cell-<seq>.sprl` name, and the `cells/` directory is
-//! synced before the append returns. The hard link arbitrates concurrent
-//! appenders: `AlreadyExists` means another handle won that sequence, and
-//! the appender links the same staged file at the next one. A handle lists
+//! The batch is the unit of atomicity. An append is the queue's staged
+//! create ([`create_durable_exclusive`]) once per batch: the framed batch
+//! is staged under `tmp/<pid>-<counter>` and `fsync`ed, then hard-linked
+//! to the first free `cells/cell-<seq>.sprl` name, and the `cells/`
+//! directory is synced before the append returns. The hard link
+//! arbitrates concurrent appenders: `AlreadyExists` means another handle
+//! won that sequence, and the same staged file is linked at the next one. A handle lists
 //! `cells/` only at its first append and afterwards keeps a sequence
 //! floor, so a batch costs one write, one file fsync, one link and one
 //! directory fsync. A crash at any point leaves a batch either fully
@@ -52,8 +52,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::vfs::{StagingDir, StoreFs};
-use crate::wq::{decode_record, encode_record, parse_seq};
+use crate::frame;
+use crate::vfs::{create_durable_exclusive, StagingDir, StoreFs};
+use crate::wq::parse_seq;
 use sp_wire as wire;
 
 /// Record magic for one logged cell outcome.
@@ -181,19 +182,18 @@ impl CellRecord {
     /// Frames a batch for disk: one `SPRL` frame around the record bodies
     /// back to back.
     pub fn encode_batch(records: &[CellRecord]) -> Vec<u8> {
-        let mut body = Vec::with_capacity(96 * records.len());
-        for record in records {
-            record.put_body(&mut body);
-        }
-        encode_record(&MAGIC_RUN_CELL, &body)
+        frame::seal(&MAGIC_RUN_CELL, |body| {
+            for record in records {
+                record.put_body(body);
+            }
+        })
     }
 
     /// Parses a framed batch of one or more records, in order. `None` on
     /// any digest, magic, version or structural mismatch anywhere in the
     /// frame: a damaged batch is dropped whole, never partly trusted.
     pub fn decode_batch(bytes: &[u8]) -> Option<Vec<CellRecord>> {
-        let body = decode_record(&MAGIC_RUN_CELL, bytes)?;
-        let mut cursor = wire::Cursor::new(&body);
+        let mut cursor = wire::Cursor::new(frame::unseal(&MAGIC_RUN_CELL, bytes)?);
         let mut records = Vec::new();
         while !cursor.finished() {
             records.push(CellRecord::take_body(&mut cursor)?);
@@ -279,23 +279,19 @@ impl RunLog {
         if records.is_empty() {
             return Ok(Vec::new());
         }
-        let mut seq = match self.floor.load(Ordering::Relaxed) {
+        let first = match self.floor.load(Ordering::Relaxed) {
             0 => self.max_seq()?.map_or(1, |s| s + 1),
             floor => floor,
         };
         let cells = self.root.join("cells");
-        let stage = self.staging.next();
-        self.fs.write(&stage, &CellRecord::encode_batch(records))?;
-        self.fs.sync_file(&stage)?;
-        let linked = loop {
-            match self.fs.hard_link(&stage, &cells.join(cell_name(seq))) {
-                // Another appender won this sequence; take the next.
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => seq += 1,
-                linked => break linked,
-            }
-        };
-        self.fs.remove_file(&stage).ok();
-        linked?;
+        // A taken sequence was won by another appender; link the next.
+        let taken = create_durable_exclusive(
+            self.fs.as_ref(),
+            &self.staging.next(),
+            &CellRecord::encode_batch(records),
+            (first..).map(|seq| cells.join(cell_name(seq))),
+        )?;
+        let seq = first + taken as u64;
         self.floor.fetch_max(seq + 1, Ordering::Relaxed);
         self.fs.sync_dir(&cells)?;
         Ok(vec![seq; records.len()])
@@ -364,7 +360,7 @@ impl std::fmt::Debug for RunLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultFs, ForcedFault, OsFs};
+    use crate::vfs::{FaultFs, ForcedFault, RecordingFs};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -486,64 +482,6 @@ mod tests {
         assert!(replay.records.is_empty());
         assert_eq!(replay.corrupt_dropped, 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Wraps the real filesystem and records the name of every operation.
-    #[derive(Default)]
-    struct RecordingFs {
-        ops: std::sync::Mutex<Vec<&'static str>>,
-    }
-
-    impl RecordingFs {
-        fn note(&self, op: &'static str) {
-            self.ops.lock().unwrap().push(op);
-        }
-
-        fn take(&self) -> Vec<&'static str> {
-            std::mem::take(&mut *self.ops.lock().unwrap())
-        }
-    }
-
-    impl StoreFs for RecordingFs {
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            self.note("read");
-            OsFs.read(path)
-        }
-        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            self.note("write");
-            OsFs.write(path, bytes)
-        }
-        fn sync_file(&self, path: &Path) -> io::Result<()> {
-            self.note("sync_file");
-            OsFs.sync_file(path)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            self.note("rename");
-            OsFs.rename(from, to)
-        }
-        fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
-            self.note("hard_link");
-            OsFs.hard_link(src, dst)
-        }
-        fn remove_file(&self, path: &Path) -> io::Result<()> {
-            self.note("remove_file");
-            OsFs.remove_file(path)
-        }
-        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-            self.note("create_dir_all");
-            OsFs.create_dir_all(path)
-        }
-        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-            self.note("sync_dir");
-            OsFs.sync_dir(dir)
-        }
-        fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-            self.note("read_dir_names");
-            OsFs.read_dir_names(dir)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            OsFs.exists(path)
-        }
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl Snapshot {
     ) -> std::io::Result<()> {
         let mut stage = path.as_os_str().to_os_string();
         stage.push(".stage");
-        crate::vfs::write_durable_atomic(fs, std::path::Path::new(&stage), path, &self.encode())
+        crate::vfs::write_durable_atomic(fs, &[(stage.into(), path.to_path_buf(), self.encode())])
     }
 
     /// Parses a snapshot, validating every entry's digest. Entries that

@@ -31,8 +31,9 @@
 //! then replay it once per crash point and verify that recovery observes
 //! only bytes that were committed before the crash — or nothing at all.
 //! [`standard_crash_sweep`] packages the workload both the test suite and
-//! the `repro-fleet` chaos binary gate on: the work queue's batched claim
-//! and publish path, which workers run, plus a warm-state snapshot.
+//! the `repro-fleet` chaos binary gate on: the path workers run — the work
+//! queue's batched claim, the run-log append of the claimed cells and the
+//! batched publish — plus a warm-state snapshot.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -43,6 +44,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::retention::TimeSource;
+use crate::run_log::{CellRecord, RunLog, RUN_LOG_DIR};
 
 /// The filesystem primitives every durable path runs on. Implementations
 /// must be safe to share across the threads of an in-process fleet.
@@ -136,78 +138,79 @@ impl StoreFs for OsFs {
     }
 }
 
-/// Writes `bytes` durably and atomically to `target`: stage, `fsync` the
-/// stage, rename into place, `fsync` the parent directory. Only after the
-/// final sync returns is the record committed against power loss — this is
-/// the discipline the crash-point sweep verifies.
-pub fn write_durable_atomic(
-    fs: &dyn StoreFs,
-    stage: &Path,
-    target: &Path,
-    bytes: &[u8],
-) -> io::Result<()> {
-    fs.write(stage, bytes)?;
-    fs.sync_file(stage)?;
-    fs.rename(stage, target)?;
-    if let Some(parent) = target.parent() {
-        fs.sync_dir(parent)?;
-    }
-    Ok(())
-}
-
-/// Batched [`write_durable_atomic`] over `(stage, target, bytes)` records:
-/// every record's bytes are staged and `fsync`ed **individually** (data
+/// Writes `(stage, target, bytes)` records durably and atomically: every
+/// record's bytes are staged and `fsync`ed **individually** (data
 /// durability is never batched), all stages are renamed into place in
 /// order, and then each distinct parent directory is synced **once** —
 /// amortising the directory-entry fsync, the dominant cost of small-record
-/// publish storms, across the whole batch.
+/// publish storms, across the whole slice. One record is write, fsync,
+/// rename, directory sync.
 ///
 /// Atomicity stays per record: because no rename happens before its bytes
-/// are synced, a crash mid-batch tears the batch only at record
-/// granularity — some records committed whole, the rest never happened,
-/// no third outcome (the batched crash-point sweep replays power loss at
-/// every operation of this sequence to prove it). Records renamed before
-/// a later failure are not durable until their parent sync lands; callers
-/// treat any `Err` as "nothing in this batch is acknowledged".
-pub fn write_durable_atomic_batch(
+/// are synced, a crash mid-slice tears it only at record granularity —
+/// some records committed whole, the rest never happened, no third
+/// outcome (the crash-point sweep replays power loss at every operation of
+/// this sequence to prove it). Records renamed before a later failure are
+/// not durable until their parent sync lands; callers treat any `Err` as
+/// "nothing here is acknowledged". On failure the stages not yet renamed
+/// are removed, best effort.
+pub fn write_durable_atomic<B: AsRef<[u8]>>(
     fs: &dyn StoreFs,
-    records: &[(PathBuf, PathBuf, Vec<u8>)],
+    records: &[(PathBuf, PathBuf, B)],
 ) -> io::Result<()> {
-    for (stage, _, bytes) in records {
-        fs.write(stage, bytes)?;
-        fs.sync_file(stage)?;
-    }
-    for (stage, target, _) in records {
-        fs.rename(stage, target)?;
-    }
-    let mut synced: Vec<&Path> = Vec::new();
-    for (_, target, _) in records {
-        if let Some(parent) = target.parent() {
+    let mut renamed = 0;
+    let published = (|| -> io::Result<()> {
+        for (stage, _, bytes) in records {
+            fs.write(stage, bytes.as_ref())?;
+            fs.sync_file(stage)?;
+        }
+        for (stage, target, _) in records {
+            fs.rename(stage, target)?;
+            renamed += 1;
+        }
+        let mut synced: Vec<&Path> = Vec::new();
+        for parent in records.iter().filter_map(|(_, target, _)| target.parent()) {
             if !synced.contains(&parent) {
                 fs.sync_dir(parent)?;
                 synced.push(parent);
             }
         }
+        Ok(())
+    })();
+    if published.is_err() {
+        for (stage, _, _) in &records[renamed..] {
+            let _ = fs.remove_file(stage);
+        }
     }
-    Ok(())
+    published
 }
 
-/// Creates `target` exclusively with the **complete** record in one atomic
-/// step: stage the bytes, `fsync` the stage, hard-link it into place, then
-/// remove the stage. A concurrent reader can never observe a half-written
-/// record under `target`, and the link either commits the whole record or
-/// fails with `AlreadyExists` — another writer won the name. The parent
-/// directory is **not** synced: the caller syncs it once (per record or
-/// per batch) before acting on the entry.
+/// Creates a **complete** record exclusively under the first free name
+/// among `candidates`, returning that name's index: stage the bytes and
+/// `fsync` the stage once, hard-link it to each candidate in turn until a
+/// link succeeds, then remove the stage. A concurrent reader can never
+/// observe a half-written record under a candidate name, and each link
+/// either commits the whole record or fails with `AlreadyExists` — another
+/// writer holds that name. When every candidate is taken the result is
+/// that `AlreadyExists`. The parent directory is **not** synced: the
+/// caller syncs it once (per record or per batch) before acting on the
+/// entry.
 pub fn create_durable_exclusive(
     fs: &dyn StoreFs,
     stage: &Path,
-    target: &Path,
     bytes: &[u8],
-) -> io::Result<()> {
+    candidates: impl IntoIterator<Item = PathBuf>,
+) -> io::Result<usize> {
     fs.write(stage, bytes)?;
     fs.sync_file(stage)?;
-    let linked = fs.hard_link(stage, target);
+    let linked = candidates
+        .into_iter()
+        .enumerate()
+        .find_map(|(index, target)| match fs.hard_link(stage, &target) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => None,
+            linked => Some(linked.map(|()| index)),
+        })
+        .unwrap_or_else(|| Err(io::ErrorKind::AlreadyExists.into()));
     fs.remove_file(stage).ok();
     linked
 }
@@ -791,11 +794,6 @@ impl CommittedHistory {
             .get(rel)
             .is_some_and(|states| states.iter().any(|s| s == bytes))
     }
-
-    /// Number of paths with at least one committed state.
-    pub fn paths(&self) -> usize {
-        self.states.len()
-    }
 }
 
 /// Outcome of a [`crash_point_sweep`]: how many crash points were
@@ -890,6 +888,8 @@ impl TimeSource for FixedClock {
 struct SweepProgress {
     /// `(seq, payload)` of every submission whose `submit` returned `Ok`.
     submitted: Vec<(u64, Vec<u8>)>,
+    /// Cell records whose run-log append returned `Ok`.
+    logged: Vec<CellRecord>,
     /// Sequence numbers whose batch-flush verdict was `Ok`.
     published: Vec<u64>,
     /// Whether the warm-state snapshot write returned `Ok`.
@@ -902,6 +902,8 @@ struct SweepProgress {
 
 const SWEEP_REPORT: &[u8] = b"sweep-report-alpha";
 const SWEEP_RECOVERED: &[u8] = b"sweep-report-recovered";
+/// Submissions the sweep workload enqueues (sequence numbers `1..=3`).
+const SWEEP_PLANS: [&[u8]; 3] = [b"sweep-plan-a", b"sweep-plan-b", b"sweep-plan-c"];
 
 fn sweep_snapshot() -> crate::snapshot::Snapshot {
     let mut snapshot = crate::snapshot::Snapshot::new();
@@ -910,6 +912,28 @@ fn sweep_snapshot() -> crate::snapshot::Snapshot {
     section.push(b"k2".to_vec(), b"value-two".to_vec());
     snapshot.sections.push(section);
     snapshot
+}
+
+/// The run history the workload logs for submission `seq`, executed under
+/// its first lease generation: two cells, every field fixed.
+fn sweep_cells(seq: u64) -> Vec<CellRecord> {
+    (0..2)
+        .map(|i| CellRecord {
+            campaign: seq,
+            experiment: "sweep".into(),
+            group: String::new(),
+            image_label: format!("img-{i}"),
+            repetition: 0,
+            run_id: seq * 10 + i,
+            status: CellRecord::STATUS_PASS,
+            passed: 1,
+            failed: 0,
+            skipped: 0,
+            timestamp: 1_000 + i,
+            worker: "sweeper".into(),
+            lease_token: 1,
+        })
+        .collect()
 }
 
 fn sweep_workload(fs: Arc<FaultFs>, root: &Path) -> SweepProgress {
@@ -921,23 +945,27 @@ fn sweep_workload(fs: Arc<FaultFs>, root: &Path) -> SweepProgress {
 
 /// The workload's steps, stopping (`None`) at the first that fails: an
 /// I/O error is process death. Three submissions; two claimed in one
-/// [`try_lease_batch`](crate::wq::WorkQueue::try_lease_batch) and
-/// flushed by one
+/// [`try_lease_batch`](crate::wq::WorkQueue::try_lease_batch), their cells
+/// appended to `<root>/runlog` as one batch, then flushed by one
 /// [`publish_and_release_batch`](crate::wq::WorkQueue::publish_and_release_batch),
 /// as workers do; the third held mid-lease across the crash; then a
-/// warm-state snapshot. Only `Ok` flush verdicts count as published.
+/// warm-state snapshot. Only `Ok` verdicts count as logged or published.
 fn sweep_steps(fs: Arc<FaultFs>, root: &Path, progress: &mut SweepProgress) -> Option<()> {
     use crate::wq::{Lease, WorkQueue};
     let fs: Arc<dyn StoreFs> = fs;
     let queue = WorkQueue::open_with(root, 60, Arc::new(FixedClock(1_000)), fs.clone()).ok()?;
-    for payload in [b"sweep-plan-a", b"sweep-plan-b", b"sweep-plan-c"] {
+    let log = RunLog::open_with(&root.join(RUN_LOG_DIR), fs.clone()).ok()?;
+    for payload in SWEEP_PLANS {
         let seq = queue.submit(payload, 100, 4, 7_000).ok()?;
         progress.submitted.push((seq, payload.to_vec()));
     }
     let leases = queue.try_lease_batch("sweeper", 2, |_| true).ok()?;
-    if leases.len() != 2 {
+    if leases.len() != 2 || leases.iter().any(|lease| lease.token != 1) {
         return None;
     }
+    let cells: Vec<CellRecord> = leases.iter().flat_map(|l| sweep_cells(l.seq)).collect();
+    log.append_batch(&cells).ok()?;
+    progress.logged = cells;
     let items: Vec<(&Lease, &[u8])> = leases.iter().map(|lease| (lease, SWEEP_REPORT)).collect();
     for (lease, verdict) in leases.iter().zip(queue.publish_and_release_batch(&items)) {
         verdict.ok()?;
@@ -964,7 +992,14 @@ fn sweep_verify(
     // 1. No third outcome: every surviving durable record is byte-identical
     //    to a state that was committed in the reference pass. (tmp/ staging
     //    leftovers are exempt — they are garbage by design and swept.)
-    for sub in ["submissions", "leases", "reports", "poison", "workers"] {
+    for sub in [
+        "submissions",
+        "leases",
+        "reports",
+        "poison",
+        "workers",
+        "runlog/cells",
+    ] {
         let dir = root.join(sub);
         for name in os.read_dir_names(&dir).unwrap_or_default() {
             let path = dir.join(&name);
@@ -1004,14 +1039,15 @@ fn sweep_verify(
         );
     }
     for (seq, payload) in &progress.submitted {
-        match queue.submission(*seq) {
-            Some(sub) if sub.payload == *payload => {}
-            Some(_) => {
+        match queue.submission_checked(*seq) {
+            Ok(Some(sub)) if sub.payload == *payload => {}
+            Ok(Some(_)) => {
                 return Err(format!(
                     "committed submission {seq} read back different bytes"
                 ))
             }
-            None => return Err(format!("committed submission {seq} lost by the crash")),
+            Ok(None) => return Err(format!("committed submission {seq} lost by the crash")),
+            Err(e) => return Err(format!("committed submission {seq} unreadable: {e}")),
         }
     }
     for seq in &progress.published {
@@ -1022,7 +1058,40 @@ fn sweep_verify(
         }
     }
 
-    // 3. Drive the backlog to completion — recovery must always be able to
+    // 3. The run history: replay drops no corrupt batch and invents no
+    //    record, every acknowledged append survives, and every report that
+    //    survived has its cells logged.
+    let replay = RunLog::open(&root.join(RUN_LOG_DIR))
+        .map_err(|e| format!("run-log reopen failed: {e}"))?
+        .replay();
+    if replay.corrupt_dropped != 0 || replay.unreadable != 0 {
+        return Err(format!(
+            "run-log replay dropped {} corrupt and {} unreadable batch(es)",
+            replay.corrupt_dropped, replay.unreadable
+        ));
+    }
+    let logged = |record: &CellRecord| replay.records.iter().any(|(_, r)| r == record);
+    let workload: Vec<CellRecord> = (1..=SWEEP_PLANS.len() as u64)
+        .flat_map(sweep_cells)
+        .collect();
+    if let Some((seq, record)) = replay.records.iter().find(|(_, r)| !workload.contains(r)) {
+        return Err(format!(
+            "run-log batch {seq} replayed a record the workload never wrote: {record:?}"
+        ));
+    }
+    if let Some(record) = progress.logged.iter().find(|r| !logged(r)) {
+        return Err(format!(
+            "acknowledged append of run {} lost by the crash",
+            record.run_id
+        ));
+    }
+    for (seq, _) in &progress.submitted {
+        if queue.report(*seq).is_some() && !sweep_cells(*seq).iter().all(logged) {
+            return Err(format!("report {seq} committed without its cells logged"));
+        }
+    }
+
+    // 4. Drive the backlog to completion — recovery must always be able to
     //    finish the job.
     while let Some(lease) = queue
         .lease_next("recovery")
@@ -1040,14 +1109,90 @@ fn sweep_verify(
 }
 
 /// The crash-point sweep both the store test suite and the `repro-fleet`
-/// chaos binary gate on. Its workload runs the queue's batched claim and
-/// publish path, the one workers run, with a lease held in flight, then
-/// writes a durable warm-state snapshot; it is crashed at every
-/// enumerated operation, recovered, and verified against the
-/// committed-before-or-never invariant. A workload that stops early
-/// without a crash fails the sweep.
+/// chaos binary gate on. Its workload runs the worker path: the queue's
+/// batched claim, the claimed cells' run-log append, the batched publish,
+/// a lease held in flight, then a durable warm-state snapshot; it is
+/// crashed at every enumerated operation, recovered, and verified against
+/// the committed-before-or-never invariant, for the queue and the run
+/// history alike. A workload that stops early without a crash fails the
+/// sweep.
 pub fn standard_crash_sweep(base: &Path) -> CrashSweepOutcome {
     crash_point_sweep(base, sweep_workload, sweep_verify)
+}
+
+/// A test double over the real filesystem that records every operation
+/// and the path it named, so a test can pin a durable path's exact op
+/// sequence or count its reads, and that fails every read of one path
+/// with `EIO`.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct RecordingFs {
+    ops: Mutex<Vec<(&'static str, PathBuf)>>,
+    /// Reads of this path fail with `EIO` while it is set.
+    pub(crate) fail: Mutex<Option<PathBuf>>,
+}
+
+#[cfg(test)]
+impl RecordingFs {
+    fn note(&self, op: &'static str, path: &Path) {
+        self.ops.lock().push((op, path.to_path_buf()));
+    }
+
+    /// The names of the operations recorded since the last take.
+    pub(crate) fn take(&self) -> Vec<&'static str> {
+        self.take_ops().into_iter().map(|(op, _)| op).collect()
+    }
+
+    /// The operations recorded since the last take, with their paths.
+    pub(crate) fn take_ops(&self) -> Vec<(&'static str, PathBuf)> {
+        std::mem::take(&mut *self.ops.lock())
+    }
+}
+
+#[cfg(test)]
+impl StoreFs for RecordingFs {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.note("read", path);
+        if self.fail.lock().as_deref() == Some(path) {
+            return Err(io::Error::from_raw_os_error(5));
+        }
+        OsFs.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.note("write", path);
+        OsFs.write(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        self.note("sync_file", path);
+        OsFs.sync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.note("rename", to);
+        OsFs.rename(from, to)
+    }
+    fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
+        self.note("hard_link", dst);
+        OsFs.hard_link(src, dst)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.note("remove_file", path);
+        OsFs.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.note("create_dir_all", path);
+        OsFs.create_dir_all(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.note("sync_dir", dir);
+        OsFs.sync_dir(dir)
+    }
+    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.note("read_dir_names", dir);
+        OsFs.read_dir_names(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        OsFs.exists(path)
+    }
 }
 
 #[cfg(test)]
@@ -1070,7 +1215,11 @@ mod tests {
         let dir = temp_dir("os");
         let fs = OsFs;
         let target = dir.join("record.bin");
-        write_durable_atomic(&fs, &dir.join("record.stage"), &target, b"payload").unwrap();
+        write_durable_atomic(
+            &fs,
+            &[(dir.join("record.stage"), target.clone(), b"payload")],
+        )
+        .unwrap();
         assert_eq!(fs.read(&target).unwrap(), b"payload");
         assert!(!fs.exists(&dir.join("record.stage")));
         assert_eq!(fs.read_dir_names(&dir).unwrap(), vec!["record.bin"]);
@@ -1085,7 +1234,7 @@ mod tests {
             let target = dir.join("record");
             let barrier = std::sync::Barrier::new(2);
             let writers = [b"writer-a".as_slice(), b"writer-b".as_slice()];
-            let results: Vec<io::Result<()>> = std::thread::scope(|scope| {
+            let results: Vec<io::Result<usize>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = writers
                     .iter()
                     .map(|bytes| {
@@ -1093,7 +1242,7 @@ mod tests {
                         scope.spawn(move || {
                             let stage = staging.next();
                             barrier.wait();
-                            create_durable_exclusive(&OsFs, &stage, target, bytes)
+                            create_durable_exclusive(&OsFs, &stage, bytes, [target.clone()])
                         })
                     })
                     .collect();
@@ -1220,7 +1369,7 @@ mod tests {
                 crash_at: Some(crash_at),
             });
             let committed =
-                write_durable_atomic(&fs, &dir.join("stage"), &dir.join("rec"), b"disciplined")
+                write_durable_atomic(&fs, &[(dir.join("stage"), dir.join("rec"), b"disciplined")])
                     .is_ok();
             fs.apply_crash();
             assert!(fs.violations().is_empty());
@@ -1249,8 +1398,8 @@ mod tests {
         let fs = FaultFs::over_os(FaultConfig::default());
         let sub = dir.join("area");
         fs.create_dir_all(&sub).unwrap();
-        write_durable_atomic(&fs, &sub.join("s"), &sub.join("rec"), b"v1").unwrap();
-        write_durable_atomic(&fs, &sub.join("s"), &sub.join("rec"), b"v2").unwrap();
+        write_durable_atomic(&fs, &[(sub.join("s"), sub.join("rec"), b"v1")]).unwrap();
+        write_durable_atomic(&fs, &[(sub.join("s"), sub.join("rec"), b"v2")]).unwrap();
         let history = fs.committed_history().relative_to(&dir);
         assert!(history.allows(Path::new("area/rec"), b"v1"));
         assert!(history.allows(Path::new("area/rec"), b"v2"));

@@ -21,12 +21,15 @@
 //!
 //! ## Durability
 //!
-//! Every record reaches its final name through the full fsync discipline
-//! ([`crate::vfs::write_durable_atomic`]): staged bytes are `fsync`ed
-//! before the rename/link, and the parent directory is synced before the
-//! operation is considered committed — so a record that was ever
-//! acknowledged survives power loss whole, and a crash mid-write leaves
-//! only staging garbage in `tmp/` (swept on the next
+//! Every record is sealed in the one [`frame`] and reaches its final name
+//! through the full fsync discipline: a record created once (a submission,
+//! a lease claim, a poison mark) through [`create_durable_exclusive`], a
+//! record replaced in place (a renewal, a release, a report, worker stats)
+//! through [`write_durable_atomic`]. Staged bytes are `fsync`ed before the
+//! rename/link, and the parent directory is synced before the operation is
+//! considered committed — so a record that was ever acknowledged survives
+//! power loss whole, and a crash mid-write leaves only staging garbage in
+//! `tmp/` (swept on the next
 //! [`open`](WorkQueue::open): staging names carry the writer's pid, and
 //! files whose pid is no longer alive are removed). All filesystem access
 //! goes through an injectable [`StoreFs`], so the same paths run over the
@@ -43,7 +46,8 @@
 //! granularity (a committed prefix of whole records, never a torn one),
 //! and nothing is acknowledged to the caller before the batch's
 //! directory sync lands. [`standard_crash_sweep`](crate::vfs::standard_crash_sweep)
-//! replays power loss at every operation of these two paths.
+//! replays power loss at every operation of these two paths, and of the
+//! run-log append workers make between them.
 //!
 //! ## Leases, heartbeats, fencing
 //!
@@ -102,7 +106,11 @@
 //!
 //! Same posture as the `SPWS` snapshots: every record on disk carries a
 //! SHA-256 digest over its bytes, and a record that fails validation —
-//! truncated, bit-flipped, wrong magic — is **dropped, never trusted**. A
+//! truncated, bit-flipped, wrong magic — is **dropped, never trusted**.
+//! Every record is read through one reader that tells three answers
+//! apart: absent (`NotFound` only), corrupt (the bytes read but fail
+//! their frame or body), and a read fault, which is an error and never
+//! either of the others. A
 //! corrupt submission is never leased; a corrupt report reads as absent
 //! (the work is re-leased and re-executed); a corrupt lease is treated as
 //! expired (its generation number stays burned so fencing still holds).
@@ -120,9 +128,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::frame;
 use crate::retention::TimeSource;
-use crate::sha256::Sha256;
-use crate::vfs::{create_durable_exclusive, OsFs, StagingDir, StoreFs};
+use crate::vfs::{create_durable_exclusive, write_durable_atomic, OsFs, StagingDir, StoreFs};
 use sp_wire as wire;
 
 /// Record magic for submissions.
@@ -135,9 +143,6 @@ const MAGIC_REPORT: [u8; 4] = *b"SPWR";
 const MAGIC_WORKER: [u8; 4] = *b"SPWT";
 /// Record magic for poison marks.
 const MAGIC_POISON: [u8; 4] = *b"SPWP";
-
-/// Current wire version of all queue records.
-const WQ_VERSION: u32 = 1;
 /// Attempts [`WorkQueue::hand_back`] makes before leaving a lease to expire.
 const HAND_BACK_ATTEMPTS: usize = 8;
 
@@ -305,6 +310,30 @@ pub struct QueueStats {
     /// Records moved to `<root>/quarantine/` because they failed decode
     /// (graceful degradation: inspectable, never trusted, never aborting).
     pub quarantined: usize,
+    /// Failed directory listings and record reads. A failed read proves
+    /// nothing about the record behind it, so it is neither counted as
+    /// corrupt nor skipped silently: a nonzero count says the other
+    /// fields are incomplete.
+    pub unreadable: usize,
+}
+
+/// What one record read found.
+enum Found<T> {
+    /// The file does not exist (`NotFound`).
+    Absent,
+    /// The bytes read but fail their frame or body decode.
+    Corrupt,
+    /// A record that decodes.
+    Valid(T),
+}
+
+impl<T> Found<T> {
+    fn valid(self) -> Option<T> {
+        match self {
+            Found::Valid(value) => Some(value),
+            Found::Absent | Found::Corrupt => None,
+        }
+    }
 }
 
 /// The durable multi-process work queue rooted at one storage directory.
@@ -385,41 +414,57 @@ impl WorkQueue {
     /// error would lose committed work to a transient fault.
     pub fn sweep_corrupt(&self) -> usize {
         let mut moved = 0;
-        for name in self.scan("submissions") {
-            moved += match parse_seq(&name, "sub-", ".spwq") {
-                Some(seq) => self.sweep_entry("submissions", &name, |bytes| {
-                    decode_submission(seq, bytes).is_some()
-                }),
+        for sub in ["submissions", "reports", "poison"] {
+            // Best effort: a failed listing sweeps nothing this time.
+            let Ok(names) = self.list(sub) else {
+                continue;
+            };
+            for name in names {
+                let path = self.root.join(sub).join(&name);
+                let found = match sub {
+                    "submissions" => parse_seq(&name, "sub-", ".spwq").map(|seq| {
+                        self.read_record(&path, |bytes| decode_submission(seq, bytes).map(drop))
+                    }),
+                    "reports" => parse_report_name(&name).map(|(seq, token)| {
+                        self.read_record(&path, |bytes| {
+                            decode_report_bytes(seq, token, bytes).map(drop)
+                        })
+                    }),
+                    _ => parse_seq(&name, "sub-", ".spwp").map(|seq| {
+                        self.read_record(&path, |bytes| decode_poison_bytes(seq, bytes).map(drop))
+                    }),
+                };
                 // An unparseable *name* needs no byte evidence.
-                None => self.quarantine_record("submissions", &name),
-            } as usize;
-        }
-        for name in self.scan("reports") {
-            moved += match parse_report_name(&name) {
-                Some((seq, token)) => self.sweep_entry("reports", &name, |bytes| {
-                    decode_report_bytes(seq, token, bytes).is_some()
-                }),
-                None => self.quarantine_record("reports", &name),
-            } as usize;
-        }
-        for name in self.scan("poison") {
-            moved += match parse_seq(&name, "sub-", ".spwp") {
-                Some(seq) => self.sweep_entry("poison", &name, |bytes| {
-                    decode_poison_bytes(seq, bytes).is_some()
-                }),
-                None => self.quarantine_record("poison", &name),
-            } as usize;
+                if matches!(found, None | Some(Ok(Found::Corrupt))) {
+                    moved += self.quarantine_record(sub, &name) as usize;
+                }
+            }
         }
         moved
     }
 
-    /// One sweep step: quarantine `sub/name` only if its bytes read fine
-    /// and fail `decodes`. Returns whether the record was moved.
-    fn sweep_entry(&self, sub: &str, name: &str, decodes: impl FnOnce(&[u8]) -> bool) -> bool {
-        match self.fs.read(&self.root.join(sub).join(name)) {
-            Ok(bytes) => !decodes(&bytes) && self.quarantine_record(sub, name),
-            Err(_) => false,
+    /// Reads one record through its decoder: absent only on `NotFound`,
+    /// corrupt when the bytes read but do not decode, and `Err` on any
+    /// other failure — a fault proves nothing about the record behind it.
+    fn read_record<T>(
+        &self,
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> std::io::Result<Found<T>> {
+        match self.fs.read(path) {
+            Ok(bytes) => Ok(decode(&bytes).map_or(Found::Corrupt, Found::Valid)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Found::Absent),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Whether a record file exists, whatever its bytes: an exact-path
+    /// read, `false` only on `NotFound`.
+    fn exists(&self, path: &Path) -> std::io::Result<bool> {
+        Ok(!matches!(
+            self.read_record(path, |_| Some(()))?,
+            Found::Absent
+        ))
     }
 
     /// Moves one record into `quarantine/` (prefixed with its source
@@ -480,14 +525,26 @@ impl WorkQueue {
     /// sync, a journal that commits the rename before the data blocks can
     /// surface an empty or torn "committed" record after a crash.
     fn write_atomic(&self, target: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        crate::vfs::write_durable_atomic(self.fs.as_ref(), &self.staging.next(), target, bytes)
+        write_durable_atomic(
+            self.fs.as_ref(),
+            &[(self.staging.next(), target.to_path_buf(), bytes)],
+        )
     }
 
     // ---- submissions -------------------------------------------------
 
     /// Enqueues one unit of work. The sequence number is allocated by
     /// atomically creating the next free submission file, so concurrent
-    /// submitters never collide.
+    /// submitters never collide. A failed listing of `submissions/` is an
+    /// error, never an empty queue.
+    ///
+    /// The walk starts past the highest listed submission and skips every
+    /// number whose first lease generation exists: a quarantined
+    /// submission leaves its leases and reports behind, and new work under
+    /// its number would read as complete with another campaign's report.
+    /// The record embeds its number, so it is staged once per number it
+    /// tries to link; only a submitter racing for the same number makes
+    /// it try more than one.
     pub fn submit(
         &self,
         payload: &[u8],
@@ -495,58 +552,46 @@ impl WorkQueue {
         total_runs: u64,
         origin: u64,
     ) -> std::io::Result<u64> {
-        let mut seq = self.max_submission_seq().map(|s| s + 1).unwrap_or(1);
+        let mut seq = self.submission_seqs_checked()?.last().map_or(1, |s| s + 1);
         loop {
+            if self.exists(&self.lease_path(seq, 1))? {
+                seq += 1;
+                continue;
+            }
             let record = encode_submission(seq, base_run_id, total_runs, origin, payload);
-            let target = self.submission_path(seq);
-            match create_durable_exclusive(self.fs.as_ref(), &self.staging.next(), &target, &record)
-            {
-                Ok(()) => {
+            match create_durable_exclusive(
+                self.fs.as_ref(),
+                &self.staging.next(),
+                &record,
+                [self.submission_path(seq)],
+            ) {
+                Ok(_) => {
                     self.fs.sync_dir(&self.root.join("submissions"))?;
                     return Ok(seq);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    seq += 1;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => seq += 1,
                 Err(e) => return Err(e),
             }
         }
     }
 
-    fn max_submission_seq(&self) -> Option<u64> {
-        self.scan("submissions")
-            .into_iter()
-            .filter_map(|name| parse_seq(&name, "sub-", ".spwq"))
-            .max()
-    }
-
-    /// Reads one submission back, digest-validated (`None` if absent or
-    /// corrupt — a corrupt submission is never leased, never executed).
-    pub fn submission(&self, seq: u64) -> Option<QueueSubmission> {
-        self.submission_checked(seq).ok().flatten()
-    }
-
-    /// [`submission`](Self::submission) with the I/O outcome surfaced:
-    /// `Err` means the *read itself* failed (possibly transient — callers
-    /// with a retry policy should retry rather than conclude anything
-    /// about the record), `Ok(None)` means the record is genuinely absent
-    /// or failed decode. The distinction matters because a caller that
-    /// conflates a transient `EIO` with corruption would durably poison
-    /// valid work. A record whose bytes read fine but fail decode is
-    /// quarantined as a side effect.
+    /// Reads one submission back, digest-validated. `Err` means the *read
+    /// itself* failed (possibly transient — callers with a retry policy
+    /// should retry rather than conclude anything about the record),
+    /// `Ok(None)` means the record is genuinely absent or failed decode.
+    /// The distinction matters because a caller that conflates a
+    /// transient `EIO` with corruption would durably poison valid work.
+    /// A record whose bytes read fine but fail decode is quarantined as a
+    /// side effect: a corrupt submission is never leased, never executed.
     pub fn submission_checked(&self, seq: u64) -> std::io::Result<Option<QueueSubmission>> {
         let path = self.submission_path(seq);
-        let Some(bytes) = read_absent_as_none(self.fs.read(&path))? else {
-            return Ok(None);
-        };
-        match decode_submission(seq, &bytes) {
-            Some(submission) => Ok(Some(submission)),
-            None => {
-                if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                    self.quarantine_record("submissions", name);
-                }
+        match self.read_record(&path, |bytes| decode_submission(seq, bytes))? {
+            Found::Valid(submission) => Ok(Some(submission)),
+            Found::Corrupt => {
+                self.quarantine_record("submissions", &format!("sub-{seq:08}.spwq"));
                 Ok(None)
             }
+            Found::Absent => Ok(None),
         }
     }
 
@@ -559,8 +604,7 @@ impl WorkQueue {
     /// backlog it merely failed to list.
     pub fn submission_seqs_checked(&self) -> std::io::Result<Vec<u64>> {
         let mut seqs: Vec<u64> = self
-            .fs
-            .read_dir_names(&self.root.join("submissions"))?
+            .list("submissions")?
             .into_iter()
             .filter_map(|name| parse_seq(&name, "sub-", ".spwq"))
             .collect();
@@ -577,12 +621,8 @@ impl WorkQueue {
     /// failure is an error, never "no generation".
     fn generations(&self, seq: u64) -> std::io::Result<u64> {
         let mut highest = self.generations.lock().get(&seq).copied().unwrap_or(0);
-        loop {
-            match self.fs.read(&self.lease_path(seq, highest + 1)) {
-                Ok(_) => highest += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(e),
-            }
+        while self.exists(&self.lease_path(seq, highest + 1))? {
+            highest += 1;
         }
         self.saw_generation(seq, highest);
         Ok(highest)
@@ -596,13 +636,13 @@ impl WorkQueue {
     }
 
     /// Reads one lease generation's record: `Ok(None)` when it is absent
-    /// or fails its digest, `Err` on any other read failure — a fault
-    /// proves nothing about the record behind it.
-    fn read_lease(&self, seq: u64, token: u64) -> std::io::Result<Option<LeaseRecord>> {
-        Ok(
-            read_absent_as_none(self.fs.read(&self.lease_path(seq, token)))?
-                .and_then(|bytes| decode_lease(seq, token, &bytes)),
-        )
+    /// or corrupt, `Err` on any other read failure.
+    fn lease(&self, seq: u64, token: u64) -> std::io::Result<Option<LeaseRecord>> {
+        Ok(self
+            .read_record(&self.lease_path(seq, token), |bytes| {
+                decode_lease(seq, token, bytes)
+            })?
+            .valid())
     }
 
     /// Whether a lease record is live (held, unreleased, unexpired) at
@@ -642,7 +682,7 @@ impl WorkQueue {
         // re-run a failure some worker already diagnosed as
         // machine-independent. A failed read of the mark proves nothing,
         // so it surfaces instead of reading as "not poisoned".
-        if self.read_poison(seq)?.is_some() {
+        if self.poison(seq)?.is_some() {
             return Ok(None);
         }
         // A corrupt submission is never leased: claiming it would burn
@@ -655,7 +695,7 @@ impl WorkQueue {
         }
         let now = self.now_secs();
         if current > 0 {
-            match self.read_lease(seq, current)? {
+            match self.lease(seq, current)? {
                 // Live lease held by someone: not claimable.
                 Some(record) if Self::live(&record, now) => return Ok(None),
                 // Released since the completeness check above: a holder
@@ -681,10 +721,10 @@ impl WorkQueue {
         match create_durable_exclusive(
             self.fs.as_ref(),
             &self.staging.next(),
-            &self.lease_path(seq, token),
             &encode_lease(&record),
+            [self.lease_path(seq, token)],
         ) {
-            Ok(()) => {
+            Ok(_) => {
                 self.saw_generation(seq, token);
                 // Close the rest of the publish/release race: between
                 // the lease read above and this claim, the previous
@@ -728,7 +768,7 @@ impl WorkQueue {
             });
         }
         let record = self
-            .read_lease(lease.seq, lease.token)?
+            .lease(lease.seq, lease.token)?
             .ok_or(WqError::NotHeld {
                 seq: lease.seq,
                 token: lease.token,
@@ -899,25 +939,18 @@ impl WorkQueue {
         if verified.is_empty() {
             return out;
         }
-        if let Err(e) = crate::vfs::write_durable_atomic_batch(self.fs.as_ref(), &reports) {
+        if let Err(e) = write_durable_atomic(self.fs.as_ref(), &reports) {
             // Nothing in this batch is acknowledged: the caller retries.
             let kind = e.kind();
             let message = format!("batched report publish failed: {e}");
             for &index in &verified {
                 out[index] = Err(WqError::Io(std::io::Error::new(kind, message.clone())));
             }
-            for (stage, _, _) in reports.iter().chain(releases.iter()) {
-                let _ = self.fs.remove_file(stage);
-            }
             return out;
         }
         // The reports are durable — every verified item is acknowledged
         // regardless of how the releases fare below.
-        if crate::vfs::write_durable_atomic_batch(self.fs.as_ref(), &releases).is_err() {
-            for (stage, _, _) in &releases {
-                let _ = self.fs.remove_file(stage);
-            }
-        } else {
+        if write_durable_atomic(self.fs.as_ref(), &releases).is_ok() {
             // Each report now sits at a released generation: settled.
             let mut settled = self.settled.lock();
             settled.extend(verified.iter().map(|&index| items[index].0.seq));
@@ -943,7 +976,8 @@ impl WorkQueue {
     pub fn report(&self, seq: u64) -> Option<Vec<u8>> {
         // A failed probe or read reads as absent here; the claim path
         // sees the error instead.
-        self.report_at(seq, self.generations(seq).unwrap_or(0))
+        self.generations(seq)
+            .and_then(|current| self.report_at(seq, current))
             .ok()
             .flatten()
     }
@@ -953,11 +987,16 @@ impl WorkQueue {
     /// set as it was.
     fn report_at(&self, seq: u64, current: u64) -> std::io::Result<Option<Vec<u8>>> {
         for token in (1..=current).rev() {
-            let Some(payload) = self.read_report(seq, token)? else {
+            let Some(payload) = self
+                .read_record(&self.report_path(seq, token), |bytes| {
+                    decode_report_bytes(seq, token, bytes)
+                })?
+                .valid()
+            else {
                 continue;
             };
             let released = self
-                .read_lease(seq, token)?
+                .lease(seq, token)?
                 .is_some_and(|record| record.released);
             if released {
                 self.settled.lock().insert(seq);
@@ -974,16 +1013,6 @@ impl WorkQueue {
     /// at a released generation. Cache only, no I/O.
     pub fn is_settled(&self, seq: u64) -> bool {
         self.settled.lock().contains(&seq)
-    }
-
-    /// Reads one generation's report record, digest-validated: `Ok(None)`
-    /// when it is absent or fails its digest, `Err` on any other read
-    /// failure.
-    fn read_report(&self, seq: u64, token: u64) -> std::io::Result<Option<Vec<u8>>> {
-        Ok(
-            read_absent_as_none(self.fs.read(&self.report_path(seq, token)))?
-                .and_then(|bytes| decode_report_bytes(seq, token, &bytes)),
-        )
     }
 
     /// Whether every valid submission has reached a terminal state: a
@@ -1014,9 +1043,13 @@ impl WorkQueue {
     /// should release the lease instead so another worker can retry.
     pub fn mark_poisoned(&self, seq: u64, holder: &str, reason: &str) -> std::io::Result<bool> {
         let record = encode_poison(seq, holder, reason);
-        let target = self.poison_path(seq);
-        match create_durable_exclusive(self.fs.as_ref(), &self.staging.next(), &target, &record) {
-            Ok(()) => {
+        match create_durable_exclusive(
+            self.fs.as_ref(),
+            &self.staging.next(),
+            &record,
+            [self.poison_path(seq)],
+        ) {
+            Ok(_) => {
                 self.fs.sync_dir(&self.root.join("poison"))?;
                 Ok(true)
             }
@@ -1027,9 +1060,12 @@ impl WorkQueue {
 
     /// Reads one submission's poison mark, digest-validated: `Ok(None)`
     /// when it is absent or corrupt, `Err` on any other read failure.
-    fn read_poison(&self, seq: u64) -> std::io::Result<Option<PoisonMark>> {
-        Ok(read_absent_as_none(self.fs.read(&self.poison_path(seq)))?
-            .and_then(|bytes| decode_poison_bytes(seq, &bytes)))
+    fn poison(&self, seq: u64) -> std::io::Result<Option<PoisonMark>> {
+        Ok(self
+            .read_record(&self.poison_path(seq), |bytes| {
+                decode_poison_bytes(seq, bytes)
+            })?
+            .valid())
     }
 
     /// Reads one submission's poison mark, digest-validated (`None` if
@@ -1041,25 +1077,13 @@ impl WorkQueue {
     /// keeps [`drained`](Self::drained) and a worker's backlog check
     /// waiting for the submission, never ends them early.
     pub fn poison_mark(&self, seq: u64) -> Option<PoisonMark> {
-        self.read_poison(seq).ok().flatten()
+        self.poison(seq).ok().flatten()
     }
 
     /// Whether a valid poison mark exists for `seq`; a failed read is no
     /// mark (see [`poison_mark`](Self::poison_mark)).
     pub fn is_poisoned(&self, seq: u64) -> bool {
         self.poison_mark(seq).is_some()
-    }
-
-    /// Sequence numbers of every validly poisoned submission, sorted.
-    pub fn poisoned_seqs(&self) -> Vec<u64> {
-        let mut seqs: Vec<u64> = self
-            .scan("poison")
-            .into_iter()
-            .filter_map(|name| parse_seq(&name, "sub-", ".spwp"))
-            .filter(|&seq| self.is_poisoned(seq))
-            .collect();
-        seqs.sort_unstable();
-        seqs
     }
 
     // ---- worker stats ------------------------------------------------
@@ -1076,74 +1100,96 @@ impl WorkQueue {
                 format!("worker name {holder:?} is not a plain file name"),
             ));
         }
-        let mut body = Vec::with_capacity(payload.len() + holder.len() + 16);
-        wire::put_str(&mut body, holder);
-        wire::put_bytes(&mut body, payload);
-        let record = encode_record(&MAGIC_WORKER, &body);
+        let record = frame::seal(&MAGIC_WORKER, |body| {
+            wire::put_str(body, holder);
+            wire::put_bytes(body, payload);
+        });
         self.write_atomic(&self.root.join(format!("workers/{holder}.stats")), &record)
     }
 
-    /// All valid worker-stats blobs, sorted by holder name. Only a file
-    /// named exactly `<holder>.stats` whose sealed body names the same
-    /// holder counts, so a stray copy (`w1.stats.bak`, a file renamed to
-    /// another worker's name) is never merged as a second worker.
-    pub fn worker_stats(&self) -> Vec<(String, Vec<u8>)> {
-        let mut out: Vec<(String, Vec<u8>)> = self
-            .scan("workers")
-            .into_iter()
-            .filter_map(|name| {
-                let stem = name.strip_suffix(".stats")?;
-                let bytes = self.fs.read(&self.root.join("workers").join(&name)).ok()?;
-                let body = decode_record(&MAGIC_WORKER, &bytes)?;
-                let mut cursor = wire::Cursor::new(&body);
-                let holder = cursor.take_str()?;
-                let payload = cursor.take_bytes()?;
-                (cursor.finished() && holder == stem).then_some((holder, payload))
-            })
-            .collect();
+    /// All valid worker-stats blobs, sorted by holder name, and how many
+    /// reads failed (a failed listing counts once). Only a file named
+    /// exactly `<holder>.stats` whose sealed body names the same holder
+    /// counts, so a stray copy (`w1.stats.bak`, a file renamed to another
+    /// worker's name) is never merged as a second worker; a worker whose
+    /// read fails is counted as unreadable, never silently missing.
+    pub fn worker_stats(&self) -> (Vec<(String, Vec<u8>)>, usize) {
+        let Ok(names) = self.list("workers") else {
+            return (Vec::new(), 1);
+        };
+        let mut out: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut unreadable = 0;
+        for name in names {
+            let Some(stem) = name.strip_suffix(".stats") else {
+                continue;
+            };
+            let path = self.root.join("workers").join(&name);
+            match self.read_record(&path, |bytes| decode_worker(stem, bytes)) {
+                Ok(found) => out.extend(found.valid()),
+                Err(_) => unreadable += 1,
+            }
+        }
         out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        (out, unreadable)
     }
 
     // ---- accounting --------------------------------------------------
 
     /// Derives the queue digest from the directory state. Only bytes that
-    /// read fine and fail decode count as a corrupt drop; a record whose
-    /// read fails is unjudged, and an unreadable submission still counts
-    /// as enqueued.
+    /// read fine and fail decode count as a corrupt drop; a listing or
+    /// read that fails counts as [`unreadable`](QueueStats::unreadable),
+    /// and an unreadable submission still counts as enqueued.
     pub fn stats(&self) -> QueueStats {
         let mut stats = QueueStats::default();
         let mut seqs: Vec<u64> = Vec::new();
-        for name in self.scan("submissions") {
-            let Some(seq) = parse_seq(&name, "sub-", ".spwq") else {
-                stats.corrupt_dropped += 1;
-                continue;
-            };
-            match self.submission_checked(seq) {
-                Ok(Some(_)) | Err(_) => seqs.push(seq),
-                Ok(None) => stats.corrupt_dropped += 1,
+        match self.list("submissions") {
+            Ok(names) => {
+                for name in names {
+                    let Some(seq) = parse_seq(&name, "sub-", ".spwq") else {
+                        stats.corrupt_dropped += 1;
+                        continue;
+                    };
+                    match self.submission_checked(seq) {
+                        Ok(Some(_)) => seqs.push(seq),
+                        Ok(None) => stats.corrupt_dropped += 1,
+                        Err(_) => {
+                            stats.unreadable += 1;
+                            seqs.push(seq);
+                        }
+                    }
+                }
             }
+            Err(_) => stats.unreadable += 1,
         }
         stats.submissions = seqs.len();
         for &seq in &seqs {
-            let current = self.generations(seq).unwrap_or(0);
+            let Ok(current) = self.generations(seq) else {
+                stats.unreadable += 1;
+                continue;
+            };
             stats.leases_issued += current as usize;
             stats.reclaims += current.saturating_sub(1) as usize;
             for token in 1..=current {
-                let corrupt = self
-                    .fs
-                    .read(&self.lease_path(seq, token))
-                    .is_ok_and(|bytes| decode_lease(seq, token, &bytes).is_none());
-                stats.corrupt_dropped += corrupt as usize;
+                let path = self.lease_path(seq, token);
+                match self.read_record(&path, |bytes| decode_lease(seq, token, bytes)) {
+                    Ok(Found::Corrupt) => stats.corrupt_dropped += 1,
+                    Ok(_) => {}
+                    Err(_) => stats.unreadable += 1,
+                }
             }
-            if matches!(self.report_at(seq, current), Ok(Some(_))) {
-                stats.completed += 1;
+            match self.report_at(seq, current) {
+                Ok(report) => stats.completed += report.is_some() as usize,
+                Err(_) => stats.unreadable += 1,
             }
-            if self.is_poisoned(seq) {
-                stats.poisoned += 1;
+            match self.poison(seq) {
+                Ok(mark) => stats.poisoned += mark.is_some() as usize,
+                Err(_) => stats.unreadable += 1,
             }
         }
-        stats.quarantined = self.scan("quarantine").len();
+        match self.list("quarantine") {
+            Ok(names) => stats.quarantined = names.len(),
+            Err(_) => stats.unreadable += 1,
+        }
         // A quarantined record *is* a corrupt drop — relocation for
         // inspection doesn't un-drop it, so the counter that operators
         // alarm on keeps seeing it after the move.
@@ -1152,10 +1198,8 @@ impl WorkQueue {
     }
 
     /// File names (not paths) under one queue subdirectory, sorted.
-    fn scan(&self, sub: &str) -> Vec<String> {
-        self.fs
-            .read_dir_names(&self.root.join(sub))
-            .unwrap_or_default()
+    fn list(&self, sub: &str) -> std::io::Result<Vec<String>> {
+        self.fs.read_dir_names(&self.root.join(sub))
     }
 }
 
@@ -1166,32 +1210,47 @@ fn encode_submission(
     origin: u64,
     payload: &[u8],
 ) -> Vec<u8> {
-    let mut body = Vec::with_capacity(payload.len() + 36);
-    wire::put_u64(&mut body, seq);
-    wire::put_u64(&mut body, base_run_id);
-    wire::put_u64(&mut body, total_runs);
-    wire::put_u64(&mut body, origin);
-    wire::put_bytes(&mut body, payload);
-    encode_record(&MAGIC_SUBMISSION, &body)
+    frame::seal(&MAGIC_SUBMISSION, |body| {
+        wire::put_u64(body, seq);
+        wire::put_u64(body, base_run_id);
+        wire::put_u64(body, total_runs);
+        wire::put_u64(body, origin);
+        wire::put_bytes(body, payload);
+    })
+}
+
+fn decode_submission(seq: u64, bytes: &[u8]) -> Option<QueueSubmission> {
+    let mut cursor = wire::Cursor::new(frame::unseal(&MAGIC_SUBMISSION, bytes)?);
+    let recorded_seq = cursor.take_u64()?;
+    let base_run_id = cursor.take_u64()?;
+    let total_runs = cursor.take_u64()?;
+    let origin = cursor.take_u64()?;
+    let payload = cursor.take_bytes()?;
+    (cursor.finished() && recorded_seq == seq).then_some(QueueSubmission {
+        seq,
+        base_run_id,
+        total_runs,
+        origin,
+        payload,
+    })
 }
 
 fn encode_lease(record: &LeaseRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(record.holder.len() + 37);
-    wire::put_u64(&mut body, record.seq);
-    wire::put_u64(&mut body, record.token);
-    wire::put_str(&mut body, &record.holder);
-    wire::put_u64(&mut body, record.acquired_at);
-    wire::put_u64(&mut body, record.expires_at);
-    wire::put_u8(&mut body, record.released as u8);
-    encode_record(&MAGIC_LEASE, &body)
+    frame::seal(&MAGIC_LEASE, |body| {
+        wire::put_u64(body, record.seq);
+        wire::put_u64(body, record.token);
+        wire::put_str(body, &record.holder);
+        wire::put_u64(body, record.acquired_at);
+        wire::put_u64(body, record.expires_at);
+        wire::put_u8(body, record.released as u8);
+    })
 }
 
 /// Decodes (digest-validating) one lease record. The `released` flag must
 /// be 0 or 1, so that a decoded record re-encodes to the bytes it came
 /// from.
 fn decode_lease(seq: u64, token: u64, bytes: &[u8]) -> Option<LeaseRecord> {
-    let body = decode_record(&MAGIC_LEASE, bytes)?;
-    let mut cursor = wire::Cursor::new(&body);
+    let mut cursor = wire::Cursor::new(frame::unseal(&MAGIC_LEASE, bytes)?);
     let record = LeaseRecord {
         seq: cursor.take_u64()?,
         token: cursor.take_u64()?,
@@ -1208,17 +1267,16 @@ fn decode_lease(seq: u64, token: u64, bytes: &[u8]) -> Option<LeaseRecord> {
 }
 
 fn encode_report(seq: u64, token: u64, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(payload.len() + 20);
-    wire::put_u64(&mut body, seq);
-    wire::put_u64(&mut body, token);
-    wire::put_bytes(&mut body, payload);
-    encode_record(&MAGIC_REPORT, &body)
+    frame::seal(&MAGIC_REPORT, |body| {
+        wire::put_u64(body, seq);
+        wire::put_u64(body, token);
+        wire::put_bytes(body, payload);
+    })
 }
 
 /// Decodes (digest-validating) one report record's bytes.
 fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
-    let body = decode_record(&MAGIC_REPORT, bytes)?;
-    let mut cursor = wire::Cursor::new(&body);
+    let mut cursor = wire::Cursor::new(frame::unseal(&MAGIC_REPORT, bytes)?);
     let recorded_seq = cursor.take_u64()?;
     let recorded_token = cursor.take_u64()?;
     let payload = cursor.take_bytes()?;
@@ -1226,16 +1284,15 @@ fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
 }
 
 fn encode_poison(seq: u64, holder: &str, reason: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(holder.len() + reason.len() + 16);
-    wire::put_u64(&mut body, seq);
-    wire::put_str(&mut body, holder);
-    wire::put_str(&mut body, reason);
-    encode_record(&MAGIC_POISON, &body)
+    frame::seal(&MAGIC_POISON, |body| {
+        wire::put_u64(body, seq);
+        wire::put_str(body, holder);
+        wire::put_str(body, reason);
+    })
 }
 
 fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
-    let body = decode_record(&MAGIC_POISON, bytes)?;
-    let mut cursor = wire::Cursor::new(&body);
+    let mut cursor = wire::Cursor::new(frame::unseal(&MAGIC_POISON, bytes)?);
     let recorded_seq = cursor.take_u64()?;
     let holder = cursor.take_str()?;
     let reason = cursor.take_str()?;
@@ -1246,21 +1303,13 @@ fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
     })
 }
 
-fn decode_submission(seq: u64, bytes: &[u8]) -> Option<QueueSubmission> {
-    let body = decode_record(&MAGIC_SUBMISSION, bytes)?;
-    let mut cursor = wire::Cursor::new(&body);
-    let recorded_seq = cursor.take_u64()?;
-    let base_run_id = cursor.take_u64()?;
-    let total_runs = cursor.take_u64()?;
-    let origin = cursor.take_u64()?;
+/// Decodes one worker-stats record filed as `<stem>.stats`: its holder
+/// and opaque payload, when the sealed body names that same holder.
+fn decode_worker(stem: &str, bytes: &[u8]) -> Option<(String, Vec<u8>)> {
+    let mut cursor = wire::Cursor::new(frame::unseal(&MAGIC_WORKER, bytes)?);
+    let holder = cursor.take_str()?;
     let payload = cursor.take_bytes()?;
-    (cursor.finished() && recorded_seq == seq).then_some(QueueSubmission {
-        seq,
-        base_run_id,
-        total_runs,
-        origin,
-        payload,
-    })
+    (cursor.finished() && holder == stem).then_some((holder, payload))
 }
 
 /// Parses `sub-<seq>.g<token>.rep` report file names.
@@ -1268,16 +1317,6 @@ fn parse_report_name(name: &str) -> Option<(u64, u64)> {
     let rest = name.strip_prefix("sub-")?.strip_suffix(".rep")?;
     let (seq, token) = rest.split_once(".g")?;
     Some((seq.parse().ok()?, token.parse().ok()?))
-}
-
-/// A read result with `NotFound` folded into `Ok(None)`: an absent record
-/// is an answer, any other failure is not.
-fn read_absent_as_none(read: std::io::Result<Vec<u8>>) -> std::io::Result<Option<Vec<u8>>> {
-    match read {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
 }
 
 /// Parses `<prefix><number><suffix>` file names back to their number.
@@ -1288,42 +1327,21 @@ pub(crate) fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
-/// Frames a record: magic, version, body, SHA-256 over all of it.
-pub(crate) fn encode_record(magic: &[u8; 4], body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 40);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&WQ_VERSION.to_le_bytes());
-    out.extend_from_slice(body);
-    let mut hasher = Sha256::new();
-    hasher.update(&out);
-    let digest = hasher.finalize();
-    out.extend_from_slice(&digest);
-    out
-}
-
-/// Unframes a record: validates magic, version and digest, returning the
-/// body. `None` on any mismatch — the record is dropped, never trusted.
-pub(crate) fn decode_record(magic: &[u8; 4], bytes: &[u8]) -> Option<Vec<u8>> {
-    if bytes.len() < 40 || &bytes[..4] != magic {
-        return None;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != WQ_VERSION {
-        return None;
-    }
-    let (framed, digest) = bytes.split_at(bytes.len() - 32);
-    let mut hasher = Sha256::new();
-    hasher.update(framed);
-    if hasher.finalize() != digest {
-        return None;
-    }
-    Some(framed[8..].to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{FaultFs, ForcedFault, RecordingFs};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Seals `body` in the `magic` frame.
+    fn encode_record(magic: &[u8; 4], body: &[u8]) -> Vec<u8> {
+        frame::seal(magic, |out| out.extend_from_slice(body))
+    }
+
+    /// The body of a sealed `magic` frame, copied out.
+    fn decode_record(magic: &[u8; 4], bytes: &[u8]) -> Option<Vec<u8>> {
+        frame::unseal(magic, bytes).map(<[u8]>::to_vec)
+    }
 
     /// A settable clock for deterministic lease-expiry tests.
     pub(crate) struct TestClock(pub AtomicU64);
@@ -1369,7 +1387,8 @@ mod tests {
         let b = q.submit(b"plan-b", 105, 3, 7_000).unwrap();
         assert!(a < b);
         assert_eq!(q.submission_seqs_checked().unwrap(), vec![a, b]);
-        let (sub_a, sub_b) = (q.submission(a).unwrap(), q.submission(b).unwrap());
+        let read = |seq| q.submission_checked(seq).unwrap().unwrap();
+        let (sub_a, sub_b) = (read(a), read(b));
         assert_eq!(sub_a.payload, b"plan-a");
         assert_eq!(sub_a.base_run_id, 100);
         assert_eq!(sub_a.total_runs, 5);
@@ -1465,74 +1484,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// An `OsFs` passthrough that counts reads and listings per queue
-    /// subdirectory, and fails every read of one path with `EIO`.
-    #[derive(Default)]
-    struct CountingFs {
-        reads: Mutex<HashMap<String, u64>>,
-        lists: Mutex<HashMap<String, u64>>,
-        fail: Mutex<Option<PathBuf>>,
-    }
-
-    impl CountingFs {
-        fn count(map: &Mutex<HashMap<String, u64>>, dir: &Path) {
-            let sub = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            *map.lock().entry(sub.to_string()).or_insert(0) += 1;
-        }
-
-        fn reads(&self) -> u64 {
-            self.reads.lock().values().sum()
-        }
-
-        fn lists_of(&self, sub: &str) -> u64 {
-            self.lists.lock().get(sub).copied().unwrap_or(0)
-        }
-    }
-
-    impl StoreFs for CountingFs {
-        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            Self::count(&self.reads, path.parent().unwrap_or(path));
-            if self.fail.lock().as_deref() == Some(path) {
-                return Err(std::io::Error::from_raw_os_error(5));
-            }
-            OsFs.read(path)
-        }
-        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            OsFs.write(path, bytes)
-        }
-        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
-            OsFs.sync_file(path)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            OsFs.rename(from, to)
-        }
-        fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
-            OsFs.hard_link(src, dst)
-        }
-        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
-            OsFs.remove_file(path)
-        }
-        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
-            OsFs.create_dir_all(path)
-        }
-        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-            OsFs.sync_dir(dir)
-        }
-        fn read_dir_names(&self, dir: &Path) -> std::io::Result<Vec<String>> {
-            Self::count(&self.lists, dir);
-            OsFs.read_dir_names(dir)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            OsFs.exists(path)
-        }
-    }
-
     #[test]
     fn a_failed_poison_mark_read_never_leases_poisoned_work() {
         let (q, clock, dir) = queue(60);
         let seq = q.submit(b"work", 1, 1, 0).unwrap();
         assert!(q.mark_poisoned(seq, "w1", "payload undecodable").unwrap());
-        let fs = Arc::new(CountingFs::default());
+        let fs = Arc::new(RecordingFs::default());
         let flaky = WorkQueue::open_with(&dir, 60, clock, fs.clone()).unwrap();
         *fs.fail.lock() = Some(q.poison_path(seq));
         // The mark cannot be read: claiming must surface that or lease
@@ -1553,7 +1510,7 @@ mod tests {
         let seq = q.submit(b"work", 1, 1, 0).unwrap();
         let mut lease = q.lease_next("w1").unwrap().expect("claimable");
         publish_unreleased(&q, &lease, b"result").unwrap();
-        let fs = Arc::new(CountingFs::default());
+        let fs = Arc::new(RecordingFs::default());
         let flaky = WorkQueue::open_with(&dir, 60, clock.clone(), fs.clone()).unwrap();
         *fs.fail.lock() = Some(q.lease_path(seq, 1));
         // The probe cannot tell whether generation 1 exists: claiming
@@ -1567,6 +1524,105 @@ mod tests {
         flaky.release(&lease).unwrap();
         assert_eq!(flaky.report(seq).unwrap(), b"result");
         assert_eq!(q.stats().leases_issued, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Flips one byte of `sub-<seq>.spwq` and reopens the queue, whose
+    /// open-time sweep quarantines the submission.
+    fn quarantine_submission(dir: &Path, seq: u64) {
+        let path = dir.join(format!("submissions/sub-{seq:08}.spwq"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[20] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        WorkQueue::open(dir, 60).unwrap();
+        assert!(!path.exists(), "the sweep quarantined sub-{seq}");
+    }
+
+    #[test]
+    fn a_new_submission_never_reuses_a_quarantined_number() {
+        let (q, _clock, dir) = queue(60);
+        q.submit(b"one", 1, 1, 0).unwrap();
+        let two = q.submit(b"two", 2, 1, 0).unwrap();
+        let lease = q.try_lease_batch("w1", 1, |seq| seq == two).unwrap();
+        flush(&q, &lease[0], b"old-report-for-two").unwrap();
+        quarantine_submission(&dir, two);
+        // Number 2 is burned: its lease and report outlive the record.
+        let three = q.submit(b"three", 3, 1, 0).unwrap();
+        assert_eq!(three, 3);
+        assert_eq!(q.report(three), None);
+        assert_eq!(q.submission_checked(two).unwrap(), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_submit_past_burned_numbers_probes_them_and_stages_once() {
+        let (q, clock, dir) = queue(60);
+        for i in 1..=3_u8 {
+            q.submit(&[i], 1, 1, 0).unwrap();
+        }
+        assert_eq!(q.try_lease_batch("w1", 3, |_| true).unwrap().len(), 3);
+        for seq in [2, 3] {
+            quarantine_submission(&dir, seq);
+        }
+        let fs = Arc::new(RecordingFs::default());
+        let recorded = WorkQueue::open_with(&dir, 60, clock, fs.clone()).unwrap();
+        fs.take();
+        assert_eq!(recorded.submit(b"four", 4, 1, 0).unwrap(), 4);
+        assert_eq!(
+            fs.take(),
+            [
+                "read_dir_names",
+                "read",
+                "read",
+                "read",
+                "write",
+                "sync_file",
+                "hard_link",
+                "remove_file",
+                "sync_dir"
+            ],
+            "one exact-path probe per number, one staged record"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_submissions_listing_fails_submit_and_creates_nothing() {
+        let (q, clock, dir) = queue(60);
+        q.submit(b"one", 1, 1, 0).unwrap();
+        let fs = Arc::new(FaultFs::over_os(crate::vfs::FaultConfig::default()));
+        let flaky = WorkQueue::open_with(&dir, 60, clock, fs.clone()).unwrap();
+        let listing = |sub: &str| OsFs.read_dir_names(&dir.join(sub)).unwrap();
+        let before = (listing("submissions"), listing("tmp"));
+        fs.fail_nth_read(1, ForcedFault::Eio);
+        let err = flaky.submit(b"two", 2, 1, 0).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5));
+        assert_eq!((listing("submissions"), listing("tmp")), before);
+        assert_eq!(flaky.submit(b"two", 2, 1, 0).unwrap(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_reads_count_as_unreadable_never_as_absence() {
+        let (q, clock, dir) = queue(60);
+        q.submit(b"one", 1, 1, 0).unwrap();
+        q.publish_worker_stats("w1", b"aaa").unwrap();
+        q.publish_worker_stats("w2", b"bbb").unwrap();
+        let fs = Arc::new(FaultFs::over_os(crate::vfs::FaultConfig::default()));
+        let flaky = WorkQueue::open_with(&dir, 60, clock, fs.clone()).unwrap();
+        // Read 1 lists workers/, read 2 is w1.stats.
+        fs.fail_nth_read(2, ForcedFault::Eio);
+        assert_eq!(
+            flaky.worker_stats(),
+            (vec![("w2".to_string(), b"bbb".to_vec())], 1)
+        );
+        // Read 1 lists submissions/, read 2 is sub-1, read 3 probes its
+        // first lease generation.
+        fs.fail_nth_read(3, ForcedFault::Eio);
+        let stats = flaky.stats();
+        assert_eq!((stats.submissions, stats.unreadable), (1, 1));
+        assert_eq!(flaky.stats(), q.stats(), "the fault was transient");
+        assert_eq!(q.stats().unreadable, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1686,13 +1742,12 @@ mod tests {
         for i in 0..depth {
             q.submit(&i.to_le_bytes(), 1, 1, 0).unwrap();
         }
-        let fs = Arc::new(CountingFs::default());
+        let fs = Arc::new(RecordingFs::default());
         let handles: Vec<WorkQueue> = (0..2)
             .map(|_| WorkQueue::open_with(&dir, 60, clock.clone(), fs.clone()).unwrap())
             .collect();
         // Count only the drain, not the open-time sweeps.
-        fs.reads.lock().clear();
-        fs.lists.lock().clear();
+        fs.take();
         let mut drained = 0;
         loop {
             let claims: Vec<Vec<Lease>> = handles
@@ -1713,9 +1768,15 @@ mod tests {
             }
         }
         assert_eq!(drained, depth);
-        assert_eq!(fs.lists_of("leases"), 0, "claims list no leases/");
-        assert_eq!(fs.lists_of("reports"), 0, "claims list no reports/");
-        let reads = fs.reads();
+        let ops = fs.take_ops();
+        let lists_of = |sub: &str| {
+            ops.iter()
+                .filter(|(op, dir)| *op == "read_dir_names" && dir.ends_with(sub))
+                .count()
+        };
+        assert_eq!(lists_of("leases"), 0, "claims list no leases/");
+        assert_eq!(lists_of("reports"), 0, "claims list no reports/");
+        let reads = ops.iter().filter(|(op, _)| *op == "read").count();
         assert!(handles.iter().all(WorkQueue::drained));
         std::fs::remove_dir_all(&dir).ok();
         reads as f64 / depth as f64
@@ -1823,7 +1884,6 @@ mod tests {
         let mark = q.poison_mark(seq).unwrap();
         assert_eq!(mark.holder, "w1");
         assert_eq!(mark.reason, "payload undecodable");
-        assert_eq!(q.poisoned_seqs(), vec![seq]);
         // Poisoned work is never leased again, and the backlog still
         // reads as drained (poison is terminal).
         assert!(q.lease_next("w3").unwrap().is_none());
@@ -1845,7 +1905,7 @@ mod tests {
         // The corrupt mark is never trusted: the submission reads
         // unpoisoned and can be leased (worst case: re-diagnosed).
         assert!(!q.is_poisoned(seq));
-        assert!(q.poisoned_seqs().is_empty());
+        assert_eq!(q.stats().poisoned, 0);
         assert!(q.lease_next("w2").unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1856,8 +1916,8 @@ mod tests {
         q.publish_worker_stats("w2", b"bbb").unwrap();
         q.publish_worker_stats("w1", b"aaa").unwrap();
         q.publish_worker_stats("w1", b"aaa2").unwrap(); // overwrite
-        let stats = q.worker_stats();
-        assert_eq!(stats.len(), 2);
+        let (stats, unreadable) = q.worker_stats();
+        assert_eq!((stats.len(), unreadable), (2, 0));
         assert_eq!(stats[0], ("w1".to_string(), b"aaa2".to_vec()));
         assert_eq!(stats[1], ("w2".to_string(), b"bbb".to_vec()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1872,7 +1932,10 @@ mod tests {
         // sealed body names w1 in both, so neither is a second worker.
         std::fs::copy(workers.join("w1.stats"), workers.join("w1.stats.bak")).unwrap();
         std::fs::copy(workers.join("w1.stats"), workers.join("w2.stats")).unwrap();
-        assert_eq!(q.worker_stats(), vec![("w1".to_string(), b"aaa".to_vec())]);
+        assert_eq!(
+            q.worker_stats(),
+            (vec![("w1".to_string(), b"aaa".to_vec())], 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1884,7 +1947,7 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{holder:?}");
         }
         assert!(!dir.join("leases/x.stats").exists());
-        assert!(q.worker_stats().is_empty());
+        assert!(q.worker_stats().0.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1918,7 +1981,7 @@ mod tests {
         let mut body = decode_record(&MAGIC_LEASE, &std::fs::read(&path).unwrap()).unwrap();
         *body.last_mut().unwrap() = 2;
         std::fs::write(&path, encode_record(&MAGIC_LEASE, &body)).unwrap();
-        assert!(matches!(q.read_lease(seq, lease.token), Ok(None)));
+        assert!(matches!(q.lease(seq, lease.token), Ok(None)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

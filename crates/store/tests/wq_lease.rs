@@ -560,7 +560,7 @@ proptest! {
         // Nothing read back may be fabricated: every surviving
         // submission is one of the originals, bit for bit.
         let valid = q.submission_seqs_checked().unwrap();
-        for submission in valid.into_iter().filter_map(|seq| q.submission(seq)) {
+        for submission in valid.into_iter().filter_map(|seq| q.submission_checked(seq).unwrap()) {
             let expected: &[u8] = if submission.seq == seq_a {
                 b"payload-a"
             } else {

@@ -66,7 +66,8 @@ const FIXED_ALLOWANCE: usize = 16 << 10;
 
 /// The trailer a forger recomputes so that a mutated body reaches the
 /// parser: none, the DST/µDST envelope checksum, or SHA-256 of everything
-/// before it (`SPAR`, `SPRL`, `SPMS`).
+/// before it (`SPAR`, and the `sp_store::frame` seal of `SPRL` and
+/// `SPMS`).
 type Seal = Option<fn(&[u8]) -> [u8; 32]>;
 
 /// Applies `mutate` to the body of `sealed` and seals the result again.
