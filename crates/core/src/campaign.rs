@@ -933,10 +933,10 @@ fn column_label(image: &sp_env::VmImage) -> String {
 
 /// Aggregates a run's results per process group.
 fn aggregate_groups(run: &ValidationRun) -> BTreeMap<String, CellStatus> {
-    let mut by_group: BTreeMap<String, Vec<&TestStatus>> = BTreeMap::new();
+    let mut by_group: BTreeMap<&str, Vec<&TestStatus>> = BTreeMap::new();
     for result in &run.results {
         by_group
-            .entry(result.group.clone())
+            .entry(&result.group)
             .or_default()
             .push(&result.status);
     }
@@ -957,7 +957,7 @@ fn aggregate_groups(run: &ValidationRun) -> BTreeMap<String, CellStatus> {
             } else {
                 CellStatus::Pass
             };
-            (group, status)
+            (group.to_string(), status)
         })
         .collect()
 }
@@ -976,7 +976,7 @@ mod tests {
             group: group.into(),
             job: JobId(1),
             status,
-            outputs: vec![],
+            outputs: Default::default(),
             compare: None,
         }
     }

@@ -340,7 +340,7 @@ mod tests {
                     group: "g".into(),
                     job: JobId(1),
                     status: TestStatus::Failed(kind),
-                    outputs: vec![],
+                    outputs: Default::default(),
                     compare: None,
                 })
                 .collect(),

@@ -7,14 +7,18 @@
 //! validation runs for a given description").
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use sp_store::ObjectId;
 
 use crate::run::{RunId, ValidationRun};
 
-/// Named output objects of one test (name → content address pairs).
-pub type TestOutputs = Vec<(String, ObjectId)>;
+/// Named output objects of one test (name → content address pairs). The
+/// slice and its names are shared: a memo-served result holds the slice
+/// its memo entry holds, and promoting a result to reference status
+/// copies no output.
+pub type TestOutputs = Arc<[(Arc<str>, ObjectId)]>;
 
 /// A captured copy of one experiment's reference map (`None` = the
 /// experiment had no references), restorable via
@@ -53,14 +57,7 @@ impl RunLedger {
     /// per repetition via [`log_batch`](Self::log_batch) so the recording
     /// order stays deterministic across worker counts.
     pub fn promote(&self, run: &ValidationRun) {
-        if !run.is_successful() {
-            return;
-        }
-        let mut refs = self.references.write();
-        let entry = refs.entry(run.experiment.clone()).or_default();
-        for result in &run.results {
-            entry.insert(result.test.as_str().to_string(), result.outputs.clone());
-        }
+        promote_into(&mut self.references.write(), run);
     }
 
     /// Records a whole batch of runs under a single lock acquisition per
@@ -74,11 +71,8 @@ impl RunLedger {
         }
         {
             let mut refs = self.references.write();
-            for run in runs.iter().filter(|r| r.is_successful()) {
-                let entry = refs.entry(run.experiment.clone()).or_default();
-                for result in &run.results {
-                    entry.insert(result.test.as_str().to_string(), result.outputs.clone());
-                }
+            for run in &runs {
+                promote_into(&mut refs, run);
             }
         }
         self.runs.write().extend(runs);
@@ -181,16 +175,6 @@ impl RunLedger {
         absorbed
     }
 
-    /// Reference outputs for one test of an experiment, if any successful
-    /// run has produced them.
-    pub fn reference_outputs(&self, experiment: &str, test_id: &str) -> Option<TestOutputs> {
-        self.references
-            .read()
-            .get(experiment)
-            .and_then(|tests| tests.get(test_id))
-            .cloned()
-    }
-
     /// Content address of one named reference output, read under the lock
     /// without cloning the whole output list — the digest-first comparison
     /// paths call this once per test, so it stays allocation-free.
@@ -205,7 +189,7 @@ impl RunLedger {
             .get(experiment)?
             .get(test_id)?
             .iter()
-            .find(|(name, _)| name == output_name)
+            .find(|(name, _)| **name == *output_name)
             .map(|(_, id)| *id)
     }
 
@@ -227,27 +211,6 @@ impl RunLedger {
     /// All runs (cloned) in recording order.
     pub fn runs(&self) -> Vec<ValidationRun> {
         self.runs.read().clone()
-    }
-
-    /// Runs whose description contains `needle` (the "available validation
-    /// runs for a given description" query of §3.3).
-    pub fn runs_matching(&self, needle: &str) -> Vec<ValidationRun> {
-        self.runs
-            .read()
-            .iter()
-            .filter(|r| r.description.contains(needle))
-            .cloned()
-            .collect()
-    }
-
-    /// The most recent run of an experiment on a given image label.
-    pub fn latest(&self, experiment: &str, image_label: &str) -> Option<ValidationRun> {
-        self.runs
-            .read()
-            .iter()
-            .rev()
-            .find(|r| r.experiment == experiment && r.image_label == image_label)
-            .cloned()
     }
 
     /// The most recent *successful* run of an experiment (any image).
@@ -339,7 +302,7 @@ impl RunLedger {
                 return true;
             }
             for result in &run.results {
-                for (_, oid) in &result.outputs {
+                for (_, oid) in result.outputs.iter() {
                     if !needed.contains(oid) && storage.remove(*oid) {
                         objects_removed += 1;
                     }
@@ -353,6 +316,18 @@ impl RunLedger {
             dropped: dropped_keys.len(),
             objects_removed,
         }
+    }
+}
+
+/// Makes a successful run's outputs its experiment's reference (no-op for
+/// a failed run).
+fn promote_into(refs: &mut BTreeMap<String, BTreeMap<String, TestOutputs>>, run: &ValidationRun) {
+    if !run.is_successful() {
+        return;
+    }
+    let tests = refs.entry(run.experiment.clone()).or_default();
+    for result in &run.results {
+        tests.insert(result.test.as_str().to_string(), result.outputs.clone());
     }
 }
 
@@ -391,10 +366,10 @@ mod tests {
                 } else {
                     TestStatus::Failed(FailureKind::CompileError)
                 },
-                outputs: vec![(
-                    "log".to_string(),
+                outputs: Arc::from([(
+                    "log".into(),
                     ObjectId::for_bytes(format!("out-{id}").as_bytes()),
-                )],
+                )]),
                 compare: None,
             }],
         }
@@ -406,8 +381,8 @@ mod tests {
         assert!(!ledger.has_reference("h1"));
         ledger.record(run(1, "h1", "SL5", true));
         assert!(ledger.has_reference("h1"));
-        let outputs = ledger.reference_outputs("h1", "t1").unwrap();
-        assert_eq!(outputs[0].1, ObjectId::for_bytes(b"out-1"));
+        let output = ledger.reference_output_id("h1", "t1", "log");
+        assert_eq!(output, Some(ObjectId::for_bytes(b"out-1")));
     }
 
     #[test]
@@ -415,8 +390,8 @@ mod tests {
         let ledger = RunLedger::new();
         ledger.record(run(1, "h1", "SL5", true));
         ledger.record(run(2, "h1", "SL6", false));
-        let outputs = ledger.reference_outputs("h1", "t1").unwrap();
-        assert_eq!(outputs[0].1, ObjectId::for_bytes(b"out-1"), "still run 1");
+        let output = ledger.reference_output_id("h1", "t1", "log");
+        assert_eq!(output, Some(ObjectId::for_bytes(b"out-1")), "still run 1");
     }
 
     #[test]
@@ -424,7 +399,7 @@ mod tests {
         let ledger = RunLedger::new();
         ledger.record(run(1, "h1", "SL5", true));
         assert!(!ledger.has_reference("zeus"));
-        assert!(ledger.reference_outputs("zeus", "t1").is_none());
+        assert!(ledger.reference_output_id("zeus", "t1", "log").is_none());
     }
 
     #[test]
@@ -434,9 +409,7 @@ mod tests {
         ledger.record(run(2, "h1", "SL6", false));
         ledger.record(run(3, "zeus", "SL6", true));
         assert_eq!(ledger.run_count(), 3);
-        assert_eq!(ledger.latest("h1", "SL6").unwrap().id, RunId(2));
         assert_eq!(ledger.latest_successful("h1").unwrap().id, RunId(1));
-        assert_eq!(ledger.runs_matching("zeus").len(), 1);
         assert!(ledger.get(RunId(2)).is_some());
         assert!(ledger.get(RunId(99)).is_none());
     }
@@ -458,8 +431,8 @@ mod tests {
         assert_eq!(batched.run_count(), sequential.run_count());
         for experiment in ["h1", "zeus"] {
             assert_eq!(
-                batched.reference_outputs(experiment, "t1"),
-                sequential.reference_outputs(experiment, "t1"),
+                batched.reference_state(experiment),
+                sequential.reference_state(experiment),
                 "batch-order promotion must equal sequential promotion"
             );
             assert_eq!(
@@ -495,10 +468,9 @@ mod tests {
             "promotion does not append to the log"
         );
         ledger.promote(&run(2, "h1", "SL6", false));
-        let outputs = ledger.reference_outputs("h1", "t1").unwrap();
         assert_eq!(
-            outputs[0].1,
-            ObjectId::for_bytes(b"out-1"),
+            ledger.reference_output_id("h1", "t1", "log"),
+            Some(ObjectId::for_bytes(b"out-1")),
             "failures don't promote"
         );
     }
@@ -521,13 +493,13 @@ mod tests {
         let captured = ledger.reference_state("h1");
         ledger.promote(&run(2, "h1", "SL6", true));
         assert_eq!(
-            ledger.reference_outputs("h1", "t1").unwrap()[0].1,
-            ObjectId::for_bytes(b"out-2")
+            ledger.reference_output_id("h1", "t1", "log"),
+            Some(ObjectId::for_bytes(b"out-2"))
         );
         ledger.restore_reference_state("h1", captured);
         assert_eq!(
-            ledger.reference_outputs("h1", "t1").unwrap()[0].1,
-            ObjectId::for_bytes(b"out-1"),
+            ledger.reference_output_id("h1", "t1", "log"),
+            Some(ObjectId::for_bytes(b"out-1")),
             "restored to the captured state"
         );
     }
@@ -543,19 +515,16 @@ mod tests {
         // A cold ledger absorbs everything.
         let restored = RunLedger::new();
         assert_eq!(restored.absorb_references(exported.clone()), 2);
-        assert_eq!(
-            restored.reference_outputs("h1", "t1"),
-            ledger.reference_outputs("h1", "t1")
-        );
+        assert_eq!(restored.reference_state("h1"), ledger.reference_state("h1"));
         assert!(restored.has_reference("zeus"));
 
         // A ledger that already promoted a *newer* reference keeps it:
         // the snapshot fills gaps, it never travels references back.
         let live = RunLedger::new();
         live.record(run(9, "h1", "SL6", true));
-        let newer = live.reference_outputs("h1", "t1").unwrap();
+        let newer = live.reference_state("h1");
         assert_eq!(live.absorb_references(exported), 1, "only zeus is new");
-        assert_eq!(live.reference_outputs("h1", "t1").unwrap(), newer);
+        assert_eq!(live.reference_state("h1"), newer);
         assert!(live.has_reference("zeus"));
     }
 

@@ -164,7 +164,7 @@ mod tests {
                     } else {
                         TestStatus::Failed(FailureKind::CompileError)
                     },
-                    outputs: vec![],
+                    outputs: Default::default(),
                     compare: None,
                 })
                 .collect(),

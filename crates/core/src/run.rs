@@ -8,10 +8,13 @@
 //! description, indicating which software versions were used, and the Unix
 //! time stamp of the execution to aid the bookkeeping." (§3.3)
 
+use std::sync::Arc;
+
 use sp_exec::JobId;
 use sp_store::ObjectId;
 
 use crate::compare::CompareOutcome;
+use crate::ledger::TestOutputs;
 use crate::test::{FailureKind, TestCategory, TestId};
 
 /// Unique identifier of a validation run.
@@ -61,14 +64,14 @@ pub struct TestResult {
     pub test: TestId,
     /// Its category (denormalised for reporting).
     pub category: TestCategory,
-    /// Process group (Figure-3 row).
-    pub group: String,
+    /// Process group (Figure-3 row), shared with the test definition.
+    pub group: Arc<str>,
     /// The job that executed it.
     pub job: JobId,
     /// Terminal status.
     pub status: TestStatus,
     /// Output objects kept in the common storage.
-    pub outputs: Vec<(String, ObjectId)>,
+    pub outputs: TestOutputs,
     /// Comparison verdict against the reference run, if one existed.
     pub compare: Option<CompareOutcome>,
 }
@@ -140,7 +143,7 @@ impl ValidationRun {
             text.push_str(r.test.as_str());
             text.push('=');
             text.push(r.status.glyph());
-            for (name, id) in &r.outputs {
+            for (name, id) in r.outputs.iter() {
                 text.push(':');
                 text.push_str(name);
                 text.push('@');
@@ -163,7 +166,7 @@ mod tests {
             group: "compilation".into(),
             job: JobId(1),
             status,
-            outputs: vec![],
+            outputs: TestOutputs::default(),
             compare: None,
         }
     }
@@ -221,12 +224,8 @@ mod tests {
     fn digest_is_sensitive_to_outputs() {
         let mut a = run_with(vec![TestStatus::Passed]);
         let mut b = a.clone();
-        a.results[0]
-            .outputs
-            .push(("hist".into(), ObjectId::for_bytes(b"one")));
-        b.results[0]
-            .outputs
-            .push(("hist".into(), ObjectId::for_bytes(b"two")));
+        a.results[0].outputs = Arc::from([("hist".into(), ObjectId::for_bytes(b"one"))]);
+        b.results[0].outputs = Arc::from([("hist".into(), ObjectId::for_bytes(b"two"))]);
         assert_ne!(a.digest(), b.digest());
     }
 

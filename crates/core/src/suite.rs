@@ -71,7 +71,7 @@ impl TestSuite {
         }
         let mut groups: BTreeMap<String, usize> = BTreeMap::new();
         for test in &self.tests {
-            *groups.entry(test.group.clone()).or_insert(0) += 1;
+            *groups.entry(test.group.to_string()).or_insert(0) += 1;
         }
         SuiteBreakdown {
             experiment: self.experiment.clone(),
@@ -96,8 +96,8 @@ impl TestSuite {
     pub fn groups(&self) -> Vec<String> {
         let mut groups: Vec<String> = Vec::new();
         for test in &self.tests {
-            if !groups.contains(&test.group) {
-                groups.push(test.group.clone());
+            if !groups.iter().any(|group| **group == *test.group) {
+                groups.push(test.group.to_string());
             }
         }
         groups

@@ -33,9 +33,9 @@ use crate::warm;
 
 use crate::compare::{Comparator, CompareOutcome, TestOutput};
 use crate::experiment::ExperimentDef;
-use crate::ledger::RunLedger;
+use crate::ledger::{RunLedger, TestOutputs};
 use crate::run::{RunId, TestResult, TestStatus, ValidationRun};
-use crate::test::{FailureKind, TestCategory, TestKind, ValidationTest};
+use crate::test::{FailureKind, TestCategory, TestId, TestKind, ValidationTest};
 
 /// Errors from system-level operations.
 #[derive(Debug)]
@@ -136,14 +136,15 @@ pub struct SpSystem {
     experiments: RwLock<BTreeMap<String, Arc<RegisteredExperiment>>>,
     ledger: RunLedger,
     /// Memoised chain-test productions, keyed by (test, seed, env, scale).
-    chain_memo: RunMemo<MemoizedChain>,
-    /// Memoised unit-check / standalone outputs (content address of the
-    /// encoded [`TestOutput`]), same key space.
-    output_memo: RunMemo<ObjectId>,
-    /// Memoised §3.1 (ii) build reports: the regular build is a pure
-    /// function of (experiment stack, environment), so repeated cells
-    /// reuse the report instead of re-simulating the whole stack build.
-    build_memo: RunMemo<Arc<BuildReport>>,
+    chain_memo: RunMemo<Arc<MemoizedChain>>,
+    /// Memoised unit-check / standalone outputs (the one `result`: the
+    /// content address of the encoded [`TestOutput`]), same key space.
+    /// Every result the entry serves shares its slice.
+    output_memo: RunMemo<TestOutputs>,
+    /// Memoised §3.1 (ii) builds: the regular build is a pure function of
+    /// (experiment stack, environment), so repeated cells reuse the report
+    /// and its compile-test outputs instead of re-simulating the build.
+    build_memo: RunMemo<Arc<StackBuild>>,
 }
 
 impl Default for SpSystem {
@@ -453,7 +454,7 @@ impl SpSystem {
                 result
                     .outputs
                     .iter()
-                    .filter(|(name, _)| name != "tarball")
+                    .filter(|(name, _)| &**name != "tarball")
                     .map(|(name, oid)| (format!("{run_id}/{}/{name}", result.test), *oid)),
             );
             tests.push(result);
@@ -517,7 +518,7 @@ impl SpSystem {
         experiment: &ExperimentDef,
         env: &EnvironmentSpec,
         config: &RunConfig,
-    ) -> Result<Arc<BuildReport>, SystemError> {
+    ) -> Result<Arc<StackBuild>, SystemError> {
         let memo_key = config.memoize.then(|| {
             // The report does not depend on seed or scale; key the cell by
             // stack identity and environment revision only.
@@ -531,23 +532,22 @@ impl SpSystem {
         if let Some(key) = &memo_key {
             // A pruned conserved tar-ball fails validation: rebuild (which
             // re-conserves it) and refresh the entry.
-            let served = self.build_memo.serve(key, |report| {
-                self.build_artifacts_present(&report).then_some(report)
+            let served = self.build_memo.serve(key, |build| {
+                self.build_artifacts_present(&build.report).then_some(build)
             });
-            if let Some(report) = served {
-                return Ok(report);
+            if let Some(build) = served {
+                return Ok(build);
             }
         }
         let builder = ParallelBuilder::new(BuildEngine::new(self.storage.clone()), config.threads);
-        let report = Arc::new(
-            builder
-                .build_stack(&experiment.graph, env)
-                .map_err(SystemError::Graph)?,
-        );
+        let report = builder
+            .build_stack(&experiment.graph, env)
+            .map_err(SystemError::Graph)?;
+        let build = Arc::new(StackBuild::new(report));
         if let Some(key) = memo_key {
-            self.build_memo.insert(key, Arc::clone(&report));
+            self.build_memo.insert(key, Arc::clone(&build));
         }
-        Ok(report)
+        Ok(build)
     }
 
     /// Whether every artifact a memoised build report points at is still
@@ -560,19 +560,23 @@ impl SpSystem {
             .all(|oid| self.storage.content().contains(oid))
     }
 
-    /// Builds the result of a compilation test from the build report.
+    /// Builds the result of a compilation test from the stack build: the
+    /// package's shared outputs, with its build log conserved (again, if
+    /// retention pruned it).
     fn compile_result(
         &self,
         test: &ValidationTest,
         package: &sp_build::PackageId,
-        build: &BuildReport,
+        build: &StackBuild,
     ) -> TestResult {
-        let record = build.records.get(package);
-        let (status, log) = match record {
-            None => (
-                TestStatus::Failed(FailureKind::CompileError),
-                format!("package '{package}' is not part of the stack\n"),
-            ),
+        let missing;
+        let (status, log, outputs) = match build.report.records.get(package) {
+            None => {
+                missing = format!("package '{package}' is not part of the stack\n");
+                let outputs = compile_outputs(&missing, None);
+                let status = TestStatus::Failed(FailureKind::CompileError);
+                (status, missing.as_str(), outputs)
+            }
             Some(r) => {
                 let status = match &r.status {
                     BuildStatus::Built => TestStatus::Passed,
@@ -582,13 +586,14 @@ impl SpSystem {
                         TestStatus::Skipped(format!("dependency '{dep}' failed"))
                     }
                 };
-                (status, r.log.clone())
+                let outputs = build.compile_outputs[package].clone();
+                (status, r.log.as_str(), outputs)
             }
         };
-        let log_id = self.storage.content().put(log.into_bytes());
-        let mut outputs = vec![("build.log".to_string(), log_id)];
-        if let Some(artifact) = record.and_then(|r| r.artifact) {
-            outputs.push(("tarball".to_string(), artifact));
+        let log_id = outputs[0].1;
+        let content = self.storage.content();
+        if !content.contains(log_id) {
+            content.put_prehashed(log_id, log.as_bytes());
         }
         TestResult {
             test: test.id.clone(),
@@ -623,7 +628,7 @@ impl SpSystem {
             TestKind::UnitCheck { package, .. } | TestKind::Standalone { package, .. } => package,
             _ => unreachable!("parallel tests are unit checks or standalone"),
         };
-        let make = |status: TestStatus, outputs: Vec<(String, ObjectId)>| TestResult {
+        let make = |status: TestStatus, outputs: TestOutputs| TestResult {
             test: test.id.clone(),
             category: test.category(),
             group: test.group.clone(),
@@ -633,7 +638,7 @@ impl SpSystem {
             compare: None,
         };
         let verdict = |oid: ObjectId, fresh: Option<TestOutput>| Verdict {
-            test_id: test.id.as_str().to_string(),
+            test_id: test.id.clone(),
             output_name: "result",
             oid,
             fresh,
@@ -641,20 +646,21 @@ impl SpSystem {
 
         // The executable must exist.
         let built = build
+            .report
             .records
             .get(package)
             .map(|r| r.status.has_artifact())
             .unwrap_or(false);
         if !built {
             let status = TestStatus::Skipped(format!("artifact for '{package}' missing"));
-            return (make(status, Vec::new()), None);
+            return (make(status, TestOutputs::default()), None);
         }
 
         // Runtime behaviour of the package (with its dependencies).
         let deviation = match runtime {
             RuntimeOutcome::Crash { message, .. } => {
                 let status = TestStatus::Failed(FailureKind::Crash(message.clone()));
-                return (make(status, Vec::new()), None);
+                return (make(status, TestOutputs::default()), None);
             }
             RuntimeOutcome::Deviating { shift_sigma, .. } => *shift_sigma,
             RuntimeOutcome::Nominal => 0.0,
@@ -669,13 +675,16 @@ impl SpSystem {
             .then(|| cell_key(&experiment.name, test, config, env_label));
         // A pruned object fails validation and falls through to a run.
         let served = memo_key.as_ref().and_then(|key| {
-            self.output_memo.serve(key, |oid| {
-                self.storage.content().contains(oid).then_some(oid)
+            self.output_memo.serve(key, |outputs| {
+                self.storage
+                    .content()
+                    .contains(outputs[0].1)
+                    .then_some(outputs)
             })
         });
-        if let Some(oid) = served {
-            let result = make(TestStatus::Passed, vec![("result".to_string(), oid)]);
-            return (result, Some(verdict(oid, None)));
+        if let Some(outputs) = served {
+            let oid = outputs[0].1;
+            return (make(TestStatus::Passed, outputs), Some(verdict(oid, None)));
         }
 
         let output = match &test.kind {
@@ -717,10 +726,11 @@ impl SpSystem {
         let mut encoded = Vec::new();
         let digest = output.encode_and_digest(&mut encoded);
         let oid = self.storage.content().put_prehashed(digest, encoded);
+        let outputs = result_outputs(oid);
         if let Some(key) = memo_key {
-            self.output_memo.insert(key, oid);
+            self.output_memo.insert(key, outputs.clone());
         }
-        let result = make(TestStatus::Passed, vec![("result".to_string(), oid)]);
+        let result = make(TestStatus::Passed, outputs);
         (result, Some(verdict(oid, Some(output))))
     }
 
@@ -736,20 +746,30 @@ impl SpSystem {
         test: &ValidationTest,
         chain: &MemoizedChain,
     ) -> Vec<(TestResult, Option<Verdict>)> {
-        let hist_id = chain
+        // The validation stage compares the analysis stage's histograms,
+        // kept under the analysis stage's test id.
+        let histograms = chain
             .stages
             .iter()
             .find(|s| s.stage == "analysis")
-            .and_then(|s| s.outputs.iter().find(|(name, _)| name == "histograms"))
-            .map(|(_, id)| *id);
+            .and_then(|s| {
+                let (_, oid) = s.outputs.iter().find(|(name, _)| &**name == "histograms")?;
+                Some((&s.test, *oid))
+            });
         chain
             .stages
             .iter()
             .map(|stage| {
                 let judged = stage.stage == "validation" && stage.status == TestStatus::Passed;
-                let (status, verdict) = match hist_id {
-                    Some(hist_id) if judged => {
-                        (TestStatus::Passed, Some(chain_verdict(test, hist_id)))
+                let (status, verdict) = match histograms {
+                    Some((test_id, oid)) if judged => {
+                        let verdict = Verdict {
+                            test_id: test_id.clone(),
+                            output_name: "histograms",
+                            oid,
+                            fresh: None,
+                        };
+                        (TestStatus::Passed, Some(verdict))
                     }
                     // Only a restored warm-state entry can record a passed
                     // validation stage without analysis histograms.
@@ -836,6 +856,7 @@ impl SpSystem {
         let plan = chain.execute(|stage, _: &BTreeMap<String, ()>| {
             if let Some(package) = stage_packages.get(&stage.name) {
                 let built = build
+                    .report
                     .records
                     .get(package)
                     .map(|r| r.status.has_artifact())
@@ -878,7 +899,7 @@ impl SpSystem {
             .into_iter()
             .take_while(|stage| plan.outputs.contains_key(stage.name()))
             .last();
-        let mut stage_outputs: BTreeMap<&str, Vec<(String, ObjectId)>> = BTreeMap::new();
+        let mut stage_outputs: BTreeMap<&str, TestOutputs> = BTreeMap::new();
         if let Some(last) = last {
             let output = sp_hep::stream_chain(
                 &GeneratorConfig::hera_nc(),
@@ -895,7 +916,7 @@ impl SpSystem {
             ];
             for (stage, name, bytes) in files {
                 if let Some(bytes) = bytes {
-                    stage_outputs.insert(stage, vec![(name.to_string(), content.put(bytes))]);
+                    stage_outputs.insert(stage, Arc::from([(name.into(), content.put(bytes))]));
                 }
             }
             if let Some(result) = output.analysis {
@@ -903,7 +924,7 @@ impl SpSystem {
                 hist_io::encode_set_with(&result.histograms, &mut |b| payload.extend_from_slice(b));
                 stage_outputs.insert(
                     "analysis",
-                    vec![("histograms".to_string(), content.put(payload))],
+                    Arc::from([("histograms".into(), content.put(payload))]),
                 );
             }
         }
@@ -915,7 +936,7 @@ impl SpSystem {
                 .stages
                 .iter()
                 .map(|(stage_name, status)| MemoizedStage {
-                    test: crate::test::TestId::new(format!("{}/{stage_name}", test.id)),
+                    test: TestId::new(format!("{}/{stage_name}", test.id)),
                     category: if stage_name == "validation" {
                         TestCategory::DataValidation
                     } else {
@@ -939,7 +960,7 @@ impl SpSystem {
         };
         let results = self.chain_results(test, &production);
         if let Some(key) = memo_key {
-            self.chain_memo.insert(key, production);
+            self.chain_memo.insert(key, Arc::new(production));
         }
         results
     }
@@ -956,10 +977,11 @@ impl SpSystem {
         experiment: &str,
         verdict: &Verdict,
     ) -> (TestStatus, Option<CompareOutcome>) {
-        let Some(reference_id) =
-            self.ledger
-                .reference_output_id(experiment, &verdict.test_id, verdict.output_name)
-        else {
+        let Some(reference_id) = self.ledger.reference_output_id(
+            experiment,
+            verdict.test_id.as_str(),
+            verdict.output_name,
+        ) else {
             return (TestStatus::Passed, None);
         };
         if verdict.oid == reference_id {
@@ -1025,11 +1047,11 @@ impl SpSystem {
         }
         snapshot.sections.push(digests);
 
-        let mut outputs = SnapshotSection::new(warm::SECTION_OUTPUT_MEMO);
-        for (key, id) in self.output_memo.export_entries() {
-            outputs.push(encode_run_key(&key), warm::encode_object_id(id));
+        let mut results = SnapshotSection::new(warm::SECTION_OUTPUT_MEMO);
+        for (key, outputs) in self.output_memo.export_entries() {
+            results.push(encode_run_key(&key), warm::encode_object_id(outputs[0].1));
         }
-        snapshot.sections.push(outputs);
+        snapshot.sections.push(results);
 
         let mut chains = SnapshotSection::new(warm::SECTION_CHAIN_MEMO);
         for (key, chain) in self.chain_memo.export_entries() {
@@ -1038,8 +1060,11 @@ impl SpSystem {
         snapshot.sections.push(chains);
 
         let mut builds = SnapshotSection::new(warm::SECTION_BUILD_MEMO);
-        for (key, report) in self.build_memo.export_entries() {
-            builds.push(encode_run_key(&key), warm::encode_build_report(&report));
+        for (key, build) in self.build_memo.export_entries() {
+            builds.push(
+                encode_run_key(&key),
+                warm::encode_build_report(&build.report),
+            );
         }
         snapshot.sections.push(builds);
 
@@ -1114,7 +1139,7 @@ impl SpSystem {
             for (key, value) in &section.entries {
                 match (decode_run_key(key), warm::decode_object_id(value)) {
                     (Some(key), Some(id)) if content.contains(id) => {
-                        self.output_memo.insert(key, id);
+                        self.output_memo.insert(key, result_outputs(id));
                         report.output_memo_entries += 1;
                     }
                     _ => report.entries_rejected += 1,
@@ -1126,7 +1151,7 @@ impl SpSystem {
             for (key, value) in &section.entries {
                 match (decode_run_key(key), warm::decode_chain(value)) {
                     (Some(key), Some(chain)) if chain.outputs_present(content) => {
-                        self.chain_memo.insert(key, chain);
+                        self.chain_memo.insert(key, Arc::new(chain));
                         report.chain_memo_entries += 1;
                     }
                     _ => report.entries_rejected += 1,
@@ -1138,7 +1163,8 @@ impl SpSystem {
             for (key, value) in &section.entries {
                 match (decode_run_key(key), warm::decode_build_report(value)) {
                     (Some(key), Some(build)) if self.build_artifacts_present(&build) => {
-                        self.build_memo.insert(key, build);
+                        self.build_memo
+                            .insert(key, Arc::new(StackBuild::new(build)));
                         report.build_memo_entries += 1;
                     }
                     _ => report.entries_rejected += 1,
@@ -1206,7 +1232,8 @@ impl SpSystem {
     /// content objects first (re-hashed, bit-rot rejected), then the warm
     /// state on top of them. A missing or structurally corrupt
     /// `warm_state.spws` degrades to a cold restart — the storage import
-    /// still stands, and the reason is reported, not swallowed.
+    /// still stands, and the reason is reported, not swallowed. Any other
+    /// failure to read it fails the import.
     pub fn import_from_dir(&self, dir: &std::path::Path) -> std::io::Result<SystemImportSummary> {
         self.import_from_dir_fs(dir, &sp_store::vfs::OsFs)
     }
@@ -1225,10 +1252,11 @@ impl SpSystem {
                 Ok(report) => (report, None),
                 Err(error) => (WarmRestoreReport::default(), Some(error.to_string())),
             },
-            Err(_) => (
+            Err(error) if error.kind() == std::io::ErrorKind::NotFound => (
                 WarmRestoreReport::default(),
                 Some("warm state file missing".into()),
             ),
+            Err(error) => return Err(error),
         };
         Ok(SystemImportSummary {
             storage,
@@ -1266,8 +1294,8 @@ impl SpSystem {
             .cloned()?;
         let mut artifacts: Vec<(String, ObjectId)> = Vec::new();
         for result in &run.results {
-            for (name, oid) in &result.outputs {
-                if name == "tarball" {
+            for (name, oid) in result.outputs.iter() {
+                if &**name == "tarball" {
                     artifacts.push((result.test.as_str().to_string(), *oid));
                 }
             }
@@ -1326,7 +1354,7 @@ pub(crate) struct ProducedRun {
 /// owes.
 struct Verdict {
     /// The test id and output name the reference is kept under.
-    test_id: String,
+    test_id: TestId,
     output_name: &'static str,
     /// Content address of the produced output.
     oid: ObjectId,
@@ -1336,17 +1364,6 @@ struct Verdict {
     fresh: Option<TestOutput>,
 }
 
-/// The validation stage's comparison of a chain test: its analysis
-/// histograms against the reference's.
-fn chain_verdict(test: &ValidationTest, hist_id: ObjectId) -> Verdict {
-    Verdict {
-        test_id: format!("{}/analysis", test.id),
-        output_name: "histograms",
-        oid: hist_id,
-        fresh: None,
-    }
-}
-
 /// What every test of one run reads, resolved once per run.
 #[derive(Clone, Copy)]
 struct RunContext<'a> {
@@ -1354,8 +1371,44 @@ struct RunContext<'a> {
     env: &'a EnvironmentSpec,
     /// `env.full_label()`, the environment part of every memo key.
     env_label: &'a str,
-    build: &'a BuildReport,
+    build: &'a StackBuild,
     config: &'a RunConfig,
+}
+
+/// A §3.1 (ii) stack build with each package's compile-test outputs (its
+/// build log and, when built, its tar-ball), shared by every run the
+/// build serves.
+pub(crate) struct StackBuild {
+    report: BuildReport,
+    compile_outputs: HashMap<PackageId, TestOutputs>,
+}
+
+impl StackBuild {
+    fn new(report: BuildReport) -> Self {
+        let compile_outputs = report
+            .records
+            .values()
+            .map(|r| (r.package.clone(), compile_outputs(&r.log, r.artifact)))
+            .collect();
+        StackBuild {
+            report,
+            compile_outputs,
+        }
+    }
+}
+
+/// A compile test's outputs: its build log and, when built, its tar-ball.
+fn compile_outputs(log: &str, artifact: Option<ObjectId>) -> TestOutputs {
+    let log = ("build.log".into(), ObjectId::for_bytes(log.as_bytes()));
+    match artifact {
+        Some(artifact) => Arc::from([log, ("tarball".into(), artifact)]),
+        None => Arc::from([log]),
+    }
+}
+
+/// A unit check's or standalone executable's one output.
+fn result_outputs(oid: ObjectId) -> TestOutputs {
+    Arc::from([("result".into(), oid)])
 }
 
 /// What [`SpSystem::verify_storage`] found wrong with the common storage.
@@ -1445,7 +1498,7 @@ pub(crate) struct MemoizedStage {
     pub(crate) category: TestCategory,
     pub(crate) status: TestStatus,
     /// Conserved outputs: name → content address in the common storage.
-    pub(crate) outputs: Vec<(String, ObjectId)>,
+    pub(crate) outputs: TestOutputs,
 }
 
 /// The memoised production of one whole chain test, in stage-report order.
@@ -1460,7 +1513,7 @@ impl MemoizedChain {
     fn outputs_present(&self, content: &sp_store::ContentStore) -> bool {
         self.stages
             .iter()
-            .flat_map(|stage| &stage.outputs)
+            .flat_map(|stage| stage.outputs.iter())
             .all(|(_, oid)| content.contains(*oid))
     }
 }
@@ -1758,6 +1811,49 @@ mod tests {
             .filter(|r| matches!(r.compare, Some(CompareOutcome::Identical)))
             .collect();
         assert!(!compared.is_empty());
+    }
+
+    #[test]
+    fn memo_served_results_share_their_names_and_outputs() {
+        let system = SpSystem::new();
+        let image = system
+            .register_image(catalog::sl5_gcc41(Arch::I686, Version::two(5, 34)))
+            .unwrap();
+        system.register_experiment(tiny_experiment()).unwrap();
+        let memo_config = RunConfig {
+            memoize: true,
+            ..config()
+        };
+        let first = system.run_validation("tiny", image, &memo_config).unwrap();
+        let second = system.run_validation("tiny", image, &memo_config).unwrap();
+        assert_eq!(first.results.len(), second.results.len());
+        for (a, b) in first.results.iter().zip(&second.results) {
+            assert!(
+                Arc::ptr_eq(&a.test.0, &b.test.0),
+                "{} copied its id",
+                a.test
+            );
+            assert!(
+                Arc::ptr_eq(&a.group, &b.group),
+                "{} copied its group",
+                a.test
+            );
+            assert!(
+                Arc::ptr_eq(&a.outputs, &b.outputs),
+                "{} copied its outputs",
+                a.test
+            );
+        }
+        // A suite test's result holds the registered definition's id and
+        // group.
+        let def = system.experiment("tiny").unwrap();
+        for test in def.suite.tests() {
+            let result = second.results.iter().find(|r| r.test == test.id);
+            if let Some(result) = result {
+                assert!(Arc::ptr_eq(&result.test.0, &test.id.0));
+                assert!(Arc::ptr_eq(&result.group, &test.group));
+            }
+        }
     }
 
     #[test]
@@ -2133,6 +2229,36 @@ mod tests {
     }
 
     #[test]
+    fn directory_import_tells_a_missing_warm_state_from_a_faulting_one() {
+        use sp_store::{FaultConfig, FaultFs, ForcedFault};
+        let original = SpSystem::new();
+        original
+            .register_image(catalog::sl6_gcc44(Version::two(5, 34)))
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("sp-warm-fault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        original.export_to_dir(&dir).unwrap();
+        let warm_state = dir.join(WARM_STATE_FILE);
+
+        // A warm state that cannot be read is not a missing one.
+        let fs = FaultFs::over_os(FaultConfig::default());
+        fs.fail_nth_read_of(&warm_state, 1, ForcedFault::Eio);
+        let err = SpSystem::new().import_from_dir_fs(&dir, &fs).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5));
+
+        // A missing one degrades to a cold restart over the storage.
+        std::fs::remove_file(&warm_state).unwrap();
+        let restarted = SpSystem::new();
+        let summary = restarted.import_from_dir_fs(&dir, &fs).unwrap();
+        assert_eq!(
+            summary.warm_state_error.as_deref(),
+            Some("warm state file missing")
+        );
+        assert_eq!(summary.storage.names_restored, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn restored_ledger_references_make_the_first_run_compare() {
         // A system earns a reference, checkpoints, and restarts. The
         // restored ledger must carry the reference map: the first
@@ -2425,7 +2551,7 @@ mod tests {
         let run = system.run_validation("tiny", image, &config()).unwrap();
         // Every declared output object exists in storage.
         for result in &run.results {
-            for (name, oid) in &result.outputs {
+            for (name, oid) in result.outputs.iter() {
                 assert!(
                     system.storage().content().contains(*oid),
                     "output {name} of {} missing",

@@ -7,17 +7,20 @@
 //! validation of the results.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sp_build::PackageId;
 use sp_exec::ChainDef;
 
-/// Unique test identifier within an experiment suite.
+/// Unique test identifier within an experiment suite. The text is
+/// shared: every result of the test holds the registered experiment's
+/// copy, so recording a result bumps a count instead of copying the id.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TestId(pub String);
+pub struct TestId(pub Arc<str>);
 
 impl TestId {
     /// Creates an id.
-    pub fn new(id: impl Into<String>) -> Self {
+    pub fn new(id: impl Into<Arc<str>>) -> Self {
         TestId(id.into())
     }
 
@@ -41,7 +44,7 @@ impl From<&str> for TestId {
 
 impl From<String> for TestId {
     fn from(s: String) -> Self {
-        TestId(s)
+        TestId::new(s)
     }
 }
 
@@ -186,8 +189,8 @@ pub struct ValidationTest {
     /// What the test does.
     pub kind: TestKind,
     /// Process group for the Figure-3 matrix rows (`MC chain`,
-    /// `DST production`, …).
-    pub group: String,
+    /// `DST production`, …), shared with every result of the test.
+    pub group: Arc<str>,
 }
 
 impl ValidationTest {
@@ -195,7 +198,7 @@ impl ValidationTest {
     pub fn new(
         id: impl Into<TestId>,
         experiment: impl Into<String>,
-        group: impl Into<String>,
+        group: impl Into<Arc<str>>,
         kind: TestKind,
     ) -> Self {
         ValidationTest {

@@ -27,12 +27,12 @@
 //! identical); this header versions only what the values mean.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use sp_build::{BuildReport, BuildStatus, PackageId};
 use sp_store::ObjectId;
 use sp_wire::{self as wire, Cursor};
 
+use crate::ledger::TestOutputs;
 use crate::run::TestStatus;
 use crate::system::{MemoizedChain, MemoizedStage};
 use crate::test::{FailureKind, TestCategory, TestId};
@@ -209,11 +209,7 @@ pub(crate) fn encode_chain(chain: &MemoizedChain) -> Vec<u8> {
         wire::put_str(&mut out, stage.test.as_str());
         put_category(&mut out, stage.category);
         put_status(&mut out, &stage.status);
-        wire::put_u32(&mut out, stage.outputs.len() as u32);
-        for (name, oid) in &stage.outputs {
-            wire::put_str(&mut out, name);
-            put_object_id(&mut out, *oid);
-        }
+        put_outputs(&mut out, &stage.outputs);
     }
     out
 }
@@ -230,41 +226,49 @@ pub(crate) fn decode_chain(bytes: &[u8]) -> Option<MemoizedChain> {
         let test = TestId::new(cursor.take_str()?);
         let category = take_category(&mut cursor)?;
         let status = take_status(&mut cursor)?;
-        // An output: a length-prefixed name and a 32-byte object id.
-        let output_count = cursor.take_count(36)?;
-        let mut outputs = Vec::with_capacity(output_count);
-        for _ in 0..output_count {
-            let name = cursor.take_str()?;
-            let oid = take_object_id(&mut cursor)?;
-            outputs.push((name, oid));
-        }
         stages.push(MemoizedStage {
             stage,
             test,
             category,
             status,
-            outputs,
+            outputs: take_outputs(&mut cursor)?,
         });
     }
     cursor.finished().then_some(MemoizedChain { stages })
 }
 
+/// Serialises named outputs: a count, then each name and object id.
+fn put_outputs(out: &mut Vec<u8>, outputs: &TestOutputs) {
+    wire::put_u32(out, outputs.len() as u32);
+    for (name, oid) in outputs.iter() {
+        wire::put_str(out, name);
+        put_object_id(out, *oid);
+    }
+}
+
+/// Parses named outputs serialised by [`put_outputs`].
+fn take_outputs(cursor: &mut Cursor<'_>) -> Option<TestOutputs> {
+    // An output: a length-prefixed name and a 32-byte object id.
+    let output_count = cursor.take_count(36)?;
+    let mut outputs = Vec::with_capacity(output_count);
+    for _ in 0..output_count {
+        let name = cursor.take_str()?;
+        let oid = take_object_id(cursor)?;
+        outputs.push((name.into(), oid));
+    }
+    Some(outputs.into())
+}
+
 // ---- ledger references -----------------------------------------------
 
 /// Serialises one experiment's reference map: `test id → named outputs`.
-pub(crate) fn encode_reference_tests(
-    tests: &BTreeMap<String, crate::ledger::TestOutputs>,
-) -> Vec<u8> {
+pub(crate) fn encode_reference_tests(tests: &BTreeMap<String, TestOutputs>) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + tests.len() * 96);
     put_value_header(&mut out);
     wire::put_u32(&mut out, tests.len() as u32);
     for (test, outputs) in tests {
         wire::put_str(&mut out, test);
-        wire::put_u32(&mut out, outputs.len() as u32);
-        for (name, oid) in outputs {
-            wire::put_str(&mut out, name);
-            put_object_id(&mut out, *oid);
-        }
+        put_outputs(&mut out, outputs);
     }
     out
 }
@@ -272,9 +276,7 @@ pub(crate) fn encode_reference_tests(
 /// Parses one experiment's reference map serialised by
 /// [`encode_reference_tests`]. `None` on any structural mismatch,
 /// including test names out of order.
-pub(crate) fn decode_reference_tests(
-    bytes: &[u8],
-) -> Option<BTreeMap<String, crate::ledger::TestOutputs>> {
+pub(crate) fn decode_reference_tests(bytes: &[u8]) -> Option<BTreeMap<String, TestOutputs>> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
     let test_count = cursor.take_u32()?;
@@ -288,15 +290,7 @@ pub(crate) fn decode_reference_tests(
         {
             return None;
         }
-        // An output: a length-prefixed name and a 32-byte object id.
-        let output_count = cursor.take_count(36)?;
-        let mut outputs = Vec::with_capacity(output_count);
-        for _ in 0..output_count {
-            let name = cursor.take_str()?;
-            let oid = take_object_id(&mut cursor)?;
-            outputs.push((name, oid));
-        }
-        tests.insert(test, outputs);
+        tests.insert(test, take_outputs(&mut cursor)?);
     }
     cursor.finished().then_some(tests)
 }
@@ -352,7 +346,7 @@ pub(crate) fn encode_build_report(report: &BuildReport) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
+pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<BuildReport> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
     let env_label = cursor.take_str()?;
@@ -389,25 +383,24 @@ pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
             },
         );
     }
-    cursor.finished().then(|| {
-        Arc::new(BuildReport {
-            env_label,
-            order,
-            records,
-        })
+    cursor.finished().then_some(BuildReport {
+        env_label,
+        order,
+        records,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn value_header_guards_every_codec() {
         // Every encoder leads with the versioned header...
         let id = ObjectId::for_bytes(b"artifact");
         let chain = MemoizedChain { stages: vec![] };
-        let refs: BTreeMap<String, crate::ledger::TestOutputs> = BTreeMap::new();
+        let refs: BTreeMap<String, TestOutputs> = BTreeMap::new();
         let report = BuildReport {
             env_label: "SL6".into(),
             order: vec![],
@@ -461,14 +454,14 @@ mod tests {
                     test: TestId::new("h1/chain/nc/mcgen"),
                     category: TestCategory::AnalysisChain,
                     status: TestStatus::Passed,
-                    outputs: vec![("gen.dst".into(), ObjectId::for_bytes(b"dst"))],
+                    outputs: Arc::from([("gen.dst".into(), ObjectId::for_bytes(b"dst"))]),
                 },
                 MemoizedStage {
                     stage: "validation".into(),
                     test: TestId::new("h1/chain/nc/validation"),
                     category: TestCategory::DataValidation,
                     status: TestStatus::Failed(FailureKind::ComparisonFailed("chi2".into())),
-                    outputs: vec![],
+                    outputs: Default::default(),
                 },
             ],
         };
@@ -508,17 +501,17 @@ mod tests {
 
     #[test]
     fn reference_map_round_trip() {
-        let mut tests: BTreeMap<String, crate::ledger::TestOutputs> = BTreeMap::new();
+        let mut tests: BTreeMap<String, TestOutputs> = BTreeMap::new();
         tests.insert(
             "h1/unit/util-0".into(),
-            vec![("result".into(), ObjectId::for_bytes(b"r0"))],
+            Arc::from([("result".into(), ObjectId::for_bytes(b"r0"))]),
         );
         tests.insert(
             "h1/chain/nc/analysis".into(),
-            vec![
+            Arc::from([
                 ("histograms".into(), ObjectId::for_bytes(b"h")),
                 ("events.dst".into(), ObjectId::for_bytes(b"d")),
-            ],
+            ]),
         );
         let bytes = encode_reference_tests(&tests);
         assert_eq!(decode_reference_tests(&bytes), Some(tests));
@@ -554,7 +547,7 @@ mod tests {
         };
         let bytes = encode_build_report(&report);
         let decoded = decode_build_report(&bytes).expect("round trip");
-        assert_eq!(*decoded, report);
+        assert_eq!(decoded, report);
         assert!(decode_build_report(&bytes[..10]).is_none());
     }
 
@@ -653,7 +646,12 @@ mod tests {
             category: TestCategory::AnalysisChain,
             status,
             outputs: (0..outputs)
-                .map(|i| (format!("out{i}"), ObjectId::for_bytes(name.as_bytes())))
+                .map(|i| {
+                    (
+                        format!("out{i}").into(),
+                        ObjectId::for_bytes(name.as_bytes()),
+                    )
+                })
                 .collect(),
         };
         let chain = MemoizedChain {
@@ -664,9 +662,9 @@ mod tests {
         };
         assert_total(&encode_chain(&chain), decode_chain, encode_chain);
 
-        let mut tests: BTreeMap<String, crate::ledger::TestOutputs> = BTreeMap::new();
-        tests.insert("h1/a".into(), vec![("r".into(), id)]);
-        tests.insert("h1/b".into(), vec![]);
+        let mut tests: BTreeMap<String, TestOutputs> = BTreeMap::new();
+        tests.insert("h1/a".into(), Arc::from([("r".into(), id)]));
+        tests.insert("h1/b".into(), TestOutputs::default());
         assert_total(
             &encode_reference_tests(&tests),
             decode_reference_tests,

@@ -200,7 +200,10 @@ mod tests {
                     group: "compilation".into(),
                     job: JobId(1),
                     status: TestStatus::Passed,
-                    outputs: vec![("build.log".into(), ObjectId::for_bytes(b"log"))],
+                    outputs: std::sync::Arc::from([(
+                        "build.log".into(),
+                        ObjectId::for_bytes(b"log"),
+                    )]),
                     compare: None,
                 },
                 TestResult {
@@ -211,7 +214,7 @@ mod tests {
                     status: TestStatus::Failed(FailureKind::ComparisonFailed(
                         "chi2 p = 1e-9".into(),
                     )),
-                    outputs: vec![],
+                    outputs: Default::default(),
                     compare: None,
                 },
             ],

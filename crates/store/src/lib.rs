@@ -24,10 +24,10 @@
 //!   every nightly firing.
 //! * [`archive`] — the `SPAR` archive format standing in for the tar-balls
 //!   in which compiled package binaries are conserved.
-//! * [`meta`] — namespaced key/value bookkeeping metadata.
 //! * [`shared`] — [`SharedStorage`], the façade every sp-system client
 //!   mounts, with the areas the paper describes (artifacts, tests, results,
-//!   images) and the "few shell variables" interface ([`shared::ShellEnv`]).
+//!   images), one name → content-address map per area, and the "few shell
+//!   variables" interface ([`shared::ShellEnv`]).
 //! * [`vault`] — write-once conservation of the *last working image*
 //!   (workflow phase iv).
 //! * [`retention`] — retention policies over stored runs, with a
@@ -69,7 +69,6 @@ pub mod content;
 pub mod digest_cache;
 pub mod fnv;
 pub mod frame;
-pub mod meta;
 pub mod object;
 pub mod retention;
 pub mod run_log;
@@ -85,7 +84,6 @@ pub use archive::{Archive, ArchiveEntry};
 pub use content::ContentStore;
 pub use digest_cache::DigestCache;
 pub use fnv::fnv64;
-pub use meta::MetaStore;
 pub use object::ObjectId;
 pub use retention::{RetentionPolicy, TimeSource};
 pub use run_log::{CellRecord, RunLog, RunLogReplay};

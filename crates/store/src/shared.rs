@@ -11,13 +11,27 @@
 //! the tests, the test outputs and the external software on the client."*
 //!
 //! [`SharedStorage`] models exactly that: immutable objects in a
-//! [`ContentStore`], bookkeeping in a [`MetaStore`], logical [`StorageArea`]s
-//! instead of directory paths, and [`ShellEnv`] as the thin-variable
-//! interface handed to each test job.
+//! [`ContentStore`], logical [`StorageArea`]s instead of directory paths,
+//! and [`ShellEnv`] as the thin-variable interface handed to each test job.
+//!
+//! §3.3 keeps every output under the unique ID of the job that made it
+//! (*"all scripts and input files used in the test as well as all output
+//! files are kept"*). Those names are the storage's mutable bookkeeping,
+//! kept apart from the immutable content-addressed objects: one ordered
+//! map per area from a key (`<run>/<test>/<output>` in the results area)
+//! to the [`ObjectId`] of the bytes. Listings and the exported
+//! `<area>.index` files read each map in key order. Most names of a
+//! memo-served run point at objects earlier runs named too, so each
+//! named address is held once and a name costs its key and a 4-byte
+//! index.
 
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
-use crate::{Archive, ContentStore, DigestCache, MetaStore, ObjectId, Result};
+use parking_lot::RwLock;
+
+use crate::{Archive, ContentStore, DigestCache, ObjectId, Result};
 
 /// Logical areas of the common storage, mirroring the directory layout of
 /// the DESY deployment.
@@ -34,7 +48,7 @@ pub enum StorageArea {
 }
 
 impl StorageArea {
-    /// Namespace string used in the metadata store.
+    /// The area's name: its index file is `<namespace>.index`.
     pub fn namespace(self) -> &'static str {
         match self {
             StorageArea::Artifacts => "artifacts",
@@ -61,32 +75,51 @@ impl std::fmt::Display for StorageArea {
     }
 }
 
+/// Every area's names, each mapped to the content address it names.
+#[derive(Default)]
+struct Names {
+    /// One map per area, indexed by `StorageArea as usize`, from key to
+    /// a slot of `addresses`.
+    areas: [BTreeMap<Box<str>, u32>; 4],
+    /// Each named content address once, and its slot.
+    addresses: Vec<ObjectId>,
+    slots: HashMap<ObjectId, u32>,
+}
+
+impl Names {
+    /// Points `area/key` at `id`, replacing any earlier address.
+    fn insert(&mut self, area: StorageArea, key: Box<str>, id: ObjectId) {
+        let next = u32::try_from(self.addresses.len()).expect("fewer than 2^32 named objects");
+        let slot = *self.slots.entry(id).or_insert(next);
+        if slot == next {
+            self.addresses.push(id);
+        }
+        self.areas[area as usize].insert(key, slot);
+    }
+
+    fn get(&self, area: StorageArea, key: &str) -> Option<ObjectId> {
+        let slot = *self.areas[area as usize].get(key)?;
+        Some(self.addresses[slot as usize])
+    }
+}
+
 /// The common storage: one shared instance per sp-system deployment.
 #[derive(Clone, Default)]
 pub struct SharedStorage {
     content: Arc<ContentStore>,
-    meta: Arc<MetaStore>,
+    names: Arc<RwLock<Names>>,
     digests: Arc<DigestCache>,
 }
 
 impl SharedStorage {
     /// Creates an empty shared storage.
     pub fn new() -> Self {
-        SharedStorage {
-            content: Arc::new(ContentStore::new()),
-            meta: Arc::new(MetaStore::new()),
-            digests: Arc::new(DigestCache::new()),
-        }
+        SharedStorage::default()
     }
 
     /// Direct access to the underlying content store.
     pub fn content(&self) -> &ContentStore {
         &self.content
-    }
-
-    /// Direct access to the underlying metadata store.
-    pub fn meta(&self) -> &MetaStore {
-        &self.meta
     }
 
     /// The digest cache backing [`put_named_cached`](Self::put_named_cached).
@@ -102,7 +135,7 @@ impl SharedStorage {
         data: impl AsRef<[u8]> + Into<Arc<[u8]>>,
     ) -> ObjectId {
         let id = self.content.put(data);
-        self.meta.set(area.namespace(), key, id.to_hex());
+        self.name(area, key, id);
         id
     }
 
@@ -116,7 +149,7 @@ impl SharedStorage {
         data: impl AsRef<[u8]> + Into<Arc<[u8]>>,
     ) -> ObjectId {
         let id = self.content.put_prehashed(id, data);
-        self.meta.set(area.namespace(), key, id.to_hex());
+        self.name(area, key, id);
         id
     }
 
@@ -128,29 +161,36 @@ impl SharedStorage {
         if !self.content.contains(id) {
             return false;
         }
-        self.meta.set(area.namespace(), key, id.to_hex());
+        self.name(area, key, id);
         true
     }
 
+    /// Points `area/key` at `id`, replacing any earlier address.
+    fn name(&self, area: StorageArea, key: &str, id: ObjectId) {
+        self.names.write().insert(area, key.into(), id);
+    }
+
     /// [`register_named`](Self::register_named) for a batch of
-    /// `(key, id)` pairs under one metadata write lock. Pairs whose object
-    /// is absent are skipped; returns how many names were registered. A
-    /// name is kept for the storage's life, so it is stored without the
-    /// spare capacity a formatted key may carry.
+    /// `(key, id)` pairs under one write lock of the name map. Pairs whose
+    /// object is absent are skipped; returns how many names were
+    /// registered. A name is kept for the storage's life, so it is stored
+    /// without the spare capacity a formatted key may carry.
     pub fn register_named_many(
         &self,
         area: StorageArea,
         names: impl IntoIterator<Item = (String, ObjectId)>,
     ) -> usize {
-        let present: Vec<(String, String)> = names
+        let present: Vec<(Box<str>, ObjectId)> = names
             .into_iter()
             .filter(|(_, id)| self.content.contains(*id))
-            .map(|(mut key, id)| {
-                key.shrink_to_fit();
-                (key, id.to_hex())
-            })
+            .map(|(key, id)| (key.into_boxed_str(), id))
             .collect();
-        self.meta.set_many(area.namespace(), present)
+        let registered = present.len();
+        let mut names = self.names.write();
+        for (key, id) in present {
+            names.insert(area, key, id);
+        }
+        registered
     }
 
     /// Stores an archive (tar-ball) under `area/key`. The content address
@@ -186,7 +226,7 @@ impl SharedStorage {
         if let Some(id) = served {
             // Keep the name → address mapping fresh for this key even
             // when the bytes were produced under an earlier key.
-            self.meta.set(area.namespace(), key, id.to_hex());
+            self.name(area, key, id);
             return id;
         }
         let id = self.put_named(area, key, produce());
@@ -196,20 +236,12 @@ impl SharedStorage {
 
     /// Resolves `area/key` to its content address, if registered.
     pub fn lookup(&self, area: StorageArea, key: &str) -> Option<ObjectId> {
-        self.meta
-            .get(area.namespace(), key)
-            .and_then(|hex| ObjectId::from_hex(&hex))
+        self.names.read().get(area, key)
     }
 
     /// Fetches the bytes registered under `area/key`.
     pub fn get_named(&self, area: StorageArea, key: &str) -> Option<Result<Arc<[u8]>>> {
         self.lookup(area, key).map(|id| self.content.get(id))
-    }
-
-    /// Fetches and unpacks the archive registered under `area/key`.
-    pub fn get_archive(&self, area: StorageArea, key: &str) -> Option<Result<Archive>> {
-        self.get_named(area, key)
-            .map(|bytes| bytes.and_then(|b| Archive::unpack(&b)))
     }
 
     /// Unpack-verifies every archive registered under `area` whose key
@@ -231,12 +263,14 @@ impl SharedStorage {
         failed
     }
 
-    /// Lists `(key, object-id)` pairs under `area` with the given prefix.
+    /// Lists `(key, object-id)` pairs under `area` with the given prefix,
+    /// in key order.
     pub fn list(&self, area: StorageArea, prefix: &str) -> Vec<(String, ObjectId)> {
-        self.meta
-            .list_prefixed(area.namespace(), prefix)
-            .into_iter()
-            .filter_map(|(k, hex)| ObjectId::from_hex(&hex).map(|id| (k, id)))
+        let names = self.names.read();
+        names.areas[area as usize]
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(prefix))
+            .map(|(key, slot)| (key.to_string(), names.addresses[*slot as usize]))
             .collect()
     }
 
@@ -301,7 +335,8 @@ impl SharedStorage {
     /// admitted only if its bytes still address to its file name (silent
     /// bit-rot on the preservation medium is *rejected*, not imported),
     /// then the `<area>.index` listings restore the name → address
-    /// mappings whose objects survived.
+    /// mappings whose objects survived. An area without an index file is
+    /// an empty area; any other failure to read one fails the import.
     pub fn import_from_dir(&self, dir: &std::path::Path) -> std::io::Result<ImportSummary> {
         self.import_from_dir_fs(dir, &crate::vfs::OsFs)
     }
@@ -336,13 +371,12 @@ impl SharedStorage {
         }
         for area in StorageArea::all() {
             let index_path = dir.join(format!("{}.index", area.namespace()));
-            let Ok(index) = fs
-                .read(&index_path)
-                .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
-            else {
-                continue;
+            let index = match fs.read(&index_path) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(e),
             };
-            for line in index.lines() {
+            for line in String::from_utf8_lossy(&index).lines() {
                 let Some((key, hex)) = line.rsplit_once(' ') else {
                     summary.names_rejected += 1;
                     continue;
@@ -478,6 +512,14 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(bytes.as_ref(), b"#!/bin/sh");
+        // Storing other bytes under the same key moves the name.
+        let moved = storage.put_named(StorageArea::Tests, "h1/compile/h1rec.sh", &b"exit 0"[..]);
+        assert_ne!(moved, id);
+        assert_eq!(
+            storage.lookup(StorageArea::Tests, "h1/compile/h1rec.sh"),
+            Some(moved)
+        );
+        assert_eq!(storage.list(StorageArea::Tests, "").len(), 1);
     }
 
     #[test]
@@ -536,11 +578,11 @@ mod tests {
             .add(ArchiveEntry::executable("bin/zevis", &b"ELF"[..]))
             .unwrap();
         storage.put_archive(StorageArea::Artifacts, "zeus/zevis/5.4", &tarball);
-        let restored = storage
-            .get_archive(StorageArea::Artifacts, "zeus/zevis/5.4")
+        let packed = storage
+            .get_named(StorageArea::Artifacts, "zeus/zevis/5.4")
             .unwrap()
             .unwrap();
-        assert_eq!(restored, tarball);
+        assert_eq!(Archive::unpack(&packed).unwrap(), tarball);
     }
 
     #[test]
@@ -562,11 +604,21 @@ mod tests {
     #[test]
     fn listing_respects_prefix() {
         let storage = SharedStorage::new();
-        storage.put_named(StorageArea::Results, "sp-1/a", &b"1"[..]);
-        storage.put_named(StorageArea::Results, "sp-1/b", &b"2"[..]);
         storage.put_named(StorageArea::Results, "sp-2/a", &b"3"[..]);
-        assert_eq!(storage.list(StorageArea::Results, "sp-1/").len(), 2);
-        assert_eq!(storage.list(StorageArea::Results, "").len(), 3);
+        storage.put_named(StorageArea::Results, "sp-1/b", &b"2"[..]);
+        storage.put_named(StorageArea::Results, "sp-1/a", &b"1"[..]);
+        storage.put_named(StorageArea::Results, "sp-10/a", &b"4"[..]);
+        storage.put_named(StorageArea::Tests, "sp-1/c", &b"5"[..]);
+        let keys = |prefix: &str| -> Vec<String> {
+            storage
+                .list(StorageArea::Results, prefix)
+                .into_iter()
+                .map(|(key, _)| key)
+                .collect()
+        };
+        assert_eq!(keys("sp-1/"), ["sp-1/a", "sp-1/b"], "in key order, scoped");
+        assert_eq!(keys(""), ["sp-1/a", "sp-1/b", "sp-10/a", "sp-2/a"]);
+        assert!(keys("sp-3").is_empty());
     }
 
     #[test]
@@ -657,18 +709,50 @@ mod tests {
     }
 
     #[test]
+    fn import_skips_a_missing_index_but_fails_on_a_faulting_one() {
+        use crate::vfs::{FaultConfig, FaultFs, ForcedFault};
+        let storage = SharedStorage::new();
+        storage.put_named(StorageArea::Results, "run/a", &b"alpha"[..]);
+        storage.put_named(StorageArea::Tests, "t", &b"script"[..]);
+        let dir = std::env::temp_dir().join(format!("sp-import-fault-{}", std::process::id()));
+        storage.export_to_dir(&dir).unwrap();
+
+        // No index file: an empty area, not a failed import.
+        std::fs::remove_file(dir.join("tests.index")).unwrap();
+        let fs = FaultFs::over_os(FaultConfig::default());
+        let summary = SharedStorage::new().import_from_dir_fs(&dir, &fs).unwrap();
+        assert_eq!(summary.names_restored, 1);
+
+        // An index that cannot be read is not an empty area.
+        fs.fail_nth_read_of(&dir.join("results.index"), 1, ForcedFault::Eio);
+        let restored = SharedStorage::new();
+        let err = restored.import_from_dir_fs(&dir, &fs).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5));
+        assert!(restored.lookup(StorageArea::Results, "run/a").is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn register_named_many_skips_absent_objects() {
         let storage = SharedStorage::new();
         let kept = storage.put_named(StorageArea::Results, "spr-000001/a/result", &b"a"[..]);
+        let other = storage.put_named(StorageArea::Results, "spr-000002/c/result", &b"c"[..]);
         let absent = ObjectId::for_bytes(b"never stored");
         let registered = storage.register_named_many(
             StorageArea::Results,
             [
                 ("spr-000002/a/result".to_string(), kept),
                 ("spr-000002/b/result".to_string(), absent),
+                ("spr-000002/c/result".to_string(), kept),
             ],
         );
-        assert_eq!(registered, 1);
+        assert_eq!(registered, 2);
+        assert_ne!(other, kept);
+        assert_eq!(
+            storage.lookup(StorageArea::Results, "spr-000002/c/result"),
+            Some(kept),
+            "a registered name replaces the old address"
+        );
         assert_eq!(
             storage.lookup(StorageArea::Results, "spr-000002/a/result"),
             Some(kept)

@@ -356,9 +356,10 @@ struct FaultState {
     violations: Vec<String>,
     /// A hard fault armed for the next write operation.
     fail_next_write: Option<ForcedFault>,
-    /// A hard fault armed for a later read or listing: (reads still to
-    /// pass before it, fault).
-    fail_read: Option<(u64, ForcedFault)>,
+    /// A hard fault armed for a later read or listing: (the only path
+    /// whose reads count, `None` for every read; counted reads still to
+    /// pass before it; fault).
+    fail_read: Option<(Option<PathBuf>, u64, ForcedFault)>,
 }
 
 enum Gate {
@@ -406,7 +407,16 @@ impl FaultFs {
     /// Arms a hard fault for the `nth` read operation from now (1 is the
     /// next), file reads and directory listings alike; writes pass.
     pub fn fail_nth_read(&self, nth: u64, fault: ForcedFault) {
-        self.state.lock().fail_read = Some((nth.saturating_sub(1), fault));
+        self.state.lock().fail_read = Some((None, nth.saturating_sub(1), fault));
+    }
+
+    /// Arms a hard fault for the `nth` read of `path` from now (1 is the
+    /// next read of it): a file read or, for a directory, a listing.
+    /// Reads of other paths and every write pass and do not count, so
+    /// armed just before an operation, the fault lands on that
+    /// operation's read of `path` however often earlier steps read it.
+    pub fn fail_nth_read_of(&self, path: &Path, nth: u64, fault: ForcedFault) {
+        self.state.lock().fail_read = Some((Some(path.into()), nth.saturating_sub(1), fault));
     }
 
     /// Operations performed so far — after a clean reference pass, the
@@ -449,7 +459,9 @@ impl FaultFs {
         io::Error::other("injected crash: process lost power at this operation")
     }
 
-    fn gate(&self, state: &mut FaultState, is_write: bool) -> Gate {
+    /// Numbers the next operation and decides whether it fails.
+    /// `read_of` is the path a read or listing reads; `None` is a write.
+    fn gate(&self, state: &mut FaultState, read_of: Option<&Path>) -> Gate {
         if state.crashed {
             return Gate::Dead(Self::crash_error());
         }
@@ -459,16 +471,19 @@ impl FaultFs {
             state.crashed = true;
             return Gate::Fault(Self::crash_error());
         }
-        if is_write {
+        if read_of.is_none() {
             if let Some(fault) = state.fail_next_write.take() {
                 return Gate::Fault(fault.to_error());
             }
-        } else if let Some((pass, fault)) = state.fail_read {
-            if pass == 0 {
-                state.fail_read = None;
-                return Gate::Fault(fault.to_error());
+        } else if let Some((path, pass, fault)) = &mut state.fail_read {
+            if path.is_none() || path.as_deref() == read_of {
+                if *pass == 0 {
+                    let fault = *fault;
+                    state.fail_read = None;
+                    return Gate::Fault(fault.to_error());
+                }
+                *pass -= 1;
             }
-            state.fail_read = Some((pass - 1, fault));
         }
         if self.config.io_fault_rate > 0.0 {
             let draw = Self::rand(state) as f64 / u64::MAX as f64;
@@ -594,7 +609,7 @@ fn parent_of(path: &Path) -> PathBuf {
 impl StoreFs for FaultFs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, false) {
+        match self.gate(&mut state, Some(path)) {
             Gate::Proceed => self.inner.read(path),
             Gate::Fault(e) | Gate::Dead(e) => Err(e),
         }
@@ -611,7 +626,7 @@ impl StoreFs for FaultFs {
             }
             state.unsynced.insert(path.to_path_buf());
         };
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => {
                 self.inner.write(path, bytes)?;
                 track_new(&mut state);
@@ -631,7 +646,7 @@ impl StoreFs for FaultFs {
 
     fn sync_file(&self, path: &Path) -> io::Result<()> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => {
                 self.inner.sync_file(path)?;
                 state.unsynced.remove(path);
@@ -644,7 +659,7 @@ impl StoreFs for FaultFs {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => {
                 let source_unsynced = state.unsynced.remove(from);
                 if source_unsynced {
@@ -681,7 +696,7 @@ impl StoreFs for FaultFs {
 
     fn hard_link(&self, src: &Path, dst: &Path) -> io::Result<()> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => {
                 let source_unsynced = state.unsynced.contains(src);
                 if source_unsynced {
@@ -711,7 +726,7 @@ impl StoreFs for FaultFs {
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => {
                 let bytes = self.inner.read(path).unwrap_or_default();
                 self.inner.remove_file(path)?;
@@ -731,7 +746,7 @@ impl StoreFs for FaultFs {
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => self.inner.create_dir_all(path),
             Gate::Fault(e) | Gate::Dead(e) => Err(e),
         }
@@ -739,7 +754,7 @@ impl StoreFs for FaultFs {
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, true) {
+        match self.gate(&mut state, None) {
             Gate::Proceed => {
                 self.inner.sync_dir(dir)?;
                 state.pending.retain(|(d, _)| d != dir);
@@ -751,7 +766,7 @@ impl StoreFs for FaultFs {
 
     fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
         let mut state = self.state.lock();
-        match self.gate(&mut state, false) {
+        match self.gate(&mut state, Some(dir)) {
             Gate::Proceed => self.inner.read_dir_names(dir),
             Gate::Fault(e) | Gate::Dead(e) => Err(e),
         }
@@ -1283,6 +1298,26 @@ mod tests {
         let fs2 = FaultFs::over_os(FaultConfig::default());
         fs2.fail_next_write(ForcedFault::Eio);
         assert!(fs2.read(&path).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_path_scoped_read_fault_counts_only_reads_of_its_path() {
+        let dir = temp_dir("read-of");
+        let (target, other) = (dir.join("target"), dir.join("other"));
+        std::fs::write(&target, b"t").unwrap();
+        std::fs::write(&other, b"o").unwrap();
+        let fs = FaultFs::over_os(FaultConfig::default());
+        fs.fail_nth_read_of(&target, 2, ForcedFault::Eio);
+        // Writes, listings and reads of other paths pass and do not count.
+        fs.write(&other, b"o2").unwrap();
+        assert_eq!(fs.read(&other).unwrap(), b"o2");
+        assert_eq!(fs.read_dir_names(&dir).unwrap().len(), 2);
+        assert_eq!(fs.read(&target).unwrap(), b"t", "the first read passes");
+        assert_eq!(fs.read(&other).unwrap(), b"o2");
+        let err = fs.read(&target).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5), "the second read of it fails");
+        assert_eq!(fs.read(&target).unwrap(), b"t", "once");
         std::fs::remove_dir_all(&dir).ok();
     }
 

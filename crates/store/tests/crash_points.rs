@@ -429,101 +429,15 @@ fn run_log_append_replay_round_trip_survives_transient_faults() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A filesystem whose reads of one specific path always fail with a
-/// transient error — the deterministic skeleton of a flaky disk.
-struct DenyRead {
-    deny: PathBuf,
+/// A fault-free filesystem over the disk, on which a test arms one read
+/// fault just before the operation it faults.
+fn faultable() -> Arc<FaultFs> {
+    Arc::new(FaultFs::over_os(FaultConfig::default()))
 }
 
-impl StoreFs for DenyRead {
-    fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
-        if path == self.deny {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "injected transient read fault",
-            ));
-        }
-        OsFs.read(path)
-    }
-    fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-        OsFs.write(path, bytes)
-    }
-    fn sync_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        OsFs.sync_file(path)
-    }
-    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
-        OsFs.rename(from, to)
-    }
-    fn hard_link(&self, src: &std::path::Path, dst: &std::path::Path) -> std::io::Result<()> {
-        OsFs.hard_link(src, dst)
-    }
-    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        OsFs.remove_file(path)
-    }
-    fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
-        OsFs.create_dir_all(path)
-    }
-    fn sync_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        OsFs.sync_dir(dir)
-    }
-    fn read_dir_names(&self, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
-        OsFs.read_dir_names(dir)
-    }
-    fn exists(&self, path: &std::path::Path) -> bool {
-        OsFs.exists(path)
-    }
-}
-
-/// A filesystem whose `nth` read of one path fails once with a transient
-/// error; every other operation goes straight to the disk.
-struct FailNthRead {
-    path: PathBuf,
-    nth: u64,
-    reads: AtomicU64,
-}
-
-impl StoreFs for FailNthRead {
-    fn read(&self, path: &std::path::Path) -> std::io::Result<Vec<u8>> {
-        if path == self.path && self.reads.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "injected transient read fault",
-            ));
-        }
-        OsFs.read(path)
-    }
-    fn write(&self, path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-        OsFs.write(path, bytes)
-    }
-    fn sync_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        OsFs.sync_file(path)
-    }
-    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
-        OsFs.rename(from, to)
-    }
-    fn hard_link(&self, src: &std::path::Path, dst: &std::path::Path) -> std::io::Result<()> {
-        OsFs.hard_link(src, dst)
-    }
-    fn remove_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        OsFs.remove_file(path)
-    }
-    fn create_dir_all(&self, path: &std::path::Path) -> std::io::Result<()> {
-        OsFs.create_dir_all(path)
-    }
-    fn sync_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        OsFs.sync_dir(dir)
-    }
-    fn read_dir_names(&self, dir: &std::path::Path) -> std::io::Result<Vec<String>> {
-        OsFs.read_dir_names(dir)
-    }
-    fn exists(&self, path: &std::path::Path) -> bool {
-        OsFs.exists(path)
-    }
-}
-
-/// A report that cannot be read is not a missing report: with the read
-/// of a finished submission's report faulting, a claim must not issue a
-/// second generation for work that is already done.
+/// A report that cannot be read is not a missing report: with the claim's
+/// read of a finished submission's report faulting, the claim must not
+/// issue a second generation for work that is already done.
 #[test]
 fn report_read_fault_never_reissues_finished_work() {
     let dir = temp_dir("deny-report");
@@ -533,15 +447,11 @@ fn report_read_fault_never_reissues_finished_work() {
     flush(&healthy, &lease, b"done").unwrap();
     drop(healthy);
 
-    let flaky = WorkQueue::open_with(
-        &dir,
-        60,
-        Arc::new(FixedClock(1_100)),
-        Arc::new(DenyRead {
-            deny: dir.join("reports").join(format!("sub-{seq:08}.g0001.rep")),
-        }),
-    )
-    .expect("open over flaky disk");
+    let fs = faultable();
+    let flaky = WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_100)), fs.clone())
+        .expect("open over flaky disk");
+    let report = dir.join("reports").join(format!("sub-{seq:08}.g0001.rep"));
+    fs.fail_nth_read_of(&report, 1, ForcedFault::Transient);
     if let Ok(Some(lease)) = flaky.lease_next("w2") {
         assert_ne!(
             (lease.seq, lease.token),
@@ -565,18 +475,12 @@ fn lease_read_fault_never_steals_a_live_lease() {
     assert_eq!(lease.token, 1);
 
     // w2's claim reads the lease twice: the generation probe, then the
-    // liveness check. The second read faults.
-    let w2 = WorkQueue::open_with(
-        &dir,
-        60,
-        Arc::new(FixedClock(1_010)),
-        Arc::new(FailNthRead {
-            path: dir.join("leases").join(format!("sub-{seq:08}.g0001")),
-            nth: 2,
-            reads: AtomicU64::new(0),
-        }),
-    )
-    .expect("open over flaky disk");
+    // liveness check. The liveness check faults.
+    let fs = faultable();
+    let w2 = WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_010)), fs.clone())
+        .expect("open over flaky disk");
+    let held = dir.join("leases").join(format!("sub-{seq:08}.g0001"));
+    fs.fail_nth_read_of(&held, 2, ForcedFault::Transient);
     if let Ok(Some(stolen)) = w2.lease_next("w2") {
         assert_ne!(stolen.token, 2, "a live lease was stolen");
     }
@@ -590,23 +494,16 @@ fn lease_read_fault_never_steals_a_live_lease() {
 #[test]
 fn hand_back_retries_a_faulting_release() {
     let dir = temp_dir("hand-back");
-    let flaky = WorkQueue::open_with(
-        &dir,
-        60,
-        Arc::new(FixedClock(1_000)),
-        Arc::new(FailNthRead {
-            path: dir.join("leases").join("sub-00000001.g0001"),
-            // The submit's burned-number probe and the claim's
-            // generation probe read it absent; the release's liveness
-            // check is the third read.
-            nth: 3,
-            reads: AtomicU64::new(0),
-        }),
-    )
-    .expect("open over flaky disk");
+    let fs = faultable();
+    let flaky = WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_000)), fs.clone())
+        .expect("open over flaky disk");
     let seq = flaky.submit(b"work", 5, 1, 0).unwrap();
     let lease = flaky.lease_next("w1").unwrap().expect("claimable");
     assert_eq!((lease.seq, lease.token), (seq, 1));
+    // The release's liveness check is the hand-back's first read of the
+    // lease.
+    let held = dir.join("leases").join(format!("sub-{seq:08}.g0001"));
+    fs.fail_nth_read_of(&held, 1, ForcedFault::Transient);
     flaky.hand_back(&lease);
 
     let healthy = WorkQueue::open_with_time(&dir, 60, Arc::new(FixedClock(1_000))).expect("open");
@@ -631,24 +528,20 @@ fn transient_read_fault_never_quarantines_valid_work() {
     let before = std::fs::read(&sub_path).unwrap();
     drop(healthy);
 
-    // Reopen over a disk whose read of exactly that record always faults.
-    // Opening runs the corrupt-record sweep; the unreadable-but-intact
-    // submission must survive it untouched.
-    let flaky = WorkQueue::open_with(
-        &dir,
-        60,
-        Arc::new(FixedClock(1_100)),
-        Arc::new(DenyRead {
-            deny: sub_path.clone(),
-        }),
-    )
-    .expect("open over flaky disk");
+    // Reopen with the open-time corrupt-record sweep's read of exactly
+    // that record faulting; the unreadable-but-intact submission must
+    // survive the sweep untouched.
+    let fs = faultable();
+    fs.fail_nth_read_of(&sub_path, 1, ForcedFault::Transient);
+    let flaky = WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_100)), fs.clone())
+        .expect("open over flaky disk");
     assert_eq!(flaky.stats().quarantined, 0, "no verdict without bytes");
     assert!(sub_path.exists(), "the record must stay in submissions/");
     assert_eq!(std::fs::read(&sub_path).unwrap(), before);
 
     // The claim path surfaces the same fault as retryable I/O, not as a
     // missing or corrupt record.
+    fs.fail_nth_read_of(&sub_path, 1, ForcedFault::Transient);
     let err = flaky
         .submission_checked(seq)
         .expect_err("read fault surfaces");
@@ -678,16 +571,13 @@ fn transient_read_fault_never_reads_as_drained_or_corrupt() {
     let seq = healthy.submit(b"intact-payload", 5, 1, 0).unwrap();
     drop(healthy);
 
-    let flaky = WorkQueue::open_with(
-        &dir,
-        60,
-        Arc::new(FixedClock(1_100)),
-        Arc::new(DenyRead {
-            deny: dir.join("submissions").join(format!("sub-{seq:08}.spwq")),
-        }),
-    )
-    .expect("open over flaky disk");
+    let fs = faultable();
+    let flaky = WorkQueue::open_with(&dir, 60, Arc::new(FixedClock(1_100)), fs.clone())
+        .expect("open over flaky disk");
+    let sub_path = dir.join("submissions").join(format!("sub-{seq:08}.spwq"));
+    fs.fail_nth_read_of(&sub_path, 1, ForcedFault::Transient);
     assert!(!flaky.drained(), "unread work is not finished work");
+    fs.fail_nth_read_of(&sub_path, 1, ForcedFault::Transient);
     let stats = flaky.stats();
     assert_eq!(stats.submissions, 1, "the unread submission stays enqueued");
     assert_eq!(stats.corrupt_dropped, 0, "no verdict without bytes");

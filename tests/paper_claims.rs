@@ -142,7 +142,7 @@ fn unique_job_ids_and_outputs_kept() {
     // Every output object is retrievable from the common storage; the test
     // scripts were conserved at registration.
     for result in &run.results {
-        for (_, oid) in &result.outputs {
+        for (_, oid) in result.outputs.iter() {
             assert!(system.storage().content().contains(*oid));
         }
     }

@@ -69,7 +69,7 @@ fn pruning_preserves_references_and_comparability() {
     assert!(system.storage().content().verify_all().is_empty());
     for run in system.ledger().runs() {
         for result in &run.results {
-            for (name, oid) in &result.outputs {
+            for (name, oid) in result.outputs.iter() {
                 assert!(
                     system.storage().content().contains(*oid),
                     "kept run {} lost output {name}",
