@@ -69,6 +69,7 @@ pub mod content;
 pub mod digest_cache;
 pub mod fnv;
 pub mod frame;
+mod meta;
 pub mod object;
 pub mod retention;
 pub mod run_log;

@@ -1,116 +1,55 @@
-//! Namespaced key/value bookkeeping metadata.
+//! The storage's names: its mutable bookkeeping metadata.
 //!
-//! The paper notes that "the common storage allows communication between the
-//! sp-system and the experiment tests using only a few shell variables" and
-//! that validation jobs are "tagged with a description … and the Unix time
-//! stamp of the execution to aid the bookkeeping". [`MetaStore`] is where
-//! those small pieces of mutable bookkeeping live, separated from the
-//! immutable content-addressed objects.
+//! §3.3 keeps every output under the unique ID of the job that made it.
+//! [`Names`] holds those names apart from the immutable content-addressed
+//! objects: per [`StorageArea`] an ordered map from a key (such as
+//! `<run>/<test>/<output>` in the results area) to the [`ObjectId`] of the
+//! bytes, so listings are deterministic — important for reproducible
+//! report generation. Most names of a memo-served run point at objects
+//! earlier runs named too, so each named address is held once and a name
+//! costs its key and a 4-byte slot.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
-use parking_lot::RwLock;
+use crate::{ObjectId, StorageArea};
 
-/// A namespaced key/value store with ordered iteration.
-///
-/// Keys live under string namespaces (`runs`, `tags`, `images`, …). The
-/// underlying map is ordered so listings are deterministic — important for
-/// reproducible report generation.
+/// Every area's names, each mapped to the content address it names.
 #[derive(Default)]
-pub struct MetaStore {
-    entries: RwLock<BTreeMap<(String, String), String>>,
+pub(crate) struct Names {
+    /// One map per area, indexed by `StorageArea as usize`, from key to
+    /// a slot of `addresses`.
+    areas: [BTreeMap<Box<str>, u32>; 4],
+    /// Each named content address once, and its slot.
+    addresses: Vec<ObjectId>,
+    slots: HashMap<ObjectId, u32>,
 }
 
-impl MetaStore {
-    /// Creates an empty metadata store.
-    pub fn new() -> Self {
-        MetaStore::default()
-    }
-
-    /// Sets `namespace/key` to `value`, returning the previous value.
-    pub fn set(
-        &self,
-        namespace: impl Into<String>,
-        key: impl Into<String>,
-        value: impl Into<String>,
-    ) -> Option<String> {
-        self.entries
-            .write()
-            .insert((namespace.into(), key.into()), value.into())
-    }
-
-    /// Sets every `(key, value)` pair under `namespace` while holding the
-    /// write lock once, returning how many were set.
-    pub fn set_many(
-        &self,
-        namespace: &str,
-        pairs: impl IntoIterator<Item = (String, String)>,
-    ) -> usize {
-        let mut entries = self.entries.write();
-        let mut count = 0;
-        for (key, value) in pairs {
-            entries.insert((namespace.to_string(), key), value);
-            count += 1;
+impl Names {
+    /// Points `area/key` at `id`, replacing any earlier address.
+    pub(crate) fn insert(&mut self, area: StorageArea, key: Box<str>, id: ObjectId) {
+        let next = u32::try_from(self.addresses.len()).expect("fewer than 2^32 named objects");
+        let slot = *self.slots.entry(id).or_insert(next);
+        if slot == next {
+            self.addresses.push(id);
         }
-        count
+        self.areas[area as usize].insert(key, slot);
     }
 
-    /// Fetches `namespace/key`.
-    pub fn get(&self, namespace: &str, key: &str) -> Option<String> {
-        self.entries
-            .read()
-            .get(&(namespace.to_string(), key.to_string()))
-            .cloned()
+    /// The address `area/key` names.
+    pub(crate) fn get(&self, area: StorageArea, key: &str) -> Option<ObjectId> {
+        let slot = *self.areas[area as usize].get(key)?;
+        Some(self.addresses[slot as usize])
     }
 
-    /// Removes `namespace/key`, returning the removed value.
-    pub fn remove(&self, namespace: &str, key: &str) -> Option<String> {
-        self.entries
-            .write()
-            .remove(&(namespace.to_string(), key.to_string()))
-    }
-
-    /// All `(key, value)` pairs in `namespace`, in key order.
-    pub fn list(&self, namespace: &str) -> Vec<(String, String)> {
-        self.entries
-            .read()
-            .range((namespace.to_string(), String::new())..)
-            .take_while(|((ns, _), _)| ns == namespace)
-            .map(|((_, k), v)| (k.clone(), v.clone()))
+    /// `(key, address)` pairs under `area` whose key starts with `prefix`,
+    /// in key order.
+    pub(crate) fn list(&self, area: StorageArea, prefix: &str) -> Vec<(String, ObjectId)> {
+        self.areas[area as usize]
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(prefix))
+            .map(|(key, slot)| (key.to_string(), self.addresses[*slot as usize]))
             .collect()
-    }
-
-    /// All `(key, value)` pairs in `namespace` whose key starts with
-    /// `prefix`, in key order.
-    pub fn list_prefixed(&self, namespace: &str, prefix: &str) -> Vec<(String, String)> {
-        self.entries
-            .read()
-            .range((namespace.to_string(), prefix.to_string())..)
-            .take_while(|((ns, k), _)| ns == namespace && k.starts_with(prefix))
-            .map(|((_, k), v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Number of entries across all namespaces.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
-    }
-
-    /// Distinct namespaces currently in use, in order.
-    pub fn namespaces(&self) -> Vec<String> {
-        let entries = self.entries.read();
-        let mut out: Vec<String> = Vec::new();
-        for (ns, _) in entries.keys() {
-            if out.last().map(String::as_str) != Some(ns.as_str()) {
-                out.push(ns.clone());
-            }
-        }
-        out
     }
 }
 
@@ -118,75 +57,99 @@ impl MetaStore {
 mod tests {
     use super::*;
 
+    fn id(tag: &str) -> ObjectId {
+        ObjectId::for_bytes(tag.as_bytes())
+    }
+
+    fn keys(names: &Names, area: StorageArea, prefix: &str) -> Vec<String> {
+        names
+            .list(area, prefix)
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect()
+    }
+
     #[test]
     fn set_get_remove() {
-        let meta = MetaStore::new();
-        assert_eq!(meta.set("runs", "sp-000001", "ok"), None);
-        assert_eq!(meta.get("runs", "sp-000001").as_deref(), Some("ok"));
+        let mut names = Names::default();
+        names.insert(StorageArea::Results, "sp-000001".into(), id("ok"));
+        assert_eq!(names.get(StorageArea::Results, "sp-000001"), Some(id("ok")));
+        names.insert(StorageArea::Results, "sp-000001".into(), id("failed"));
         assert_eq!(
-            meta.set("runs", "sp-000001", "failed").as_deref(),
-            Some("ok")
+            names.get(StorageArea::Results, "sp-000001"),
+            Some(id("failed")),
+            "a name is re-pointed, not duplicated"
         );
-        assert_eq!(meta.remove("runs", "sp-000001").as_deref(), Some("failed"));
-        assert!(meta.is_empty());
+        assert_eq!(names.list(StorageArea::Results, "").len(), 1);
+        // Names are never removed (retention prunes objects, not names):
+        // an unset name reads as absent.
+        assert_eq!(names.get(StorageArea::Results, "sp-000002"), None);
     }
 
     #[test]
     fn set_many_sets_each_pair() {
-        let meta = MetaStore::new();
-        meta.set("results", "a", "old");
-        let set = meta.set_many(
-            "results",
-            [("a".to_string(), "1".to_string()), ("b".into(), "2".into())],
+        let mut names = Names::default();
+        names.insert(StorageArea::Results, "a".into(), id("old"));
+        for (key, tag) in [("a", "1"), ("b", "2"), ("c", "1")] {
+            names.insert(StorageArea::Results, key.into(), id(tag));
+        }
+        assert_eq!(names.get(StorageArea::Results, "a"), Some(id("1")));
+        assert_eq!(names.get(StorageArea::Results, "b"), Some(id("2")));
+        assert_eq!(names.get(StorageArea::Results, "c"), Some(id("1")));
+        assert_eq!(names.list(StorageArea::Results, "").len(), 3);
+        assert_eq!(
+            names.addresses.len(),
+            3,
+            "each named address is held once: old, 1, 2"
         );
-        assert_eq!(set, 2);
-        assert_eq!(meta.get("results", "a").as_deref(), Some("1"));
-        assert_eq!(meta.get("results", "b").as_deref(), Some("2"));
-        assert_eq!(meta.len(), 2);
     }
 
     #[test]
     fn namespaces_are_isolated() {
-        let meta = MetaStore::new();
-        meta.set("runs", "k", "run-value");
-        meta.set("tags", "k", "tag-value");
-        assert_eq!(meta.get("runs", "k").as_deref(), Some("run-value"));
-        assert_eq!(meta.get("tags", "k").as_deref(), Some("tag-value"));
-        assert_eq!(meta.namespaces(), vec!["runs", "tags"]);
+        let mut names = Names::default();
+        names.insert(StorageArea::Results, "k".into(), id("run-value"));
+        names.insert(StorageArea::Tests, "k".into(), id("test-value"));
+        assert_eq!(names.get(StorageArea::Results, "k"), Some(id("run-value")));
+        assert_eq!(names.get(StorageArea::Tests, "k"), Some(id("test-value")));
+        assert_eq!(names.get(StorageArea::Images, "k"), None);
     }
 
     #[test]
     fn list_is_ordered_and_scoped() {
-        let meta = MetaStore::new();
-        meta.set("runs", "b", "2");
-        meta.set("runs", "a", "1");
-        meta.set("runz", "c", "3");
-        let listed = meta.list("runs");
+        let mut names = Names::default();
+        names.insert(StorageArea::Results, "b".into(), id("2"));
+        names.insert(StorageArea::Results, "a".into(), id("1"));
+        names.insert(StorageArea::Tests, "c".into(), id("3"));
         assert_eq!(
-            listed,
-            vec![
-                ("a".to_string(), "1".to_string()),
-                ("b".to_string(), "2".to_string())
-            ]
+            names.list(StorageArea::Results, ""),
+            vec![("a".to_string(), id("1")), ("b".to_string(), id("2"))]
         );
     }
 
     #[test]
     fn prefix_listing() {
-        let meta = MetaStore::new();
-        meta.set("results", "sp-000001/compile/h1rec", "ok");
-        meta.set("results", "sp-000001/chain/nc-dis", "ok");
-        meta.set("results", "sp-000002/compile/h1rec", "fail");
-        let run1 = meta.list_prefixed("results", "sp-000001/");
-        assert_eq!(run1.len(), 2);
-        assert!(run1.iter().all(|(k, _)| k.starts_with("sp-000001/")));
+        let mut names = Names::default();
+        for (key, tag) in [
+            ("sp-000001/compile/h1rec", "ok"),
+            ("sp-000001/chain/nc-dis", "ok"),
+            ("sp-000002/compile/h1rec", "fail"),
+            ("sp-0000010/chain", "ok"),
+        ] {
+            names.insert(StorageArea::Results, key.into(), id(tag));
+        }
+        assert_eq!(
+            keys(&names, StorageArea::Results, "sp-000001/"),
+            ["sp-000001/chain/nc-dis", "sp-000001/compile/h1rec"]
+        );
+        assert!(keys(&names, StorageArea::Results, "sp-000003").is_empty());
     }
 
     #[test]
     fn empty_prefix_lists_whole_namespace() {
-        let meta = MetaStore::new();
-        meta.set("a", "x", "1");
-        meta.set("a", "y", "2");
-        assert_eq!(meta.list_prefixed("a", "").len(), 2);
+        let mut names = Names::default();
+        names.insert(StorageArea::Artifacts, "x".into(), id("1"));
+        names.insert(StorageArea::Artifacts, "y".into(), id("2"));
+        names.insert(StorageArea::Tests, "z".into(), id("3"));
+        assert_eq!(keys(&names, StorageArea::Artifacts, ""), ["x", "y"]);
     }
 }

@@ -25,12 +25,11 @@
 //! named address is held once and a name costs its key and a 4-byte
 //! index.
 
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::meta::Names;
 use crate::{Archive, ContentStore, DigestCache, ObjectId, Result};
 
 /// Logical areas of the common storage, mirroring the directory layout of
@@ -72,34 +71,6 @@ impl StorageArea {
 impl std::fmt::Display for StorageArea {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.namespace())
-    }
-}
-
-/// Every area's names, each mapped to the content address it names.
-#[derive(Default)]
-struct Names {
-    /// One map per area, indexed by `StorageArea as usize`, from key to
-    /// a slot of `addresses`.
-    areas: [BTreeMap<Box<str>, u32>; 4],
-    /// Each named content address once, and its slot.
-    addresses: Vec<ObjectId>,
-    slots: HashMap<ObjectId, u32>,
-}
-
-impl Names {
-    /// Points `area/key` at `id`, replacing any earlier address.
-    fn insert(&mut self, area: StorageArea, key: Box<str>, id: ObjectId) {
-        let next = u32::try_from(self.addresses.len()).expect("fewer than 2^32 named objects");
-        let slot = *self.slots.entry(id).or_insert(next);
-        if slot == next {
-            self.addresses.push(id);
-        }
-        self.areas[area as usize].insert(key, slot);
-    }
-
-    fn get(&self, area: StorageArea, key: &str) -> Option<ObjectId> {
-        let slot = *self.areas[area as usize].get(key)?;
-        Some(self.addresses[slot as usize])
     }
 }
 
@@ -266,12 +237,7 @@ impl SharedStorage {
     /// Lists `(key, object-id)` pairs under `area` with the given prefix,
     /// in key order.
     pub fn list(&self, area: StorageArea, prefix: &str) -> Vec<(String, ObjectId)> {
-        let names = self.names.read();
-        names.areas[area as usize]
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(key, _)| key.starts_with(prefix))
-            .map(|(key, slot)| (key.to_string(), names.addresses[*slot as usize]))
-            .collect()
+        self.names.read().list(area, prefix)
     }
 
     /// Materialises every registered object onto the filesystem:
