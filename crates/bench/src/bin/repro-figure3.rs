@@ -12,7 +12,9 @@
 //! digest-first instead of re-running the chains — pass `--no-memoize` to
 //! force full re-execution of all 21 passes. Pass `--compare` to also
 //! replay the campaign on the sequential `Campaign` oracle (uncached) and
-//! verify the summaries are identical while reporting the speedup.
+//! verify the summaries are identical while reporting the speedup and the
+//! verdict memo's hits and misses; a memoized campaign that served no
+//! verdict from the memo exits non-zero.
 //!
 //! Expected shape (§3.3): the SL5 columns validate cleanly, while the
 //! 64-bit columns surface the latent pointer bugs in the H1 and ZEUS stacks
@@ -130,11 +132,21 @@ fn main() {
             summary, oracle,
             "engine summary must be byte-identical to the sequential oracle"
         );
+        let verdicts = system.verdict_memo_stats();
         eprintln!(
-            "oracle finished in {sequential_elapsed:.1?}; summaries identical; \
-             speedup {:.2}x with {workers} workers\n",
+            "oracle finished in {sequential_elapsed:.1?}; summaries identical \
+             (verdict memo: {} hits, {} misses); speedup {:.2}x with {workers} workers\n",
+            verdicts.hits,
+            verdicts.misses,
             sequential_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9)
         );
+        // Every later pass repeats the 64-bit columns' failing comparisons
+        // against the same references: a memoized campaign that served none
+        // of them bypassed the verdict memo.
+        if memoize && verdicts.hits == 0 {
+            eprintln!("error: the memoized campaign served no verdict from the memo");
+            std::process::exit(1);
+        }
     }
 
     println!(

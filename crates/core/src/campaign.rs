@@ -93,10 +93,12 @@ pub struct CampaignOptions {
     /// run memo: a cell whose determinants — test id, campaign seed,
     /// environment revision (full image label including externals) and
     /// scale — match an earlier execution replays that execution's
-    /// conserved outputs instead of re-running its MC chain. Comparisons
-    /// against the reference are always recomputed, so the resulting
-    /// [`CampaignSummary`] is byte-identical to the uncached path (the
-    /// memoized-vs-uncached property test asserts exactly this).
+    /// conserved outputs instead of re-running its MC chain. Every
+    /// comparison is judged against the current reference; one whose
+    /// (output, reference) content-address pair was compared before is
+    /// served from the system's verdict memo, as that pair decides it. The
+    /// resulting [`CampaignSummary`] is byte-identical to the uncached path
+    /// (the memoized-vs-uncached property test asserts exactly this).
     pub memoize: bool,
     /// Ignored. Every campaign already produces its (experiment, image)
     /// cells in parallel and judges them in task order (see the module

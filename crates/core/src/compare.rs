@@ -8,6 +8,8 @@
 //! [`TestOutput`] models those output flavours; [`Comparator`] decides
 //! whether a new output is compatible with the reference one.
 
+use std::sync::Arc;
+
 use sp_hep::hist_io;
 use sp_hep::HistogramSet;
 use sp_store::sha256::Sha256;
@@ -226,7 +228,7 @@ impl Comparator {
                     CompareOutcome::Identical
                 } else {
                     CompareOutcome::Differs {
-                        detail: format!("outputs differ: {a:?} vs {b:?}"),
+                        detail: format!("outputs differ: {a:?} vs {b:?}").into(),
                     }
                 }
             }
@@ -244,7 +246,7 @@ impl Comparator {
                 TestOutput::Histograms(b),
             ) => compare_histograms(a, b, *min_p_value),
             _ => CompareOutcome::Differs {
-                detail: "output type changed between runs".to_string(),
+                detail: "output type changed between runs".into(),
             },
         }
     }
@@ -258,12 +260,12 @@ pub enum CompareOutcome {
     /// Not identical but within tolerance (p-value or numeric slack).
     WithinTolerance {
         /// Quantitative summary (`worst p = 0.43`).
-        detail: String,
+        detail: Arc<str>,
     },
     /// Incompatible.
     Differs {
-        /// What differed.
-        detail: String,
+        /// What differed, shared with the failed status it decides.
+        detail: Arc<str>,
     },
 }
 
@@ -292,7 +294,7 @@ fn compare_text(a: &str, b: &str, ignore: &[String]) -> CompareOutcome {
     let lb = relevant_lines(b, ignore);
     if la == lb {
         return CompareOutcome::WithinTolerance {
-            detail: "differs only in ignored lines".to_string(),
+            detail: "differs only in ignored lines".into(),
         };
     }
     // First differing line for the report.
@@ -302,7 +304,9 @@ fn compare_text(a: &str, b: &str, ignore: &[String]) -> CompareOutcome {
         .position(|(x, y)| x != y)
         .map(|i| format!("line {}: '{}' vs '{}'", i + 1, la[i], lb[i]))
         .unwrap_or_else(|| format!("line counts differ: {} vs {}", la.len(), lb.len()));
-    CompareOutcome::Differs { detail: first_diff }
+    CompareOutcome::Differs {
+        detail: first_diff.into(),
+    }
 }
 
 fn compare_numbers(
@@ -313,7 +317,7 @@ fn compare_numbers(
 ) -> CompareOutcome {
     if a.len() != b.len() || a.iter().zip(b).any(|((n1, _), (n2, _))| n1 != n2) {
         return CompareOutcome::Differs {
-            detail: "the set of reported numbers changed".to_string(),
+            detail: "the set of reported numbers changed".into(),
         };
     }
     let mut identical = true;
@@ -325,7 +329,7 @@ fn compare_numbers(
         let scale = x.abs().max(y.abs());
         if diff > abs_tol && diff > rel_tol * scale {
             return CompareOutcome::Differs {
-                detail: format!("'{name}': {x} vs {y} (|Δ| = {diff:.3e})"),
+                detail: format!("'{name}': {x} vs {y} (|Δ| = {diff:.3e})").into(),
             };
         }
     }
@@ -333,7 +337,7 @@ fn compare_numbers(
         CompareOutcome::Identical
     } else {
         CompareOutcome::WithinTolerance {
-            detail: "numeric agreement within tolerance".to_string(),
+            detail: "numeric agreement within tolerance".into(),
         }
     }
 }
@@ -348,7 +352,8 @@ fn compare_histograms(a: &HistogramSet, b: &HistogramSet, min_p: f64) -> Compare
                 "histogram sets differ in content: {:?} vs {:?}",
                 a.names(),
                 b.names()
-            ),
+            )
+            .into(),
         };
     }
     // Report the worst histogram by p-value.
@@ -362,10 +367,10 @@ fn compare_histograms(a: &HistogramSet, b: &HistogramSet, min_p: f64) -> Compare
     }
     match worst {
         Some((name, p)) if p < min_p => CompareOutcome::Differs {
-            detail: format!("histogram '{name}' incompatible: chi2 p = {p:.3e} < {min_p}"),
+            detail: format!("histogram '{name}' incompatible: chi2 p = {p:.3e} < {min_p}").into(),
         },
         Some((name, p)) => CompareOutcome::WithinTolerance {
-            detail: format!("worst histogram '{name}': chi2 p = {p:.3}"),
+            detail: format!("worst histogram '{name}': chi2 p = {p:.3}").into(),
         },
         None => CompareOutcome::Identical,
     }

@@ -175,22 +175,29 @@ impl RunLedger {
         absorbed
     }
 
-    /// Content address of one named reference output, read under the lock
-    /// without cloning the whole output list — the digest-first comparison
-    /// paths call this once per test, so it stays allocation-free.
-    pub fn reference_output_id(
+    /// Content addresses of named reference outputs of one experiment, one
+    /// per `(test id, output name)` pair in `outputs` (`None` where the
+    /// experiment has no such reference), all resolved under one read of
+    /// the references. A run's judge phase resolves every comparison it
+    /// owes through one call: only the run's own experiment lane promotes
+    /// that experiment's references, so none can move in between.
+    pub(crate) fn reference_output_ids<'a>(
         &self,
         experiment: &str,
-        test_id: &str,
-        output_name: &str,
-    ) -> Option<ObjectId> {
-        self.references
-            .read()
-            .get(experiment)?
-            .get(test_id)?
-            .iter()
-            .find(|(name, _)| **name == *output_name)
-            .map(|(_, id)| *id)
+        outputs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Vec<Option<ObjectId>> {
+        let references = self.references.read();
+        let tests = references.get(experiment);
+        outputs
+            .into_iter()
+            .map(|(test_id, output_name)| {
+                tests?
+                    .get(test_id)?
+                    .iter()
+                    .find(|(name, _)| **name == *output_name)
+                    .map(|(_, id)| *id)
+            })
+            .collect()
     }
 
     /// Whether an experiment has any reference at all (false before its
@@ -325,9 +332,19 @@ fn promote_into(refs: &mut BTreeMap<String, BTreeMap<String, TestOutputs>>, run:
     if !run.is_successful() {
         return;
     }
-    let tests = refs.entry(run.experiment.clone()).or_default();
+    // Every run after an experiment's first overwrites existing entries,
+    // so look up before allocating a key.
+    let tests = match refs.get_mut(run.experiment.as_str()) {
+        Some(tests) => tests,
+        None => refs.entry(run.experiment.clone()).or_default(),
+    };
     for result in &run.results {
-        tests.insert(result.test.as_str().to_string(), result.outputs.clone());
+        match tests.get_mut(result.test.as_str()) {
+            Some(outputs) => *outputs = result.outputs.clone(),
+            None => {
+                tests.insert(result.test.as_str().to_string(), result.outputs.clone());
+            }
+        }
     }
 }
 
@@ -348,6 +365,12 @@ mod tests {
     use crate::run::{TestResult, TestStatus};
     use crate::test::{FailureKind, TestCategory, TestId};
     use sp_exec::JobId;
+
+    /// The reference address of test `t1`'s `log` output, through the
+    /// judge phase's resolver.
+    fn reference_log(ledger: &RunLedger, experiment: &str) -> Option<ObjectId> {
+        ledger.reference_output_ids(experiment, [("t1", "log")])[0]
+    }
 
     fn run(id: u64, experiment: &str, image: &str, ok: bool) -> ValidationRun {
         ValidationRun {
@@ -381,7 +404,7 @@ mod tests {
         assert!(!ledger.has_reference("h1"));
         ledger.record(run(1, "h1", "SL5", true));
         assert!(ledger.has_reference("h1"));
-        let output = ledger.reference_output_id("h1", "t1", "log");
+        let output = reference_log(&ledger, "h1");
         assert_eq!(output, Some(ObjectId::for_bytes(b"out-1")));
     }
 
@@ -390,8 +413,27 @@ mod tests {
         let ledger = RunLedger::new();
         ledger.record(run(1, "h1", "SL5", true));
         ledger.record(run(2, "h1", "SL6", false));
-        let output = ledger.reference_output_id("h1", "t1", "log");
+        let output = reference_log(&ledger, "h1");
         assert_eq!(output, Some(ObjectId::for_bytes(b"out-1")), "still run 1");
+    }
+
+    #[test]
+    fn reference_ids_resolve_each_pair_in_order() {
+        let ledger = RunLedger::new();
+        ledger.record(run(1, "h1", "SL5", true));
+        let ids = ledger.reference_output_ids(
+            "h1",
+            [
+                ("t1", "log"),
+                ("t1", "histograms"),
+                ("t2", "log"),
+                ("t1", "log"),
+            ],
+        );
+        let log = Some(ObjectId::for_bytes(b"out-1"));
+        assert_eq!(ids, [log, None, None, log]);
+        assert_eq!(ledger.reference_output_ids("zeus", [("t1", "log")]), [None]);
+        assert!(ledger.reference_output_ids("h1", []).is_empty());
     }
 
     #[test]
@@ -399,7 +441,7 @@ mod tests {
         let ledger = RunLedger::new();
         ledger.record(run(1, "h1", "SL5", true));
         assert!(!ledger.has_reference("zeus"));
-        assert!(ledger.reference_output_id("zeus", "t1", "log").is_none());
+        assert!(reference_log(&ledger, "zeus").is_none());
     }
 
     #[test]
@@ -469,7 +511,7 @@ mod tests {
         );
         ledger.promote(&run(2, "h1", "SL6", false));
         assert_eq!(
-            ledger.reference_output_id("h1", "t1", "log"),
+            reference_log(&ledger, "h1"),
             Some(ObjectId::for_bytes(b"out-1")),
             "failures don't promote"
         );
@@ -493,12 +535,12 @@ mod tests {
         let captured = ledger.reference_state("h1");
         ledger.promote(&run(2, "h1", "SL6", true));
         assert_eq!(
-            ledger.reference_output_id("h1", "t1", "log"),
+            reference_log(&ledger, "h1"),
             Some(ObjectId::for_bytes(b"out-2"))
         );
         ledger.restore_reference_state("h1", captured);
         assert_eq!(
-            ledger.reference_output_id("h1", "t1", "log"),
+            reference_log(&ledger, "h1"),
             Some(ObjectId::for_bytes(b"out-1")),
             "restored to the captured state"
         );

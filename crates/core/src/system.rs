@@ -25,7 +25,7 @@ use sp_exec::{
 use sp_hep::{hist_io, GeneratorConfig};
 use sp_store::snapshot::{decode_run_key, encode_run_key};
 use sp_store::{
-    fnv64, DigestCacheStats, FrozenVault, ObjectId, RetentionPolicy, RunKey, RunMemo,
+    fnv64, DigestCacheStats, FrozenVault, Memo, ObjectId, RetentionPolicy, RunKey, RunMemo,
     SharedStorage, Snapshot, SnapshotError, SnapshotSection, StorageArea,
 };
 
@@ -99,9 +99,11 @@ pub struct RunConfig {
     /// determinants — id, campaign seed, environment revision (full image
     /// label including externals) and scale — match an earlier execution
     /// replays that execution's conserved outputs instead of re-running
-    /// the MC chain. Comparisons against the reference are always
-    /// recomputed (references evolve between runs), so memoized results
-    /// are byte-identical to uncached ones.
+    /// the MC chain. Comparisons against the reference are judged against
+    /// the *current* reference (references evolve between runs); one whose
+    /// (output, reference) address pair was compared before is served
+    /// from the verdict memo. Memoized results are byte-identical to
+    /// uncached ones.
     pub memoize: bool,
 }
 
@@ -145,6 +147,11 @@ pub struct SpSystem {
     /// (experiment stack, environment), so repeated cells reuse the report
     /// and its compile-test outputs instead of re-simulating the build.
     build_memo: RunMemo<Arc<StackBuild>>,
+    /// Memoised comparisons, keyed by (produced output, reference) content
+    /// address: the comparator is chosen by the output and both sides are
+    /// decoded from those bytes, so the address pair decides the outcome.
+    /// Not part of the exported warm state.
+    verdict_memo: Memo<(ObjectId, ObjectId), CompareOutcome>,
 }
 
 impl Default for SpSystem {
@@ -174,6 +181,7 @@ impl SpSystem {
             chain_memo: RunMemo::new(),
             output_memo: RunMemo::new(),
             build_memo: RunMemo::new(),
+            verdict_memo: Memo::new(),
         }
     }
 
@@ -191,6 +199,12 @@ impl SpSystem {
     /// Effectiveness counters of the build-report memo.
     pub fn build_memo_stats(&self) -> DigestCacheStats {
         self.build_memo.stats()
+    }
+
+    /// Effectiveness counters of the verdict memo (each hit is one
+    /// comparison against the reference that was not decoded and re-run).
+    pub fn verdict_memo_stats(&self) -> DigestCacheStats {
+        self.verdict_memo.stats()
     }
 
     /// The common storage.
@@ -474,7 +488,11 @@ impl SpSystem {
             timestamp,
             results: tests,
         };
-        Ok(ProducedRun { run, verdicts })
+        Ok(ProducedRun {
+            run,
+            verdicts,
+            memoize: config.memoize,
+        })
     }
 
     /// The judge phase of a run: resolves every [`Verdict`] the produced
@@ -484,9 +502,19 @@ impl SpSystem {
     /// reference status) is the caller's responsibility, so runs of one
     /// experiment must be judged and promoted in task order.
     pub(crate) fn judge(&self, produced: ProducedRun) -> ValidationRun {
-        let ProducedRun { mut run, verdicts } = produced;
-        for (index, verdict) in verdicts {
-            let (status, compare) = self.compare_output(&run.experiment, &verdict);
+        let ProducedRun {
+            mut run,
+            verdicts,
+            memoize,
+        } = produced;
+        let references = self.ledger.reference_output_ids(
+            &run.experiment,
+            verdicts
+                .iter()
+                .map(|(_, verdict)| (verdict.test_id.as_str(), verdict.output_name)),
+        );
+        for ((index, verdict), reference) in verdicts.into_iter().zip(references) {
+            let (status, compare) = self.compare_output(&verdict, reference, memoize);
             let result = &mut run.results[index];
             result.status = status;
             result.compare = compare;
@@ -740,7 +768,7 @@ impl SpSystem {
     /// recorded status; a validation stage recorded as `Passed` is a
     /// placeholder whose comparison of the analysis histograms is left to
     /// be judged against the *current* reference (references evolve
-    /// between runs, so the verdict is never memoised).
+    /// between runs, so the production never records a verdict).
     fn chain_results(
         &self,
         test: &ValidationTest,
@@ -965,27 +993,39 @@ impl SpSystem {
         results
     }
 
-    /// Judges one output against the experiment's reference, deciding the
-    /// test status. Digest-first: when the output's content address equals
-    /// the reference's, the outputs are bit-identical and nothing is
-    /// decoded, no histogram χ² runs. Otherwise the current output is the
-    /// fresh one or, for a conserved output, the decoded stored object; an
-    /// undecodable one fails. No reference (or an unreadable one) passes
-    /// and makes this output the next reference.
+    /// Judges one output against the experiment's reference output
+    /// `reference_id` (as resolved when the run's judging began), deciding
+    /// the test status. Digest-first: when the output's content address
+    /// equals the reference's, the outputs are bit-identical and nothing
+    /// is decoded, no histogram χ² runs. Otherwise, for a `memoize` run, a
+    /// comparison of the same (output, reference) address pair is served
+    /// from the verdict memo while both objects are still in the content
+    /// store. Failing that, the current output is the fresh one or, for a
+    /// conserved output, the decoded stored object, and a completed
+    /// comparison is memoised for a `memoize` run; an undecodable output
+    /// fails. No reference (or an unreadable one) passes and makes this
+    /// output the next reference; neither of those verdicts is memoised.
     fn compare_output(
         &self,
-        experiment: &str,
         verdict: &Verdict,
+        reference_id: Option<ObjectId>,
+        memoize: bool,
     ) -> (TestStatus, Option<CompareOutcome>) {
-        let Some(reference_id) = self.ledger.reference_output_id(
-            experiment,
-            verdict.test_id.as_str(),
-            verdict.output_name,
-        ) else {
+        let Some(reference_id) = reference_id else {
             return (TestStatus::Passed, None);
         };
         if verdict.oid == reference_id {
             return (TestStatus::Passed, Some(CompareOutcome::Identical));
+        }
+        let key = (verdict.oid, reference_id);
+        if memoize {
+            let content = self.storage.content();
+            let served = self.verdict_memo.serve(&key, |outcome| {
+                (content.contains(verdict.oid) && content.contains(reference_id)).then_some(outcome)
+            });
+            if let Some(outcome) = served {
+                return (status_from_outcome(&outcome), Some(outcome));
+            }
         }
         let stored;
         let current = match &verdict.fresh {
@@ -994,7 +1034,7 @@ impl SpSystem {
                 let Some(output) = self.decode_stored_output(verdict.oid) else {
                     let detail = format!("{} output unreadable", verdict.output_name);
                     return (
-                        TestStatus::Failed(FailureKind::ComparisonFailed(detail)),
+                        TestStatus::Failed(FailureKind::ComparisonFailed(detail.into())),
                         None,
                     );
                 };
@@ -1006,6 +1046,9 @@ impl SpSystem {
             return (TestStatus::Passed, None);
         };
         let outcome = Comparator::default_for(current).compare(current, &reference);
+        if memoize {
+            self.verdict_memo.insert(key, outcome.clone());
+        }
         (status_from_outcome(&outcome), Some(outcome))
     }
 
@@ -1348,6 +1391,9 @@ pub(crate) struct ProducedRun {
     /// The comparisons the run owes, each with the index of the result
     /// it decides.
     verdicts: Vec<(usize, Verdict)>,
+    /// The run's [`RunConfig::memoize`]: whether judging may read and
+    /// fill the verdict memo.
+    memoize: bool,
 }
 
 /// One comparison against the experiment's reference that a produced run
@@ -1487,7 +1533,7 @@ pub struct SystemImportSummary {
 
 /// One memoised chain-stage production: everything deterministic given
 /// the cell key (test, seed, environment revision, scale). The job id and
-/// the validation-stage comparison are recomputed at replay time — the
+/// the validation-stage comparison are decided at replay time — the
 /// former is per-run, the latter depends on the evolving reference state.
 #[derive(Clone)]
 pub(crate) struct MemoizedStage {
@@ -1584,16 +1630,14 @@ fn cell_key(
     )
 }
 
-/// Folds a comparison outcome into the resulting test status.
+/// Folds a comparison outcome into the resulting test status. A failed
+/// status shares the outcome's detail text.
 fn status_from_outcome(outcome: &CompareOutcome) -> TestStatus {
-    if outcome.passed() {
-        TestStatus::Passed
-    } else {
-        let detail = match outcome {
-            CompareOutcome::Differs { detail } => detail.clone(),
-            _ => String::new(),
-        };
-        TestStatus::Failed(FailureKind::ComparisonFailed(detail))
+    match outcome {
+        CompareOutcome::Differs { detail } => {
+            TestStatus::Failed(FailureKind::ComparisonFailed(Arc::clone(detail)))
+        }
+        CompareOutcome::Identical | CompareOutcome::WithinTolerance { .. } => TestStatus::Passed,
     }
 }
 
@@ -2429,6 +2473,171 @@ mod tests {
             .by_category(TestCategory::Compilation)
             .all(|r| r.status.is_pass());
         assert!(compile_ok, "the bug is invisible to compilation");
+    }
+
+    /// A system with the tiny experiment's 32-bit reference run, and the
+    /// 64-bit image the latent bug fails on (memoize as given).
+    fn migrating_system(memoize: bool) -> (SpSystem, VmImageId, RunConfig) {
+        let system = SpSystem::new();
+        let sl5_32 = system
+            .register_image(catalog::sl5_gcc41(Arch::I686, Version::two(5, 34)))
+            .unwrap();
+        let sl6_64 = system
+            .register_image(catalog::sl6_gcc44(Version::two(5, 34)))
+            .unwrap();
+        system.register_experiment(tiny_experiment()).unwrap();
+        let config = RunConfig {
+            memoize,
+            ..config()
+        };
+        let reference = system.run_validation("tiny", sl5_32, &config).unwrap();
+        assert!(reference.is_successful());
+        (system, sl6_64, config)
+    }
+
+    /// The results whose comparison was decoded and run (neither absent
+    /// nor identical by address).
+    fn compared_apart(run: &ValidationRun) -> Vec<&TestResult> {
+        run.results
+            .iter()
+            .filter(|r| matches!(&r.compare, Some(c) if *c != CompareOutcome::Identical))
+            .collect()
+    }
+
+    /// The detail text of a result's failed comparison status.
+    fn failed_detail(result: &TestResult) -> &Arc<str> {
+        match &result.status {
+            TestStatus::Failed(FailureKind::ComparisonFailed(detail)) => detail,
+            other => panic!("{} did not fail its comparison: {other:?}", result.test),
+        }
+    }
+
+    #[test]
+    fn a_failing_comparison_is_a_verdict_memo_hit_on_the_second_night() {
+        let (system, sl6_64, config) = migrating_system(true);
+        let first = system.run_validation("tiny", sl6_64, &config).unwrap();
+        let compared = compared_apart(&first).len() as u64;
+        assert!(
+            first.failures().any(|r| r.compare.is_some()),
+            "the migration fails a comparison"
+        );
+        let stats = system.verdict_memo_stats();
+        assert_eq!((stats.hits, stats.misses), (0, compared));
+        assert_eq!(stats.entries as u64, compared);
+
+        let second = system.run_validation("tiny", sl6_64, &config).unwrap();
+        let stats = system.verdict_memo_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (compared, compared),
+            "every comparison of the second night is served"
+        );
+        assert_eq!(second.digest(), first.digest());
+        for (a, b) in first.results.iter().zip(&second.results) {
+            assert_eq!((&a.status, &a.compare), (&b.status, &b.compare));
+        }
+    }
+
+    #[test]
+    fn a_failed_comparison_keeps_one_detail_text() {
+        let (system, sl6_64, config) = migrating_system(true);
+        let nights: Vec<ValidationRun> = (0..3)
+            .map(|_| system.run_validation("tiny", sl6_64, &config).unwrap())
+            .collect();
+        let failed = |run: &ValidationRun| -> Vec<(Arc<str>, Arc<str>)> {
+            run.failures()
+                .filter_map(|r| match &r.compare {
+                    Some(CompareOutcome::Differs { detail }) => {
+                        Some((Arc::clone(failed_detail(r)), Arc::clone(detail)))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let (second, third) = (failed(&nights[1]), failed(&nights[2]));
+        assert!(!second.is_empty());
+        assert_eq!(second.len(), third.len());
+        for ((status, compare), (later_status, later_compare)) in second.iter().zip(&third) {
+            assert!(Arc::ptr_eq(status, compare), "status copied its detail");
+            assert!(
+                Arc::ptr_eq(compare, later_compare) && Arc::ptr_eq(status, later_status),
+                "a memo hit hands out the memo's text"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_off_runs_neither_read_nor_fill_the_verdict_memo() {
+        let (system, sl6_64, config) = migrating_system(false);
+        for _ in 0..2 {
+            let run = system.run_validation("tiny", sl6_64, &config).unwrap();
+            assert!(!compared_apart(&run).is_empty());
+        }
+        let stats = system.verdict_memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_verdict_whose_objects_were_removed_is_not_served() {
+        // Night 1 judges (and, memo on, memoises) the failing histogram
+        // comparison; night 2 is produced, one side of that comparison is
+        // removed from the content store, and the night is judged.
+        let night = |memoize: bool, remove_reference: bool| {
+            let (system, sl6_64, config) = migrating_system(memoize);
+            let first = system.run_validation("tiny", sl6_64, &config).unwrap();
+            let run_id = system.reserve_run_ids(1);
+            let produced = system
+                .produce("tiny", sl6_64, &config, run_id, system.clock().now())
+                .unwrap();
+            let (_, verdict) = produced
+                .verdicts
+                .iter()
+                .find(|(_, verdict)| verdict.output_name == "histograms")
+                .expect("the chain owes a histogram comparison");
+            let reference = system
+                .ledger()
+                .reference_output_ids("tiny", [(verdict.test_id.as_str(), "histograms")])[0]
+                .expect("the 32-bit run is the reference");
+            assert_ne!(verdict.oid, reference, "the comparison fails");
+            let victim = if remove_reference {
+                reference
+            } else {
+                verdict.oid
+            };
+            assert!(system.storage().content().remove(victim));
+            let key = (verdict.oid, reference);
+            let judged = system.judge(produced);
+            let others = compared_apart(&first).len() as u64 - 1;
+            let stats = system.verdict_memo_stats();
+            if memoize {
+                assert_eq!(stats.hits, others, "every other pair is served");
+                assert!(system.verdict_memo.peek(&key).is_none(), "evicted");
+            }
+            judged
+        };
+        for remove_reference in [false, true] {
+            let memoized = night(true, remove_reference);
+            let plain = night(false, remove_reference);
+            for (a, b) in memoized.results.iter().zip(&plain.results) {
+                assert_eq!(
+                    (&a.status, &a.compare),
+                    (&b.status, &b.compare),
+                    "{} (reference removed: {remove_reference})",
+                    a.test
+                );
+            }
+            let validation = memoized
+                .results
+                .iter()
+                .find(|r| r.test.as_str() == "tiny/chain/nc/validation")
+                .unwrap();
+            if remove_reference {
+                assert_eq!(validation.status, TestStatus::Passed);
+            } else {
+                assert_eq!(&**failed_detail(validation), "histograms output unreadable");
+            }
+            assert_eq!(validation.compare, None, "{validation:?}");
+        }
     }
 
     #[test]

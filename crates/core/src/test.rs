@@ -160,8 +160,10 @@ pub enum FailureKind {
     Crash(String),
     /// Non-zero exit code.
     BadExit(i32),
-    /// Output comparison against the reference failed.
-    ComparisonFailed(String),
+    /// Output comparison against the reference failed, with the detail of
+    /// the [`CompareOutcome::Differs`](crate::CompareOutcome::Differs) that
+    /// decided it (one shared text).
+    ComparisonFailed(Arc<str>),
     /// A chain stage failed.
     ChainStageFailed(String),
 }

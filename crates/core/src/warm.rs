@@ -171,7 +171,7 @@ fn take_failure(cursor: &mut Cursor<'_>) -> Option<FailureKind> {
         2 => FailureKind::Crash(cursor.take_str()?),
         // Written sign-extended, so only an `i32` in `i64` form is canonical.
         3 => FailureKind::BadExit(i32::try_from(cursor.take_u64()? as i64).ok()?),
-        4 => FailureKind::ComparisonFailed(cursor.take_str()?),
+        4 => FailureKind::ComparisonFailed(cursor.take_str()?.into()),
         5 => FailureKind::ChainStageFailed(cursor.take_str()?),
         _ => return None,
     })

@@ -20,9 +20,13 @@
 //!   [`Memo::serve`], whose validator re-checks the entry before it is
 //!   served; an entry the validator rejects is evicted.
 //!
-//! Anything *relative* — most importantly the comparison against the
-//! current reference run, which evolves as references are promoted — must
-//! be recomputed at replay time and therefore does not belong in a memo.
+//! Anything *relative* must be decided at replay time and does not belong
+//! in a memo under a key that leaves out what it is relative to. The
+//! comparison against the current reference run, which evolves as
+//! references are promoted, is the main case: a cell key cannot carry its
+//! verdict. Keyed by the content addresses of *both* sides — the produced
+//! output and the reference it is judged against — a verdict is no longer
+//! relative, and `sp-core` memoises it that way.
 //!
 //! ## Campaign-safe eviction
 //!
