@@ -15,8 +15,10 @@
 //! * checkpoints the whole state mid-simulation (`SpSystem::export_to_dir`:
 //!   content objects + `warm_state.spws`), then simulates a restart into a
 //!   fresh system that re-registers its definitions from code and imports
-//!   the checkpoint — and proves the restored memo replays warm cells
-//!   (memo hits > 0 on the first post-restore campaign);
+//!   the checkpoint — runs the storage integrity check over it (every
+//!   exported object back and re-hashing, every artifact tar-ball
+//!   unpacking) and proves the restored memo replays warm cells (memo
+//!   hits > 0 on the first post-restore campaign);
 //! * verifies a deliberately corrupted warm-state snapshot is never
 //!   trusted (the flipped entry is dropped on load).
 //!
@@ -201,6 +203,10 @@ fn main() {
     let restored = SpSystem::new();
     let import = restored.import_from_dir(&dir).expect("checkpoint import");
     assert!(import.warm_state_error.is_none(), "{import:?}");
+    let verification = restored.verify_storage();
+    assert!(verification.is_clean(), "{verification:?}");
+    let verified = restored.storage().content().len();
+    assert_eq!(verified, export.storage.objects_written, "{import:?}");
     for spec in catalog::all_images() {
         restored.register_image(spec).expect("coherent image");
     }
@@ -214,6 +220,7 @@ fn main() {
         import.warm.entries_rejected,
         restored.clock().now()
     );
+    println!("storage verified: {verified} objects re-hash, every artifact tar-ball unpacks");
     assert_eq!(restored.clock().now(), system.clock().now());
 
     // ---- post-restore era: warm cells must replay ------------------------

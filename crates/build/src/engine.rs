@@ -96,17 +96,6 @@ impl BuildReport {
             .count()
     }
 
-    /// Total warning count across the stack.
-    pub fn warning_count(&self) -> usize {
-        self.records
-            .values()
-            .map(|r| match r.status {
-                BuildStatus::BuiltWithWarnings(n) => n,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// `(package, artifact)` pairs for every conserved tar-ball, id order.
     pub fn artifacts(&self) -> impl Iterator<Item = (&PackageId, ObjectId)> {
         self.records
@@ -347,7 +336,6 @@ mod tests {
         let report = engine.build_stack(&stack(), &env).unwrap();
         assert!(report.all_built(), "{report:?}");
         assert_eq!(report.built_count(), 4);
-        assert_eq!(report.warning_count(), 0);
         // Every artifact is resolvable in the common storage.
         for (_, artifact) in report.artifacts() {
             assert!(storage.content().contains(artifact));

@@ -60,19 +60,9 @@ impl BuildPlan {
         &self.layers
     }
 
-    /// Number of layers (the critical-path length of the stack).
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total number of packages scheduled.
     pub fn package_count(&self) -> usize {
         self.layers.iter().map(Vec::len).sum()
-    }
-
-    /// Size of the widest layer — the maximum useful build parallelism.
-    pub fn max_width(&self) -> usize {
-        self.layers.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -102,7 +92,7 @@ mod tests {
     #[test]
     fn layers_respect_dependencies() {
         let plan = BuildPlan::for_graph(&graph()).unwrap();
-        assert_eq!(plan.layer_count(), 3);
+        assert_eq!(plan.layers().len(), 3);
         assert_eq!(plan.package_count(), 5);
         assert_eq!(
             plan.layers()[0],
@@ -113,7 +103,6 @@ mod tests {
             vec![PackageId::new("mid-a"), PackageId::new("mid-b")]
         );
         assert_eq!(plan.layers()[2], vec![PackageId::new("top")]);
-        assert_eq!(plan.max_width(), 2);
     }
 
     #[test]
@@ -127,7 +116,6 @@ mod tests {
     #[test]
     fn empty_graph_is_an_empty_plan() {
         let plan = BuildPlan::for_graph(&DependencyGraph::new()).unwrap();
-        assert_eq!(plan.layer_count(), 0);
-        assert_eq!(plan.max_width(), 0);
+        assert!(plan.layers().is_empty());
     }
 }

@@ -341,7 +341,7 @@ impl CampaignPlan {
     }
 
     /// The tasks of one repetition — the unit between two barriers.
-    pub fn repetition_tasks(&self, repetition: usize) -> &[RunTask] {
+    fn repetition_tasks(&self, repetition: usize) -> &[RunTask] {
         let start = repetition * self.runs_per_repetition;
         let end = (start + self.runs_per_repetition).min(self.tasks.len());
         &self.tasks[start..end]
@@ -917,9 +917,6 @@ impl<'a> CampaignScheduler<'a> {
         registry
             .counter("exec.sched.lanes_cancelled")
             .add(cancelled);
-        sp_obs::trace::emit_with("sched", "round_done", || {
-            format!("executed={executed} cancelled={cancelled}")
-        });
         results
     }
 }

@@ -74,7 +74,7 @@ impl TestOutput {
 
     /// Appends the encoding to `out` without allocating a fresh buffer —
     /// the reusable-scratch counterpart of [`to_bytes`](Self::to_bytes).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_size_hint());
         self.encode_with(&mut |bytes| out.extend_from_slice(bytes));
     }

@@ -179,9 +179,6 @@ impl<'a> Coordinator<'a> {
         let payload = encode_campaign_config(&config);
         let seq = self.queue.submit(&payload, base.0, total, origin)?;
         sp_obs::global().counter("fleet.submissions").incr();
-        sp_obs::trace::emit_with("coordinator", "submit", || {
-            format!("seq={seq} runs={total}")
-        });
         let index = self.submitted.len();
         self.submitted.push(SubmittedCampaign {
             seq,
@@ -1019,9 +1016,6 @@ impl<'a> Worker<'a> {
                 stats.runs_executed += item.total_runs;
                 stats.sched.merge(&item.sched);
                 sp_obs::global().counter("fleet.publishes").incr();
-                sp_obs::trace::emit_with("worker", "publish", || {
-                    format!("seq={} token={}", item.seq, lease.token)
-                });
                 drained.push(item.seq);
             }
         }
@@ -1072,12 +1066,6 @@ impl<'a> Worker<'a> {
         for (name, value) in &metrics.counters {
             registry.counter(name).add(*value);
         }
-        sp_obs::trace::emit_with("worker", "drained", || {
-            format!(
-                "worker={} campaigns={} failures={}",
-                self.name, stats.campaigns_drained, stats.failures
-            )
-        });
         stats
     }
 }

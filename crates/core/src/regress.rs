@@ -90,7 +90,7 @@ impl RegressionReport {
     }
 
     /// Tests that newly broke.
-    pub fn new_failures(&self) -> Vec<&TestId> {
+    fn new_failures(&self) -> Vec<&TestId> {
         self.transitions
             .iter()
             .filter(|(_, t)| matches!(t, Transition::NewFailure { .. }))
@@ -108,7 +108,7 @@ impl RegressionReport {
     }
 
     /// Tests failing in both runs.
-    pub fn still_failing(&self) -> Vec<&TestId> {
+    fn still_failing(&self) -> Vec<&TestId> {
         self.transitions
             .iter()
             .filter(|(_, t)| matches!(t, Transition::StillFailing))

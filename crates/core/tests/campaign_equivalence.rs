@@ -226,9 +226,11 @@ proptest! {
     /// Memoization transparency: for random grids, worker counts and
     /// repetition counts ≥ 2 (so the memo actually serves repeated cells),
     /// a memoized campaign produces a `CampaignSummary` and run-log
-    /// digests byte-identical to the uncached path. Comparisons against
-    /// the evolving reference are recomputed on replay, which is exactly
-    /// what this property checks.
+    /// digests byte-identical to the uncached path. On replay, comparisons
+    /// against the evolving reference are served from the verdict memo,
+    /// keyed by the (produced output, reference) content addresses, so a
+    /// promoted reference misses it and is compared afresh; this property
+    /// checks that the served verdicts match the uncached ones.
     #[test]
     fn memoized_campaign_matches_uncached(
         exp_mask in 1usize..8,

@@ -116,11 +116,6 @@ impl OsRelease {
             &[Arch::X86_64]
         }
     }
-
-    /// Whether this release is past end-of-life in `year`.
-    pub fn is_eol(&self, year: u16) -> bool {
-        year >= self.eol
-    }
 }
 
 impl std::fmt::Display for OsRelease {
@@ -162,11 +157,5 @@ mod tests {
         assert_eq!(OsRelease::SL5.label(), "SL5");
         assert_eq!(OsRelease::SL7.to_string(), "SL7");
         assert_eq!(format!("{}/{}", OsRelease::SL5, Arch::I686), "SL5/32bit");
-    }
-
-    #[test]
-    fn eol_check() {
-        assert!(!OsRelease::SL5.is_eol(2013));
-        assert!(OsRelease::SL4.is_eol(2013));
     }
 }

@@ -56,7 +56,7 @@ pub struct TimelineEntry {
 
 /// The HERA-era platform timeline, mirroring the real release history that
 /// drove the DESY migrations.
-pub fn hera_timeline() -> Vec<TimelineEntry> {
+fn hera_timeline() -> Vec<TimelineEntry> {
     let mut entries = vec![
         TimelineEntry {
             year: 2007,
@@ -136,7 +136,7 @@ pub fn hera_timeline() -> Vec<TimelineEntry> {
 /// The post-paper extension: the releases and end-of-life notices a
 /// deployment surviving past 2014 integrates — "the next challenges
 /// include the testing of the SL7 environment" (§3.3) and beyond.
-pub fn beyond_timeline() -> Vec<TimelineEntry> {
+fn beyond_timeline() -> Vec<TimelineEntry> {
     vec![
         TimelineEntry {
             year: 2015,
@@ -210,29 +210,10 @@ impl TimelineCursor {
         fired
     }
 
-    /// Unix time of the next pending event, if any — what a simulation
-    /// driver advances the clock towards.
-    pub fn next_event_secs(&self) -> Option<u64> {
-        self.entries.get(self.next).map(|e| year_to_unix(e.year))
-    }
-
     /// Events not yet yielded.
     pub fn pending(&self) -> usize {
         self.entries.len() - self.next
     }
-}
-
-/// Events in `timeline` occurring strictly after `year_from` and up to and
-/// including `year_to`.
-pub fn events_between(
-    timeline: &[TimelineEntry],
-    year_from: u16,
-    year_to: u16,
-) -> Vec<&TimelineEntry> {
-    timeline
-        .iter()
-        .filter(|e| e.year > year_from && e.year <= year_to)
-        .collect()
 }
 
 #[cfg(test)]
@@ -266,16 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn events_between_is_half_open() {
-        let tl = hera_timeline();
-        let slice = events_between(&tl, 2010, 2012);
-        assert!(slice.iter().all(|e| e.year > 2010 && e.year <= 2012));
-        assert!(slice
-            .iter()
-            .any(|e| matches!(e.event, PlatformEvent::OsAvailable(os) if os.generation == 6)));
-    }
-
-    #[test]
     fn extended_timeline_is_sorted_and_superset() {
         let extended = extended_timeline();
         assert_eq!(
@@ -294,7 +265,6 @@ mod tests {
     fn cursor_fires_each_event_exactly_once() {
         let mut cursor = TimelineCursor::new(hera_timeline());
         let total = cursor.pending();
-        assert_eq!(cursor.next_event_secs(), Some(year_to_unix(2007)));
 
         // Nothing is due before the first event year.
         assert!(cursor.due(year_to_unix(2006)).is_empty());
@@ -308,7 +278,6 @@ mod tests {
         let rest = cursor.due(u64::MAX);
         assert_eq!(through_2011.len() + rest.len(), total);
         assert_eq!(cursor.pending(), 0);
-        assert_eq!(cursor.next_event_secs(), None);
     }
 
     #[test]

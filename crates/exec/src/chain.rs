@@ -262,14 +262,6 @@ impl<T> ChainReport<T> {
         self.stages.iter().all(|(_, s)| s.succeeded())
     }
 
-    /// Name of the first failed stage, if any.
-    pub fn first_failure(&self) -> Option<&str> {
-        self.stages
-            .iter()
-            .find(|(_, s)| matches!(s, StageStatus::Failed(_)))
-            .map(|(n, _)| n.as_str())
-    }
-
     /// Number of skipped stages.
     pub fn skipped_count(&self) -> usize {
         self.stages
@@ -346,7 +338,6 @@ mod tests {
             }
         });
         assert!(!report.all_succeeded());
-        assert_eq!(report.first_failure(), Some("sim"));
         assert_eq!(report.skipped_count(), 1);
         let by_name: BTreeMap<&str, &StageStatus> =
             report.stages.iter().map(|(n, s)| (n.as_str(), s)).collect();

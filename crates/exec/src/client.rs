@@ -87,11 +87,6 @@ impl Client {
             schedule,
         })
     }
-
-    /// All firing times of this client's cron in `(from, to]`.
-    pub fn work_times(&self, from: u64, to: u64) -> Vec<u64> {
-        self.schedule.fires_between(from, to)
-    }
 }
 
 #[cfg(test)]
@@ -141,21 +136,5 @@ mod tests {
             "vm[SL5/32bit gcc4.1]"
         );
         assert_eq!(ClientKind::GridWorker.label(), "grid");
-    }
-
-    #[test]
-    fn work_times_follow_schedule() {
-        let client = Client::register(
-            "nightly-vm",
-            ClientKind::BatchNode,
-            CronSchedule::nightly(),
-            true,
-            true,
-        )
-        .unwrap();
-        // Three days starting 2013-10-29 -> three nightly builds.
-        let from = 1_383_004_800;
-        let times = client.work_times(from, from + 3 * 86_400);
-        assert_eq!(times.len(), 3);
     }
 }

@@ -66,7 +66,7 @@ impl Backoff {
     }
 
     /// The next idle delay: exponential growth, clamped, jittered.
-    pub fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(16);
         self.attempt = self.attempt.saturating_add(1);
         let nominal = self
@@ -92,9 +92,10 @@ impl Backoff {
 /// A preservation fleet lives on imperfect disks: an `EINTR`/`EAGAIN`-class
 /// hiccup on a queue read must degrade to a short retry, not to a fenced
 /// campaign or — worse — a durable poison mark on valid work. This policy
-/// classifies errors ([`is_transient`](Self::is_transient)), retries the
-/// transient ones a bounded number of times with backoff, and surfaces
-/// everything else (and exhausted retries) to the caller untouched.
+/// classifies errors (`Interrupted`, `WouldBlock` and `TimedOut` are
+/// transient), retries the transient ones a bounded number of times with
+/// backoff, and surfaces everything else (and exhausted retries) to the
+/// caller untouched.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     backoff: Backoff,
@@ -126,7 +127,7 @@ impl RetryPolicy {
     /// `Interrupted` (EINTR), `WouldBlock` (EAGAIN) and `TimedOut` are;
     /// hard faults (ENOSPC, EIO, corruption observed as decode failure)
     /// are not.
-    pub fn is_transient(error: &std::io::Error) -> bool {
+    fn is_transient(error: &std::io::Error) -> bool {
         matches!(
             error.kind(),
             std::io::ErrorKind::Interrupted
@@ -143,7 +144,7 @@ impl RetryPolicy {
 
     /// Runs `op`, retrying transient failures with backoff, sleeping
     /// through `sleep` (injected so tests retry without a wall clock).
-    pub fn run_with_sleep<T>(
+    fn run_with_sleep<T>(
         &mut self,
         mut op: impl FnMut() -> std::io::Result<T>,
         mut sleep: impl FnMut(Duration),
@@ -160,13 +161,6 @@ impl RetryPolicy {
                     let registry = sp_obs::global();
                     registry.counter("exec.retry.retries").incr();
                     registry.histogram("exec.retry.backoff_us").observe(delay);
-                    sp_obs::trace::emit_with("retry", "transient", || {
-                        format!(
-                            "kind={:?} attempt={attempt} delay_ms={}",
-                            error.kind(),
-                            delay.as_millis()
-                        )
-                    });
                     sleep(delay);
                 }
                 Err(error) => return Err(error),
@@ -174,7 +168,7 @@ impl RetryPolicy {
         }
     }
 
-    /// [`run_with_sleep`](Self::run_with_sleep) sleeping on the OS clock.
+    /// Runs `op`, retrying transient failures with backoff on the OS clock.
     pub fn run<T>(&mut self, op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
         self.run_with_sleep(op, std::thread::sleep)
     }

@@ -8,7 +8,7 @@ use sp_env::Version;
 use sp_exec::ChainDef;
 
 /// Figure-3 process group for a package kind.
-pub fn group_for(kind: PackageKind) -> &'static str {
+fn group_for(kind: PackageKind) -> &'static str {
     match kind {
         PackageKind::Library => "core libraries",
         PackageKind::Generator => "MC generation",

@@ -146,7 +146,7 @@ impl Histogram1D {
     }
 
     /// Bin index for a value, if in range.
-    pub fn bin_index(&self, x: f64) -> Option<usize> {
+    fn bin_index(&self, x: f64) -> Option<usize> {
         if !x.is_finite() || x < self.lo || x >= self.hi {
             return None;
         }

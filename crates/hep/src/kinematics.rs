@@ -23,11 +23,6 @@ impl FourVector {
         FourVector { e, px, py, pz }
     }
 
-    /// A particle at rest with mass `m`.
-    pub fn at_rest(m: f64) -> Self {
-        FourVector::new(m, 0.0, 0.0, 0.0)
-    }
-
     /// Constructs from energy, polar angle θ, azimuth φ for a massless
     /// particle.
     pub fn from_polar(e: f64, theta: f64, phi: f64) -> Self {
@@ -72,18 +67,6 @@ impl FourVector {
     /// Azimuthal angle φ ∈ (−π, π].
     pub fn phi(&self) -> f64 {
         self.py.atan2(self.px)
-    }
-
-    /// Pseudorapidity η = −ln tan(θ/2).
-    pub fn eta(&self) -> f64 {
-        let theta = self.theta();
-        if theta <= 0.0 {
-            f64::INFINITY
-        } else if theta >= std::f64::consts::PI {
-            f64::NEG_INFINITY
-        } else {
-            -(theta / 2.0).tan().ln()
-        }
     }
 
     /// `E − p_z`, the quantity conserved at ≈ 2·E_e for fully contained NC
@@ -180,7 +163,7 @@ mod tests {
 
     #[test]
     fn rest_vector() {
-        let v = FourVector::at_rest(0.938);
+        let v = FourVector::new(0.938, 0.0, 0.0, 0.0);
         assert!((v.m() - 0.938).abs() < 1e-12);
         assert_eq!(v.pt(), 0.0);
     }
@@ -191,7 +174,6 @@ mod tests {
         assert!(forward.theta().abs() < 1e-12);
         let transverse = FourVector::from_polar(10.0, PI / 2.0, 0.0);
         assert!((transverse.theta() - PI / 2.0).abs() < 1e-12);
-        assert!(transverse.eta().abs() < 1e-12);
         assert!((transverse.pt() - 10.0).abs() < 1e-9);
     }
 

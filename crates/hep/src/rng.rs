@@ -11,7 +11,7 @@ use rand::Rng;
 ///
 /// Uses the polar-free trigonometric form; one of the pair is discarded for
 /// simplicity (generation is not a bottleneck next to histogram analysis).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from the half-open (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

@@ -10,9 +10,9 @@
 //!   counters, gauges and fixed-bucket latency histograms, with
 //!   [`MetricsSnapshot`] as the one format in which counters cross
 //!   processes (a fleet worker publishes its drain counters as one).
-//! * [`trace`] — the [`TraceSink`] span/event API the instrumented
-//!   components emit into: null by default (one relaxed atomic load per
-//!   disabled call site), ring-buffered in memory for drivers and tests.
+//! * [`trace`] — timing spans: a [`trace::span`] guard records the wall
+//!   time of its region into the global registry's latency histogram
+//!   `<scope>.<name>.us` when dropped.
 //! * [`query`] — [`RunHistory`], the read-optimized query engine over
 //!   the durable `SPRL` run log (`sp_store::run_log`): secondary indexes
 //!   by experiment, image, status and time window, summary dashboards,
@@ -31,7 +31,6 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use query::{open_history, CellQuery, HistorySource, HistorySummary, RunHistory, StatusChange};
-pub use trace::{MemSink, NullSink, Span, TraceEvent, TraceSink};
 
 /// The process-wide metrics registry every instrumented component bumps.
 /// Tests that need isolation construct their own [`MetricsRegistry`].

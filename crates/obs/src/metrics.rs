@@ -151,7 +151,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean observation in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
+    fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -110,7 +110,7 @@ impl Archive {
     }
 
     /// Total payload size in bytes.
-    pub fn payload_bytes(&self) -> usize {
+    fn payload_bytes(&self) -> usize {
         self.entries.iter().map(|e| e.data.len()).sum()
     }
 
@@ -125,12 +125,9 @@ impl Archive {
     ///
     /// The wire format's trailing checksum is SHA-256 of the body, and the
     /// [`ObjectId`] of the packed archive is SHA-256 of body-plus-trailer —
-    /// a shared prefix. Packing used to hash the body for the trailer and
-    /// then let the store hash body+trailer again; here the body is hashed
-    /// once and the running state forked for the trailer, so storing an
-    /// archive costs one hash pass instead of two. The emitted bytes are
-    /// identical to [`pack`](Self::pack)'s.
-    pub fn pack_with_id(&self) -> (Vec<u8>, ObjectId) {
+    /// a shared prefix, so the body is hashed once and the running state
+    /// forked for the trailer.
+    fn pack_with_id(&self) -> (Vec<u8>, ObjectId) {
         let mut sorted: Vec<&ArchiveEntry> = self.entries.iter().collect();
         sorted.sort_by(|a, b| a.path.cmp(&b.path));
 

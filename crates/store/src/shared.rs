@@ -110,25 +110,10 @@ impl SharedStorage {
         id
     }
 
-    /// Stores bytes whose content address the caller already computed,
-    /// skipping the hash pass [`put_named`](Self::put_named) would repeat.
-    pub fn put_named_prehashed(
-        &self,
-        area: StorageArea,
-        key: &str,
-        id: ObjectId,
-        data: impl AsRef<[u8]> + Into<Arc<[u8]>>,
-    ) -> ObjectId {
-        let id = self.content.put_prehashed(id, data);
-        self.name(area, key, id);
-        id
-    }
-
     /// Registers `area/key` as a *name* for an object that is already in
-    /// the content store — the memoised-replay path, where the bytes were
-    /// conserved by an earlier run under a different key. Returns `false`
-    /// (and registers nothing) if the object is absent.
-    pub fn register_named(&self, area: StorageArea, key: &str, id: ObjectId) -> bool {
+    /// the content store. Returns `false` (and registers nothing) if the
+    /// object is absent.
+    fn register_named(&self, area: StorageArea, key: &str, id: ObjectId) -> bool {
         if !self.content.contains(id) {
             return false;
         }
@@ -141,11 +126,13 @@ impl SharedStorage {
         self.names.write().insert(area, key.into(), id);
     }
 
-    /// [`register_named`](Self::register_named) for a batch of
-    /// `(key, id)` pairs under one write lock of the name map. Pairs whose
-    /// object is absent are skipped; returns how many names were
-    /// registered. A name is kept for the storage's life, so it is stored
-    /// without the spare capacity a formatted key may carry.
+    /// Registers each `(key, id)` pair as a *name* under `area` for an
+    /// object already in the content store — the memoised-replay path,
+    /// where the bytes were conserved by an earlier run under a different
+    /// key — under one write lock of the name map. Pairs whose object is
+    /// absent are skipped; returns how many names were registered. A name
+    /// is kept for the storage's life, so it is stored without the spare
+    /// capacity a formatted key may carry.
     pub fn register_named_many(
         &self,
         area: StorageArea,
@@ -162,14 +149,6 @@ impl SharedStorage {
             names.insert(area, key, id);
         }
         registered
-    }
-
-    /// Stores an archive (tar-ball) under `area/key`. The content address
-    /// falls out of packing ([`Archive::pack_with_id`]), so the bytes are
-    /// hashed once, not once for the trailer and again for the address.
-    pub fn put_archive(&self, area: StorageArea, key: &str, archive: &Archive) -> ObjectId {
-        let (packed, id) = archive.pack_with_id();
-        self.put_named_prehashed(area, key, id, packed)
     }
 
     /// Stores the bytes `produce` would yield under `area/key`, memoised by
@@ -437,13 +416,13 @@ mod tests {
         let mut good = Archive::new();
         good.add(ArchiveEntry::file("bin/ok", &b"fine"[..]))
             .unwrap();
-        storage.put_archive(StorageArea::Artifacts, "pkg/good", &good);
+        storage.put_named(StorageArea::Artifacts, "pkg/good", good.pack());
 
         let mut doomed = Archive::new();
         doomed
             .add(ArchiveEntry::file("bin/doomed", &b"rot"[..]))
             .unwrap();
-        let doomed_id = storage.put_archive(StorageArea::Artifacts, "pkg/doomed", &doomed);
+        let doomed_id = storage.put_named(StorageArea::Artifacts, "pkg/doomed", doomed.pack());
         storage.content().corrupt_for_test(doomed_id);
 
         // A name registered over raw, non-archive bytes fails unpack.
@@ -543,7 +522,7 @@ mod tests {
         tarball
             .add(ArchiveEntry::executable("bin/zevis", &b"ELF"[..]))
             .unwrap();
-        storage.put_archive(StorageArea::Artifacts, "zeus/zevis/5.4", &tarball);
+        storage.put_named(StorageArea::Artifacts, "zeus/zevis/5.4", tarball.pack());
         let packed = storage
             .get_named(StorageArea::Artifacts, "zeus/zevis/5.4")
             .unwrap()

@@ -412,7 +412,7 @@ impl WorkQueue {
     /// a flaky disk it may be perfectly intact — so the entry stays in
     /// place for a later sweep to re-examine. Quarantining on a read
     /// error would lose committed work to a transient fault.
-    pub fn sweep_corrupt(&self) -> usize {
+    fn sweep_corrupt(&self) -> usize {
         let mut moved = 0;
         for sub in ["submissions", "reports", "poison"] {
             // Best effort: a failed listing sweeps nothing this time.

@@ -26,21 +26,9 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Appends an `i8`.
-#[inline]
-pub fn put_i8(out: &mut Vec<u8>, v: i8) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u16`.
 #[inline]
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `i32`.
-#[inline]
-pub fn put_i32(out: &mut Vec<u8>, v: i32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -233,9 +221,9 @@ mod tests {
     fn fields_round_trip_and_short_input_is_none() {
         let mut out = Vec::new();
         put_u8(&mut out, 0xab);
-        put_i8(&mut out, -3);
+        out.extend_from_slice(&(-3i8).to_le_bytes());
         put_u16(&mut out, 0xbeef);
-        put_i32(&mut out, -70_000);
+        out.extend_from_slice(&(-70_000i32).to_le_bytes());
         put_u64(&mut out, u64::MAX - 1);
         put_f64(&mut out, -2.25);
         put_str(&mut out, "sp-system");

@@ -43,7 +43,7 @@
 //! | [`exec`] | virtual clock, cron, jobs, clients, chain DAGs |
 //! | [`store`] | content-addressed common storage, archives, the frozen-image vault |
 //! | [`experiments`] | the synthetic H1, ZEUS and HERMES stacks |
-//! | [`obs`] | observability: metrics registry, trace sink, run-history query engine |
+//! | [`obs`] | observability: metrics registry, timing spans, run-history query engine |
 //! | [`report`] | status matrices, HTML pages, JSON export, run-history dashboards |
 
 pub use sp_build as build;
