@@ -203,6 +203,9 @@ fn main() {
     let restored = SpSystem::new();
     let import = restored.import_from_dir(&dir).expect("checkpoint import");
     assert!(import.warm_state_error.is_none(), "{import:?}");
+    // A clean checkpoint holds nothing its own restart would refuse.
+    let rejected = import.storage.objects_rejected + import.storage.names_rejected;
+    assert_eq!(rejected + import.warm.entries_rejected, 0, "{import:?}");
     let verification = restored.verify_storage();
     assert!(verification.is_clean(), "{verification:?}");
     let verified = restored.storage().content().len();

@@ -1073,7 +1073,10 @@ impl SpSystem {
     /// `SPWS` snapshot format, to be conserved alongside the exported
     /// storage. A restarted system that imports this replays memoized
     /// cells instead of re-earning its caches over weeks of nightlies.
+    /// Entries [`import_warm_state`](Self::import_warm_state) would reject
+    /// against the content store (objects retention pruned) are left out.
     pub fn export_warm_state(&self) -> Vec<u8> {
+        let content = self.storage.content();
         let mut snapshot = Snapshot::new();
 
         let mut system = SnapshotSection::new(warm::SECTION_SYSTEM);
@@ -1086,37 +1089,42 @@ impl SpSystem {
 
         let mut digests = SnapshotSection::new(warm::SECTION_DIGEST_CACHE);
         for (revision, id) in self.storage.digest_cache().export_entries() {
-            digests.push(revision.into_bytes(), warm::encode_object_id(id));
+            if content.contains(id) {
+                digests.push(revision.into_bytes(), warm::encode_object_id(id));
+            }
         }
         snapshot.sections.push(digests);
 
         let mut results = SnapshotSection::new(warm::SECTION_OUTPUT_MEMO);
         for (key, outputs) in self.output_memo.export_entries() {
-            results.push(encode_run_key(&key), warm::encode_object_id(outputs[0].1));
+            if content.contains(outputs[0].1) {
+                results.push(encode_run_key(&key), warm::encode_object_id(outputs[0].1));
+            }
         }
         snapshot.sections.push(results);
 
         let mut chains = SnapshotSection::new(warm::SECTION_CHAIN_MEMO);
         for (key, chain) in self.chain_memo.export_entries() {
-            chains.push(encode_run_key(&key), warm::encode_chain(&chain));
+            if chain.outputs_present(content) {
+                chains.push(encode_run_key(&key), warm::encode_chain(&chain));
+            }
         }
         snapshot.sections.push(chains);
 
         let mut builds = SnapshotSection::new(warm::SECTION_BUILD_MEMO);
         for (key, build) in self.build_memo.export_entries() {
-            builds.push(
-                encode_run_key(&key),
-                warm::encode_build_report(&build.report),
-            );
+            if self.build_artifacts_present(&build.report) {
+                let report = warm::encode_build_report(&build.report);
+                builds.push(encode_run_key(&key), report);
+            }
         }
         snapshot.sections.push(builds);
 
         let mut references = SnapshotSection::new(warm::SECTION_LEDGER_REFS);
-        for (experiment, tests) in self.ledger.export_references() {
-            references.push(
-                experiment.into_bytes(),
-                warm::encode_reference_tests(&tests),
-            );
+        for (experiment, mut tests) in self.ledger.export_references() {
+            tests.retain(|_, outputs| outputs_conserved(content, outputs));
+            let tests = warm::encode_reference_tests(&tests);
+            references.push(experiment.into_bytes(), tests);
         }
         snapshot.sections.push(references);
 
@@ -1229,7 +1237,7 @@ impl SpSystem {
                 // rest. Absorption never overwrites a reference a live
                 // run already promoted.
                 let before = tests.len();
-                tests.retain(|_, outputs| outputs.iter().all(|(_, oid)| content.contains(*oid)));
+                tests.retain(|_, outputs| outputs_conserved(content, outputs));
                 report.entries_rejected += before - tests.len();
                 report.ledger_reference_entries +=
                     self.ledger.absorb_references(vec![(experiment, tests)]);
@@ -1240,19 +1248,19 @@ impl SpSystem {
     }
 
     /// Exports the whole preservable state to a directory: the common
-    /// storage (objects + area indexes, via
+    /// storage (write-once objects + area indexes, via
     /// [`SharedStorage::export_to_dir`]) plus the warm state as
-    /// `warm_state.spws` next to it.
+    /// `warm_state.spws` next to it. A re-export adds only new objects.
     pub fn export_to_dir(&self, dir: &std::path::Path) -> std::io::Result<SystemExportSummary> {
         self.export_to_dir_fs(dir, &sp_store::vfs::OsFs)
     }
 
     /// [`export_to_dir`](Self::export_to_dir) over an injectable
-    /// filesystem. The warm-state snapshot is written with the full
-    /// stage → `fsync` → rename → directory-sync discipline
+    /// filesystem. Every file is written with the full stage → `fsync` →
+    /// rename → directory-sync discipline
     /// ([`sp_store::vfs::write_durable_atomic`]), so a crash mid-export
-    /// leaves either the previous snapshot or the new one — never a torn
-    /// file that would silently cold-start the next restart.
+    /// leaves each as the previous checkpoint or the new one — never a
+    /// torn file that would silently cold-start the next restart.
     pub fn export_to_dir_fs(
         &self,
         dir: &std::path::Path,
@@ -1262,9 +1270,8 @@ impl SpSystem {
         let warm_state = self.export_warm_state();
         let warm_state_bytes = warm_state.len();
         let target = dir.join(WARM_STATE_FILE);
-        let mut stage = target.as_os_str().to_os_string();
-        stage.push(".stage");
-        sp_store::vfs::write_durable_atomic(fs, &[(stage.into(), target, &warm_state[..])])?;
+        let stage = dir.join(format!("{WARM_STATE_FILE}.stage"));
+        sp_store::vfs::write_durable_atomic(fs, &[(stage, target, &warm_state[..])])?;
         Ok(SystemExportSummary {
             storage,
             warm_state_bytes,
@@ -1457,6 +1464,11 @@ fn result_outputs(oid: ObjectId) -> TestOutputs {
     Arc::from([("result".into(), oid)])
 }
 
+/// Whether every output in `outputs` is still in the content store.
+fn outputs_conserved(content: &sp_store::ContentStore, outputs: &TestOutputs) -> bool {
+    outputs.iter().all(|(_, oid)| content.contains(*oid))
+}
+
 /// What [`SpSystem::verify_storage`] found wrong with the common storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageVerification {
@@ -1559,8 +1571,7 @@ impl MemoizedChain {
     fn outputs_present(&self, content: &sp_store::ContentStore) -> bool {
         self.stages
             .iter()
-            .flat_map(|stage| stage.outputs.iter())
-            .all(|(_, oid)| content.contains(*oid))
+            .all(|stage| outputs_conserved(content, &stage.outputs))
     }
 }
 

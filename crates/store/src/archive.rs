@@ -17,7 +17,7 @@
 //!
 //! Entries are sorted by path at pack time so that packing is deterministic:
 //! the same logical contents always yield the same bytes, hence the same
-//! [`ObjectId`] — which is what makes artifact
+//! [`ObjectId`](crate::ObjectId) — which is what makes artifact
 //! deduplication across validation runs work. Unpacking rejects entries
 //! out of path order, so an unpacked archive re-packs to its input bytes.
 
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use sp_wire::{self as wire, Cursor};
 
-use crate::{sha256, ObjectId, Result, StoreError};
+use crate::{sha256, Result, StoreError};
 
 const MAGIC: &[u8; 4] = b"SPAR";
 const VERSION: u16 = 1;
@@ -117,17 +117,6 @@ impl Archive {
     /// Serialises to the `SPAR` wire format. Entries are emitted in path
     /// order for determinism.
     pub fn pack(&self) -> Vec<u8> {
-        self.pack_with_id().0
-    }
-
-    /// Serialises to the `SPAR` wire format and returns the packed bytes
-    /// together with their content address.
-    ///
-    /// The wire format's trailing checksum is SHA-256 of the body, and the
-    /// [`ObjectId`] of the packed archive is SHA-256 of body-plus-trailer —
-    /// a shared prefix, so the body is hashed once and the running state
-    /// forked for the trailer.
-    fn pack_with_id(&self) -> (Vec<u8>, ObjectId) {
         let mut sorted: Vec<&ArchiveEntry> = self.entries.iter().collect();
         sorted.sort_by(|a, b| a.path.cmp(&b.path));
 
@@ -141,12 +130,9 @@ impl Archive {
             wire::put_u32(&mut buf, entry.mode);
             wire::put_bytes(&mut buf, &entry.data);
         }
-        let mut hasher = sha256::Sha256::new();
-        hasher.update(&buf);
-        let digest = hasher.clone().finalize();
+        let digest = sha256::digest(&buf);
         buf.extend_from_slice(&digest);
-        hasher.update(&digest);
-        (buf, ObjectId(hasher.finalize()))
+        buf
     }
 
     /// Decodes a `SPAR` archive, verifying checksum, magic and version.
@@ -251,13 +237,6 @@ mod tests {
         let rec = unpacked.entry("bin/h1rec").unwrap();
         assert_eq!(rec.mode, 0o755);
         assert_eq!(rec.data.as_ref(), b"\x7fELF...");
-    }
-
-    #[test]
-    fn pack_with_id_addresses_the_packed_bytes() {
-        let (packed, id) = sample().pack_with_id();
-        assert_eq!(id, ObjectId::for_bytes(&packed));
-        assert_eq!(packed, sample().pack());
     }
 
     #[test]

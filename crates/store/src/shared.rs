@@ -30,6 +30,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::meta::Names;
+use crate::vfs::{write_durable_atomic, StagingDir};
 use crate::{Archive, ContentStore, DigestCache, ObjectId, Result};
 
 /// Logical areas of the common storage, mirroring the directory layout of
@@ -108,17 +109,6 @@ impl SharedStorage {
         let id = self.content.put(data);
         self.name(area, key, id);
         id
-    }
-
-    /// Registers `area/key` as a *name* for an object that is already in
-    /// the content store. Returns `false` (and registers nothing) if the
-    /// object is absent.
-    fn register_named(&self, area: StorageArea, key: &str, id: ObjectId) -> bool {
-        if !self.content.contains(id) {
-            return false;
-        }
-        self.name(area, key, id);
-        true
     }
 
     /// Points `area/key` at `id`, replacing any earlier address.
@@ -228,10 +218,10 @@ impl SharedStorage {
     }
 
     /// [`export_to_dir`](Self::export_to_dir) over an injectable
-    /// filesystem. Objects and indexes are `fsync`ed and the directories
-    /// synced before success is reported — an acknowledged export survives
-    /// power loss whole (the preservation medium this archive is written
-    /// to is exactly the place a torn write would go unnoticed for years).
+    /// filesystem. Objects are write-once: one already on the medium is
+    /// never rewritten, so no crash can tear it (a torn write there would
+    /// go unnoticed for years). The new objects, then the indexes, are
+    /// each one [`write_durable_atomic`] slice staged under `<dir>/tmp/`.
     pub fn export_to_dir_fs(
         &self,
         dir: &std::path::Path,
@@ -239,8 +229,10 @@ impl SharedStorage {
     ) -> std::io::Result<ExportSummary> {
         let objects_dir = dir.join("objects");
         fs.create_dir_all(&objects_dir)?;
-        let mut objects_written = 0usize;
+        let staging = StagingDir::open(fs, dir.join("tmp"))?;
         let mut seen = std::collections::BTreeSet::new();
+        let mut objects = Vec::new();
+        let mut indexes = Vec::new();
         for area in StorageArea::all() {
             let mut index = String::new();
             for (key, oid) in self.list(area, "") {
@@ -251,27 +243,29 @@ impl SharedStorage {
                 if !self.content.contains(oid) {
                     continue;
                 }
-                index.push_str(&format!("{key} {}\n", oid.to_hex()));
-                if seen.insert(oid) {
+                let hex = oid.to_hex();
+                index.push_str(&format!("{key} {hex}\n"));
+                let path = objects_dir.join(hex);
+                if seen.insert(oid) && !fs.exists(&path) {
                     let bytes = self
                         .content
                         .get(oid)
                         .map_err(|e| std::io::Error::other(e.to_string()))?;
-                    let path = objects_dir.join(oid.to_hex());
-                    fs.write(&path, &bytes)?;
-                    fs.sync_file(&path)?;
-                    objects_written += 1;
+                    objects.push((staging.next(), path, bytes));
                 }
             }
             let index_path = dir.join(format!("{}.index", area.namespace()));
-            fs.write(&index_path, index.as_bytes())?;
-            fs.sync_file(&index_path)?;
+            indexes.push((staging.next(), index_path, index));
         }
-        fs.sync_dir(&objects_dir)?;
-        fs.sync_dir(dir)?;
+        // Sync `objects/` even when nothing is new: an earlier export that
+        // failed may have left its renames there unsynced.
+        if objects.is_empty() {
+            fs.sync_dir(&objects_dir)?;
+        }
+        write_durable_atomic(fs, &objects)?;
+        write_durable_atomic(fs, &indexes)?;
         Ok(ExportSummary {
-            objects_written,
-            areas_indexed: StorageArea::all().len(),
+            objects_written: objects.len(),
         })
     }
 
@@ -326,10 +320,9 @@ impl SharedStorage {
                     summary.names_rejected += 1;
                     continue;
                 };
-                let restored = ObjectId::from_hex(hex)
-                    .map(|id| self.register_named(area, key, id))
-                    .unwrap_or(false);
-                if restored {
+                let restored = ObjectId::from_hex(hex).filter(|id| self.content.contains(*id));
+                if let Some(id) = restored {
+                    self.name(area, key, id);
                     summary.names_restored += 1;
                 } else {
                     // Unparseable address, or the object it names was
@@ -358,10 +351,8 @@ impl SharedStorage {
 /// Result of a filesystem export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExportSummary {
-    /// Distinct objects written to `objects/`.
+    /// Objects this export added to the medium.
     pub objects_written: usize,
-    /// Area index files written.
-    pub areas_indexed: usize,
 }
 
 /// Result of a filesystem import.
@@ -588,12 +579,31 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sp-export-{}", std::process::id()));
         let summary = storage.export_to_dir(&dir).unwrap();
         assert_eq!(summary.objects_written, 2, "deduplicated objects");
-        assert_eq!(summary.areas_indexed, 4);
         let index = std::fs::read_to_string(dir.join("results.index")).unwrap();
         assert!(index.contains("run/a"));
         let oid = storage.lookup(StorageArea::Results, "run/a").unwrap();
         let on_disk = std::fs::read(dir.join("objects").join(oid.to_hex())).unwrap();
         assert_eq!(on_disk, b"alpha");
+
+        // A repeated export costs its increment: the objects are already
+        // on the medium, so nothing under `objects/` is written again.
+        let fs = crate::vfs::RecordingFs::default();
+        let again = storage.export_to_dir_fs(&dir, &fs).unwrap();
+        assert_eq!(again.objects_written, 0);
+        // `objects/` is still synced: an earlier export that failed
+        // before its directory sync may have left unsynced entries there.
+        let objects = dir.join("objects");
+        let ops = fs.take_ops();
+        assert!(ops.contains(&("sync_dir", objects.clone())), "{ops:?}");
+        let touched: Vec<_> = ops
+            .iter()
+            .filter(|(op, path)| matches!(*op, "write" | "rename") && path.starts_with(&objects))
+            .collect();
+        assert!(touched.is_empty(), "{touched:?}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("results.index")).unwrap(),
+            index
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

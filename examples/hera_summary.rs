@@ -66,7 +66,7 @@ fn main() {
     // resolves ("all output files are kept").
     let export = system.storage().export_to_dir(site).expect("object export");
     println!(
-        "wrote {} web pages, campaign.json and {} output objects to {}",
+        "wrote {} web pages, campaign.json and {} new output objects to {}",
         runs.len() + 2,
         export.objects_written,
         site.display()

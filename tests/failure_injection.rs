@@ -3,7 +3,7 @@
 
 use sp_system::core::{RunConfig, SpSystem};
 use sp_system::env::{catalog, Version};
-use sp_system::store::{FrozenImage, ObjectId, StoreError};
+use sp_system::store::{FrozenImage, ObjectId, RetentionPolicy, StorageArea, StoreError};
 
 /// Corrupting a stored artifact is detected at read time — the integrity
 /// guarantee the preservation programme rests on.
@@ -173,70 +173,182 @@ fn torn_warm_state_degrades_to_cold_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The system warm-state export commits with full fsync discipline: crash
-/// the export at each of the final snapshot-write operations and the
-/// exported directory holds either the complete snapshot or none at all.
-#[test]
-fn warm_state_export_has_no_third_outcome() {
-    use sp_system::core::WARM_STATE_FILE;
-    use sp_system::store::{FaultConfig, FaultFs};
+/// A small deployment for the checkpoint sweep: one library, an analysis
+/// linking it, their compile tests, a unit check and a standalone
+/// analysis, run on SL6 with `seeds` (one run each, in order).
+fn checkpoint_deployment(seeds: &[u64]) -> SpSystem {
+    use sp_system::build::{DependencyGraph, Package, PackageId, PackageKind};
+    use sp_system::core::test::{TestKind, ValidationTest};
+    use sp_system::core::{ExperimentDef, PreservationLevel, TestSuite};
 
+    let graph = DependencyGraph::from_packages([
+        Package::new("util", Version::new(1, 0, 0), PackageKind::Library),
+        Package::new("ana", Version::new(1, 0, 0), PackageKind::Analysis).dep("util"),
+    ])
+    .unwrap();
+    let mut suite = TestSuite::new("mini", PreservationLevel::FullSoftware);
+    let tests = [
+        (
+            "mini/compile/util",
+            "compilation",
+            TestKind::Compile {
+                package: PackageId::new("util"),
+            },
+        ),
+        (
+            "mini/compile/ana",
+            "compilation",
+            TestKind::Compile {
+                package: PackageId::new("ana"),
+            },
+        ),
+        (
+            "mini/unit/util-0",
+            "unit checks",
+            TestKind::UnitCheck {
+                package: PackageId::new("util"),
+                check_index: 0,
+            },
+        ),
+        (
+            "mini/standalone/ana",
+            "analysis",
+            TestKind::Standalone {
+                package: PackageId::new("ana"),
+                events: 40,
+            },
+        ),
+    ];
+    for (id, group, kind) in tests {
+        suite
+            .add(ValidationTest::new(id, "mini", group, kind))
+            .unwrap();
+    }
     let system = SpSystem::new();
     let image = system
         .register_image(catalog::sl6_gcc44(Version::two(5, 34)))
         .unwrap();
     system
-        .register_experiment(sp_system::experiments::hermes_experiment())
+        .register_experiment(ExperimentDef {
+            name: "mini".into(),
+            color: "grey",
+            graph,
+            suite,
+            entry_points: vec![PackageId::new("ana")],
+        })
         .unwrap();
-    system
-        .run_validation(
-            "hermes",
-            image,
-            &RunConfig {
-                scale: 0.1,
-                ..RunConfig::default()
-            },
-        )
-        .unwrap();
-
-    // Reference pass: count the export's operations and capture the
-    // intact snapshot bytes.
-    let base = std::env::temp_dir().join(format!("sp-export-crash-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let reference = base.join("reference");
-    let probe = FaultFs::over_os(FaultConfig::default());
-    system.export_to_dir_fs(&reference, &probe).unwrap();
-    assert!(
-        probe.violations().is_empty(),
-        "export must sync before rename"
-    );
-    let total_ops = probe.op_count();
-    let intact = std::fs::read(reference.join(WARM_STATE_FILE)).unwrap();
-
-    // Crash the final stretch — the warm-state stage/sync/rename/sync
-    // tail plus slack into the storage export before it.
-    let first = total_ops.saturating_sub(8);
-    for crash_at in first..total_ops {
-        let dir = base.join(format!("crash-{crash_at}"));
-        let fs = FaultFs::over_os(FaultConfig {
-            seed: crash_at,
-            io_fault_rate: 0.0,
-            crash_at: Some(crash_at),
-        });
-        assert!(
-            system.export_to_dir_fs(&dir, &fs).is_err(),
-            "crash point {crash_at} must abort the export"
-        );
-        fs.apply_crash();
-        assert!(fs.violations().is_empty());
-        // An absent file (read fails) is equally acceptable: the export
-        // never happened.
-        if let Ok(bytes) = std::fs::read(dir.join(WARM_STATE_FILE)) {
-            assert_eq!(
-                bytes, intact,
-                "crash at {crash_at}: surviving snapshot must be whole"
-            );
-        }
+    for &seed in seeds {
+        let config = RunConfig {
+            seed,
+            ..RunConfig::default()
+        };
+        system.run_validation("mini", image, &config).unwrap();
     }
+    system
+}
+
+/// Each area's name → address map as an export writes it: names whose
+/// object is still in the content store.
+fn exported_names(system: &SpSystem) -> Vec<Vec<(String, ObjectId)>> {
+    let storage = system.storage();
+    StorageArea::all()
+        .into_iter()
+        .map(|area| {
+            let mut names = storage.list(area, "");
+            names.retain(|(_, id)| storage.content().contains(*id));
+            names
+        })
+        .collect()
+}
+
+/// A checkpoint over a checkpoint loses nothing it acknowledged: export
+/// A, then export B into the same directory after more runs and a
+/// retention pass that pruned some of A's objects. Power is lost at every
+/// operation of both exports, warm state included. After each crash no
+/// surviving index or snapshot differs from every committed state,
+/// import rejects nothing, and each area restores A's or B's names once
+/// A was acknowledged (B's once B was).
+#[test]
+fn checkpoint_over_a_checkpoint_survives_every_crash_point() {
+    use sp_system::core::WARM_STATE_FILE;
+    use sp_system::store::vfs::crash_point_sweep;
+
+    let a = checkpoint_deployment(&[1, 2]);
+    let b = checkpoint_deployment(&[1, 2, 3, 4]);
+    let pruned = b.prune_runs(&RetentionPolicy::pruning(1, 1, 0));
+    let (names_a, names_b) = (exported_names(&a), exported_names(&b));
+    let lost = |area: usize| {
+        names_a[area]
+            .iter()
+            .any(|name| !names_b[area].contains(name))
+    };
+    assert!(
+        pruned.objects_removed > 0 && (0..names_a.len()).any(lost),
+        "the retention pass must prune some of A's objects and names: {pruned:?}"
+    );
+
+    let base = std::env::temp_dir().join(format!("sp-checkpoint-sweep-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let outcome = crash_point_sweep(
+        &base,
+        |fs, root| {
+            // How many exports were acknowledged before the crash.
+            [&a, &b]
+                .into_iter()
+                .take_while(|system| system.export_to_dir_fs(root, fs.as_ref()).is_ok())
+                .count()
+        },
+        |root, history, acknowledged| {
+            let mut files: Vec<String> = StorageArea::all()
+                .iter()
+                .map(|area| format!("{}.index", area.namespace()))
+                .collect();
+            files.push(WARM_STATE_FILE.into());
+            for file in &files {
+                if let Ok(bytes) = std::fs::read(root.join(file)) {
+                    if !history.allows(std::path::Path::new(file), &bytes) {
+                        return Err(format!("{file} holds a state no export committed"));
+                    }
+                }
+            }
+            let restored = SpSystem::new();
+            let import = restored
+                .import_from_dir(root)
+                .map_err(|e| format!("import failed: {e}"))?;
+            if import.storage.objects_rejected + import.storage.names_rejected > 0 {
+                return Err(format!("import rejected what the export wrote: {import:?}"));
+            }
+            let names = exported_names(&restored);
+            let expected: &[&Vec<Vec<(String, ObjectId)>>] = match acknowledged {
+                0 => return Ok(()),
+                1 => &[&names_a, &names_b],
+                _ => &[&names_b],
+            };
+            for (index, area) in StorageArea::all().into_iter().enumerate() {
+                if !expected.iter().any(|acked| acked[index] == names[index]) {
+                    return Err(format!(
+                        "{area}: {} names restored, neither acknowledged export",
+                        names[index].len()
+                    ));
+                }
+            }
+            if import.warm_state_error.is_some() || import.warm.entries_rejected > 0 {
+                return Err(format!("warm state not restored whole: {import:?}"));
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        outcome.crash_points >= 90,
+        "the workload must enumerate both exports, got {}",
+        outcome.crash_points
+    );
+    assert!(
+        outcome.passed(),
+        "checkpoint sweep failed at {} of {} points:\n{}",
+        outcome.failures.len(),
+        outcome.crash_points,
+        outcome.failures.join("\n")
+    );
     std::fs::remove_dir_all(&base).ok();
 }
