@@ -456,26 +456,26 @@ impl SpSystem {
 
         results.sort_by(|a, b| a.0.test.cmp(&b.0.test));
         // Split by hand: collecting in place would keep the pairs' larger
-        // allocation alive in every run the ledger holds. Every output the
-        // run conserved, executed or memo-served, is named
-        // `<run>/<test>/<output>` with one metadata write; a compile
-        // test's tar-ball is the build's artifact and is named there.
+        // allocation alive in every run the ledger holds.
         let mut verdicts = Vec::new();
-        let mut served: Vec<(String, ObjectId)> = Vec::new();
         let mut tests = Vec::with_capacity(results.len());
         for (index, (result, verdict)) in results.into_iter().enumerate() {
-            served.extend(
-                result
-                    .outputs
-                    .iter()
-                    .filter(|(name, _)| &**name != "tarball")
-                    .map(|(name, oid)| (format!("{run_id}/{}/{name}", result.test), *oid)),
-            );
             tests.push(result);
             verdicts.extend(verdict.map(|verdict| (index, verdict)));
         }
+        // Every output the run conserved, executed or memo-served, is named
+        // `<run>/<test>/<output>`: one group, landed with one metadata
+        // write. A compile test's tar-ball is the build's artifact and is
+        // named there.
+        let served = tests.iter().flat_map(|result| {
+            result
+                .outputs
+                .iter()
+                .filter(|(name, _)| &**name != "tarball")
+                .map(|(name, oid)| ([result.test.as_str(), &**name], *oid))
+        });
         self.storage
-            .register_named_many(StorageArea::Results, served);
+            .register_named_many(StorageArea::Results, &format!("{run_id}/"), served);
         let run = ValidationRun {
             id: run_id,
             experiment: experiment_name.to_string(),

@@ -70,9 +70,9 @@ pub fn figure1_diagram(system: &SpSystem) -> String {
     out.push_str("        +------------------------------------------+\n");
     out.push_str("        |      sp-system  COMMON STORAGE            |\n");
     for area in StorageArea::all() {
-        let count = system.storage().list(area, "").len();
+        let count = system.storage().name_count(area);
         out.push_str(&format!(
-            "        |        {:<10} {:>6} objects          |\n",
+            "        |        {:<10} {:>6} names            |\n",
             area.namespace(),
             count
         ));

@@ -114,6 +114,13 @@ impl ContentStore {
         self.objects.read().contains_key(&id)
     }
 
+    /// Keeps the items whose object `id` says is present, under one read
+    /// of the store (no integrity check).
+    pub(crate) fn retain_present<T>(&self, items: &mut Vec<T>, id: impl Fn(&T) -> ObjectId) {
+        let objects = self.objects.read();
+        items.retain(|item| objects.contains_key(&id(item)));
+    }
+
     /// Number of unique objects held.
     pub fn len(&self) -> usize {
         self.objects.read().len()

@@ -6,10 +6,18 @@
 //! It lives here so every crate hashes identically; seeds and object
 //! contents derived from it must never diverge between crates.
 
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a string.
 pub fn fnv64(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+    fnv64_extend(FNV64_OFFSET, s.as_bytes())
+}
+
+/// Continues the FNV-1a `hash` of some bytes over `bytes`, so text held
+/// in pieces hashes as if it were joined.
+pub(crate) fn fnv64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         hash ^= *b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -17,13 +17,15 @@
 //! §3.3 keeps every output under the unique ID of the job that made it
 //! (*"all scripts and input files used in the test as well as all output
 //! files are kept"*). Those names are the storage's mutable bookkeeping,
-//! kept apart from the immutable content-addressed objects: one ordered
-//! map per area from a key (`<run>/<test>/<output>` in the results area)
-//! to the [`ObjectId`] of the bytes. Listings and the exported
-//! `<area>.index` files read each map in key order. Most names of a
-//! memo-served run point at objects earlier runs named too, so each
-//! named address is held once and a name costs its key and a 4-byte
-//! index.
+//! kept apart from the immutable content-addressed objects. Per area a
+//! key (`<run>/<test>/<output>` in the results area) is split at its first
+//! `/`: a map from the group (`<run>/`) to an ordered map from the rest
+//! (`<test>/<output>`) to the [`ObjectId`] of the bytes, so a run's names
+//! land as one group. Listings and the exported `<area>.index` files walk
+//! groups, then rests, which is full-key order. The runs of a cell name
+//! the same rests night after night and mostly point at objects earlier
+//! runs named too, so each distinct rest and each named address is held
+//! once: a name costs a 16-byte handle to its rest and a 4-byte index.
 
 use std::sync::Arc;
 
@@ -113,31 +115,28 @@ impl SharedStorage {
 
     /// Points `area/key` at `id`, replacing any earlier address.
     fn name(&self, area: StorageArea, key: &str, id: ObjectId) {
-        self.names.write().insert(area, key.into(), id);
+        self.names.write().insert(area, key, id);
     }
 
-    /// Registers each `(key, id)` pair as a *name* under `area` for an
-    /// object already in the content store — the memoised-replay path,
-    /// where the bytes were conserved by an earlier run under a different
-    /// key — under one write lock of the name map. Pairs whose object is
-    /// absent are skipped; returns how many names were registered. A name
-    /// is kept for the storage's life, so it is stored without the spare
-    /// capacity a formatted key may carry.
-    pub fn register_named_many(
+    /// Names objects already in the content store under one group of
+    /// `area` — the memoised-replay path, where the bytes were conserved
+    /// by an earlier run under a different key. Each `([dir, leaf], id)`
+    /// pair names `<group><dir>/<leaf>`; `group` is one segment and its
+    /// `/`, such as a run's `spr-000123/`. Presence is checked under one
+    /// content-store read, which is released before the group lands in the
+    /// name map under one write lock, as one insert when the group is new;
+    /// no key text is built. Pairs whose object is absent are skipped;
+    /// returns how many names were registered.
+    pub fn register_named_many<'a>(
         &self,
         area: StorageArea,
-        names: impl IntoIterator<Item = (String, ObjectId)>,
+        group: &str,
+        names: impl IntoIterator<Item = ([&'a str; 2], ObjectId)>,
     ) -> usize {
-        let present: Vec<(Box<str>, ObjectId)> = names
-            .into_iter()
-            .filter(|(_, id)| self.content.contains(*id))
-            .map(|(key, id)| (key.into_boxed_str(), id))
-            .collect();
+        let mut present: Vec<([&str; 2], ObjectId)> = names.into_iter().collect();
+        self.content.retain_present(&mut present, |(_, id)| *id);
         let registered = present.len();
-        let mut names = self.names.write();
-        for (key, id) in present {
-            names.insert(area, key, id);
-        }
+        self.names.write().insert_group(area, group, present);
         registered
     }
 
@@ -207,6 +206,11 @@ impl SharedStorage {
     /// in key order.
     pub fn list(&self, area: StorageArea, prefix: &str) -> Vec<(String, ObjectId)> {
         self.names.read().list(area, prefix)
+    }
+
+    /// How many names `area` holds, counted without building their keys.
+    pub fn name_count(&self, area: StorageArea) -> usize {
+        self.names.read().len(area)
     }
 
     /// Materialises every registered object onto the filesystem:
@@ -695,10 +699,11 @@ mod tests {
         let absent = ObjectId::for_bytes(b"never stored");
         let registered = storage.register_named_many(
             StorageArea::Results,
+            "spr-000002/",
             [
-                ("spr-000002/a/result".to_string(), kept),
-                ("spr-000002/b/result".to_string(), absent),
-                ("spr-000002/c/result".to_string(), kept),
+                (["a", "result"], kept),
+                (["b", "result"], absent),
+                (["c", "result"], kept),
             ],
         );
         assert_eq!(registered, 2);
