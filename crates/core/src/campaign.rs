@@ -67,10 +67,11 @@
 //!    experiments judge in parallel (references are per-experiment,
 //!    storage is content-addressed, ids are pre-assigned).
 //!
-//! At the repetition barrier the runs are committed to the ledger in task
-//! order through a single [`RunLedger::commit_batch`] (one lock
-//! acquisition per repetition instead of one per run), and the clock
-//! ticks. Every cell therefore sees exactly the reference the sequential
+//! Each lane also packs its runs into the form the ledger keeps and
+//! computes their summary records and cell statuses, so the repetition
+//! barrier only sorts the runs into task order, merges their cells and
+//! appends them to the ledger under one lock, and the clock ticks. Every
+//! cell therefore sees exactly the reference the sequential
 //! oracle shows it, so a [`CampaignSummary`] is byte-identical to the
 //! oracle's for any worker count, which
 //! `crates/core/tests/campaign_equivalence.rs` asserts property-wise,
@@ -358,7 +359,7 @@ impl CampaignPlan {
 /// summaries by construction (given runs arrive in task order).
 struct SummaryAggregator {
     runs: Vec<RunRecord>,
-    cells: BTreeMap<(String, String, String), CellStatus>,
+    cells: BTreeMap<CellKey, CellStatus>,
     image_labels: Vec<String>,
 }
 
@@ -371,23 +372,11 @@ impl SummaryAggregator {
         }
     }
 
-    fn record(&mut self, task: &RunTask, run: &ValidationRun) {
-        self.runs.push(RunRecord {
-            id: run.id,
-            experiment: task.experiment.clone(),
-            image_label: task.image_label.clone(),
-            timestamp: run.timestamp,
-            passed: run.passed(),
-            failed: run.failed(),
-            skipped: run.skipped(),
-            successful: run.is_successful(),
-        });
-        for (group, status) in aggregate_groups(run) {
-            self.cells.insert(
-                (task.experiment.clone(), group, task.image_label.clone()),
-                status,
-            );
-        }
+    /// Adds one run's summary; runs must arrive in task order, so a cell
+    /// keeps the status of its last run.
+    fn push(&mut self, summarized: Summarized) {
+        self.runs.push(summarized.record);
+        self.cells.extend(summarized.cells);
     }
 
     fn finish(self) -> CampaignSummary {
@@ -395,6 +384,44 @@ impl SummaryAggregator {
             runs: self.runs,
             cells: self.cells,
             image_labels: self.image_labels,
+        }
+    }
+}
+
+/// A key of [`CampaignSummary::cells`]: (experiment, group, image label).
+type CellKey = (String, String, String);
+
+/// What one run adds to a [`CampaignSummary`]: its record and the status
+/// of each of its groups' cells.
+struct Summarized {
+    record: RunRecord,
+    cells: Vec<(CellKey, CellStatus)>,
+}
+
+impl Summarized {
+    fn new(task: &RunTask, run: &ValidationRun) -> Self {
+        Summarized {
+            record: RunRecord {
+                id: run.id,
+                experiment: task.experiment.clone(),
+                image_label: task.image_label.clone(),
+                timestamp: run.timestamp,
+                passed: run.passed(),
+                failed: run.failed(),
+                skipped: run.skipped(),
+                successful: run.is_successful(),
+            },
+            cells: aggregate_groups(run)
+                .into_iter()
+                .map(|(group, status)| {
+                    let key = (
+                        task.experiment.clone(),
+                        group.to_string(),
+                        task.image_label.clone(),
+                    );
+                    (key, status)
+                })
+                .collect(),
         }
     }
 }
@@ -424,7 +451,7 @@ impl<'a> Campaign<'a> {
                 let run = self
                     .system
                     .run_validation(&task.experiment, task.image, &run_config)?;
-                aggregator.record(task, &run);
+                aggregator.push(Summarized::new(task, &run));
             }
             self.system.clock().advance(plan.config().interval_secs);
         }
@@ -799,12 +826,14 @@ impl<'a> CampaignScheduler<'a> {
                 lanes.extend(by_experiment.into_iter().map(|lane| (index, lane)));
                 judged.insert(index);
             }
+            // Each lane also packs its runs for the ledger and summarises
+            // them, so the barrier below only merges and appends.
             let judged_lanes = self.dispatch(&submissions, lanes, |_, lane| {
                 lane.into_iter()
                     .map(|(task, produced)| {
                         let run = system.judge(produced);
                         ledger.promote(&run);
-                        (task, run)
+                        (task.index, ledger.pack(&run), Summarized::new(task, &run))
                     })
                     .collect::<Vec<_>>()
             });
@@ -823,15 +852,19 @@ impl<'a> CampaignScheduler<'a> {
                     && lanes.iter().all(Option::is_some);
                 if complete {
                     // Barrier: commit the repetition in task order as one
-                    // batch (references were already promoted in-lane), and
-                    // move the shared clock forward past this barrier.
-                    let mut runs: Vec<(&RunTask, ValidationRun)> =
-                        lanes.into_iter().flatten().flatten().collect();
-                    runs.sort_by_key(|(task, _)| task.index);
-                    for (task, run) in &runs {
-                        state.aggregator.record(task, run);
-                    }
-                    ledger.log_batch(runs.into_iter().map(|(_, run)| run).collect());
+                    // batch (references were already promoted, and the runs
+                    // packed and summarised, in-lane), and move the shared
+                    // clock forward past this barrier.
+                    let mut runs: Vec<_> = lanes.into_iter().flatten().flatten().collect();
+                    runs.sort_by_key(|(index, _, _)| *index);
+                    let logged = runs
+                        .into_iter()
+                        .map(|(_, logged, summarized)| {
+                            state.aggregator.push(summarized);
+                            logged
+                        })
+                        .collect();
+                    ledger.append(logged);
                     state.next_repetition += 1;
                     system.clock().advance_to(
                         origin + state.next_repetition as u64 * plan.config().interval_secs,
@@ -931,22 +964,20 @@ fn column_label(image: &sp_env::VmImage) -> String {
 }
 
 /// Aggregates a run's results per process group.
-fn aggregate_groups(run: &ValidationRun) -> BTreeMap<String, CellStatus> {
-    let mut by_group: BTreeMap<&str, Vec<&TestStatus>> = BTreeMap::new();
+fn aggregate_groups(run: &ValidationRun) -> BTreeMap<&str, CellStatus> {
+    // (any failed, all skipped, any warned) per group.
+    let mut by_group: BTreeMap<&str, (bool, bool, bool)> = BTreeMap::new();
     for result in &run.results {
-        by_group
+        let (any_fail, all_skipped, any_warn) = by_group
             .entry(&result.group)
-            .or_default()
-            .push(&result.status);
+            .or_insert((false, true, false));
+        *any_fail |= matches!(result.status, TestStatus::Failed(_));
+        *all_skipped &= matches!(result.status, TestStatus::Skipped(_));
+        *any_warn |= matches!(result.status, TestStatus::PassedWithWarnings(_));
     }
     by_group
         .into_iter()
-        .map(|(group, statuses)| {
-            let any_fail = statuses.iter().any(|s| matches!(s, TestStatus::Failed(_)));
-            let all_skipped = statuses.iter().all(|s| matches!(s, TestStatus::Skipped(_)));
-            let any_warn = statuses
-                .iter()
-                .any(|s| matches!(s, TestStatus::PassedWithWarnings(_)));
+        .map(|(group, (any_fail, all_skipped, any_warn))| {
             let status = if all_skipped {
                 CellStatus::NotRun
             } else if any_fail {
@@ -956,7 +987,7 @@ fn aggregate_groups(run: &ValidationRun) -> BTreeMap<String, CellStatus> {
             } else {
                 CellStatus::Pass
             };
-            (group.to_string(), status)
+            (group, status)
         })
         .collect()
 }

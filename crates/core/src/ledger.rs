@@ -5,14 +5,40 @@
 //! successful test are examined", §3.1 iii), and serves the queries the
 //! script-based web pages of §3.3 need ("record and display available
 //! validation runs for a given description").
+//!
+//! ## How a logged run is kept
+//!
+//! Every run is kept under its unique id (§3.3), so what one logged run
+//! holds is what a nightly deployment grows by. Most of a
+//! [`ValidationRun`]'s results repeat what every run of its experiment
+//! holds: each result's test id, category and group. A logged run is
+//! therefore its id, strings and timestamp plus
+//!
+//! - a **shape**: one header (test id, category, group) per result, shared
+//!   by every logged run of the experiment whose results carry the same
+//!   headers in the same order;
+//! - one 40-byte **row** per result: the job, the shared [`TestOutputs`]
+//!   slice and an outcome that holds the common cases (passed without a
+//!   comparison, passed identical to the reference) inline and boxes the
+//!   rare ones.
+//!
+//! [`runs`](RunLedger::runs), [`get`](RunLedger::get) and
+//! [`latest_successful`](RunLedger::latest_successful) rebuild exact
+//! [`ValidationRun`]s; [`prune`](RunLedger::prune),
+//! [`retract_range`](RunLedger::retract_range) and the success checks read
+//! the rows. The campaign scheduler packs each run in its judge lane, so
+//! the round barrier only appends.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use sp_exec::JobId;
 use sp_store::ObjectId;
 
-use crate::run::{RunId, ValidationRun};
+use crate::compare::CompareOutcome;
+use crate::run::{RunId, TestResult, TestStatus, ValidationRun};
+use crate::test::{TestCategory, TestId};
 
 /// Named output objects of one test (name → content address pairs). The
 /// slice and its names are shared: a memo-served result holds the slice
@@ -25,13 +51,134 @@ pub type TestOutputs = Arc<[(Arc<str>, ObjectId)]>;
 /// [`RunLedger::restore_reference_state`].
 pub type ReferenceState = Option<BTreeMap<String, TestOutputs>>;
 
+/// What identifies one result within its experiment's suite.
+struct Header {
+    test: TestId,
+    category: TestCategory,
+    group: Arc<str>,
+}
+
+impl Header {
+    fn of(result: &TestResult) -> Self {
+        Header {
+            test: result.test.clone(),
+            category: result.category,
+            group: Arc::clone(&result.group),
+        }
+    }
+
+    /// Whether `result` carries this header (`Arc<str>` equality checks
+    /// the pointer first, so a suite's own strings compare in O(1)).
+    fn fits(&self, result: &TestResult) -> bool {
+        self.test == result.test && self.category == result.category && self.group == result.group
+    }
+}
+
+/// A result's status and comparison verdict: the two cases nearly every
+/// result of a nightly run has inline, the rest boxed.
+enum Outcome {
+    /// [`TestStatus::Passed`], not compared.
+    Passed,
+    /// [`TestStatus::Passed`], compared [`CompareOutcome::Identical`].
+    PassedIdentical,
+    /// Any other status and comparison.
+    Other(Box<(TestStatus, Option<CompareOutcome>)>),
+}
+
+impl Outcome {
+    fn of(result: &TestResult) -> Self {
+        match (&result.status, &result.compare) {
+            (TestStatus::Passed, None) => Outcome::Passed,
+            (TestStatus::Passed, Some(CompareOutcome::Identical)) => Outcome::PassedIdentical,
+            (status, compare) => Outcome::Other(Box::new((status.clone(), compare.clone()))),
+        }
+    }
+
+    fn is_pass(&self) -> bool {
+        match self {
+            Outcome::Passed | Outcome::PassedIdentical => true,
+            Outcome::Other(other) => other.0.is_pass(),
+        }
+    }
+
+    fn unpack(&self) -> (TestStatus, Option<CompareOutcome>) {
+        match self {
+            Outcome::Passed => (TestStatus::Passed, None),
+            Outcome::PassedIdentical => (TestStatus::Passed, Some(CompareOutcome::Identical)),
+            Outcome::Other(other) => (**other).clone(),
+        }
+    }
+}
+
+/// What one result of a logged run holds beyond its header.
+struct Row {
+    job: JobId,
+    outputs: TestOutputs,
+    outcome: Outcome,
+}
+
+/// A run as the ledger keeps it: a shape shared with the experiment's
+/// other runs and one row per result (see the module docs).
+pub(crate) struct LoggedRun {
+    id: RunId,
+    experiment: String,
+    image_label: String,
+    description: String,
+    timestamp: u64,
+    shape: Arc<[Header]>,
+    rows: Box<[Row]>,
+}
+
+impl LoggedRun {
+    fn is_successful(&self) -> bool {
+        self.rows.iter().all(|row| row.outcome.is_pass())
+    }
+
+    /// Content addresses of every output the run holds.
+    fn output_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.rows
+            .iter()
+            .flat_map(|row| row.outputs.iter().map(|(_, oid)| *oid))
+    }
+
+    /// The exact run that was packed.
+    fn unpack(&self) -> ValidationRun {
+        ValidationRun {
+            id: self.id,
+            experiment: self.experiment.clone(),
+            image_label: self.image_label.clone(),
+            description: self.description.clone(),
+            timestamp: self.timestamp,
+            results: self
+                .shape
+                .iter()
+                .zip(self.rows.iter())
+                .map(|(header, row)| {
+                    let (status, compare) = row.outcome.unpack();
+                    TestResult {
+                        test: header.test.clone(),
+                        category: header.category,
+                        group: Arc::clone(&header.group),
+                        job: row.job,
+                        status,
+                        outputs: Arc::clone(&row.outputs),
+                        compare,
+                    }
+                })
+                .collect(),
+        }
+    }
+}
+
 /// In-memory run ledger with per-test reference-output tracking.
 #[derive(Default)]
 pub struct RunLedger {
-    runs: RwLock<Vec<ValidationRun>>,
+    runs: RwLock<Vec<LoggedRun>>,
     /// experiment → (test id string → reference outputs) from the last
     /// successful run of that experiment.
     references: RwLock<BTreeMap<String, BTreeMap<String, TestOutputs>>>,
+    /// experiment → the shapes its runs were packed over, newest last.
+    shapes: Mutex<BTreeMap<String, Vec<Arc<[Header]>>>>,
 }
 
 impl RunLedger {
@@ -42,9 +189,10 @@ impl RunLedger {
 
     /// Records a completed run. If the run validated successfully, its
     /// outputs become the new reference for the experiment.
-    pub fn record(&self, run: ValidationRun) {
-        self.promote(&run);
-        self.runs.write().push(run);
+    pub fn record(&self, run: &ValidationRun) {
+        self.promote(run);
+        let logged = self.pack(run);
+        self.runs.write().push(logged);
     }
 
     /// Promotes a successful run's outputs to reference status *without*
@@ -54,37 +202,72 @@ impl RunLedger {
     /// engine needs mid-repetition: an experiment lane must update its
     /// references in image order (the next run of the same experiment
     /// compares against them), while the run log itself is appended once
-    /// per repetition via [`log_batch`](Self::log_batch) so the recording
-    /// order stays deterministic across worker counts.
+    /// per repetition so the recording order stays deterministic across
+    /// worker counts.
     pub fn promote(&self, run: &ValidationRun) {
         promote_into(&mut self.references.write(), run);
     }
 
-    /// Records a whole batch of runs under a single lock acquisition per
-    /// map (one for the references, one for the run log), instead of one
-    /// per run. Reference promotion follows batch order, so committing a
-    /// campaign repetition's runs in task order reproduces exactly the
-    /// reference state sequential execution would have left behind.
-    pub fn commit_batch(&self, runs: Vec<ValidationRun>) {
-        if runs.is_empty() {
-            return;
+    /// Packs a run into the form the ledger keeps, over the experiment's
+    /// shape for its headers (a new shape if no earlier run had them). The
+    /// campaign scheduler packs in each judge lane, so the barrier only
+    /// [`append`](Self::append)s.
+    pub(crate) fn pack(&self, run: &ValidationRun) -> LoggedRun {
+        LoggedRun {
+            id: run.id,
+            experiment: run.experiment.clone(),
+            image_label: run.image_label.clone(),
+            description: run.description.clone(),
+            timestamp: run.timestamp,
+            shape: self.shape_of(run),
+            rows: run
+                .results
+                .iter()
+                .map(|result| Row {
+                    job: result.job,
+                    outputs: Arc::clone(&result.outputs),
+                    outcome: Outcome::of(result),
+                })
+                .collect(),
         }
-        {
-            let mut refs = self.references.write();
-            for run in &runs {
-                promote_into(&mut refs, run);
-            }
+    }
+
+    /// The shape of `run`'s results, shared with every run of its
+    /// experiment that had the same headers.
+    fn shape_of(&self, run: &ValidationRun) -> Arc<[Header]> {
+        let fits = |shape: &[Header]| {
+            shape.len() == run.results.len()
+                && shape
+                    .iter()
+                    .zip(&run.results)
+                    .all(|(header, result)| header.fits(result))
+        };
+        let mut shapes = self.shapes.lock();
+        let known = match shapes.get_mut(run.experiment.as_str()) {
+            Some(known) => known,
+            None => shapes.entry(run.experiment.clone()).or_default(),
+        };
+        if let Some(shape) = known.iter().rev().find(|shape| fits(shape)) {
+            return Arc::clone(shape);
         }
-        self.runs.write().extend(runs);
+        // A shape only this cache holds belongs to no run any more.
+        known.retain(|shape| Arc::strong_count(shape) > 1);
+        let shape: Arc<[Header]> = run.results.iter().map(Header::of).collect();
+        known.push(Arc::clone(&shape));
+        shape
     }
 
     /// Appends a batch of runs to the run log under a single lock
-    /// acquisition **without touching the references** — the append half
-    /// of [`commit_batch`](Self::commit_batch), for callers (the campaign
-    /// engine) that already promoted each run via
-    /// [`promote`](Self::promote) in dependency order and would only
-    /// redo that work.
+    /// acquisition **without touching the references**, for callers that
+    /// already promoted each run via [`promote`](Self::promote) in
+    /// dependency order.
     pub fn log_batch(&self, runs: Vec<ValidationRun>) {
+        self.append(runs.iter().map(|run| self.pack(run)).collect());
+    }
+
+    /// Appends runs packed by [`pack`](Self::pack) under one write lock,
+    /// without touching the references.
+    pub(crate) fn append(&self, runs: Vec<LoggedRun>) {
         if runs.is_empty() {
             return;
         }
@@ -215,9 +398,9 @@ impl RunLedger {
         self.runs.read().len()
     }
 
-    /// All runs (cloned) in recording order.
+    /// All runs (rebuilt) in recording order.
     pub fn runs(&self) -> Vec<ValidationRun> {
-        self.runs.read().clone()
+        self.runs.read().iter().map(LoggedRun::unpack).collect()
     }
 
     /// The most recent *successful* run of an experiment (any image).
@@ -227,12 +410,16 @@ impl RunLedger {
             .iter()
             .rev()
             .find(|r| r.experiment == experiment && r.is_successful())
-            .cloned()
+            .map(LoggedRun::unpack)
     }
 
     /// Looks up a run by id.
     pub fn get(&self, id: RunId) -> Option<ValidationRun> {
-        self.runs.read().iter().find(|r| r.id == id).cloned()
+        self.runs
+            .read()
+            .iter()
+            .find(|r| r.id == id)
+            .map(LoggedRun::unpack)
     }
 
     /// [`prune`](Self::prune) with "now" read from a
@@ -298,9 +485,7 @@ impl RunLedger {
         // Objects still needed: everything referenced by a kept run.
         let mut needed = protected;
         for run in runs.iter().filter(|r| kept.contains(&r.id.to_string())) {
-            for result in &run.results {
-                needed.extend(result.outputs.iter().map(|(_, oid)| *oid));
-            }
+            needed.extend(run.output_ids());
         }
 
         let mut objects_removed = 0usize;
@@ -308,11 +493,9 @@ impl RunLedger {
             if kept.contains(&run.id.to_string()) {
                 return true;
             }
-            for result in &run.results {
-                for (_, oid) in result.outputs.iter() {
-                    if !needed.contains(oid) && storage.remove(*oid) {
-                        objects_removed += 1;
-                    }
+            for oid in run.output_ids() {
+                if !needed.contains(&oid) && storage.remove(oid) {
+                    objects_removed += 1;
                 }
             }
             false
@@ -361,10 +544,13 @@ pub struct PruneReport {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+    use sp_store::{ContentStore, RetentionPolicy};
+
     use super::*;
-    use crate::run::{TestResult, TestStatus};
-    use crate::test::{FailureKind, TestCategory, TestId};
-    use sp_exec::JobId;
+    use crate::test::FailureKind;
 
     /// The reference address of test `t1`'s `log` output, through the
     /// judge phase's resolver.
@@ -402,7 +588,7 @@ mod tests {
     fn successful_runs_become_reference() {
         let ledger = RunLedger::new();
         assert!(!ledger.has_reference("h1"));
-        ledger.record(run(1, "h1", "SL5", true));
+        ledger.record(&run(1, "h1", "SL5", true));
         assert!(ledger.has_reference("h1"));
         let output = reference_log(&ledger, "h1");
         assert_eq!(output, Some(ObjectId::for_bytes(b"out-1")));
@@ -411,8 +597,8 @@ mod tests {
     #[test]
     fn failed_runs_do_not_update_reference() {
         let ledger = RunLedger::new();
-        ledger.record(run(1, "h1", "SL5", true));
-        ledger.record(run(2, "h1", "SL6", false));
+        ledger.record(&run(1, "h1", "SL5", true));
+        ledger.record(&run(2, "h1", "SL6", false));
         let output = reference_log(&ledger, "h1");
         assert_eq!(output, Some(ObjectId::for_bytes(b"out-1")), "still run 1");
     }
@@ -420,7 +606,7 @@ mod tests {
     #[test]
     fn reference_ids_resolve_each_pair_in_order() {
         let ledger = RunLedger::new();
-        ledger.record(run(1, "h1", "SL5", true));
+        ledger.record(&run(1, "h1", "SL5", true));
         let ids = ledger.reference_output_ids(
             "h1",
             [
@@ -439,7 +625,7 @@ mod tests {
     #[test]
     fn references_are_per_experiment() {
         let ledger = RunLedger::new();
-        ledger.record(run(1, "h1", "SL5", true));
+        ledger.record(&run(1, "h1", "SL5", true));
         assert!(!ledger.has_reference("zeus"));
         assert!(reference_log(&ledger, "zeus").is_none());
     }
@@ -447,9 +633,9 @@ mod tests {
     #[test]
     fn queries() {
         let ledger = RunLedger::new();
-        ledger.record(run(1, "h1", "SL5", true));
-        ledger.record(run(2, "h1", "SL6", false));
-        ledger.record(run(3, "zeus", "SL6", true));
+        ledger.record(&run(1, "h1", "SL5", true));
+        ledger.record(&run(2, "h1", "SL6", false));
+        ledger.record(&run(3, "zeus", "SL6", true));
         assert_eq!(ledger.run_count(), 3);
         assert_eq!(ledger.latest_successful("h1").unwrap().id, RunId(1));
         assert!(ledger.get(RunId(2)).is_some());
@@ -457,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_batch_matches_sequential_record() {
+    fn promote_then_log_batch_matches_sequential_record() {
         let sequential = RunLedger::new();
         let batched = RunLedger::new();
         let runs = vec![
@@ -466,24 +652,23 @@ mod tests {
             run(3, "h1", "SL6", false),
             run(4, "h1", "SL5", true),
         ];
-        for r in runs.clone() {
+        for r in &runs {
             sequential.record(r);
+            batched.promote(r);
         }
-        batched.commit_batch(runs);
-        assert_eq!(batched.run_count(), sequential.run_count());
+        batched.log_batch(runs);
+        assert_eq!(batched.runs(), sequential.runs());
         for experiment in ["h1", "zeus"] {
             assert_eq!(
                 batched.reference_state(experiment),
                 sequential.reference_state(experiment),
-                "batch-order promotion must equal sequential promotion"
+                "promotion in batch order must equal sequential promotion"
             );
             assert_eq!(
                 batched.latest_successful(experiment).map(|r| r.id),
                 sequential.latest_successful(experiment).map(|r| r.id)
             );
         }
-        batched.commit_batch(Vec::new());
-        assert_eq!(batched.run_count(), 4, "empty batch is a no-op");
     }
 
     #[test]
@@ -549,8 +734,8 @@ mod tests {
     #[test]
     fn exported_references_absorb_without_clobbering_live_state() {
         let ledger = RunLedger::new();
-        ledger.record(run(1, "h1", "SL5", true));
-        ledger.record(run(2, "zeus", "SL5", true));
+        ledger.record(&run(1, "h1", "SL5", true));
+        ledger.record(&run(2, "zeus", "SL5", true));
         let exported = ledger.export_references();
         assert_eq!(exported.len(), 2);
 
@@ -563,7 +748,7 @@ mod tests {
         // A ledger that already promoted a *newer* reference keeps it:
         // the snapshot fills gaps, it never travels references back.
         let live = RunLedger::new();
-        live.record(run(9, "h1", "SL6", true));
+        live.record(&run(9, "h1", "SL6", true));
         let newer = live.reference_state("h1");
         assert_eq!(live.absorb_references(exported), 1, "only zeus is new");
         assert_eq!(live.reference_state("h1"), newer);
@@ -591,8 +776,290 @@ mod tests {
     #[test]
     fn latest_successful_moves_forward() {
         let ledger = RunLedger::new();
-        ledger.record(run(1, "h1", "SL5", true));
-        ledger.record(run(2, "h1", "SL5", true));
+        ledger.record(&run(1, "h1", "SL5", true));
+        ledger.record(&run(2, "h1", "SL5", true));
         assert_eq!(ledger.latest_successful("h1").unwrap().id, RunId(2));
+    }
+
+    #[test]
+    fn a_row_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Row>(), 40);
+    }
+
+    #[test]
+    fn runs_with_equal_headers_share_one_shape() {
+        let ledger = RunLedger::new();
+        // Equal headers in fresh strings still share the first run's shape.
+        ledger.record(&run(1, "h1", "SL5", true));
+        ledger.record(&run(2, "h1", "SL6", false));
+        let mut regrouped = run(3, "h1", "SL5", true);
+        regrouped.results[0].group = "checks".into();
+        ledger.record(&regrouped);
+        ledger.record(&run(4, "zeus", "SL5", true));
+        let runs = ledger.runs.read();
+        assert!(Arc::ptr_eq(&runs[0].shape, &runs[1].shape));
+        assert!(
+            !Arc::ptr_eq(&runs[0].shape, &runs[2].shape),
+            "group differs"
+        );
+        assert!(
+            !Arc::ptr_eq(&runs[0].shape, &runs[3].shape),
+            "experiment differs"
+        );
+        drop(runs);
+
+        // A shape no logged run holds leaves the cache when the next new
+        // shape arrives.
+        ledger.retract_range(RunId(3), 1);
+        let mut renamed = run(5, "h1", "SL5", true);
+        renamed.results[0].test = TestId::new("t2");
+        ledger.record(&renamed);
+        assert_eq!(ledger.shapes.lock()["h1"].len(), 2);
+    }
+
+    /// Status number `kind`: every [`TestStatus`] and [`FailureKind`]
+    /// variant.
+    fn any_status(kind: u8) -> TestStatus {
+        match kind % 9 {
+            0 => TestStatus::Passed,
+            1 => TestStatus::PassedWithWarnings(kind.into()),
+            2 => TestStatus::Failed(FailureKind::CompileError),
+            3 => TestStatus::Failed(FailureKind::DependencyFailed("base".into())),
+            4 => TestStatus::Failed(FailureKind::Crash("SIGSEGV".into())),
+            5 => TestStatus::Failed(FailureKind::BadExit(-i32::from(kind))),
+            6 => TestStatus::Failed(FailureKind::ComparisonFailed("chi2 = 9.1".into())),
+            7 => TestStatus::Failed(FailureKind::ChainStageFailed("reco".into())),
+            _ => TestStatus::Skipped("dependency failed".into()),
+        }
+    }
+
+    fn any_compare(kind: u8) -> Option<CompareOutcome> {
+        match kind % 4 {
+            0 => None,
+            1 => Some(CompareOutcome::Identical),
+            2 => Some(CompareOutcome::WithinTolerance {
+                detail: "worst p = 0.43".into(),
+            }),
+            _ => Some(CompareOutcome::Differs {
+                detail: "chi2 = 9.1".into(),
+            }),
+        }
+    }
+
+    /// The headers of shape `variant`: 1 differs from 0 only in one group,
+    /// 2 only in one category, 3 drops a result and 4 renames a test.
+    fn headers(variant: u8) -> Vec<(&'static str, TestCategory, &'static str)> {
+        let mut headers = vec![
+            ("compile/base", TestCategory::Compilation, "compilation"),
+            ("check/io", TestCategory::UnitCheck, "checks"),
+            ("exe/fit", TestCategory::StandaloneExecutable, "executables"),
+            ("chain/dst", TestCategory::DataValidation, "chains"),
+        ];
+        match variant % 5 {
+            1 => headers[2].2 = "checks",
+            2 => headers[1].1 = TestCategory::StandaloneExecutable,
+            3 => drop(headers.pop()),
+            4 => headers[3].0 = "chain/mudst",
+            _ => {}
+        }
+        headers
+    }
+
+    /// [`RunLedger::prune`] over a plain run list.
+    fn oracle_prune(
+        runs: &mut Vec<ValidationRun>,
+        protected: BTreeSet<ObjectId>,
+        policy: &RetentionPolicy,
+        now: u64,
+        storage: &ContentStore,
+    ) -> PruneReport {
+        let mut seen = BTreeSet::new();
+        let mut reference_runs = BTreeSet::new();
+        for run in runs.iter().rev() {
+            if run.is_successful() && seen.insert(run.experiment.clone()) {
+                reference_runs.insert(run.id);
+            }
+        }
+        let records: Vec<sp_store::retention::RetentionRecord> = runs
+            .iter()
+            .map(|run| sp_store::retention::RetentionRecord {
+                key: run.id.to_string(),
+                timestamp: run.timestamp,
+                successful: run.is_successful(),
+                is_reference: reference_runs.contains(&run.id),
+            })
+            .collect();
+        let (kept, dropped) = policy.apply(&records, now);
+        let outputs = |run: &ValidationRun| -> Vec<ObjectId> {
+            let outputs = run.results.iter().flat_map(|result| result.outputs.iter());
+            outputs.map(|(_, oid)| *oid).collect()
+        };
+        let (keep, drop): (Vec<_>, Vec<_>) = std::mem::take(runs)
+            .into_iter()
+            .partition(|run| kept.contains(&run.id.to_string()));
+        let mut needed = protected;
+        needed.extend(keep.iter().flat_map(outputs));
+        let mut objects_removed = 0;
+        for oid in drop.iter().flat_map(outputs) {
+            if !needed.contains(&oid) && storage.remove(oid) {
+                objects_removed += 1;
+            }
+        }
+        *runs = keep;
+        PruneReport {
+            kept: kept.len(),
+            dropped: dropped.len(),
+            objects_removed,
+        }
+    }
+
+    proptest! {
+        /// Runs logged through `record`, `log_batch` and the judge lane's
+        /// `pack` + `append` read back exactly as a plain `Vec` of the same
+        /// runs, through every query, retraction and pruning.
+        #[test]
+        fn logged_runs_read_back_like_a_plain_run_list(
+            experiments in 1usize..=3,
+            ops in prop::collection::vec(
+                (
+                    0usize..3,
+                    0u8..5,
+                    0u8..3,
+                    any::<bool>(),
+                    any::<bool>(),
+                    any::<bool>(),
+                    prop::collection::vec((any::<u8>(), 0u8..4, 0u8..4), 4),
+                ),
+                1..24,
+            ),
+            retract in (0u64..26, 0u64..6),
+            policy in (0usize..6, 0usize..4, 0u64..40),
+            now in 0u64..60,
+        ) {
+            let storage = ContentStore::new();
+            let oracle_storage = ContentStore::new();
+            let mut objects = Vec::new();
+            let mut conserve = |bytes: String| {
+                let oid = storage.put(bytes.clone().into_bytes());
+                oracle_storage.put(bytes.into_bytes());
+                objects.push(oid);
+                oid
+            };
+            let shared: Vec<TestOutputs> = (0..2)
+                .map(|i| Arc::from([("hist".into(), conserve(format!("shared-{i}")))]))
+                .collect();
+            let mut suite: BTreeMap<&str, Arc<str>> = BTreeMap::new();
+
+            let ledger = RunLedger::new();
+            let mut oracle: Vec<ValidationRun> = Vec::new();
+            let mut batch: Vec<ValidationRun> = Vec::new();
+            let mut lane: Vec<LoggedRun> = Vec::new();
+            let flush = |batch: &mut Vec<ValidationRun>, lane: &mut Vec<LoggedRun>| {
+                ledger.log_batch(std::mem::take(batch));
+                ledger.append(std::mem::take(lane));
+            };
+            for (id, (experiment, variant, path, flush_after, fresh, passes, specs)) in
+                ops.into_iter().enumerate()
+            {
+                let experiment = ["h1", "zeus", "hermes"][experiment % experiments];
+                // The suite's own strings, or equal text in fresh ones.
+                let mut text = |text: &'static str| -> Arc<str> {
+                    if fresh {
+                        Arc::from(text)
+                    } else {
+                        Arc::clone(suite.entry(text).or_insert_with(|| Arc::from(text)))
+                    }
+                };
+                let mut results = Vec::new();
+                for (i, ((test, category, group), (status, compare, outputs))) in
+                    headers(variant).into_iter().zip(specs).enumerate()
+                {
+                    let status = match (passes, status % 2) {
+                        (true, 0) => TestStatus::Passed,
+                        (true, _) => TestStatus::PassedWithWarnings(status.into()),
+                        (false, _) => any_status(status),
+                    };
+                    let outputs = match outputs {
+                        0 | 1 => Arc::clone(&shared[usize::from(outputs)]),
+                        2 => TestOutputs::default(),
+                        _ => Arc::from([("log".into(), conserve(format!("out-{id}-{i}")))]),
+                    };
+                    results.push(TestResult {
+                        test: TestId(text(test)),
+                        category,
+                        group: text(group),
+                        job: JobId((id * 10 + i) as u64),
+                        status,
+                        outputs,
+                        compare: any_compare(compare),
+                    });
+                }
+                let run = ValidationRun {
+                    id: RunId(id as u64),
+                    experiment: experiment.into(),
+                    image_label: format!("SL{}", id % 3 + 4),
+                    description: format!("{experiment} pass {id}"),
+                    timestamp: 2 * id as u64,
+                    results,
+                };
+                match path {
+                    0 => {
+                        flush(&mut batch, &mut lane);
+                        ledger.record(&run);
+                    }
+                    1 => {
+                        ledger.append(std::mem::take(&mut lane));
+                        ledger.promote(&run);
+                        batch.push(run.clone());
+                    }
+                    _ => {
+                        ledger.log_batch(std::mem::take(&mut batch));
+                        ledger.promote(&run);
+                        lane.push(ledger.pack(&run));
+                    }
+                }
+                oracle.push(run);
+                if flush_after {
+                    flush(&mut batch, &mut lane);
+                }
+            }
+            flush(&mut batch, &mut lane);
+
+            prop_assert_eq!(ledger.run_count(), oracle.len());
+            prop_assert_eq!(&ledger.runs(), &oracle);
+            for id in 0..=oracle.len() as u64 {
+                let expected = oracle.iter().find(|run| run.id.0 == id).cloned();
+                prop_assert_eq!(ledger.get(RunId(id)), expected);
+            }
+            for experiment in ["h1", "zeus", "hermes"] {
+                let expected = oracle
+                    .iter()
+                    .rev()
+                    .find(|run| run.experiment == experiment && run.is_successful())
+                    .cloned();
+                prop_assert_eq!(ledger.latest_successful(experiment), expected);
+            }
+
+            let (first, count) = retract;
+            let before = oracle.len();
+            oracle.retain(|run| run.id.0 < first || run.id.0 >= first + count);
+            prop_assert_eq!(ledger.retract_range(RunId(first), count), before - oracle.len());
+            prop_assert_eq!(&ledger.runs(), &oracle);
+
+            let (keep_last, keep_successful, failed_max_age) = policy;
+            let policy = RetentionPolicy::pruning(keep_last, keep_successful, failed_max_age);
+            let protected: BTreeSet<ObjectId> = ledger
+                .export_references()
+                .iter()
+                .flat_map(|(_, tests)| tests.values())
+                .flat_map(|outputs| outputs.iter().map(|(_, oid)| *oid))
+                .collect();
+            let expected = oracle_prune(&mut oracle, protected, &policy, now, &oracle_storage);
+            prop_assert_eq!(ledger.prune(&policy, now, &storage), expected);
+            prop_assert_eq!(&ledger.runs(), &oracle);
+            for oid in objects {
+                prop_assert_eq!(storage.contains(oid), oracle_storage.contains(oid));
+            }
+        }
     }
 }

@@ -367,7 +367,7 @@ impl SpSystem {
         let run_id = self.reserve_run_ids(1);
         let produced = self.produce(experiment_name, image_id, config, run_id, self.clock.now())?;
         let run = self.judge(produced);
-        self.ledger.record(run.clone());
+        self.ledger.record(&run);
         Ok(run)
     }
 

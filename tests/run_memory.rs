@@ -57,7 +57,7 @@ unsafe impl GlobalAlloc for LiveBytes {
 static ALLOC: LiveBytes = LiveBytes;
 
 /// Retained heap a memo-served run may leave behind.
-const BYTES_PER_RUN: i64 = 40 * 1024;
+const BYTES_PER_RUN: i64 = 24 * 1024;
 const PRIMING_PASSES: usize = 5;
 const MEASURED_PASSES: usize = 100;
 
