@@ -1,11 +1,13 @@
 //! End-to-end validation-run cost: the full §3.1 (ii) cycle — parallel
 //! stack build, unit checks, standalone executables, analysis chains,
-//! reference comparison and bookkeeping — per experiment, plus the H1
-//! stack build alone. Whole campaign grids and fleet drains are measured
+//! reference comparison and bookkeeping — per experiment, the digest of
+//! a memo-served H1 run (hashed and memo-served), plus the H1 stack build
+//! alone. Whole campaign grids and fleet drains are measured
 //! end to end by `perfbench` (`cold-grid`, `nightly-warm`, `fleet-drain`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{desy_deployment, repro_run_config};
+use sp_core::RunConfig;
 
 fn bench_validation_runs(c: &mut Criterion) {
     let system = desy_deployment();
@@ -34,6 +36,26 @@ fn bench_validation_runs(c: &mut Criterion) {
             },
         );
     }
+
+    // The digest of a memo-served H1 run: hashed from its text, and served
+    // from its cell's digest memo. The cell is one no uncached run shares,
+    // so the memo holds the outputs the memo-served run holds, as it does
+    // in a nightly deployment.
+    let image = system.images()[3].id;
+    let memoized = RunConfig {
+        memoize: true,
+        ..config
+    };
+    system
+        .run_validation("h1", image, &memoized)
+        .expect("memoizing run");
+    let run = system
+        .run_validation("h1", image, &memoized)
+        .expect("memo-served run");
+    group.bench_function("digest_hashed", |b| b.iter(|| run.digest()));
+    group.bench_function("digest_served", |b| {
+        b.iter(|| system.run_digest(image, &run))
+    });
     group.finish();
 }
 

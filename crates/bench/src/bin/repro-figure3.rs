@@ -13,8 +13,9 @@
 //! force full re-execution of all 21 passes. Pass `--compare` to also
 //! replay the campaign on the sequential `Campaign` oracle (uncached) and
 //! verify the summaries are identical while reporting the speedup and the
-//! verdict memo's hits and misses; a memoized campaign that served no
-//! verdict from the memo exits non-zero.
+//! verdict and digest memos' hits and misses; a memoized campaign that
+//! served no verdict from the memo, or a campaign that served no run
+//! digest, exits non-zero.
 //!
 //! Expected shape (§3.3): the SL5 columns validate cleanly, while the
 //! 64-bit columns surface the latent pointer bugs in the H1 and ZEUS stacks
@@ -133,11 +134,15 @@ fn main() {
             "engine summary must be byte-identical to the sequential oracle"
         );
         let verdicts = system.verdict_memo_stats();
+        let digests = system.digest_memo_stats();
         eprintln!(
             "oracle finished in {sequential_elapsed:.1?}; summaries identical \
-             (verdict memo: {} hits, {} misses); speedup {:.2}x with {workers} workers\n",
+             (verdict memo: {} hits, {} misses; digest memo: {} hits, {} misses); \
+             speedup {:.2}x with {workers} workers\n",
             verdicts.hits,
             verdicts.misses,
+            digests.hits,
+            digests.misses,
             sequential_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64().max(1e-9)
         );
         // Every later pass repeats the 64-bit columns' failing comparisons
@@ -145,6 +150,12 @@ fn main() {
         // of them bypassed the verdict memo.
         if memoize && verdicts.hits == 0 {
             eprintln!("error: the memoized campaign served no verdict from the memo");
+            std::process::exit(1);
+        }
+        // Every later pass repeats its cells' results, so each of them is
+        // served the digest its cell's last run hashed.
+        if digests.hits == 0 {
+            eprintln!("error: the campaign served no run digest from the memo");
             std::process::exit(1);
         }
     }

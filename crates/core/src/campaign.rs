@@ -79,6 +79,7 @@
 //! long as its largest experiment's cells in sequence.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use sp_env::VmImageId;
 use sp_exec::{CancellationToken, ProgressHook, ProgressPoint, WorkStealingPool};
@@ -357,9 +358,17 @@ impl CampaignPlan {
 /// Streaming aggregation of runs into a [`CampaignSummary`]; shared by the
 /// sequential oracle and the parallel engine so both produce identical
 /// summaries by construction (given runs arrive in task order).
+///
+/// A pushed run only updates its (experiment, image) slot of the plan's
+/// grid: each group's latest status and the index of the task that set
+/// it. The string-keyed [`CampaignSummary::cells`] is built once, by
+/// [`finish`](Self::finish).
 struct SummaryAggregator {
     runs: Vec<RunRecord>,
-    cells: BTreeMap<CellKey, CellStatus>,
+    /// One slot per (experiment, image) cell of a repetition, in task
+    /// order: (group, status, task index) per group seen there.
+    slots: Vec<Vec<(Arc<str>, CellStatus, usize)>>,
+    experiments: Vec<String>,
     image_labels: Vec<String>,
 }
 
@@ -367,7 +376,8 @@ impl SummaryAggregator {
     fn new(plan: &CampaignPlan) -> Self {
         SummaryAggregator {
             runs: Vec::with_capacity(plan.total_runs()),
-            cells: BTreeMap::new(),
+            slots: vec![Vec::new(); plan.runs_per_repetition],
+            experiments: plan.config().experiments.clone(),
             image_labels: plan.image_labels().to_vec(),
         }
     }
@@ -376,13 +386,36 @@ impl SummaryAggregator {
     /// keeps the status of its last run.
     fn push(&mut self, summarized: Summarized) {
         self.runs.push(summarized.record);
-        self.cells.extend(summarized.cells);
+        let index = summarized.index;
+        let slots = self.slots.len();
+        let slot = &mut self.slots[index % slots];
+        for (group, status) in summarized.groups {
+            match slot.iter_mut().find(|(known, ..)| *known == group) {
+                Some(cell) => (cell.1, cell.2) = (status, index),
+                None => slot.push((group, status, index)),
+            }
+        }
     }
 
     fn finish(self) -> CampaignSummary {
+        // Two slots may share a key (an experiment or image label listed
+        // twice), so cells are keyed in task order: the last run wins.
+        let images = self.image_labels.len();
+        let mut latest: Vec<(usize, CellKey, CellStatus)> = Vec::new();
+        for (slot, groups) in self.slots.into_iter().enumerate() {
+            let experiment = &self.experiments[slot / images];
+            let image_label = &self.image_labels[slot % images];
+            latest.extend(groups.into_iter().map(|(group, status, index)| {
+                let key = (experiment.clone(), group.to_string(), image_label.clone());
+                (index, key, status)
+            }));
+        }
+        latest.sort_by_key(|(index, ..)| *index);
+        let mut cells = BTreeMap::new();
+        cells.extend(latest.into_iter().map(|(_, key, status)| (key, status)));
         CampaignSummary {
             runs: self.runs,
-            cells: self.cells,
+            cells,
             image_labels: self.image_labels,
         }
     }
@@ -391,11 +424,12 @@ impl SummaryAggregator {
 /// A key of [`CampaignSummary::cells`]: (experiment, group, image label).
 type CellKey = (String, String, String);
 
-/// What one run adds to a [`CampaignSummary`]: its record and the status
-/// of each of its groups' cells.
+/// What one run adds to a [`CampaignSummary`]: its record, its task index
+/// and the status of each of its groups' cells.
 struct Summarized {
     record: RunRecord,
-    cells: Vec<(CellKey, CellStatus)>,
+    index: usize,
+    groups: Vec<(Arc<str>, CellStatus)>,
 }
 
 impl Summarized {
@@ -411,17 +445,8 @@ impl Summarized {
                 skipped: run.skipped(),
                 successful: run.is_successful(),
             },
-            cells: aggregate_groups(run)
-                .into_iter()
-                .map(|(group, status)| {
-                    let key = (
-                        task.experiment.clone(),
-                        group.to_string(),
-                        task.image_label.clone(),
-                    );
-                    (key, status)
-                })
-                .collect(),
+            index: task.index,
+            groups: aggregate_groups(run),
         }
     }
 }
@@ -964,20 +989,30 @@ fn column_label(image: &sp_env::VmImage) -> String {
 }
 
 /// Aggregates a run's results per process group.
-fn aggregate_groups(run: &ValidationRun) -> BTreeMap<&str, CellStatus> {
-    // (any failed, all skipped, any warned) per group.
-    let mut by_group: BTreeMap<&str, (bool, bool, bool)> = BTreeMap::new();
+fn aggregate_groups(run: &ValidationRun) -> Vec<(Arc<str>, CellStatus)> {
+    // [any failed, all skipped, any warned] per group, in order of first
+    // appearance. A run has a few groups, each result holding its suite's
+    // group text, so finding one is mostly a pointer compare.
+    let mut by_group: Vec<(&Arc<str>, [bool; 3])> = Vec::new();
     for result in &run.results {
-        let (any_fail, all_skipped, any_warn) = by_group
-            .entry(&result.group)
-            .or_insert((false, true, false));
+        let index = match by_group
+            .iter()
+            .rposition(|(group, _)| **group == result.group)
+        {
+            Some(index) => index,
+            None => {
+                by_group.push((&result.group, [false, true, false]));
+                by_group.len() - 1
+            }
+        };
+        let [any_fail, all_skipped, any_warn] = &mut by_group[index].1;
         *any_fail |= matches!(result.status, TestStatus::Failed(_));
         *all_skipped &= matches!(result.status, TestStatus::Skipped(_));
         *any_warn |= matches!(result.status, TestStatus::PassedWithWarnings(_));
     }
     by_group
         .into_iter()
-        .map(|(group, (any_fail, all_skipped, any_warn))| {
+        .map(|(group, [any_fail, all_skipped, any_warn])| {
             let status = if all_skipped {
                 CellStatus::NotRun
             } else if any_fail {
@@ -987,7 +1022,7 @@ fn aggregate_groups(run: &ValidationRun) -> BTreeMap<&str, CellStatus> {
             } else {
                 CellStatus::Pass
             };
-            (group, status)
+            (Arc::clone(group), status)
         })
         .collect()
 }
@@ -1028,7 +1063,11 @@ mod tests {
                 result("idle", TestStatus::Skipped("dep".into())),
             ],
         };
-        let groups = aggregate_groups(&run);
+        let groups: BTreeMap<String, CellStatus> = aggregate_groups(&run)
+            .into_iter()
+            .map(|(group, status)| (group.to_string(), status))
+            .collect();
+        assert_eq!(groups.len(), 4);
         assert_eq!(groups["clean"], CellStatus::Pass);
         assert_eq!(groups["warny"], CellStatus::Warnings);
         assert_eq!(groups["broken"], CellStatus::Fail);
@@ -1153,6 +1192,78 @@ mod tests {
         assert_eq!(rep1[0].image, img1);
         assert_eq!(rep1[1].image, img2);
         assert!(plan.tasks()[0].description.contains("(pass 1)"));
+    }
+
+    proptest::proptest! {
+        /// The summary's slot-keyed cells equal a map keyed by (experiment,
+        /// group, image label) that every run overwrites in task order,
+        /// also when the plan lists an experiment or an image twice and
+        /// when runs of one cell report different groups.
+        #[test]
+        fn slot_keyed_cells_match_a_string_keyed_map(
+            experiments in proptest::collection::vec(0usize..2, 1..4),
+            images in proptest::collection::vec(0usize..3, 1..4),
+            repetitions in 1usize..3,
+            runs in proptest::collection::vec(
+                proptest::collection::vec((0usize..3, 0u8..4), 1..5),
+                36,
+            ),
+        ) {
+            let system = SpSystem::new();
+            let image_ids = [
+                system
+                    .register_image(sp_env::catalog::sl6_gcc44(sp_env::Version::two(5, 34)))
+                    .unwrap(),
+                system
+                    .register_image(sp_env::catalog::sl5_gcc41(
+                        sp_env::Arch::I686,
+                        sp_env::Version::two(5, 34),
+                    ))
+                    .unwrap(),
+            ];
+            for name in ["alpha", "beta"] {
+                system.register_experiment(sp_experiments_stub(name)).unwrap();
+            }
+            let config = CampaignConfig {
+                experiments: experiments.iter().map(|e| ["alpha", "beta"][*e].into()).collect(),
+                // Image 2 is image 0 listed again.
+                images: images.iter().map(|i| image_ids[i % 2]).collect(),
+                repetitions,
+                run: RunConfig::default(),
+                interval_secs: 60,
+                options: CampaignOptions::default(),
+            };
+            let plan = CampaignPlan::new(&system, config).unwrap();
+            let mut aggregator = SummaryAggregator::new(&plan);
+            let mut oracle: BTreeMap<CellKey, CellStatus> = BTreeMap::new();
+            for (task, results) in plan.tasks().iter().zip(&runs) {
+                let run = ValidationRun {
+                    id: RunId(task.index as u64),
+                    experiment: task.experiment.clone(),
+                    image_label: task.image_label.clone(),
+                    description: String::new(),
+                    timestamp: 0,
+                    results: results
+                        .iter()
+                        .map(|(group, status)| {
+                            let status = match status {
+                                0 => TestStatus::Passed,
+                                1 => TestStatus::PassedWithWarnings(1),
+                                2 => TestStatus::Failed(FailureKind::CompileError),
+                                _ => TestStatus::Skipped("dep".into()),
+                            };
+                            result(["g0", "g1", "g2"][*group], status)
+                        })
+                        .collect(),
+                };
+                for (group, status) in aggregate_groups(&run) {
+                    let label = task.image_label.clone();
+                    oracle.insert((task.experiment.clone(), group.to_string(), label), status);
+                }
+                aggregator.push(Summarized::new(task, &run));
+            }
+            proptest::prop_assert_eq!(aggregator.finish().cells, oracle);
+        }
     }
 
     #[test]

@@ -46,10 +46,110 @@ use crate::test::{TestCategory, TestId};
 /// copies no output.
 pub type TestOutputs = Arc<[(Arc<str>, ObjectId)]>;
 
-/// A captured copy of one experiment's reference map (`None` = the
+/// A captured copy of one experiment's references (`None` = the
 /// experiment had no references), restorable via
 /// [`RunLedger::restore_reference_state`].
-pub type ReferenceState = Option<BTreeMap<String, TestOutputs>>;
+pub type ReferenceState = Option<TestReferences>;
+
+/// One experiment's references: for every test a successful run of it
+/// had, in test-id order, the outputs of the last such run.
+///
+/// A nightly experiment promotes runs with the same tests every time, so
+/// the test ids are one slice shared by every promotion and captured
+/// state while they stay the same, and a run whose results list exactly
+/// these tests (the steady state) is promoted, and its comparisons
+/// resolved, by position: a pointer compare per test instead of a map
+/// walk by test-id text.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TestReferences {
+    tests: Arc<[TestId]>,
+    outputs: Vec<TestOutputs>,
+}
+
+impl TestReferences {
+    /// Builds the references from `(test, outputs)` pairs in strictly
+    /// increasing test-id order.
+    fn from_sorted(entries: impl IntoIterator<Item = (TestId, TestOutputs)>) -> Self {
+        let (tests, outputs): (Vec<TestId>, Vec<TestOutputs>) = entries.into_iter().unzip();
+        TestReferences {
+            tests: tests.into(),
+            outputs,
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (&TestId, &TestOutputs)> {
+        self.tests.iter().zip(&self.outputs)
+    }
+
+    /// The references as a map, to merge other tests into.
+    fn by_test(&self) -> BTreeMap<TestId, TestOutputs> {
+        self.entries()
+            .map(|(test, outputs)| (test.clone(), Arc::clone(outputs)))
+            .collect()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tests.is_empty()
+    }
+
+    /// The outputs of `test`, looked up at `position` first (where it is
+    /// when the references hold the same tests as the asking run), then
+    /// by binary search.
+    fn get(&self, position: usize, test: &TestId) -> Option<&TestOutputs> {
+        let index = match self.tests.get(position) {
+            Some(held) if held == test => position,
+            _ => self
+                .tests
+                .binary_search_by(|held| held.as_str().cmp(test.as_str()))
+                .ok()?,
+        };
+        Some(&self.outputs[index])
+    }
+
+    /// Makes every result's outputs the reference of its test, in result
+    /// order.
+    fn promote(&mut self, results: &[TestResult]) {
+        let same_tests = self.tests.len() == results.len()
+            && self
+                .tests
+                .iter()
+                .zip(results)
+                .all(|(test, r)| *test == r.test);
+        if same_tests {
+            for (outputs, r) in self.outputs.iter_mut().zip(results) {
+                *outputs = Arc::clone(&r.outputs);
+            }
+            return;
+        }
+        let mut merged = self.by_test();
+        for r in results {
+            // Keyed by the run's own id, so the next run of the same
+            // tests promotes by position.
+            merged.remove(&r.test);
+            merged.insert(r.test.clone(), Arc::clone(&r.outputs));
+        }
+        *self = TestReferences::from_sorted(merged);
+    }
+
+    /// Adds the tests of `tests` it does not hold yet, returning how many.
+    fn absorb(&mut self, tests: BTreeMap<String, TestOutputs>) -> usize {
+        let mut merged = self.by_test();
+        let before = merged.len();
+        for (test, outputs) in tests {
+            merged.entry(TestId::new(test)).or_insert(outputs);
+        }
+        let absorbed = merged.len() - before;
+        *self = TestReferences::from_sorted(merged);
+        absorbed
+    }
+
+    /// The references as a map from test-id text.
+    fn to_map(&self) -> BTreeMap<String, TestOutputs> {
+        self.entries()
+            .map(|(test, outputs)| (test.as_str().to_string(), Arc::clone(outputs)))
+            .collect()
+    }
+}
 
 /// What identifies one result within its experiment's suite.
 struct Header {
@@ -174,9 +274,9 @@ impl LoggedRun {
 #[derive(Default)]
 pub struct RunLedger {
     runs: RwLock<Vec<LoggedRun>>,
-    /// experiment → (test id string → reference outputs) from the last
-    /// successful run of that experiment.
-    references: RwLock<BTreeMap<String, BTreeMap<String, TestOutputs>>>,
+    /// experiment → its references (per test, the outputs of the last
+    /// successful run that had it).
+    references: RwLock<BTreeMap<String, TestReferences>>,
     /// experiment → the shapes its runs were packed over, newest last.
     shapes: Mutex<BTreeMap<String, Vec<Arc<[Header]>>>>,
 }
@@ -257,14 +357,6 @@ impl RunLedger {
         shape
     }
 
-    /// Appends a batch of runs to the run log under a single lock
-    /// acquisition **without touching the references**, for callers that
-    /// already promoted each run via [`promote`](Self::promote) in
-    /// dependency order.
-    pub fn log_batch(&self, runs: Vec<ValidationRun>) {
-        self.append(runs.iter().map(|run| self.pack(run)).collect());
-    }
-
     /// Appends runs packed by [`pack`](Self::pack) under one write lock,
     /// without touching the references.
     pub(crate) fn append(&self, runs: Vec<LoggedRun>) {
@@ -311,8 +403,8 @@ impl RunLedger {
     pub fn restore_reference_state(&self, experiment: &str, state: ReferenceState) {
         let mut refs = self.references.write();
         match state {
-            Some(map) => {
-                refs.insert(experiment.to_string(), map);
+            Some(references) => {
+                refs.insert(experiment.to_string(), references);
             }
             None => {
                 refs.remove(experiment);
@@ -330,7 +422,7 @@ impl RunLedger {
         self.references
             .read()
             .iter()
-            .map(|(experiment, tests)| (experiment.clone(), tests.clone()))
+            .map(|(experiment, tests)| (experiment.clone(), tests.to_map()))
             .collect()
     }
 
@@ -345,37 +437,32 @@ impl RunLedger {
         entries: Vec<(String, BTreeMap<String, TestOutputs>)>,
     ) -> usize {
         let mut refs = self.references.write();
-        let mut absorbed = 0;
-        for (experiment, tests) in entries {
-            let entry = refs.entry(experiment).or_default();
-            for (test, outputs) in tests {
-                if let std::collections::btree_map::Entry::Vacant(slot) = entry.entry(test) {
-                    slot.insert(outputs);
-                    absorbed += 1;
-                }
-            }
-        }
-        absorbed
+        entries
+            .into_iter()
+            .map(|(experiment, tests)| refs.entry(experiment).or_default().absorb(tests))
+            .sum()
     }
 
     /// Content addresses of named reference outputs of one experiment, one
-    /// per `(test id, output name)` pair in `outputs` (`None` where the
-    /// experiment has no such reference), all resolved under one read of
-    /// the references. A run's judge phase resolves every comparison it
-    /// owes through one call: only the run's own experiment lane promotes
-    /// that experiment's references, so none can move in between.
+    /// per `(position, test id, output name)` triple in `outputs` (`None`
+    /// where the experiment has no such reference), all resolved under one
+    /// read of the references. A run's judge phase resolves every
+    /// comparison it owes through one call: only the run's own experiment
+    /// lane promotes that experiment's references, so none can move in
+    /// between. The position is the test's index among the run's results,
+    /// where the references hold it when they hold the run's tests.
     pub(crate) fn reference_output_ids<'a>(
         &self,
         experiment: &str,
-        outputs: impl IntoIterator<Item = (&'a str, &'a str)>,
+        outputs: impl IntoIterator<Item = (usize, &'a TestId, &'a str)>,
     ) -> Vec<Option<ObjectId>> {
         let references = self.references.read();
         let tests = references.get(experiment);
         outputs
             .into_iter()
-            .map(|(test_id, output_name)| {
+            .map(|(position, test, output_name)| {
                 tests?
-                    .get(test_id)?
+                    .get(position, test)?
                     .iter()
                     .find(|(name, _)| **name == *output_name)
                     .map(|(_, id)| *id)
@@ -453,7 +540,7 @@ impl RunLedger {
         // Reference object ids are sacrosanct.
         let mut protected: BTreeSet<ObjectId> = BTreeSet::new();
         for tests in references.values() {
-            for outputs in tests.values() {
+            for outputs in &tests.outputs {
                 protected.extend(outputs.iter().map(|(_, oid)| *oid));
             }
         }
@@ -511,24 +598,17 @@ impl RunLedger {
 
 /// Makes a successful run's outputs its experiment's reference (no-op for
 /// a failed run).
-fn promote_into(refs: &mut BTreeMap<String, BTreeMap<String, TestOutputs>>, run: &ValidationRun) {
+fn promote_into(refs: &mut BTreeMap<String, TestReferences>, run: &ValidationRun) {
     if !run.is_successful() {
         return;
     }
-    // Every run after an experiment's first overwrites existing entries,
-    // so look up before allocating a key.
+    // Every run after an experiment's first promotes into existing
+    // references, so look up before allocating a key.
     let tests = match refs.get_mut(run.experiment.as_str()) {
         Some(tests) => tests,
         None => refs.entry(run.experiment.clone()).or_default(),
     };
-    for result in &run.results {
-        match tests.get_mut(result.test.as_str()) {
-            Some(outputs) => *outputs = result.outputs.clone(),
-            None => {
-                tests.insert(result.test.as_str().to_string(), result.outputs.clone());
-            }
-        }
-    }
+    tests.promote(&run.results);
 }
 
 /// Result of a ledger pruning pass.
@@ -555,7 +635,7 @@ mod tests {
     /// The reference address of test `t1`'s `log` output, through the
     /// judge phase's resolver.
     fn reference_log(ledger: &RunLedger, experiment: &str) -> Option<ObjectId> {
-        ledger.reference_output_ids(experiment, [("t1", "log")])[0]
+        ledger.reference_output_ids(experiment, [(0, &TestId::new("t1"), "log")])[0]
     }
 
     fn run(id: u64, experiment: &str, image: &str, ok: bool) -> ValidationRun {
@@ -607,19 +687,104 @@ mod tests {
     fn reference_ids_resolve_each_pair_in_order() {
         let ledger = RunLedger::new();
         ledger.record(&run(1, "h1", "SL5", true));
+        let (t1, t2) = (TestId::new("t1"), TestId::new("t2"));
         let ids = ledger.reference_output_ids(
             "h1",
             [
-                ("t1", "log"),
-                ("t1", "histograms"),
-                ("t2", "log"),
-                ("t1", "log"),
+                (0, &t1, "log"),
+                (0, &t1, "histograms"),
+                (0, &t2, "log"),
+                (5, &t1, "log"),
             ],
         );
         let log = Some(ObjectId::for_bytes(b"out-1"));
         assert_eq!(ids, [log, None, None, log]);
-        assert_eq!(ledger.reference_output_ids("zeus", [("t1", "log")]), [None]);
+        assert_eq!(
+            ledger.reference_output_ids("zeus", [(0, &t1, "log")]),
+            [None]
+        );
         assert!(ledger.reference_output_ids("h1", []).is_empty());
+    }
+
+    proptest! {
+        /// Promoting runs whose tests vary (the same tests, fewer, more,
+        /// or renamed ones, each as the suite's ids or equal fresh text)
+        /// keeps the references a plain map promotion keeps, and every
+        /// `(position, test, output)` lookup answers as a map lookup,
+        /// whether the position is the test's own or any other.
+        #[test]
+        fn references_resolve_like_a_map(
+            promotions in prop::collection::vec(
+                (prop::collection::vec(0u8..12, 0..8), any::<bool>(), any::<u8>()),
+                1..6,
+            ),
+            lookups in prop::collection::vec((0usize..10, 0u8..14, 0u8..3), 0..24),
+        ) {
+            let names = ["log", "histograms", "result"];
+            let suite: Vec<TestId> =
+                (0..14).map(|t| TestId::new(format!("h1/t{t:02}"))).collect();
+            let ledger = RunLedger::new();
+            let mut oracle: BTreeMap<String, TestOutputs> = BTreeMap::new();
+            for (id, (tests, fresh, salt)) in promotions.into_iter().enumerate() {
+                let mut tests: Vec<u8> = tests;
+                tests.sort();
+                tests.dedup();
+                let results: Vec<TestResult> = tests
+                    .iter()
+                    .map(|t| {
+                        let test = &suite[usize::from(*t)];
+                        let count = usize::from(t.wrapping_add(salt) % 4).min(3);
+                        let outputs: TestOutputs = names[..count]
+                            .iter()
+                            .map(|name| {
+                                let text = format!("{id}-{t}-{name}");
+                                (Arc::from(*name), ObjectId::for_bytes(text.as_bytes()))
+                            })
+                            .collect();
+                        TestResult {
+                            test: if fresh { TestId::new(test.as_str()) } else { test.clone() },
+                            category: TestCategory::Compilation,
+                            group: "compilation".into(),
+                            job: JobId(id as u64),
+                            status: TestStatus::Passed,
+                            outputs,
+                            compare: None,
+                        }
+                    })
+                    .collect();
+                for r in &results {
+                    oracle.insert(r.test.as_str().to_string(), Arc::clone(&r.outputs));
+                }
+                ledger.promote(&ValidationRun {
+                    id: RunId(id as u64),
+                    experiment: "h1".into(),
+                    image_label: "SL5".into(),
+                    description: String::new(),
+                    timestamp: id as u64,
+                    results,
+                });
+                let exported = vec![("h1".to_string(), oracle.clone())];
+                prop_assert_eq!(&ledger.export_references(), &exported);
+            }
+            let asked: Vec<(usize, &TestId, &str)> = lookups
+                .iter()
+                .map(|(position, test, name)| {
+                    (*position, &suite[usize::from(*test)], names[usize::from(*name)])
+                })
+                .collect();
+            let expected: Vec<Option<ObjectId>> = asked
+                .iter()
+                .map(|(_, test, name)| {
+                    let outputs = oracle.get(test.as_str())?;
+                    outputs.iter().find(|(n, _)| **n == **name).map(|(_, id)| *id)
+                })
+                .collect();
+            prop_assert_eq!(ledger.reference_output_ids("h1", asked.iter().copied()), expected);
+            prop_assert!(ledger
+                .reference_output_ids("zeus", asked.iter().copied())
+                .iter()
+                .all(Option::is_none));
+        }
     }
 
     #[test]
@@ -642,8 +807,14 @@ mod tests {
         assert!(ledger.get(RunId(99)).is_none());
     }
 
+    /// Packs and appends runs the way the campaign scheduler's judge lanes
+    /// and barrier do, without promoting them.
+    fn append_all(ledger: &RunLedger, runs: &[ValidationRun]) {
+        ledger.append(runs.iter().map(|run| ledger.pack(run)).collect());
+    }
+
     #[test]
-    fn promote_then_log_batch_matches_sequential_record() {
+    fn promote_then_append_matches_sequential_record() {
         let sequential = RunLedger::new();
         let batched = RunLedger::new();
         let runs = vec![
@@ -656,7 +827,7 @@ mod tests {
             sequential.record(r);
             batched.promote(r);
         }
-        batched.log_batch(runs);
+        append_all(&batched, &runs);
         assert_eq!(batched.runs(), sequential.runs());
         for experiment in ["h1", "zeus"] {
             assert_eq!(
@@ -672,15 +843,18 @@ mod tests {
     }
 
     #[test]
-    fn log_batch_appends_without_promoting() {
+    fn append_logs_without_promoting() {
         let ledger = RunLedger::new();
-        ledger.log_batch(vec![run(1, "h1", "SL5", true), run(2, "h1", "SL5", true)]);
+        append_all(
+            &ledger,
+            &[run(1, "h1", "SL5", true), run(2, "h1", "SL5", true)],
+        );
         assert_eq!(ledger.run_count(), 2);
         assert!(
             !ledger.has_reference("h1"),
-            "log_batch must leave references untouched"
+            "append must leave references untouched"
         );
-        ledger.log_batch(Vec::new());
+        append_all(&ledger, &[]);
         assert_eq!(ledger.run_count(), 2);
     }
 
@@ -758,12 +932,15 @@ mod tests {
     #[test]
     fn retract_range_removes_exactly_the_fenced_ids() {
         let ledger = RunLedger::new();
-        ledger.log_batch(vec![
-            run(10, "h1", "SL5", true),
-            run(11, "h1", "SL6", true),
-            run(12, "zeus", "SL5", true),
-            run(13, "zeus", "SL6", true),
-        ]);
+        append_all(
+            &ledger,
+            &[
+                run(10, "h1", "SL5", true),
+                run(11, "h1", "SL6", true),
+                run(12, "zeus", "SL5", true),
+                run(13, "zeus", "SL6", true),
+            ],
+        );
         assert_eq!(ledger.retract_range(RunId(11), 2), 2);
         let remaining: Vec<u64> = ledger.runs().iter().map(|r| r.id.0).collect();
         assert_eq!(remaining, vec![10, 13]);
@@ -914,9 +1091,9 @@ mod tests {
     }
 
     proptest! {
-        /// Runs logged through `record`, `log_batch` and the judge lane's
-        /// `pack` + `append` read back exactly as a plain `Vec` of the same
-        /// runs, through every query, retraction and pruning.
+        /// Runs logged through `record` and the judge lane's `pack` +
+        /// `append` read back exactly as a plain `Vec` of the same runs,
+        /// through every query, retraction and pruning.
         #[test]
         fn logged_runs_read_back_like_a_plain_run_list(
             experiments in 1usize..=3,
@@ -924,7 +1101,7 @@ mod tests {
                 (
                     0usize..3,
                     0u8..5,
-                    0u8..3,
+                    any::<bool>(),
                     any::<bool>(),
                     any::<bool>(),
                     any::<bool>(),
@@ -952,13 +1129,9 @@ mod tests {
 
             let ledger = RunLedger::new();
             let mut oracle: Vec<ValidationRun> = Vec::new();
-            let mut batch: Vec<ValidationRun> = Vec::new();
             let mut lane: Vec<LoggedRun> = Vec::new();
-            let flush = |batch: &mut Vec<ValidationRun>, lane: &mut Vec<LoggedRun>| {
-                ledger.log_batch(std::mem::take(batch));
-                ledger.append(std::mem::take(lane));
-            };
-            for (id, (experiment, variant, path, flush_after, fresh, passes, specs)) in
+            let flush = |lane: &mut Vec<LoggedRun>| ledger.append(std::mem::take(lane));
+            for (id, (experiment, variant, recorded, flush_after, fresh, passes, specs)) in
                 ops.into_iter().enumerate()
             {
                 let experiment = ["h1", "zeus", "hermes"][experiment % experiments];
@@ -1002,28 +1175,19 @@ mod tests {
                     timestamp: 2 * id as u64,
                     results,
                 };
-                match path {
-                    0 => {
-                        flush(&mut batch, &mut lane);
-                        ledger.record(&run);
-                    }
-                    1 => {
-                        ledger.append(std::mem::take(&mut lane));
-                        ledger.promote(&run);
-                        batch.push(run.clone());
-                    }
-                    _ => {
-                        ledger.log_batch(std::mem::take(&mut batch));
-                        ledger.promote(&run);
-                        lane.push(ledger.pack(&run));
-                    }
+                if recorded {
+                    flush(&mut lane);
+                    ledger.record(&run);
+                } else {
+                    ledger.promote(&run);
+                    lane.push(ledger.pack(&run));
                 }
                 oracle.push(run);
                 if flush_after {
-                    flush(&mut batch, &mut lane);
+                    flush(&mut lane);
                 }
             }
-            flush(&mut batch, &mut lane);
+            flush(&mut lane);
 
             prop_assert_eq!(ledger.run_count(), oracle.len());
             prop_assert_eq!(&ledger.runs(), &oracle);

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use sp_exec::JobId;
+use sp_store::sha256::Sha256;
 use sp_store::ObjectId;
 
 use crate::compare::CompareOutcome;
@@ -136,22 +137,104 @@ impl ValidationRun {
     /// A deterministic digest over the run's test statuses and outputs,
     /// used for "validation of all versions against each other": two runs
     /// with equal digests produced bit-identical outcomes.
+    ///
+    /// The hashed text is one line per result, `<test>=<glyph>` followed by
+    /// `:<output>@<hex address>` per output. It is streamed through a stack
+    /// buffer into the hasher, never built whole.
     pub fn digest(&self) -> ObjectId {
-        let outputs: usize = self.results.iter().map(|r| r.outputs.len()).sum();
-        let mut text = String::with_capacity(self.results.len() * 48 + outputs * 80);
+        let mut text = DigestText::new();
         for r in &self.results {
-            text.push_str(r.test.as_str());
-            text.push('=');
-            text.push(r.status.glyph());
+            text.push(r.test.as_str().as_bytes());
+            text.push(b"=");
+            text.push(r.status.glyph().encode_utf8(&mut [0; 4]).as_bytes());
             for (name, id) in r.outputs.iter() {
-                text.push(':');
-                text.push_str(name);
-                text.push('@');
-                sp_store::sha256::push_hex(&mut text, &id.0);
+                text.push(b":");
+                text.push(name.as_bytes());
+                text.push(b"@");
+                text.push(&sp_store::sha256::hex(&id.0));
             }
-            text.push('\n');
+            text.push(b"\n");
         }
-        ObjectId::for_bytes(text.as_bytes())
+        text.finish()
+    }
+}
+
+/// The text [`ValidationRun::digest`] hashes, fed to SHA-256 through a
+/// fixed stack buffer: most pushes are a few bytes, so they cost a copy
+/// rather than a hasher call each.
+struct DigestText {
+    hasher: Sha256,
+    buf: [u8; 1024],
+    len: usize,
+}
+
+impl DigestText {
+    fn new() -> Self {
+        DigestText {
+            hasher: Sha256::new(),
+            buf: [0; 1024],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            self.hasher.update(&self.buf[..self.len]);
+            self.len = 0;
+            if bytes.len() > self.buf.len() {
+                self.hasher.update(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn finish(mut self) -> ObjectId {
+        self.hasher.update(&self.buf[..self.len]);
+        ObjectId(self.hasher.finalize())
+    }
+}
+
+/// What [`ValidationRun::digest`] read of the last run judged in one
+/// (experiment, image) cell: each result's test id, status glyph and
+/// outputs, with the digest they hash to. A nightly cell repeats its run,
+/// so the next run whose results [`match`](Self::digest_of) is served this
+/// digest instead of hashing its text again.
+pub(crate) struct DigestedRun {
+    results: Box<[(TestId, char, TestOutputs)]>,
+    pub(crate) digest: ObjectId,
+}
+
+impl DigestedRun {
+    /// Hashes `run` and keeps what its digest read.
+    pub(crate) fn of(run: &ValidationRun) -> Self {
+        DigestedRun {
+            results: run
+                .results
+                .iter()
+                .map(|r| (r.test.clone(), r.status.glyph(), Arc::clone(&r.outputs)))
+                .collect(),
+            digest: run.digest(),
+        }
+    }
+
+    /// The digest of `run` if its results hash the same text: equal test
+    /// ids, glyphs and outputs, in the same order. A memo-served result
+    /// shares its id and output slice with the last run's, so this is
+    /// mostly pointer compares.
+    pub(crate) fn digest_of(&self, run: &ValidationRun) -> Option<ObjectId> {
+        let same = self.results.len() == run.results.len()
+            && self
+                .results
+                .iter()
+                .zip(&run.results)
+                .all(|((test, glyph, outputs), r)| {
+                    *glyph == r.status.glyph()
+                        && *test == r.test
+                        && (Arc::ptr_eq(outputs, &r.outputs) || **outputs == *r.outputs)
+                });
+        same.then_some(self.digest)
     }
 }
 

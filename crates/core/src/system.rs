@@ -34,7 +34,7 @@ use crate::warm;
 use crate::compare::{Comparator, CompareOutcome, TestOutput};
 use crate::experiment::ExperimentDef;
 use crate::ledger::{RunLedger, TestOutputs};
-use crate::run::{RunId, TestResult, TestStatus, ValidationRun};
+use crate::run::{DigestedRun, RunId, TestResult, TestStatus, ValidationRun};
 use crate::test::{FailureKind, TestCategory, TestId, TestKind, ValidationTest};
 
 /// Errors from system-level operations.
@@ -152,6 +152,11 @@ pub struct SpSystem {
     /// decoded from those bytes, so the address pair decides the outcome.
     /// Not part of the exported warm state.
     verdict_memo: Memo<(ObjectId, ObjectId), CompareOutcome>,
+    /// The last judged run of each (experiment, image) cell and its
+    /// digest, served to the next run of the cell whose results hash the
+    /// same text. Exact for every run, memoized or not; not part of the
+    /// exported warm state.
+    digest_memo: Memo<(String, VmImageId), Arc<DigestedRun>>,
 }
 
 impl Default for SpSystem {
@@ -182,6 +187,7 @@ impl SpSystem {
             output_memo: RunMemo::new(),
             build_memo: RunMemo::new(),
             verdict_memo: Memo::new(),
+            digest_memo: Memo::new(),
         }
     }
 
@@ -205,6 +211,12 @@ impl SpSystem {
     /// comparison against the reference that was not decoded and re-run).
     pub fn verdict_memo_stats(&self) -> DigestCacheStats {
         self.verdict_memo.stats()
+    }
+
+    /// Effectiveness counters of the run-digest memo (each hit is one run
+    /// whose digest text was not hashed again).
+    pub fn digest_memo_stats(&self) -> DigestCacheStats {
+        self.digest_memo.stats()
     }
 
     /// The common storage.
@@ -490,6 +502,7 @@ impl SpSystem {
         };
         Ok(ProducedRun {
             run,
+            image: image_id,
             verdicts,
             memoize: config.memoize,
         })
@@ -504,6 +517,7 @@ impl SpSystem {
     pub(crate) fn judge(&self, produced: ProducedRun) -> ValidationRun {
         let ProducedRun {
             mut run,
+            image,
             verdicts,
             memoize,
         } = produced;
@@ -511,7 +525,7 @@ impl SpSystem {
             &run.experiment,
             verdicts
                 .iter()
-                .map(|(_, verdict)| (verdict.test_id.as_str(), verdict.output_name)),
+                .map(|(index, verdict)| (*index, &verdict.test_id, verdict.output_name)),
         );
         for ((index, verdict), reference) in verdicts.into_iter().zip(references) {
             let (status, compare) = self.compare_output(&verdict, reference, memoize);
@@ -530,7 +544,7 @@ impl SpSystem {
             run.passed(),
             run.failed(),
             run.skipped(),
-            run.digest().to_hex(),
+            self.run_digest(image, &run).to_hex(),
         );
         self.storage.put_named(
             StorageArea::Results,
@@ -538,6 +552,21 @@ impl SpSystem {
             summary.into_bytes(),
         );
         run
+    }
+
+    /// [`ValidationRun::digest`] of `run`, judged on `image`. The digest
+    /// of the cell's last judged run is served when `run`'s results hash
+    /// the same text; otherwise `run` is hashed and becomes the cell's
+    /// last run.
+    pub fn run_digest(&self, image: VmImageId, run: &ValidationRun) -> ObjectId {
+        let cell = (run.experiment.clone(), image);
+        if let Some(digest) = self.digest_memo.serve(&cell, |last| last.digest_of(run)) {
+            return digest;
+        }
+        let digested = DigestedRun::of(run);
+        let digest = digested.digest;
+        self.digest_memo.insert(cell, Arc::new(digested));
+        digest
     }
 
     /// Runs (or, for memoized configs, replays) the §3.1 (ii) stack build.
@@ -1395,6 +1424,8 @@ impl RegisteredExperiment {
 /// status until its verdict is resolved.
 pub(crate) struct ProducedRun {
     run: ValidationRun,
+    /// The image the run was produced on.
+    image: VmImageId,
     /// The comparisons the run owes, each with the index of the result
     /// it decides.
     verdicts: Vec<(usize, Verdict)>,
@@ -2600,14 +2631,14 @@ mod tests {
             let produced = system
                 .produce("tiny", sl6_64, &config, run_id, system.clock().now())
                 .unwrap();
-            let (_, verdict) = produced
+            let (index, verdict) = produced
                 .verdicts
                 .iter()
                 .find(|(_, verdict)| verdict.output_name == "histograms")
                 .expect("the chain owes a histogram comparison");
             let reference = system
                 .ledger()
-                .reference_output_ids("tiny", [(verdict.test_id.as_str(), "histograms")])[0]
+                .reference_output_ids("tiny", [(*index, &verdict.test_id, "histograms")])[0]
                 .expect("the 32-bit run is the reference");
             assert_ne!(verdict.oid, reference, "the comparison fails");
             let victim = if remove_reference {
@@ -2823,5 +2854,134 @@ mod tests {
             assert!(summary.ends_with(&format!("digest {}\n", run.digest().to_hex())));
         }
         assert_eq!(system.chain_memo_stats().hits, 2, "runs 3 and 4 replayed");
+    }
+
+    /// One run of a four-test suite, in one of seven variants: the base run,
+    /// or a run that differs from it in one glyph (`X`), one status of the
+    /// same glyph (`w` with another count), one output address, one test
+    /// id, or its result count (one result fewer or one more). Test ids
+    /// and outputs are the suite's shared ones or, when `fresh`, equal
+    /// text in new allocations.
+    fn digest_memo_run(
+        id: u64,
+        experiment: &str,
+        variant: u8,
+        which: usize,
+        fresh: bool,
+        shared: &[(TestId, TestOutputs)],
+    ) -> ValidationRun {
+        let mut results: Vec<TestResult> = shared
+            .iter()
+            .map(|(test, outputs)| TestResult {
+                test: if fresh {
+                    TestId::new(test.as_str())
+                } else {
+                    test.clone()
+                },
+                category: TestCategory::Compilation,
+                group: "compilation".into(),
+                job: JobId(id),
+                status: TestStatus::PassedWithWarnings(1),
+                outputs: if fresh {
+                    outputs.iter().cloned().collect()
+                } else {
+                    Arc::clone(outputs)
+                },
+                compare: None,
+            })
+            .collect();
+        let k = which % results.len();
+        match variant {
+            1 => results[k].status = TestStatus::Failed(FailureKind::CompileError),
+            2 => results[k].status = TestStatus::PassedWithWarnings(7),
+            3 => {
+                let mut outputs = results[k].outputs.to_vec();
+                outputs[0].1 = ObjectId::for_bytes(b"another output");
+                results[k].outputs = outputs.into();
+            }
+            4 => results[k].test = TestId::new(format!("{}-renamed", results[k].test)),
+            5 => {
+                results.remove(k);
+            }
+            6 => results.push(TestResult {
+                test: TestId::new("zz-extra"),
+                ..results[k].clone()
+            }),
+            _ => {}
+        }
+        ValidationRun {
+            id: RunId(id),
+            experiment: experiment.into(),
+            image_label: "SL6/64bit gcc4.4".into(),
+            description: String::new(),
+            timestamp: id,
+            results,
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever sequence of runs a few (experiment, image) cells judge,
+        /// the digest in each conserved SUMMARY is the run's own
+        /// `ValidationRun::digest`: the digest memo serves a cell's last
+        /// digest only to a run whose results hash the same text.
+        #[test]
+        fn served_digests_equal_hashed_digests(
+            steps in proptest::collection::vec(
+                (0usize..4, 0u8..7, 0usize..4, proptest::bool::ANY),
+                1..40,
+            ),
+        ) {
+            let system = SpSystem::new();
+            let shared: Vec<(TestId, TestOutputs)> = (0..4)
+                .map(|i| {
+                    let outputs: TestOutputs = (0..2)
+                        .map(|j| {
+                            let name: Arc<str> = ["log", "histograms"][j].into();
+                            (name, ObjectId::for_bytes(format!("t{i}-{j}").as_bytes()))
+                        })
+                        .collect();
+                    (TestId::new(format!("t{i}")), outputs)
+                })
+                .collect();
+            for (id, (cell, variant, which, fresh)) in steps.into_iter().enumerate() {
+                let experiment = ["a", "b"][cell / 2];
+                let image = VmImageId(cell as u32 % 2);
+                let id = id as u64 + 1;
+                let run = digest_memo_run(id, experiment, variant, which, fresh, &shared);
+                let expected = run.digest();
+                let judged = system.judge(ProducedRun {
+                    run,
+                    image,
+                    verdicts: Vec::new(),
+                    memoize: false,
+                });
+                let summary = system
+                    .storage()
+                    .get_named(StorageArea::Results, &format!("{}/SUMMARY", judged.id))
+                    .unwrap()
+                    .unwrap();
+                let summary = std::str::from_utf8(&summary).unwrap();
+                proptest::prop_assert!(
+                    summary.ends_with(&format!("digest {}\n", expected.to_hex())),
+                    "{}", summary
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unchanged_cell_is_served_its_digest() {
+        let system = SpSystem::new();
+        let shared: Vec<(TestId, TestOutputs)> = vec![(
+            TestId::new("t0"),
+            Arc::from([("log".into(), ObjectId::for_bytes(b"t0"))]),
+        )];
+        let image = VmImageId(1);
+        for (variant, fresh) in [(0, false), (0, false), (0, true), (1, false), (1, true)] {
+            let run = digest_memo_run(1, "a", variant, 0, fresh, &shared);
+            assert_eq!(system.run_digest(image, &run), run.digest());
+        }
+        let stats = system.digest_memo_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (3, 2, 1));
     }
 }

@@ -344,22 +344,21 @@ pub fn digest(data: &[u8]) -> [u8; 32] {
 /// Lowercase hex digits, indexed by nibble.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends a digest to `out` as 64 lowercase hex characters, without an
-/// intermediate allocation.
-pub fn push_hex(out: &mut String, digest: &[u8; 32]) {
+/// A digest's 64 lowercase hex characters, on the stack.
+pub fn hex(digest: &[u8; 32]) -> [u8; 64] {
     let mut buf = [0u8; 64];
     for (pair, b) in buf.chunks_exact_mut(2).zip(digest) {
         pair[0] = HEX_DIGITS[usize::from(b >> 4)];
         pair[1] = HEX_DIGITS[usize::from(b & 0x0f)];
     }
-    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+    buf
 }
 
 /// Formats a digest as lowercase hex.
 pub fn to_hex(digest: &[u8; 32]) -> String {
-    let mut s = String::with_capacity(64);
-    push_hex(&mut s, digest);
-    s
+    std::str::from_utf8(&hex(digest))
+        .expect("hex digits are ASCII")
+        .to_string()
 }
 
 /// Nibble value of each byte that [`to_hex`] writes; `0xff` for every

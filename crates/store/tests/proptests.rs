@@ -87,9 +87,7 @@ proptest! {
         prop_assert_eq!(&hex, &formatted);
         let id = ObjectId(digest);
         prop_assert_eq!(ObjectId::from_hex(&hex), Some(id));
-        let mut appended = String::from("@");
-        sha256::push_hex(&mut appended, &digest);
-        prop_assert_eq!(&appended[1..], hex.as_str());
+        prop_assert_eq!(&sha256::hex(&digest)[..], hex.as_bytes());
         let upper = hex.to_ascii_uppercase();
         if upper != hex {
             prop_assert_eq!(ObjectId::from_hex(&upper), None);
